@@ -52,6 +52,20 @@ class NonConfluentTower(TowerError):
         self.witness = witness
 
 
+class RewriteBudgetExceeded(TowerError):
+    """Word rewriting ran past REWRITE_STEP_BUDGET steps.  This says
+    nothing about confluence: the rules may loop, or the word may just be
+    too long for the budget."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+# steps _word_reduce may take on one word before giving up
+REWRITE_STEP_BUDGET = 200000
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -761,8 +775,10 @@ def _word_reduce(tower: OreTower, word, leftmost: bool) -> NCPoly:
     while stack:
         w, coeff = stack.pop()
         steps += 1
-        if steps > 200000:
-            raise NonConfluentTower("rewriting did not terminate", witness=word)
+        if steps > REWRITE_STEP_BUDGET:
+            raise RewriteBudgetExceeded(
+                f"rewriting took more than {REWRITE_STEP_BUDGET} steps", witness=word
+            )
         pos = _find_redex(tower, w, leftmost)
         if pos is None:
             mono = _word_to_mono(tower, w)

@@ -2,9 +2,10 @@
 
 A :class:`Scalar` is a rational function in a declared tuple of formal
 parameters (``omega``, ``k``, ``q``, ...) with Gaussian-rational
-coefficients.  Everything is exact: coefficients are pairs of arbitrary
-precision rationals, and fractions of polynomials are kept in a canonical
-reduced form so that equality of scalars is plain structural equality.
+coefficients.  Everything is exact: a coefficient is a triple of Python
+ints ``(a, b, d)`` standing for ``(a + b*i)/d`` in lowest terms, and
+fractions of polynomials are kept in a canonical reduced form so that
+equality of scalars is plain structural equality.
 
 Canonical form of a fraction num/den:
 
@@ -28,13 +29,10 @@ antihomomorphism on the quantum commutation relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as _igcd
+from fractions import Fraction as _Q
+from math import gcd as _igcd, lcm as _ilcm
+from operator import add as _iadd, sub as _isub
 from typing import Iterable, Mapping
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
 
 
 class ScalarError(ArithmeticError):
@@ -54,69 +52,102 @@ class PoleAtPoint(ScalarError):
 
 
 class GaussRational:
-    """An element of Q(i), stored as an exact (re, im) pair."""
+    """An element of Q(i), stored as integers ``(a, b, d)`` with value
+    ``(a + b*i)/d``, where ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is
+    unique, so equality is equality of the triples."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _Q(re))
-        object.__setattr__(self, "im", _Q(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # two reduced fractions over their lcm already have gcd(a, b, d) 1
+            re, im = _Q(re), _Q(im)
+            rd, md = re.denominator, im.denominator
+            d = rd * md // _igcd(rd, md)
+            a = re.numerator * (d // rd)
+            b = im.numerator * (d // md)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("GaussRational is immutable")
 
+    @property
+    def re(self):
+        return _Q(self.a, self.d)
+
+    @property
+    def im(self):
+        return _Q(self.b, self.d)
+
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def is_one(self):
-        return self.re == 1 and self.im == 0
+        return self.a == 1 and self.b == 0 and self.d == 1
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a + other.a, self.b + other.b, d1)
+        return _gauss(
+            self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a - other.a, self.b - other.b, d1)
+        return _gauss(
+            self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
+        )
 
     def __rsub__(self, other):
         return _as_gauss(other).__sub__(self)
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _gauss_raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        n2 = other.re * other.re + other.im * other.im
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        a1, b1, a2, b2, d2 = self.a, self.b, other.a, other.b, other.d
+        n2 = a2 * a2 + b2 * b2
         if n2 == 0:
             raise DegenerateScalar("division by zero in Q(i)")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _gauss(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n2
         )
 
     def __rtruediv__(self, other):
         return _as_gauss(other).__truediv__(self)
 
     def inverse(self):
-        return GaussRational(1) / self
+        return GAUSS_ONE / self
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _gauss_raw(self.a, -self.b, self.d)
 
     def __pow__(self, n: int):
-        out = GaussRational(1)
+        out = GAUSS_ONE
         base = self if n >= 0 else self.inverse()
         for _ in range(abs(n)):
             out = out * base
@@ -124,12 +155,15 @@ class GaussRational:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.re == other and self.im == 0
+            return self.a == other and self.b == 0 and self.d == 1
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # equal to hash((re, im)): Scalar hashes (and so set orders) depend on it
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -155,6 +189,32 @@ class GaussRational:
         return f"{re}{sep}{imt}"
 
 
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+_new_gauss = object.__new__
+
+
+def _gauss_raw(a, b, d) -> GaussRational:
+    """The GaussRational (a + b*i)/d for a triple already in canonical form."""
+    g = _new_gauss(GaussRational)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _gauss(a, b, d) -> GaussRational:
+    """The GaussRational (a + b*i)/d for ints with d > 0."""
+    if d != 1:
+        g = _igcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gauss_raw(a, b, d)
+
+
 def _as_gauss(x) -> GaussRational:
     if isinstance(x, GaussRational):
         return x
@@ -166,6 +226,8 @@ def _as_gauss(x) -> GaussRational:
 GAUSS_ZERO = GaussRational(0)
 GAUSS_ONE = GaussRational(1)
 GAUSS_I = GaussRational(0, 1)
+GAUSS_NEG_ONE = GaussRational(-1)
+GAUSS_NEG_I = GaussRational(0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +424,28 @@ def _pnormal_unit(p):
 
 
 def _canonical_unit(c: GaussRational) -> GaussRational:
-    for u in (GAUSS_ONE, GAUSS_I, -GAUSS_ONE, -GAUSS_I):
-        t = c * u
-        if t.re > 0 and t.im >= 0:
+    a, b = c.a, c.b
+    # (re, im) of c*u, times the positive c.d, for u = 1, i, -1, -i
+    for u, re, im in (
+        (GAUSS_ONE, a, b),
+        (GAUSS_I, -b, a),
+        (GAUSS_NEG_ONE, -a, -b),
+        (GAUSS_NEG_I, b, -a),
+    ):
+        if re > 0 and im >= 0:
             return u
     raise DegenerateScalar("zero coefficient has no canonical unit")
 
 
-def _prat_content(p):
+def _prat_content(p) -> GaussRational:
     """Positive rational r such that r*p has Gaussian-integer coefficients
     with coprime rational parts."""
+    den_l = _ilcm(*(c.d for c in p.values()))
     num_g = 0
-    den_l = 1
     for c in p.values():
-        for part in (c.re, c.im):
-            if part == 0:
-                continue
-            num_g = _igcd(num_g, abs(int(part.numerator)))
-            d = int(part.denominator)
-            den_l = den_l * d // _igcd(den_l, d)
-    if num_g == 0:
-        num_g = 1
-    return _Q(den_l, num_g)
+        s = den_l // c.d
+        num_g = _igcd(num_g, c.a * s, c.b * s)
+    return _gauss(den_l, 0, num_g or 1)
 
 
 def _iround(p, q):
@@ -404,7 +466,7 @@ def _zgauss_content(p) -> GaussRational:
     """Gcd over Z[i] of the (integral) coefficients of p."""
     g = (0, 0)
     for c in p.values():
-        b = (int(c.re), int(c.im))
+        b = (c.a, c.b)
         while b != (0, 0):
             g, b = b, _zmod(g, b)
         if g == (1, 0):
@@ -525,6 +587,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        ctx = self.ctx
+        if _is_den_one(self.den, ctx) and _is_den_one(o.den, ctx):
+            # a sum over the unit denominator is already canonical
+            return Scalar(ctx, _padd(self.num, o.num), ctx._den_one, _raw=True)
         if self.den == o.den:
             return Scalar(self.ctx, _padd(self.num, o.num), self.den)
         n = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
@@ -548,9 +614,29 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        sn, sd, on, od = self.num, self.den, o.num, o.den
+        if not sn or not on:
             return self.ctx.zero
-        return Scalar(self.ctx, _pmul(self.num, o.num), _pmul(self.den, o.den))
+        if len(sn) == 1 and len(on) == 1 and len(sd) == 1 and len(od) == 1:
+            # monomial times monomial: a canonical monomial denominator has
+            # coefficient 1, so stripping the common monomial is all of _reduce
+            ((e1, c1),) = sn.items()
+            ((e2, c2),) = on.items()
+            (f1,) = sd
+            (f2,) = od
+            ctx = self.ctx
+            e = tuple(map(_iadd, e1, e2))
+            if f1 == f2 == ctx._zero_exp:
+                den = ctx._den_one
+            else:
+                f = tuple(map(_iadd, f1, f2))
+                m = tuple(map(min, e, f))
+                if any(m):
+                    e = tuple(map(_isub, e, m))
+                    f = tuple(map(_isub, f, m))
+                den = {f: GAUSS_ONE} if any(f) else ctx._den_one
+            return Scalar(ctx, {e: c1 * c2}, den, _raw=True)
+        return Scalar(self.ctx, _pmul(sn, on), _pmul(sd, od))
 
     __rmul__ = __mul__
 
@@ -644,7 +730,7 @@ class Scalar:
         if not self.num:
             return False
         c = self.num[_plead(self.num)]
-        return c.re < 0 or (c.re == 0 and c.im < 0)
+        return c.a < 0 or (c.a == 0 and c.b < 0)
 
     def text(self) -> str:
         """Canonical text.  Polynomial scalars and monomial denominators
@@ -662,6 +748,11 @@ class Scalar:
             return "*".join([numt] + inv)
         dent = _poly_text(self.den, self.ctx.names)
         return f"({num})/({dent})"
+
+
+def _is_den_one(den, ctx):
+    # a canonical one-term denominator at exponent zero is the unit one
+    return len(den) == 1 and ctx._zero_exp in den
 
 
 def _peval(p, vals):
@@ -708,10 +799,9 @@ def _reduce(num, den, nvars):
     # general denominator: integral, Z[i]-content a unit, leading coeff in
     # the canonical sector
     r = _prat_content(den)
-    if r != 1:
-        rs = GaussRational(r)
-        num = _pscale(num, rs)
-        den = _pscale(den, rs)
+    if not r.is_one():
+        num = _pscale(num, r)
+        den = _pscale(den, r)
     zc = _zgauss_content(den)
     if not zc.is_one():
         zi = zc.inverse()
@@ -731,15 +821,15 @@ def _poly_text(p, names) -> str:
         factors = [
             f"{names[j]}^{x}" if x > 1 else names[j] for j, x in enumerate(e) if x
         ]
-        neg = c.re < 0 or (c.re == 0 and c.im < 0)
+        neg = c.a < 0 or (c.a == 0 and c.b < 0)
         cc = -c if neg else c
         if not factors:
-            body = cc.text() if (cc.im == 0 or cc.re == 0) else f"({cc.text()})"
+            body = cc.text() if (cc.b == 0 or cc.a == 0) else f"({cc.text()})"
         elif cc.is_one():
             body = "*".join(factors)
         else:
             ct = cc.text()
-            if cc.im != 0 and cc.re != 0:
+            if cc.b != 0 and cc.a != 0:
                 ct = f"({ct})"
             body = "*".join([ct] + factors)
         terms.append(("-" if neg else "+", body))

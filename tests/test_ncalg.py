@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from qe2 import ncalg
 from qe2.exprio import format_canonical
 from qe2.ncalg import (
     NCPoly,
     NonConfluentTower,
+    RewriteBudgetExceeded,
     TowerError,
     commutator,
     diamond_check,
@@ -100,6 +102,15 @@ def test_diamond_rejects_corrupted():
     assert res.left_form != res.right_form
     with pytest.raises(NonConfluentTower):
         load_tower(desc)
+
+
+def test_rewrite_budget_is_not_a_confluence_verdict(monkeypatch):
+    tower = load_tower(preset_dict("qe2-nonstd"), validate=False)
+    monkeypatch.setattr(ncalg, "REWRITE_STEP_BUDGET", 3)
+    with pytest.raises(RewriteBudgetExceeded) as info:
+        diamond_check(tower)
+    assert not isinstance(info.value, NonConfluentTower)
+    assert isinstance(info.value, TowerError)
 
 
 def test_forward_reference_rejected():

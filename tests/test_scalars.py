@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,3 +150,139 @@ def test_pow():
     assert W ** 3 == W * W * W
     assert W ** -2 == CTX.one / (W * W)
     assert W ** 0 == CTX.one
+
+
+# -- differential tests of the integer-triple core ---------------------------
+
+from fractions import Fraction  # noqa: E402
+from operator import add, mul, truediv  # noqa: E402
+
+from qe2.scalars import Scalar, _pmul  # noqa: E402
+
+fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+gauss_q = st.builds(GaussRational, fracs, fracs)
+
+
+def _ref_text(re, im):
+    """Reference spelling of re + im*i from two Fractions."""
+    if im == 0:
+        return str(re)
+    imt = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if re == 0:
+        return imt
+    return f"{re}{'' if imt.startswith('-') else '+'}{imt}"
+
+
+def _check_against(g, re, im):
+    assert (g.re, g.im) == (re, im)
+    assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
+    assert hash(g) == hash((Fraction(re), Fraction(im)))
+    assert g.text() == _ref_text(re, im)
+
+
+@given(gauss_q, gauss_q)
+@settings(max_examples=200, deadline=None)
+def test_gauss_matches_fraction_pairs(x, y):
+    (xr, xi), (yr, yi) = (x.re, x.im), (y.re, y.im)
+    _check_against(x, xr, xi)
+    _check_against(x + y, xr + yr, xi + yi)
+    _check_against(x - y, xr - yr, xi - yi)
+    _check_against(x * y, xr * yr - xi * yi, xr * yi + xi * yr)
+    _check_against(-x, -xr, -xi)
+    _check_against(x.conjugate(), xr, -xi)
+    n2 = yr * yr + yi * yi
+    if n2:
+        _check_against(x / y, (xr * yr + xi * yi) / n2, (xi * yr - xr * yi) / n2)
+    else:
+        with pytest.raises(DegenerateScalar):
+            x / y
+    for n in (-1, 0, 1, 2):
+        assert (x == n) == (xr == n and xi == 0)
+    assert (x == y) == ((xr, xi) == (yr, yi))
+
+
+def test_gauss_constructor_inputs():
+    assert GaussRational(Fraction(6, 4), Fraction(-1, 6)) == GaussRational(
+        Fraction(3, 2), Fraction(-1, 6)
+    )
+    g = GaussRational(Fraction(3, 2), Fraction(-1, 6))
+    assert (g.a, g.b, g.d) == (9, -1, 6)
+    assert GaussRational(True) == GAUSS_ONE
+    assert repr(g) == "GaussRational(3/2, -1/6)"
+    with pytest.raises(AttributeError):
+        g.a = 1
+
+
+def _monomial(c, num_exp, den_exp):
+    m = CTX.from_gauss(c)
+    for p, x in zip((W, K, Q), num_exp):
+        m = m * p**x
+    for p, x in zip((W, K, Q), den_exp):
+        m = m / p**x
+    return m
+
+
+exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+nonzero_gauss = gauss_q.filter(bool)
+monomials = st.builds(_monomial, nonzero_gauss, exps, exps)
+
+
+@given(monomials, monomials)
+@settings(max_examples=100, deadline=None)
+def test_monomial_mul_fast_path_matches_general(x, y):
+    assert len(x.num) == len(x.den) == len(y.num) == len(y.den) == 1
+    fast = x * y
+    slow = Scalar(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
+    assert fast.num == slow.num and fast.den == slow.den
+
+
+# -- differential against sympy's cancel over QQ_I ----------------------------
+
+_DENS = (CTX.one, W, W + 1, K - W, (W + 1) * K)
+
+
+def _small_scalar(terms, den):
+    out = CTX.zero
+    for re, im, ew, ek in terms:
+        out = out + CTX.from_gauss(GaussRational(re, im)) * W**ew * K**ek
+    return out / _DENS[den]
+
+
+small_scalars = st.builds(
+    _small_scalar,
+    st.lists(
+        st.tuples(
+            st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, len(_DENS) - 1),
+)
+
+
+@given(small_scalars, small_scalars, st.sampled_from([add, mul, truediv]))
+@settings(max_examples=40, deadline=None)
+def test_scalar_ops_match_sympy_cancel(x, y, op):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("omega k q")
+
+    def expr(p):
+        return sum(
+            (sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d))
+            * sympy.Mul(*(s**e for s, e in zip(syms, exp)))
+            for exp, c in p.items()
+        )
+
+    def qqi(e):
+        return sympy.Poly(e, *syms, domain=sympy.QQ_I)
+
+    if op is truediv and not y:
+        return
+    got = op(x, y)
+    want = op(expr(x.num) / expr(x.den), expr(y.num) / expr(y.den))
+    want_num, want_den = sympy.fraction(sympy.cancel(want, extension=True))
+    num, den = qqi(expr(got.num)), qqi(expr(got.den))
+    assert (num * qqi(want_den) - qqi(want_num) * den).is_zero
+    # canonical form: numerator and denominator share no factor
+    assert num.gcd(den).is_ground
