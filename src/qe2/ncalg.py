@@ -25,16 +25,28 @@ also reuse the level itself, which shortens the tail instead); this is
 the (level, degree)-lexicographic measure underlying the PBW property of
 Ore extensions.
 
-Confluence is certified by :func:`diamond_check`: every descending
-length-3 word (and its inverse-exponent variants) is reduced along its
-two overlap paths, which for Ore-form rules is exactly the endomorphism /
-twisted-derivation compatibility of each level with the relations below
-it.  Towers failing the check are rejected at load time.
+Confluence is certified by :func:`diamond_check` (Bergman's diamond
+lemma): every word of ``degree`` letters (3 at load time) whose levels
+never increase, inverse letters included, is reduced leftmost-first and
+rightmost-first and both results are compared with the engine's normal
+form.  At degree 3 this is exactly the endomorphism / twisted-derivation
+compatibility of each level with the relations below it; higher degrees
+cross-check the engine.  Towers failing the check are rejected at load
+time.
+
+The two strategies are folds (:class:`LetterPushFold`).  Leftmost-first
+rewriting of ``p*y`` reduces ``p`` completely before it touches the
+``p|y`` boundary, so it is a left fold of "push one letter into a normal
+monomial"; rightmost-first is the mirrored right fold.  Each strategy
+memoises its pushes by (normal monomial, letter), so overlap words share
+their rewriting work.  The memos live only for one ``diamond_check``
+call, one per strategy, apart from the engine's ``_push``/``_mono_mul``
+caches and from each other, so the check still compares two independent
+rewriting paths with the engine.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,7 +74,7 @@ class RewriteBudgetExceeded(TowerError):
         self.witness = witness
 
 
-# steps _word_reduce may take on one word before giving up
+# pushes LetterPushFold may compute for one word before giving up
 REWRITE_STEP_BUDGET = 200000
 
 
@@ -662,12 +674,19 @@ def solve_affine(rows, rhs, ctx):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
+        row = mat[r]
+        pv = row[c]
+        # a zero entry of the pivot row leaves its column unchanged
+        # (0 / pv == 0 and a - f*0 == a), so only the nonzero ones are touched
+        nz = [k for k, v in enumerate(row) if v]
+        for k in nz:
+            row[k] = row[k] / pv
         for rr in range(len(mat)):
-            if rr != r and mat[rr][c]:
-                f = mat[rr][c]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+            other = mat[rr]
+            if rr != r and other[c]:
+                f = other[c]
+                for k in nz:
+                    other[k] = other[k] - f * row[k]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -734,27 +753,33 @@ class DiamondResult:
 
 
 def diamond_check(tower: OreTower, degree: int = 3) -> DiamondResult:
-    """Reduce every descending word of the given length along leftmost-first
-    and rightmost-first strategies and compare the results (also against
-    the engine's own normal form)."""
+    """Reduce every descending word of the given length leftmost-first and
+    rightmost-first, and compare the two results with each other and with
+    the engine's own normal form.
+
+    Words are checked in the lexicographic order of their letters
+    (``(level, +1)`` before ``(level, -1)``, lower levels first), and the
+    first word whose three results disagree is the witness.  Each strategy
+    is a :class:`LetterPushFold` of its own, made for this call alone: the
+    two share no memo with each other, with the engine's caches or with
+    later calls, so they remain two independent rewriting paths.
+    """
     if degree < 3:
         raise ValueError("diamond check needs degree >= 3")
-    n = tower.nlevels
     letters = []
-    for j in range(n):
+    for j, g in enumerate(tower.generators):
         letters.append((j, 1))
-        if tower.generators[j].invertible:
+        if g.invertible:
             letters.append((j, -1))
-    for combo in itertools.product(letters, repeat=degree):
-        levels = [l for l, _ in combo]
-        if any(levels[i] < levels[i + 1] for i in range(len(levels) - 1)):
-            continue  # only descending words create overlaps
-        left = _word_reduce(tower, combo, leftmost=True)
-        right = _word_reduce(tower, combo, leftmost=False)
-        engine = tower.word_to_poly(combo)
+    leftmost = LetterPushFold(tower, leftmost=True)
+    rightmost = LetterPushFold(tower, leftmost=False)
+    for word in _descending_words(letters, degree):
+        left = leftmost.reduce(word)
+        right = rightmost.reduce(word)
+        engine = tower.word_to_poly(word)
         if left != right or left != engine:
             names = tuple(
-                (tower.generators[j].name, e) for j, e in combo
+                (tower.generators[j].name, e) for j, e in word
             )
             return DiamondResult(
                 False,
@@ -765,65 +790,161 @@ def diamond_check(tower: OreTower, degree: int = 3) -> DiamondResult:
     return DiamondResult(True)
 
 
-def _word_reduce(tower: OreTower, word, leftmost: bool) -> NCPoly:
-    """Rewrite a letter word to normal form, picking redexes at the
-    leftmost (or rightmost) position; returns the resulting NCPoly."""
-    ctx = tower.context
-    result = {}
-    stack = [(tuple(word), ctx.one)]
-    steps = 0
-    while stack:
-        w, coeff = stack.pop()
-        steps += 1
-        if steps > REWRITE_STEP_BUDGET:
-            raise RewriteBudgetExceeded(
-                f"rewriting took more than {REWRITE_STEP_BUDGET} steps", witness=word
-            )
-        pos = _find_redex(tower, w, leftmost)
-        if pos is None:
-            mono = _word_to_mono(tower, w)
-            v = result.get(mono, ctx.zero) + coeff
-            if v:
-                result[mono] = v
+def _descending_words(letters, degree):
+    """Words of ``degree`` letters whose levels never increase (the only
+    words with overlaps), in the lexicographic order of ``letters``."""
+    words = [()]
+    for _ in range(degree):
+        words = [
+            w + (x,) for w in words for x in letters if not w or x[0] <= w[-1][0]
+        ]
+    return words
+
+
+class LetterPushFold:
+    """Leftmost-first or rightmost-first rewriting of letter words.
+
+    A letter is ``(level, +1 or -1)``.  For a word ``p*y``, every redex
+    inside ``p`` lies left of the ``p|y`` boundary, so leftmost-first
+    rewriting reduces ``p`` to normal monomials before it touches ``y``:
+    the reduction is a left fold of "push one letter into a normal monomial
+    from the right".  Rightmost-first is the mirror image, a right fold of
+    pushes from the left.  A push rewrites the one redex at the boundary and
+    folds the letters of the rule's right-hand side into what is left of the
+    monomial, so every push is again a fold of pushes.
+
+    Pushes are memoised by ``(normal monomial, letter)`` for the life of the
+    object.  A push that needs one not yet known waits on an explicit work
+    stack, so a long rewriting chain never deepens the Python stack.  Each
+    push computed counts as one step against ``REWRITE_STEP_BUDGET`` per
+    word; past it, :class:`RewriteBudgetExceeded` is raised with the word
+    as witness.  Terms that cancel between two letters are dropped before
+    the next letter is pushed.
+    """
+
+    def __init__(self, tower: OreTower, leftmost: bool):
+        self.tower = tower
+        self.leftmost = leftmost
+        self._one = tower.context.one
+        self._memo = {}     # (monomial, letter) -> ((monomial, coeff), ...)
+        self._rules = {}    # (letter, letter) redex -> [(letters, coeff)]
+
+    def reduce(self, word) -> NCPoly:
+        """Normal form of a letter word under this object's strategy."""
+        letters = tuple(word) if self.leftmost else tuple(reversed(word))
+        memo = self._memo
+        stack = [(None, self._fold(self.tower.unit_mono, letters))]
+        steps = 0
+        while True:
+            key, task = stack[-1]
+            try:
+                need = next(task)
+            except StopIteration as done:
+                stack.pop()
+                if key is None:
+                    return NCPoly(self.tower, done.value)
+                memo[key] = tuple(done.value.items())
+                continue
+            steps += 1
+            if steps > REWRITE_STEP_BUDGET:
+                raise RewriteBudgetExceeded(
+                    f"rewriting took more than {REWRITE_STEP_BUDGET} steps",
+                    witness=word,
+                )
+            task = self._push(*need)
+            if isinstance(task, tuple):
+                memo[need] = task
             else:
-                result.pop(mono, None)
-            continue
-        for nw, c in _rewrite_at(tower, w, pos):
-            stack.append((nw, coeff * c))
-    return NCPoly(tower, result)
+                stack.append((need, task))
 
+    def _fold(self, mono, letters):
+        """Push ``letters`` one by one into ``mono``; yields each push it
+        needs that is not in the memo, returns the result as a term map."""
+        memo, one = self._memo, self._one
+        poly = {mono: one}
+        for y in letters:
+            acc = {}
+            for m, c in poly.items():
+                terms = memo.get((m, y))
+                if terms is None:
+                    yield (m, y)
+                    terms = memo[(m, y)]
+                for m2, c2 in terms:
+                    if c2 is one:
+                        c2 = c
+                    elif c is not one:
+                        c2 = c * c2
+                    v = acc.get(m2)
+                    if v is not None:
+                        v = v + c2
+                        if v:
+                            acc[m2] = v
+                        else:
+                            del acc[m2]
+                    else:
+                        acc[m2] = c2
+            poly = acc
+        return poly
 
-def _find_redex(tower, w, leftmost):
-    rng = range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1)
-    for p in rng:
-        (i, si), (j, sj) = w[p], w[p + 1]
-        if i == j and si != sj:
-            return p
-        if i > j:
-            return p
-    return None
+    def _push(self, mono, letter):
+        """``mono*letter`` (leftmost) or ``letter*mono`` (rightmost) in
+        normal form: a term tuple when no rule applies at the boundary,
+        else a generator in the manner of :meth:`_fold`."""
+        j, s = letter
+        end = _top_level(mono) if self.leftmost else _low_level(mono)
+        if end is not None and end != j and (end > j) == self.leftmost:
+            t = 1 if mono[end] > 0 else -1
+            rest = mono[:end] + (mono[end] - t,) + mono[end + 1 :]
+            pair = ((end, t), letter) if self.leftmost else (letter, (end, t))
+            rule = self._rules.get(pair)
+            if rule is None:
+                rule = self._rules[pair] = self._rule(*pair)
+            return self._apply(rest, rule)
+        # no redex, or g^t g^-t cancelling: the exponent moves by s
+        return ((mono[:j] + (mono[j] + s,) + mono[j + 1 :], self._one),)
 
+    def _apply(self, rest, rule):
+        """Fold each right-hand side of a rule into ``rest`` and add up."""
+        acc, one = {}, self._one
+        for letters, c in rule:
+            poly = yield from self._fold(rest, letters)
+            for m, v in poly.items():
+                if v is one:
+                    v = c
+                elif c is not one:
+                    v = v * c
+                old = acc.get(m)
+                if old is not None:
+                    v = old + v
+                if v:
+                    acc[m] = v
+                else:
+                    acc.pop(m, None)
+        return acc
 
-def _rewrite_at(tower, w, p):
-    (i, si), (j, sj) = w[p], w[p + 1]
-    pre, post = w[:p], w[p + 2 :]
-    if i == j and si != sj:
-        return [(pre + post, tower.context.one)]
-    out = []
-    if si == 1:
-        # g_i g_j^sj = sigma_i(g_j^sj) g_i + delta_i(g_j^sj)
-        s_img = tower._sigma_img(i, j, sj)
-        d_img = tower._delta_img(i, j, sj)
-        for mono, c in s_img.terms.items():
-            out.append((pre + _mono_to_word(mono) + ((i, 1),) + post, c))
-        for mono, c in d_img.terms.items():
-            out.append((pre + _mono_to_word(mono) + post, c))
-    else:
-        # inverse letters only for diagonal sigma, zero delta
-        diag = tower._sigma_inv_diag[i]
-        c = diag[j] ** (-sj)
-        out.append((pre + ((j, sj), (i, -1)) + post, c))
-    return out
+    def _rule(self, a, b):
+        """Right-hand side of the redex ``a*b`` as (letters, coeff) pairs,
+        the letters in the order this strategy pushes them."""
+        tower = self.tower
+        (i, si), (j, sj) = a, b
+        out = []
+        if si == 1:
+            # g_i g_j^sj = sigma_i(g_j^sj) g_i + delta_i(g_j^sj)
+            for mono, c in tower._sigma_img(i, j, sj).terms.items():
+                out.append((_mono_to_word(mono) + ((i, 1),), c))
+            for mono, c in tower._delta_img(i, j, sj).terms.items():
+                out.append((_mono_to_word(mono), c))
+        else:
+            # inverse letters only for diagonal sigma, zero delta
+            c = tower._sigma_inv_diag[i][j] ** (-sj)
+            out.append((((j, sj), (i, -1)), c))
+        # the unit coefficient is always the context's own ``one``, which
+        # the fold recognises by identity and never multiplies by
+        one = tower.context.one
+        return [
+            (letters if self.leftmost else letters[::-1], one if c.is_one() else c)
+            for letters, c in out
+        ]
 
 
 def _mono_to_word(mono):
@@ -833,16 +954,6 @@ def _mono_to_word(mono):
             s = 1 if e > 0 else -1
             word.extend([(j, s)] * abs(e))
     return tuple(word)
-
-
-def _word_to_mono(tower, w):
-    mono = [0] * tower.nlevels
-    for j, s in w:
-        mono[j] += s
-    for j, e in enumerate(mono):
-        if e < 0 and not tower.generators[j].invertible:
-            raise TowerError("negative exponent on non-invertible generator")
-    return tuple(mono)
 
 
 # ---------------------------------------------------------------------------

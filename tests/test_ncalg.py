@@ -1,10 +1,13 @@
+import itertools
 import random
+import sys
 
 import pytest
 
-from qe2 import ncalg
+from qe2 import catalog, ncalg
 from qe2.exprio import format_canonical
 from qe2.ncalg import (
+    LetterPushFold,
     NCPoly,
     NonConfluentTower,
     RewriteBudgetExceeded,
@@ -14,10 +17,12 @@ from qe2.ncalg import (
     graded_degree,
     load_tower,
     normal_form,
+    solve_affine,
     span_solve,
 )
 
 from conftest import preset_dict
+import stack_rewriter
 
 
 # -- normal forms, hand-derived oracle values --------------------------------
@@ -113,6 +118,98 @@ def test_rewrite_budget_is_not_a_confluence_verdict(monkeypatch):
     assert isinstance(info.value, TowerError)
 
 
+# -- the letter-push fold against the stack rewriter --------------------------
+
+
+def _printed_nonstd_tower():
+    # the (n, nb) rule with the sign the manuscript prints (suite_diamond)
+    desc = preset_dict("qe2-nonstd")
+    desc["tower"][2] = {
+        "gen": "nb",
+        "sigma": {"v": "v", "n": "n + omega"},
+        "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
+    }
+    return load_tower(desc, validate=False)
+
+
+def _corrupted_nonstd_tower():
+    desc = preset_dict("qe2-nonstd")
+    desc["tower"][1]["delta"]["v"] = "omega*v^2"
+    return load_tower(desc, validate=False)
+
+
+def _shipped_towers():
+    towers = {}
+    for pid in catalog.PRESET_IDS:
+        b = catalog.get_preset(pid)
+        for attr in ("tower", "group_tower", "space_tower"):
+            t = getattr(b, attr)
+            if t is not None:
+                towers.setdefault(id(t), t)
+    return list(towers.values())
+
+
+def _letters(tower):
+    return [
+        (j, s)
+        for j, g in enumerate(tower.generators)
+        for s in ((1, -1) if g.invertible else (1,))
+    ]
+
+
+def test_fold_matches_stack_rewriter():
+    towers = _shipped_towers() + [_printed_nonstd_tower()]
+    assert len(towers) == 15
+    for tower in towers:
+        for leftmost in (True, False):
+            # one fold for all words, so later words reuse earlier pushes
+            fold = LetterPushFold(tower, leftmost)
+            for k in range(1, 5):
+                for word in itertools.product(_letters(tower), repeat=k):
+                    want = stack_rewriter.word_reduce(tower, word, leftmost)
+                    assert fold.reduce(word) == want, (tower.name, leftmost, word)
+
+
+def test_diamond_check_matches_stack_rewriter():
+    towers = [("shipped", t) for t in _shipped_towers()] + [
+        ("printed", _printed_nonstd_tower()),
+        ("corrupted", _corrupted_nonstd_tower()),
+    ]
+    failed = set()
+    for label, tower in towers:
+        for degree in (3, 4, 5):
+            words = [
+                w
+                for w in itertools.product(_letters(tower), repeat=degree)
+                if all(a[0] >= b[0] for a, b in zip(w, w[1:]))
+            ]
+            want = stack_rewriter.diamond_check(tower, words)
+            got = diamond_check(tower, degree)
+            assert (got.ok, got.witness_word, got.left_form, got.right_form) == (
+                want.ok, want.witness_word, want.left_form, want.right_form
+            ), (tower.name, degree)
+            if not got.ok:
+                assert got.witness_word == (("nb", 1), ("n", 1)) + (("v", 1),) * (
+                    degree - 2
+                )
+                failed.add((label, degree))
+    assert failed == {(label, d) for label in ("printed", "corrupted") for d in (3, 4, 5)}
+
+
+def test_fold_chain_deeper_than_recursion_limit(qplane_tower, monkeypatch):
+    # zb^N*z: leftmost-first moves z past every zb, one push inside the next
+    t = qplane_tower
+    n = sys.getrecursionlimit() + 100
+    word = ((1, 1),) * n + ((0, 1),)
+    want = t.poly(f"q^-{n}*z*zb^{n}")
+    assert LetterPushFold(t, leftmost=True).reduce(word) == want
+    assert LetterPushFold(t, leftmost=False).reduce(word) == want
+    monkeypatch.setattr(ncalg, "REWRITE_STEP_BUDGET", n // 2)
+    with pytest.raises(RewriteBudgetExceeded) as info:
+        LetterPushFold(t, leftmost=True).reduce(word)
+    assert info.value.witness == word
+
+
 def test_forward_reference_rejected():
     desc = preset_dict("qe2-nonstd")
     desc["tower"][1]["delta"]["v"] = "nb"
@@ -173,6 +270,68 @@ def test_outside_span(qe2_tower):
         for s in range(3):
             basis.append(normal_form(t, [("v", r)]) * m ** s)
     assert span_solve(t.gen("n"), basis) is None
+
+
+def _dense_solve_affine(rows, rhs, ctx):
+    """solve_affine as it was before it skipped the pivot row's zeros:
+    every row operation runs over every column."""
+    ncols = len(rows[0]) if rows else 0
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((rr for rr in range(r, len(mat)) if mat[rr][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for rr in range(len(mat)):
+            if rr != r and mat[rr][c]:
+                f = mat[rr][c]
+                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    if any(mat[rr][ncols] for rr in range(r, len(mat))):
+        return None
+    coeffs = [ctx.zero] * ncols
+    for rr, c in enumerate(pivots):
+        coeffs[c] = mat[rr][ncols]
+    null = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ctx.zero] * ncols
+        vec[fc] = ctx.one
+        for rr, c in enumerate(pivots):
+            vec[c] = -mat[rr][fc]
+        null.append(vec)
+    return coeffs, null
+
+
+def test_solve_affine_matches_dense_elimination(qe2_tower):
+    ctx = qe2_tower.context
+    omega = ctx.param("omega")
+    rng = random.Random(11)
+
+    def entry():
+        if rng.random() < 0.5:
+            return ctx.zero
+        return ctx.from_int(rng.randint(-3, 3)) + ctx.from_int(rng.randint(-2, 2)) * omega
+
+    solved = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:  # consistent: rhs is a combination of columns
+            x = [entry() for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(row, x)), ctx.zero) for row in rows]
+        else:
+            rhs = [entry() for _ in range(nrows)]
+        want = _dense_solve_affine(rows, rhs, ctx)
+        assert solve_affine(rows, rhs, ctx) == want
+        solved += want is not None
+    assert 20 < solved < 60
 
 
 def test_graded_degree(cylinder_tower):
