@@ -24,7 +24,6 @@ from .ncalg import (  # noqa: F401
     diamond_check,
     graded_degree,
     load_tower,
-    nc_mul,
     normal_form,
     span_solve,
 )

@@ -255,9 +255,6 @@ class NCPoly:
     def coefficient(self, mono) -> Scalar:
         return self.terms.get(mono, self.tower.context.zero)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -625,10 +622,6 @@ def normal_form(tower: OreTower, word) -> NCPoly:
     """Normal form of a raw product expressed as (generator, exponent)
     pairs; generator entries may be names or level indices."""
     return tower.word_to_poly(word)
-
-
-def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    return p * q
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:

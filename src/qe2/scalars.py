@@ -10,14 +10,24 @@ equality of scalars is plain structural equality.
 Canonical form of a fraction num/den:
 
 * num is the zero polynomial iff the scalar is zero (then den is 1);
-* num and den have no common polynomial factor (multivariate gcd via a
-  primitive PRS);
+* num and den have no common polynomial factor;
 * a monomial denominator carries coefficient 1 (the coefficient is folded
   into the numerator); otherwise den has Gaussian-integer coefficients
   with unit content and its lex-leading coefficient lies in the half-open
   quadrant ``re > 0, im >= 0``.  This realizes "leading coefficient of the
   denominator has positive real part, ties broken by positive imaginary
   part" with a unique representative among the four unit rotations.
+
+Every Scalar is built in this module and is canonical, so the field
+operations keep the form without a gcd of their whole result (Henrici,
+JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1).  A product of reduced fractions
+only cancels the gcds of numerator and opposite denominator, a sum only the
+gcd of the denominators and then that of the new numerator with it, and
+conjugation is a ring automorphism, so it needs no gcd.  These cofactor gcds
+are exponent minima when a side is a monomial, a dense Euclid in one
+parameter, and otherwise the multivariate primitive PRS.  What is left is
+fixing the constant factor (``_canon``).  ``_reduce``, the full gcd of an
+arbitrary num/den, is only the constructor path ``Scalar(ctx, num, den)``.
 
 Each parameter carries a conjugation rule: ``fixed`` parameters are real
 under the star (k, q), ``negated`` ones purely imaginary (omega).  The
@@ -262,12 +272,17 @@ def _pmul(p, q):
     r = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            nc = r.get(e, GAUSS_ZERO) + c1 * c2
-            if nc:
-                r[e] = nc
+            e = tuple(map(_iadd, e1, e2))
+            c = c1 * c2
+            old = r.get(e)
+            if old is None:
+                r[e] = c
             else:
-                r.pop(e, None)
+                c = old + c
+                if c:
+                    r[e] = c
+                else:
+                    del r[e]
     return r
 
 
@@ -403,6 +418,75 @@ def _pgcd(f, g):
     gg = _from_var(a, v)
     gg = _pdivexact(gg, _coeff_gcd(_by_var(gg, v).values()))
     return _pnormal_unit(_pmul(cont, gg))
+
+
+def _ugcd(f, g, v):
+    """Monic gcd of polynomials f and g in the single variable v, by dense
+    Euclid over Q(i)."""
+    a, b = _dense(f, v), _dense(g, v)
+    while b:
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]  # monic, so the remainder needs no division
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop()
+            if q:
+                shift = len(a) - db
+                for j in range(db):
+                    a[shift + j] = a[shift + j] - q * b[j]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    if not a:
+        return {}
+    e0 = (0,) * len(next(iter(f or g)))
+    inv = a[-1].inverse()
+    return {
+        e0[:v] + (j,) + e0[v + 1 :]: c * inv for j, c in enumerate(a) if c
+    }
+
+
+def _dense(p, v):
+    """Coefficient list of a polynomial in the variable v, lowest degree
+    first, with no trailing zeros."""
+    if not p:
+        return []
+    out = [GAUSS_ZERO] * (max(e[v] for e in p) + 1)
+    for e, c in p.items():
+        out[e[v]] = c
+    return out
+
+
+def _gcd(p, q):
+    """A gcd of the nonzero polynomials p and q, up to a constant factor.
+
+    A monomial's divisors are monomials, so with a monomial on either side
+    the gcd is the exponent-wise minimum over both supports.  Otherwise a
+    pair in one parameter takes the dense Euclid of :func:`_ugcd`, and the
+    rest the primitive PRS of :func:`_pgcd`."""
+    if len(p) == 1 or len(q) == 1:
+        return {tuple(map(min, *p, *q)): GAUSS_ONE}
+    vs = _pvars(p) | _pvars(q)
+    if len(vs) == 1:
+        return _ugcd(p, q, vs.pop())
+    return _pgcd(p, q)
+
+
+def _pdiv(p, g):
+    """p / g for a divisor g of p."""
+    if len(g) == 1:
+        ((e, c),) = g.items()
+        if c.is_one():
+            return _pshift(p, tuple(-x for x in e))
+    return _pdivexact(p, g)
+
+
+def _cancel(p, q, ctx):
+    """(p/g, q/g) for g a gcd of the nonzero polynomials p and q."""
+    g = _gcd(p, q)
+    if _is_constant(g, ctx):
+        return p, q
+    return _pdiv(p, g), _pdiv(q, g)
 
 
 def _coeff_gcd(subs):
@@ -588,13 +672,37 @@ class Scalar:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        if _is_den_one(self.den, ctx) and _is_den_one(o.den, ctx):
+        a, b, c, d = self.num, self.den, o.num, o.den
+        one_b, one_d = _is_constant(b, ctx), _is_constant(d, ctx)
+        if one_b and one_d:
             # a sum over the unit denominator is already canonical
-            return Scalar(ctx, _padd(self.num, o.num), ctx._den_one, _raw=True)
-        if self.den == o.den:
-            return Scalar(self.ctx, _padd(self.num, o.num), self.den)
-        n = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return Scalar(self.ctx, n, _pmul(self.den, o.den))
+            return Scalar(ctx, _padd(a, c), ctx._den_one, _raw=True)
+        # a/b + c = (a + c*b)/b is in lowest terms because a/b is
+        if one_b:
+            return Scalar(ctx, _padd(c, _pmul(a, d)), d, _raw=True)
+        if one_d:
+            return Scalar(ctx, _padd(a, _pmul(c, b)), b, _raw=True)
+        if b == d:
+            n = _padd(a, c)
+            if not n:
+                return ctx.zero
+            g = _gcd(n, b)
+            if _is_constant(g, ctx):
+                return Scalar(ctx, n, b, _raw=True)
+            return Scalar(ctx, *_canon(_pdiv(n, g), _pdiv(b, g)), _raw=True)
+        # Henrici: with g = gcd(b, d) and t = a*(d/g) + c*(b/g), the sum is
+        # (t/g2) / ((b/g)*(d/g2)) for g2 = gcd(t, g).  Distinct canonical
+        # denominators mean a/b != -c/d, so t is nonzero.
+        g = _gcd(b, d)
+        if _is_constant(g, ctx):
+            t = _padd(_pmul(a, d), _pmul(c, b))
+            return Scalar(ctx, *_canon(t, _pmul(b, d)), _raw=True)
+        bg, dg = _pdiv(b, g), _pdiv(d, g)
+        t = _padd(_pmul(a, dg), _pmul(c, bg))
+        g2 = _gcd(t, g)
+        if not _is_constant(g2, ctx):
+            t, d = _pdiv(t, g2), _pdiv(d, g2)
+        return Scalar(ctx, *_canon(t, _pmul(bg, d)), _raw=True)
 
     __radd__ = __add__
 
@@ -614,9 +722,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        ctx = self.ctx
         sn, sd, on, od = self.num, self.den, o.num, o.den
         if not sn or not on:
-            return self.ctx.zero
+            return ctx.zero
         if len(sn) == 1 and len(on) == 1 and len(sd) == 1 and len(od) == 1:
             # monomial times monomial: a canonical monomial denominator has
             # coefficient 1, so stripping the common monomial is all of _reduce
@@ -624,7 +733,6 @@ class Scalar:
             ((e2, c2),) = on.items()
             (f1,) = sd
             (f2,) = od
-            ctx = self.ctx
             e = tuple(map(_iadd, e1, e2))
             if f1 == f2 == ctx._zero_exp:
                 den = ctx._den_one
@@ -636,7 +744,9 @@ class Scalar:
                     f = tuple(map(_isub, f, m))
                 den = {f: GAUSS_ONE} if any(f) else ctx._den_one
             return Scalar(ctx, {e: c1 * c2}, den, _raw=True)
-        return Scalar(self.ctx, _pmul(sn, on), _pmul(sd, od))
+        if _is_constant(sd, ctx) and _is_constant(od, ctx):
+            return Scalar(ctx, _pmul(sn, on), ctx._den_one, _raw=True)
+        return _mul_reduced(ctx, sn, sd, on, od)
 
     __rmul__ = __mul__
 
@@ -648,10 +758,13 @@ class Scalar:
             raise DegenerateScalar("division by zero scalar")
         if not self.num:
             return self.ctx.zero
-        return Scalar(self.ctx, _pmul(self.num, o.den), _pmul(self.den, o.num))
+        # a/b / (c/d) = a/b * d/c, and d/c is in lowest terms too
+        return _mul_reduced(self.ctx, self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o.__truediv__(self)
 
     def inverse(self):
@@ -668,7 +781,14 @@ class Scalar:
 
     def conjugate(self):
         """i -> -i on coefficients; each parameter mapped per its star rule."""
-        return Scalar(self.ctx, self._conj_poly(self.num), self._conj_poly(self.den))
+        if not self.num:
+            return self
+        # a ring automorphism keeps num and den coprime
+        return Scalar(
+            self.ctx,
+            *_canon(self._conj_poly(self.num), self._conj_poly(self.den)),
+            _raw=True,
+        )
 
     def _conj_poly(self, p):
         out = {}
@@ -750,9 +870,22 @@ class Scalar:
         return f"({num})/({dent})"
 
 
-def _is_den_one(den, ctx):
-    # a canonical one-term denominator at exponent zero is the unit one
-    return len(den) == 1 and ctx._zero_exp in den
+def _is_constant(p, ctx):
+    # (a canonical denominator that is constant is the unit one)
+    return len(p) == 1 and ctx._zero_exp in p
+
+
+def _mul_reduced(ctx, a, b, c, d):
+    """Canonical (a/b)*(c/d) for nonzero a, c, coprime a, b and coprime c, d.
+
+    With g1 = gcd(a, d) and g2 = gcd(c, b) the product in lowest terms is
+    (a/g1 * c/g2) / (b/g2 * d/g1) (Knuth, TAOCP vol. 2, 4.5.1); a gcd with a
+    constant is skipped."""
+    if not _is_constant(d, ctx):
+        a, d = _cancel(a, d, ctx)
+    if not _is_constant(b, ctx):
+        c, b = _cancel(c, b, ctx)
+    return Scalar(ctx, *_canon(_pmul(a, c), _pmul(b, d)), _raw=True)
 
 
 def _peval(p, vals):
@@ -770,9 +903,8 @@ def _reduce(num, den, nvars):
     """Bring num/den to the canonical form described in the module docs."""
     if not den:
         raise DegenerateScalar("zero denominator")
-    one = {(0,) * nvars: GAUSS_ONE}
     if not num:
-        return {}, one
+        return {}, {(0,) * nvars: GAUSS_ONE}
     # strip the common monomial factor
     mins = [
         min(min(e[j] for e in num), min(e[j] for e in den)) for j in range(nvars)
@@ -786,15 +918,18 @@ def _reduce(num, den, nvars):
         if len(g) > 1 or any(next(iter(g))):
             num = _pdivexact(num, g)
             den = _pdivexact(den, g)
+    return _canon(num, den)
+
+
+def _canon(num, den):
+    """Canonical form of num/den for a nonzero num coprime to den: fix the
+    constant factor of den as the module docs describe, scaling num by it."""
     if len(den) == 1:
         # monomial denominator: carry coefficient 1
-        e = next(iter(den))
-        c = den[e]
+        ((e, c),) = den.items()
         if not c.is_one():
             num = _pscale(num, c.inverse())
             den = {e: GAUSS_ONE}
-        if not any(e):
-            return num, one
         return num, den
     # general denominator: integral, Z[i]-content a unit, leading coeff in
     # the canonical sector

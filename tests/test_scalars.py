@@ -286,3 +286,219 @@ def test_scalar_ops_match_sympy_cancel(x, y, op):
     assert (num * qqi(want_den) - qqi(want_num) * den).is_zero
     # canonical form: numerator and denominator share no factor
     assert num.gcd(den).is_ground
+
+
+# -- cofactor-gcd field operations against the full-gcd constructor ----------
+
+from operator import sub  # noqa: E402
+
+from qe2.scalars import _padd, _pgcd, _pdivexact, _pneg, _ugcd  # noqa: E402
+
+CTX1 = ScalarContext([Parameter("omega", "negated")])
+
+
+def _den_menu(ctx):
+    """Canonical denominators: the unit, monomials, powers of 1+omega, k - q,
+    monomials times a general factor, and (1+i)*omega - 2, whose Z[i]
+    content and leading unit need normalising."""
+    w = ctx.param("omega")
+    dens = [ctx.one, w, w + 1, (w + 1) ** 2, ctx.from_gauss(GaussRational(1, 1)) * w - 2]
+    if ctx.nvars == 1:
+        dens += [w**2, (w + 1) ** 3, w**2 * (w + 1)]
+    else:
+        k, q = ctx.param("k"), ctx.param("q")
+        dens += [k * w, k - q, k * (k - q), q * (w + 1)]
+    return [d.num for d in dens]
+
+
+_MENUS = {1: _den_menu(CTX1), 3: _den_menu(CTX)}
+coeff_parts = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+# The reference's multivariate primitive PRS can take seconds to minutes on
+# moderate inputs (a product of two of these fractions with degree-6 and
+# three-parameter parts took 6 s), so the three-parameter operands are kept
+# smaller: lower degrees in omega and smaller numerators.
+_POLY_TERMS = {
+    nvars: st.lists(
+        st.tuples(st.tuples(*[st.integers(0, top)] * 3), coeff_parts, coeff_parts),
+        max_size=size,
+    )
+    for nvars, top, size in ((1, 2, 3), (3, 1, 2))
+}
+
+
+def _poly(ctx, terms):
+    p = {}
+    for exp, re, im in terms:
+        e = exp[: ctx.nvars]
+        c = p.get(e, GaussRational(0)) + GaussRational(re, im)
+        if c:
+            p[e] = c
+        else:
+            p.pop(e, None)
+    return p
+
+
+def _operands(ctx):
+    menu = _MENUS[ctx.nvars]
+    return st.builds(
+        lambda terms, j: Scalar(ctx, _poly(ctx, terms), menu[j]),
+        _POLY_TERMS[ctx.nvars],
+        st.integers(0, len(menu) - 1),
+    )
+
+
+def _unreduced(op, x, y):
+    """num and den of x op y before any cancellation."""
+    if op is mul:
+        return _pmul(x.num, y.num), _pmul(x.den, y.den)
+    if op is truediv:
+        return _pmul(x.num, y.den), _pmul(x.den, y.num)
+    right = _pmul(y.num, x.den)
+    if op is sub:
+        right = _pneg(right)
+    return _padd(_pmul(x.num, y.den), right), _pmul(x.den, y.den)
+
+
+def _assert_same(got, want):
+    assert (got.num, got.den) == (want.num, want.den), (got, want)
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX], ids=["omega", "omega-k-q"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_field_ops_match_full_reduce(ctx, data):
+    x, y, z = (data.draw(_operands(ctx)) for _ in range(3))
+
+    def check(op, a, b):
+        got = op(a, b)
+        _assert_same(got, Scalar(ctx, *_unreduced(op, a, b)))
+        return got
+
+    for op in (add, sub, mul, truediv):
+        if op is not truediv or y:
+            check(op, x, y)
+    # partners of x that make the result z: the sum cancels to 0 when z is
+    # 0, to the unit denominator when z is a polynomial, and a/b + c/b has
+    # gcd(a + c, b) != 1 when z's denominator is a proper divisor of x's
+    _assert_same(check(add, x, Scalar(ctx, *_unreduced(sub, z, x))), z)
+    _assert_same(check(sub, x, Scalar(ctx, *_unreduced(sub, x, z))), z)
+    if x:
+        _assert_same(check(mul, x, Scalar(ctx, *_unreduced(truediv, z, x))), z)
+        if z:
+            _assert_same(check(truediv, x, Scalar(ctx, *_unreduced(truediv, x, z))), z)
+    _assert_same(x.conjugate(), Scalar(ctx, x._conj_poly(x.num), x._conj_poly(x.den)))
+    n = ctx.from_int(3)
+    _assert_same(3 - x, Scalar(ctx, *_unreduced(sub, n, x)))
+    _assert_same(x + 3, Scalar(ctx, *_unreduced(add, x, n)))
+    if x:
+        _assert_same(3 / x, Scalar(ctx, *_unreduced(truediv, n, x)))
+
+
+def _frac(n, d):
+    """n/d for polynomial scalars n and d, reduced by the constructor."""
+    return Scalar(CTX, n.num, d.num)
+
+
+_ONE = CTX.one
+NAMED_CASES = [
+    # a/b + c/b with gcd(a + c, b) = 1 + omega
+    (_frac(_ONE, (W + 1) ** 2), add, _frac(W, (W + 1) ** 2), _frac(_ONE, W + 1)),
+    # cancels to 0, and to the unit denominator
+    (_frac(W, (W + 1) ** 2), sub, _frac(W, (W + 1) ** 2), CTX.zero),
+    (_frac(W + 2, W + 1), add, _frac(-_ONE, W + 1), _ONE),
+    # Henrici with g = 1 + omega and g2 = 1, then with g2 = g
+    (_frac(_ONE, K * (W + 1)), sub, _frac(_ONE, Q * (W + 1)),
+     _frac(Q - K, K * Q * (W + 1))),
+    (_frac(_ONE, W * (W + 1)), add, _frac(-2 * _ONE, W * W - 1),
+     _frac(-_ONE, W * (W - 1))),
+    # both cofactor gcds of a product nontrivial, and of a quotient
+    (_frac(K - Q, W * (W + 1)), mul, _frac(W * W, K - Q), _frac(W, W + 1)),
+    (_frac(W + 1, K - Q), truediv, _frac((W + 1) ** 2, K - Q), _frac(_ONE, W + 1)),
+]
+
+
+@pytest.mark.parametrize("x, op, y, want", NAMED_CASES)
+def test_field_ops_named_cancellations(x, op, y, want):
+    got = op(x, y)
+    _assert_same(got, Scalar(CTX, *_unreduced(op, x, y)))
+    _assert_same(got, want)
+
+
+def test_rtruediv_unsupported_operand():
+    assert CTX.one.__rtruediv__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        1.5 / CTX.one
+    with pytest.raises(TypeError):
+        1.5 - CTX.one
+
+
+# -- univariate Euclid against the primitive PRS and sympy --------------------
+
+dense_coeffs = st.lists(st.tuples(coeff_parts, coeff_parts), max_size=4)
+
+
+def _upoly(ctx, v, coeffs):
+    """The polynomial sum c_j * x_v^j of a coefficient list."""
+    p = {}
+    for j, (re, im) in enumerate(coeffs):
+        c = GaussRational(re, im)
+        if c:
+            e = [0] * ctx.nvars
+            e[v] = j
+            p[tuple(e)] = c
+    return p
+
+
+def _same_up_to_unit(f, g):
+    if not f or not g:
+        return not f and not g
+    u = _pdivexact(f, g)
+    return u is not None and len(u) == 1 and not any(next(iter(u)))
+
+
+@pytest.mark.parametrize("ctx, v", [(CTX1, 0), (CTX, 1)], ids=["omega", "k"])
+@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
+@settings(max_examples=120, deadline=None)
+def test_ugcd_matches_pgcd(ctx, v, h, a, b):
+    h, a, b = (_upoly(ctx, v, c) for c in (h, a, b))
+    f, g = _pmul(h, a), _pmul(h, b)  # planted common factor h
+    got = _ugcd(f, g, v)
+    assert _same_up_to_unit(got, _pgcd(f, g))
+    if got:
+        assert got[max(got)] == GAUSS_ONE  # monic
+        assert _pdivexact(f, got) is not None and _pdivexact(g, got) is not None
+        if h:
+            assert _pdivexact(got, h) is not None
+    else:
+        assert not f and not g
+
+
+def test_ugcd_edge_cases():
+    one = {(0,): GAUSS_ONE}
+    w1 = {(1,): GAUSS_ONE, (0,): GAUSS_ONE}  # omega + 1
+    assert _ugcd({}, {}, 0) == {}
+    assert _ugcd({}, _pmul(w1, {(0,): GaussRational(3)}), 0) == w1
+    assert _ugcd({(0,): GaussRational(5)}, w1, 0) == one
+    assert _ugcd(w1, {(1,): GAUSS_ONE, (0,): GaussRational(-1)}, 0) == one  # coprime
+    assert _ugcd(_pmul(w1, w1), _pmul(w1, {(1,): GAUSS_I}), 0) == w1
+
+
+@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_ugcd_matches_sympy(h, a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("omega")
+    f, g = (_pmul(_upoly(CTX1, 0, h), _upoly(CTX1, 0, c)) for c in (a, b))
+
+    def poly(p):
+        expr = sum(
+            (sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * x ** e[0]
+            for e, c in p.items()
+        )
+        return sympy.Poly(expr, x, domain=sympy.QQ_I)
+
+    got, want = poly(_ugcd(f, g, 0)), poly(f).gcd(poly(g))
+    if want.is_zero:
+        assert got.is_zero
+    else:
+        assert (got - want.monic()).is_zero
