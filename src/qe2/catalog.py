@@ -57,7 +57,6 @@ class PresetBundle:
     tower: Optional[OreTower] = None
     hopf: Optional[HopfStructure] = None
     poisson: Optional[PoissonStructure] = None
-    star_present: bool = False
     # quotient bundles
     source_id: Optional[str] = None
     quotient: Optional[QuotientMap] = None
@@ -67,7 +66,6 @@ class PresetBundle:
     group_poisson: Optional[PoissonStructure] = None
     space_poisson: Optional[PoissonStructure] = None
     coaction: Optional[AlgebraMorphism] = None
-    mirrored_coaction: Optional[AlgebraMorphism] = None
     projection: Optional[AlgebraMorphism] = None
     ansatz: list = field(default_factory=list)
     stabilizer: Optional[dict] = None
@@ -100,14 +98,15 @@ def _context_of(raw: dict) -> ScalarContext:
     )
 
 
-def scalar_expr(ctx: ScalarContext, text: str) -> Scalar:
-    """Parse a scalar-valued expression over a context."""
-    dummy = OreTower("scalars", ctx, [])
-    p = exprio.elaborate_expr(exprio.parse_expr(text), dummy)
-    s = p.as_scalar()
-    if s is None:
-        raise ValueError(f"expected a scalar expression: {text!r}")
-    return s
+def quotient_on(source: OreTower, raw: dict) -> QuotientMap:
+    """The quotient preset ``raw`` as a map on the tower ``source``: the
+    target tower is built over the source's scalar context, the images are
+    parsed in the target and the kernel generators in ``source``."""
+    target = load_tower(
+        {**raw["target"], "parameters": raw.get("parameters", [])},
+        context=source.context,
+    )
+    return QuotientMap.load_quotient(source, target, raw)
 
 
 def _matrix(ctx, rows):
@@ -137,7 +136,6 @@ def get_preset(preset_id: str) -> PresetBundle:
     if kind in ("hopf-algebra", "algebra", "poisson"):
         tower = load_tower(raw, context=ctx)
         bundle.tower = tower
-        bundle.star_present = tower.star_table is not None
         if "hopf" in raw:
             bundle.hopf = load_hopf(tower, raw["hopf"])
         if "poisson" in raw:
@@ -159,16 +157,9 @@ def get_preset(preset_id: str) -> PresetBundle:
                 },
             )
     elif kind == "quotient":
-        src = get_preset(raw["source"])
         bundle.source_id = raw["source"]
-        target = load_tower(
-            {**raw["target"], "parameters": raw.get("parameters", [])},
-            context=src.tower.context,
-        )
-        images = {g: target.poly(e) for g, e in raw["images"].items()}
-        kernel = [src.tower.poly(t) for t in raw.get("kernel", ())]
-        bundle.tower = target
-        bundle.quotient = QuotientMap(src.tower, target, images, kernel)
+        bundle.quotient = quotient_on(get_preset(raw["source"]).tower, raw)
+        bundle.tower = bundle.quotient.target
     elif kind == "coaction":
         group = load_tower(
             {**raw["group"], "parameters": raw["parameters"]}, context=ctx
@@ -181,10 +172,6 @@ def get_preset(preset_id: str) -> PresetBundle:
         bundle.group_poisson = PoissonStructure.load(group, raw["group"]["poisson"])
         bundle.space_poisson = PoissonStructure.load(space, raw["space"]["poisson"])
         bundle.coaction = AlgebraMorphism.load(space, (group, space), raw["coaction"])
-        if "mirrored_coaction" in raw:
-            bundle.mirrored_coaction = AlgebraMorphism.load(
-                space, (group, space), raw["mirrored_coaction"]
-            )
         if "projection" in raw:
             bundle.projection = AlgebraMorphism.load(
                 space, group, raw["projection"]
@@ -205,7 +192,7 @@ def get_preset(preset_id: str) -> PresetBundle:
                 "action": _matrix(ctx, st["action"]),
                 "delta_image": WedgeBivector(ctx, dim, coeffs),
                 "pushforward": _matrix(ctx, st["pushforward"]),
-                "rho": scalar_expr(ctx, st["rho"]),
+                "rho": exprio.parse_scalar(ctx, st["rho"]),
             }
     elif kind == "lie":
         bundle.lie = LieAlgebra.load(ctx, raw)

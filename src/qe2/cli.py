@@ -34,17 +34,10 @@ class UsageError(Exception):
 
 
 def _parse_gauss(text: str) -> GaussRational:
-    from .ncalg import OreTower
-
     try:
-        dummy = OreTower("values", ScalarContext([]), [])
-        p = exprio.elaborate_expr(exprio.parse_expr(text), dummy)
-    except (GrammarError, KeyError) as e:
+        return exprio.parse_scalar(ScalarContext([]), text).evaluate({})
+    except (ValueError, KeyError) as e:
         raise UsageError(f"bad value {text!r}: {e}")
-    s = p.as_scalar()
-    if s is None:
-        raise UsageError(f"value {text!r} is not a number")
-    return s.evaluate({})
 
 
 def _parse_assignments(specs) -> dict:
@@ -120,8 +113,18 @@ def _expr_in(tower, text) -> NCPoly:
         raise UsageError(f"bad expression {text!r}: {e}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error (exit 3), not with
+    argparse's own exit status 2, which means "discrepancies" here.
+    Subparsers take this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="qe2", description=__doc__.splitlines()[0])
+    ap = _ArgumentParser(prog="qe2", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"qe2 {__version__}")
     sub = ap.add_subparsers(dest="command")
 
@@ -130,7 +133,6 @@ def main(argv=None) -> int:
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--degree-bound", type=int, default=4)
-    p_check.add_argument("--param", action="append", default=[])
 
     for name, nargs in (
         ("bracket", 2),
@@ -142,13 +144,13 @@ def main(argv=None) -> int:
         p.add_argument("preset", nargs="?")
         p.add_argument("expr", nargs=nargs)
         p.add_argument("--file", default=None, help="external presentation file")
-        p.add_argument("--param", action="append", default=[])
 
     p_rank = sub.add_parser("rank", help="pointwise rank of the bracket matrix")
     p_rank.add_argument("preset")
     p_rank.add_argument("--at", action="append", required=True,
                         help="generator values, e.g. v=i,n=0,nb=0")
-    p_rank.add_argument("--param", action="append", default=[])
+    p_rank.add_argument("--param", action="append", default=[],
+                        help="parameter values, e.g. omega=1")
 
     p_fam = sub.add_parser("solve-family", help="covariant bracket family")
     p_fam.add_argument("preset")
@@ -156,9 +158,8 @@ def main(argv=None) -> int:
 
     sub.add_parser("presets", help="list shipped presets")
 
-    args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(ap.parse_args(argv))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
@@ -173,11 +174,8 @@ def _dispatch(args) -> int:
         raise UsageError("no command given (try: qe2 presets)")
 
     if cmd == "check":
-        params = _parse_assignments(args.param)
         try:
-            report = suites.run_suite(
-                args.suite, params=params, degree_bound=args.degree_bound
-            )
+            report = suites.run_suite(args.suite, degree_bound=args.degree_bound)
         except (KeyError, ValueError) as e:
             raise UsageError(str(e))
         _emit(report, args.format, args.out)

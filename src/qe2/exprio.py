@@ -261,6 +261,20 @@ def elaborate_expr(ast: ExprAst, tower_or_legs):
     return _elab_poly(ast, tower)
 
 
+def parse_scalar(ctx, text: str):
+    """Parse and elaborate a scalar expression over the ScalarContext
+    ``ctx``: numbers, ``i`` and the context's parameters.  Raises
+    GrammarError, KeyError for an unknown symbol, or ValueError for a
+    tensor expression."""
+    from .ncalg import NCPoly, OreTower
+
+    p = elaborate_expr(parse_expr(text), OreTower("scalars", ctx, []))
+    if not isinstance(p, NCPoly):
+        raise ValueError(f"expected a scalar expression: {text!r}")
+    # a tower without generators has only the unit monomial
+    return p.as_scalar()
+
+
 def _contains_tensor(ast) -> bool:
     if isinstance(ast, Tensor):
         return True

@@ -192,20 +192,13 @@ def ideal_member(x: NCPoly, pi: QuotientMap) -> bool:
 
 def _group_by_left_leg(t: TensorElement):
     """Split a two-leg tensor into {left monomial -> right NCPoly}; sound
-    because distinct normal monomials are linearly independent."""
-    right_tower = t.legs[1]
+    because distinct normal monomials are linearly independent.  The
+    tensor's keys are distinct and its coefficients nonzero, so every
+    group is a term map as it stands."""
     groups = {}
     for (ml, mr), c in t.terms.items():
-        g = groups.setdefault(ml, {})
-        v = g.get(mr)
-        nv = c if v is None else v + c
-        if nv:
-            g[mr] = nv
-        else:
-            g.pop(mr, None)
-    return {
-        ml: NCPoly(right_tower, terms) for ml, terms in groups.items() if terms
-    }
+        groups.setdefault(ml, {})[mr] = c
+    return {ml: NCPoly(t.legs[1], terms) for ml, terms in groups.items()}
 
 
 def coideal_report(B: Subalgebra, H: HopfStructure, suite="coideal") -> CheckReport:

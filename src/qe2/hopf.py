@@ -13,10 +13,11 @@ machinery needs for maps like (pi (x) id) o Delta.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Callable, Optional, Sequence
 
 from . import exprio
-from .ncalg import NCPoly, OreTower, TowerError
+from .ncalg import NCPoly, OreTower, TowerError, collect
 from .report import FAIL, PASS, CheckReport
 from .scalars import Scalar
 
@@ -50,26 +51,7 @@ class TensorElement:
         for t in legs:
             if t.context != ctx:
                 raise TowerError("tensor legs must share one scalar context")
-        terms = {}
-        items = [list(p.terms.items()) for p in polys]
-        if any(not it for it in items):
-            return cls.zero(legs)
-        idx = [0] * len(items)
-        # cartesian product over the term lists
-        import itertools
-
-        for combo in itertools.product(*items):
-            monos = tuple(m for m, _ in combo)
-            c = ctx.one
-            for _, cc in combo:
-                c = c * cc
-            prev = terms.get(monos)
-            c = c if prev is None else prev + c
-            if c:
-                terms[monos] = c
-            else:
-                terms.pop(monos, None)
-        return cls(legs, terms)
+        return cls(legs, collect(_outer(ctx.one, [p.terms.items() for p in polys])))
 
     def arity(self):
         return len(self.legs)
@@ -81,15 +63,9 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m)
-            v = c if v is None else v + c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return TensorElement(self.legs, terms)
+        return TensorElement(
+            self.legs, collect(chain(self.terms.items(), other.terms.items()))
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,29 +83,15 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        out = {}
+        pairs = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 coeff = c1 * c2
-                if not coeff:
-                    continue
-                legs_terms = []
-                for j, t in enumerate(self.legs):
-                    legs_terms.append(t._mono_mul_terms(m1[j], m2[j]))
-                import itertools
-
-                for combo in itertools.product(*legs_terms):
-                    monos = tuple(m for m, _ in combo)
-                    c = coeff
-                    for _, cc in combo:
-                        c = c * cc
-                    v = out.get(monos)
-                    v = c if v is None else v + c
-                    if v:
-                        out[monos] = v
-                    else:
-                        out.pop(monos, None)
-        return TensorElement(self.legs, out)
+                if coeff:
+                    pairs += _outer(coeff, [
+                        t._mono_mul_terms(a, b) for t, a, b in zip(self.legs, m1, m2)
+                    ])
+        return TensorElement(self.legs, collect(pairs))
 
     def __pow__(self, n: int):
         if n == 0:
@@ -181,69 +143,50 @@ class TensorElement:
         return exprio.format_canonical(self)
 
     # -- leg surgery -------------------------------------------------------
+    def _splice(self, j, new_legs, image, conjugate_coeff=False):
+        """Replace leg j by the legs ``new_legs``: a term whose leg j holds
+        the monomial m becomes the (monomial tuple, Scalar) pairs of
+        ``image(m)``, each tuple spliced in at position j and each
+        coefficient multiplied by the term's (conjugated, if asked).
+        One-leg images map the leg, empty ones contract it and longer ones
+        expand it."""
+        legs = self.legs[:j] + new_legs + self.legs[j + 1 :]
+        pairs = []
+        for monos, c in self.terms.items():
+            if conjugate_coeff:
+                c = c.conjugate()
+            head, tail = monos[:j], monos[j + 1 :]
+            pairs += [(head + m + tail, c * c2) for m, c2 in image(monos[j])]
+        return TensorElement(legs, collect(pairs))
+
     def map_leg(self, j: int, f: Callable[[NCPoly], NCPoly],
                 new_tower: Optional[OreTower] = None,
                 conjugate_coeff: bool = False) -> "TensorElement":
         """Apply an NCPoly -> NCPoly map to leg j, keeping the other legs."""
         tower = self.legs[j]
-        target = new_tower or tower
-        legs = self.legs[:j] + (target,) + self.legs[j + 1 :]
-        out = {}
-        for monos, c in self.terms.items():
-            img = f(tower.tower_mono(monos[j]))
-            cc = c.conjugate() if conjugate_coeff else c
-            for m2, c2 in img.terms.items():
-                key = monos[:j] + (m2,) + monos[j + 1 :]
-                v = out.get(key)
-                nv = cc * c2 if v is None else v + cc * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return TensorElement(legs, out)
+        return self._splice(
+            j,
+            (new_tower or tower,),
+            lambda m: [((m2,), c) for m2, c in f(tower.tower_mono(m)).terms.items()],
+            conjugate_coeff,
+        )
 
     def expand_leg(self, j: int, f: Callable[[NCPoly], "TensorElement"]) -> "TensorElement":
-        """Replace leg j by the (arity-a) tensor image of its monomials."""
+        """Replace leg j by the tensor image of its monomials under a linear
+        map; the image of zero names the new legs."""
         tower = self.legs[j]
-        sample = None
-        out = None
-        for monos, c in self.terms.items():
-            img = f(tower.tower_mono(monos[j]))
-            if sample is None:
-                sample = img.legs
-                legs = self.legs[:j] + img.legs + self.legs[j + 1 :]
-                out = {}
-            for m2, c2 in img.terms.items():
-                key = monos[:j] + m2 + monos[j + 1 :]
-                v = out.get(key)
-                nv = c * c2 if v is None else v + c * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        if out is None:
-            raise ValueError("cannot expand a leg of the zero tensor")
-        return TensorElement(legs, out)
+        return self._splice(
+            j,
+            f(NCPoly.zero(tower)).legs,
+            lambda m: f(tower.tower_mono(m)).terms.items(),
+        )
 
     def contract_leg(self, j: int, f: Callable[[NCPoly], Scalar]) -> "TensorElement":
         """Apply a scalar-valued map (like the counit) to leg j."""
-        legs = self.legs[:j] + self.legs[j + 1 :]
-        if not legs:
+        if len(self.legs) == 1:
             raise ValueError("cannot contract the last leg")
-        out = {}
         tower = self.legs[j]
-        for monos, c in self.terms.items():
-            s = f(tower.tower_mono(monos[j]))
-            if not s:
-                continue
-            key = monos[:j] + monos[j + 1 :]
-            v = out.get(key)
-            nv = c * s if v is None else v + c * s
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return TensorElement(legs, out)
+        return self._splice(j, (), lambda m: [((), f(tower.tower_mono(m)))])
 
     def multiply_out(self) -> NCPoly:
         """mu: multiply all legs together inside one tower."""
@@ -251,25 +194,36 @@ class TensorElement:
         for t in self.legs:
             if t is not tower:
                 raise TowerError("cannot multiply legs from different towers")
-        out = NCPoly.zero(tower)
+        pairs = []
         for monos, c in self.terms.items():
             p = tower.tower_mono(monos[0])
             for m in monos[1:]:
                 p = p * tower.tower_mono(m)
-            out = out + p.scale(c)
-        return out
+            pairs += [(mono, c * c2) for mono, c2 in p.terms.items()]
+        return NCPoly(tower, collect(pairs))
 
     def as_poly_times_unit(self, j: int) -> Optional[NCPoly]:
         """When every term has the unit monomial on all legs except j,
         return the leg-j polynomial; else None."""
-        tower = self.legs[j]
-        out = NCPoly.zero(tower)
+        units = tuple(t.unit_mono for t in self.legs)
+        terms = {}
         for monos, c in self.terms.items():
-            for jj, m in enumerate(monos):
-                if jj != j and m != self.legs[jj].unit_mono:
-                    return None
-            out = out + tower.tower_mono(monos[j]).scale(c)
-        return out
+            if monos[:j] + monos[j + 1 :] != units[:j] + units[j + 1 :]:
+                return None
+            terms[monos[j]] = c
+        return NCPoly(self.legs[j], terms)
+
+
+def _outer(coeff, factors):
+    """(monomial tuple, Scalar) pairs of coeff times the outer product of
+    per-leg sequences of (monomial, Scalar) terms."""
+    out = []
+    for combo in product(*factors):
+        c = coeff
+        for _, cc in combo:
+            c = c * cc
+        out.append((tuple([m for m, _ in combo]), c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +237,16 @@ def star_apply(x: NCPoly, tower: Optional[OreTower] = None) -> NCPoly:
     table = tower.star_table
     if table is None:
         raise TowerError(f"tower {tower.name!r} has no star table")
-    out = NCPoly.zero(tower)
+    pairs = []
     for mono, c in x.terms.items():
         p = NCPoly.one(tower)
         for j in range(len(mono) - 1, -1, -1):
             e = mono[j]
             if e:
                 p = p * (table[j] ** e)
-        out = out + p.scale(c.conjugate())
-    return out
+        c = c.conjugate()
+        pairs += [(m, c * c2) for m, c2 in p.terms.items()]
+    return NCPoly(tower, collect(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +283,11 @@ class HopfStructure:
 
     # -- structure maps ------------------------------------------------------
     def coproduct(self, x: NCPoly) -> TensorElement:
-        legs = (self.tower, self.tower)
-        out = TensorElement.zero(legs)
-        for mono, c in x.terms.items():
-            out = out + self._delta_of_mono(mono).scale(c)
-        return out
+        return TensorElement((self.tower, self.tower), collect(
+            (m, c * c2)
+            for mono, c in x.terms.items()
+            for m, c2 in self._delta_of_mono(mono).terms.items()
+        ))
 
     def _delta_of_mono(self, mono) -> TensorElement:
         hit = self._delta_mono.get(mono)
@@ -358,10 +313,11 @@ class HopfStructure:
         return total
 
     def antipode(self, x: NCPoly) -> NCPoly:
-        out = NCPoly.zero(self.tower)
-        for mono, c in x.terms.items():
-            out = out + self._antipode_of_mono(mono).scale(c)
-        return out
+        return NCPoly(self.tower, collect(
+            (m, c * c2)
+            for mono, c in x.terms.items()
+            for m, c2 in self._antipode_of_mono(mono).terms.items()
+        ))
 
     def _antipode_of_mono(self, mono) -> NCPoly:
         hit = self._antipode_mono.get(mono)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ncalg import OreTower, solve_affine
+from . import exprio
+from .ncalg import OreTower, collect, solve_affine
 from .poisson import PoissonStructure
 from .report import FAIL, PASS, CheckReport
 from .scalars import Scalar, ScalarContext
@@ -70,32 +71,24 @@ class LieAlgebra:
         return {k: -c for k, c in self._c.get((j, i), {}).items()}
 
     def bracket(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    v = out.get(k, self.ctx.zero) + cx * cy * c
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+        return collect(
+            (k, cx * cy * c)
+            for i, cx in x.items()
+            for j, cy in y.items()
+            for k, c in self.bracket_basis(i, j).items()
+        )
 
     def check_jacobi(self):
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    total = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(b, c)
-                        for m, cm in inner.items():
-                            for t, ct in self.bracket_basis(a, m).items():
-                                v = total.get(t, self.ctx.zero) + cm * ct
-                                if v:
-                                    total[t] = v
-                                else:
-                                    total.pop(t, None)
+                    total = collect(
+                        (t, cm * ct)
+                        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
+                        for m, cm in self.bracket_basis(b, c).items()
+                        for t, ct in self.bracket_basis(a, m).items()
+                    )
                     if total:
                         raise LieError(
                             f"Jacobi fails on basis triple "
@@ -114,55 +107,33 @@ class LieAlgebra:
 
 
 def _scalar_expr(ctx: ScalarContext, text: str) -> Scalar:
-    from . import exprio
-    from .ncalg import OreTower
-
-    dummy = OreTower("scalars", ctx, [])
-    p = exprio.elaborate_expr(exprio.parse_expr(text), dummy)
-    s = p.as_scalar()
-    if s is None:
-        raise LieError(f"expected a scalar expression: {text!r}")
-    return s
+    try:
+        return exprio.parse_scalar(ctx, text)
+    except (ValueError, KeyError) as e:
+        raise LieError(f"bad scalar expression {text!r}: {e}")
 
 
 class WedgeBivector:
-    """Element of the wedge square, stored on i < j with Scalar entries."""
+    """Element of the wedge square, stored on i < j with Scalar entries.
 
-    def __init__(self, ctx: ScalarContext, dim: int, coeffs: Optional[dict] = None):
+    ``coeffs`` is a map or a sequence of ((i, j), c) pairs meaning
+    c * e_i^e_j; each pair is oriented to i < j and the pairs are summed."""
+
+    def __init__(self, ctx: ScalarContext, dim: int, coeffs=None):
         self.ctx = ctx
         self.dim = dim
-        self.coeffs = {}
-        for (i, j), c in (coeffs or {}).items():
-            if not c:
-                continue
-            if i == j:
+        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        oriented = []
+        for (i, j), c in pairs:
+            if i == j and c:
                 raise LieError("diagonal wedge coefficient")
-            if i < j:
-                self._bump((i, j), c)
-            else:
-                self._bump((j, i), -c)
-
-    def _bump(self, key, c):
-        v = self.coeffs.get(key, self.ctx.zero) + c
-        if v:
-            self.coeffs[key] = v
-        else:
-            self.coeffs.pop(key, None)
-
-    def add_wedge(self, i: int, j: int, c: Scalar):
-        """Accumulate c * e_i^e_j with automatic orientation."""
-        if i == j or not c:
-            return
-        if i < j:
-            self._bump((i, j), c)
-        else:
-            self._bump((j, i), -c)
+            oriented.append(((i, j), c) if i < j else ((j, i), -c))
+        self.coeffs = collect(oriented)
 
     def __add__(self, other):
-        out = WedgeBivector(self.ctx, self.dim, dict(self.coeffs))
-        for key, c in other.coeffs.items():
-            out._bump(key, c)
-        return out
+        return WedgeBivector(
+            self.ctx, self.dim, [*self.coeffs.items(), *other.coeffs.items()]
+        )
 
     def __sub__(self, other):
         return self + other.scale(-self.ctx.one)
@@ -231,13 +202,11 @@ class Cocommutator:
 def ad_wedge(g: LieAlgebra, k: int, w: WedgeBivector) -> WedgeBivector:
     """ad_{e_k} acting on a wedge as a derivation:
     ad_k (e_i ^ e_j) = [e_k, e_i] ^ e_j + e_i ^ [e_k, e_j]."""
-    out = WedgeBivector(g.ctx, g.dim)
+    pairs = []
     for (i, j), c in w.coeffs.items():
-        for t, ct in g.bracket_basis(k, i).items():
-            out.add_wedge(t, j, ct * c)
-        for t, ct in g.bracket_basis(k, j).items():
-            out.add_wedge(i, t, ct * c)
-    return out
+        pairs += [((t, j), ct * c) for t, ct in g.bracket_basis(k, i).items() if t != j]
+        pairs += [((i, t), ct * c) for t, ct in g.bracket_basis(k, j).items() if t != i]
+    return WedgeBivector(g.ctx, g.dim, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +237,12 @@ def _centered_leg(tower: OreTower, mono, order=2):
                 factor = {}
             else:
                 factor = {e: ctx.one}
-        new = {}
-        for exps, c in out.items():
-            for d, cf in factor.items():
-                t = sum(exps) + d
-                if t > order:
-                    continue
-                key = exps[:j] + (exps[j] + d,) + exps[j + 1 :]
-                v = new.get(key, ctx.zero) + c * cf
-                if v:
-                    new[key] = v
-                else:
-                    new.pop(key, None)
-        out = new
+        out = collect(
+            (exps[:j] + (exps[j] + d,) + exps[j + 1 :], c * cf)
+            for exps, c in out.items()
+            for d, cf in factor.items()
+            if sum(exps) + d <= order
+        )
     return out
 
 
@@ -350,7 +312,7 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
     tower = P.tower
     ctx = tower.context
     n = tower.nlevels
-    values = {k: WedgeBivector(ctx, n) for k in range(n)}
+    pairs = {k: [] for k in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             val = P.bracket_gens(i, j)
@@ -370,8 +332,8 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
                     if sum(exps) == 1:
                         lin[exps.index(1)] = lin[exps.index(1)] + c * cc
             for k in range(n):
-                if lin[k]:
-                    values[k]._bump((i, j), lin[k])
+                pairs[k].append(((i, j), lin[k]))
+    values = {k: WedgeBivector(ctx, n, pairs[k]) for k in range(n)}
     return Cocommutator(n, ctx, values)
 
 
@@ -390,9 +352,11 @@ def cocycle_cojacobi_report(
     n = g.dim
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = WedgeBivector(ctx, n)
-            for k, c in g.bracket_basis(a, b).items():
-                lhs = lhs + delta.of(k).scale(c)
+            lhs = WedgeBivector(ctx, n, [
+                (key, c * cw)
+                for k, c in g.bracket_basis(a, b).items()
+                for key, cw in delta.of(k).coeffs.items()
+            ])
             rhs = ad_wedge(g, a, delta.of(b)) - ad_wedge(g, b, delta.of(a))
             ok = lhs == rhs
             rep.add(

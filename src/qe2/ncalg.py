@@ -48,6 +48,7 @@ rewriting paths with the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import exprio
@@ -83,6 +84,26 @@ class Generator:
     name: str
     level: int
     invertible: bool = False
+
+
+def collect(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a term map {key -> Scalar} that
+    stores no zero coefficient.  Every sparse linear combination above the
+    scalars is built here, apart from the rewriting kernel's own loops."""
+    terms = {}
+    for key, coeff in pairs:
+        if not coeff:
+            continue
+        c = terms.get(key)
+        if c is None:
+            terms[key] = coeff
+        else:
+            c = c + coeff
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return terms
 
 
 class NCPoly:
@@ -125,17 +146,7 @@ class NCPoly:
 
     @classmethod
     def from_terms(cls, tower, items):
-        terms = {}
-        for mono, coeff in items:
-            if not coeff:
-                continue
-            c = terms.get(mono)
-            c = coeff if c is None else c + coeff
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
-        return cls(tower, terms)
+        return cls(tower, collect(items))
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self):
@@ -165,9 +176,8 @@ class NCPoly:
     def __add__(self, other):
         if isinstance(other, NCPoly):
             self._check(other)
-            return NCPoly.from_terms(
-                self.tower, list(self.terms.items()) + list(other.terms.items())
-            )
+            terms = collect(chain(self.terms.items(), other.terms.items()))
+            return NCPoly(self.tower, terms)
         return NotImplemented
 
     def __sub__(self, other):
@@ -230,9 +240,6 @@ class NCPoly:
     # -- inspection ---------------------------------------------------------
     def max_exponent(self, idx: int) -> int:
         return max((m[idx] for m in self.terms), default=0)
-
-    def min_exponent(self, idx: int) -> int:
-        return min((m[idx] for m in self.terms), default=0)
 
     def max_level(self) -> int:
         """Highest level occurring in the support (-1 for constants)."""

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import exprio
 from .hopf import TensorElement
-from .ncalg import NCPoly, OreTower, TowerError
+from .ncalg import NCPoly, OreTower, TowerError, collect
 from .report import FAIL, PASS, CheckReport
 from .scalars import GaussRational
 
@@ -28,20 +28,11 @@ class PoissonError(ValueError):
 
 
 def _partial(x: NCPoly, idx: int) -> NCPoly:
-    terms = {}
-    for mono, c in x.terms.items():
-        e = mono[idx]
-        if e == 0:
-            continue
-        m2 = mono[:idx] + (e - 1,) + mono[idx + 1 :]
-        add = c * e
-        prev = terms.get(m2)
-        v = add if prev is None else prev + add
-        if v:
-            terms[m2] = v
-        else:
-            terms.pop(m2, None)
-    return NCPoly(x.tower, terms)
+    return NCPoly(x.tower, collect(
+        (mono[:idx] + (mono[idx] - 1,) + mono[idx + 1 :], c * mono[idx])
+        for mono, c in x.terms.items()
+        if mono[idx]
+    ))
 
 
 class PoissonStructure:
@@ -81,23 +72,18 @@ class PoissonStructure:
 
     def bracket(self, f: NCPoly, g: NCPoly) -> NCPoly:
         """{f, g} by the Leibniz extension."""
-        tower = self.tower
-        out = NCPoly.zero(tower)
-        n = tower.nlevels
+        n = self.tower.nlevels
         dfs = [_partial(f, i) for i in range(n)]
         dgs = [_partial(g, j) for j in range(n)]
+        pairs = []
         for (i, j), pij in self._table.items():
             if pij.is_zero():
                 continue
             term = dfs[i] * dgs[j] - dfs[j] * dgs[i]
             if term.is_zero():
                 continue
-            out = out + term * pij
-        return out
-
-
-def pbracket(f: NCPoly, g: NCPoly, P: PoissonStructure) -> NCPoly:
-    return P.bracket(f, g)
+            pairs += (term * pij).terms.items()
+        return NCPoly(self.tower, collect(pairs))
 
 
 def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
@@ -177,13 +163,14 @@ class AlgebraMorphism:
     def apply(self, x: NCPoly):
         if x.tower is not self.source:
             raise TowerError("element not in the morphism source")
-        out = None
-        for mono, c in x.terms.items():
-            img = self._apply_mono(mono).scale(c)
-            out = img if out is None else out + img
-        if out is None:
-            out = self._unit().scale(self.source.context.zero)
-        return out
+        terms = collect(
+            (m, c * c2)
+            for mono, c in x.terms.items()
+            for m, c2 in self._apply_mono(mono).terms.items()
+        )
+        if self.tensor:
+            return TensorElement(self.target, terms)
+        return NCPoly(self.target, terms)
 
     def _apply_mono(self, mono):
         hit = self._mono_cache.get(mono)
@@ -243,7 +230,7 @@ def tensor_bracket(
     """Product Poisson structure on a two-leg tensor."""
     legs = t1.legs
     left, right = legs
-    out = TensorElement.zero(legs)
+    pairs = []
     for (ma, mx), ca in t1.terms.items():
         a = left.tower_mono(ma)
         x = right.tower_mono(mx)
@@ -253,11 +240,15 @@ def tensor_bracket(
             c = ca * cb
             gpart = P_left.bracket(a, b)
             if not gpart.is_zero():
-                out = out + TensorElement.from_legs(legs, [gpart, x * y]).scale(c)
+                pairs += TensorElement.from_legs(
+                    legs, [gpart.scale(c), x * y]
+                ).terms.items()
             mpart = P_right.bracket(x, y)
             if not mpart.is_zero():
-                out = out + TensorElement.from_legs(legs, [a * b, mpart]).scale(c)
-    return out
+                pairs += TensorElement.from_legs(
+                    legs, [(a * b).scale(c), mpart]
+                ).terms.items()
+    return TensorElement(legs, collect(pairs))
 
 
 def poisson_morphism_report(
@@ -316,13 +307,6 @@ class CovariantFamily:
     def empty(self):
         return self.particular is None
 
-    def bracket_value(self, coeffs) -> NCPoly:
-        tower = self.ansatz[0].tower
-        out = NCPoly.zero(tower)
-        for c, t in zip(coeffs, self.ansatz):
-            out = out + t.scale(c)
-        return out
-
     def contains_vector(self, vec) -> bool:
         if self.particular is None:
             return False
@@ -371,34 +355,30 @@ def covariant_family_solve(
     ax = coaction.apply(NCPoly.generator(space, 0))
     ay = coaction.apply(NCPoly.generator(space, 1))
 
-    # G-part: left-leg brackets
-    gpart = TensorElement.zero(legs)
+    # G-part: left-leg brackets; and per ansatz monomial t the column
+    # alpha(t) - sum a_i b_j (x) Jac_ij * t
+    gpairs = []
+    jacobians = []
     for (ma, mx), ca in ax.terms.items():
         for (mb, my), cb in ay.terms.items():
+            xi = space.tower_mono(mx)
+            yj = space.tower_mono(my)
             br = P_G.bracket(group.tower_mono(ma), group.tower_mono(mb))
-            if br.is_zero():
-                continue
-            prod = space.tower_mono(mx) * space.tower_mono(my)
-            gpart = gpart + TensorElement.from_legs(legs, [br, prod]).scale(ca * cb)
-
-    # per ansatz monomial t: alpha(t) - sum a_i b_j (x) Jac_ij * t
+            if not br.is_zero():
+                gpairs += TensorElement.from_legs(
+                    legs, [br.scale(ca * cb), xi * yj]
+                ).terms.items()
+            jac = _partial(xi, 0) * _partial(yj, 1) - _partial(xi, 1) * _partial(yj, 0)
+            if not jac.is_zero():
+                ab = group.tower_mono(ma) * group.tower_mono(mb)
+                jacobians.append((ab.scale(-(ca * cb)), jac))
+    gpart = TensorElement(legs, collect(gpairs))
     cols = []
     for t in ansatz:
-        col = coaction.apply(t)
-        for (ma, mx), ca in ax.terms.items():
-            for (mb, my), cb in ay.terms.items():
-                xi = space.tower_mono(mx)
-                yj = space.tower_mono(my)
-                jac = _partial(xi, 0) * _partial(yj, 1) - _partial(xi, 1) * _partial(
-                    yj, 0
-                )
-                if jac.is_zero():
-                    continue
-                ab = group.tower_mono(ma) * group.tower_mono(mb)
-                col = col - TensorElement.from_legs(legs, [ab, jac * t]).scale(
-                    ca * cb
-                )
-        cols.append(col)
+        pairs = list(coaction.apply(t).terms.items())
+        for ab, jac in jacobians:
+            pairs += TensorElement.from_legs(legs, [ab, jac * t]).terms.items()
+        cols.append(TensorElement(legs, collect(pairs)))
 
     monos = set(gpart.terms)
     for col in cols:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+from qe2 import __version__
 from qe2.cli import main
 
 
@@ -79,6 +82,38 @@ def test_check_exit_codes(capsys):
 def test_check_unknown_param(capsys):
     code, _, err = run(capsys, "check", "jacobi", "--param", "tau=1")
     assert code == 3
+
+
+def test_rank_value_must_be_a_number(capsys):
+    code, _, err = run(capsys, "rank", "nonstd-poisson", "--at", "v=n,n=0,nb=0")
+    assert code == 3
+    assert "usage error" in err and "'n'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "nosuch"),
+        ("rank", "nonstd-poisson"),
+        ("check", "jacobi", "--param", "omega=5"),
+        ("normal-form", "qe2-nonstd", "v", "--param", "omega=5"),
+    ],
+)
+def test_command_line_errors_are_usage_errors(capsys, argv):
+    # argparse's own status 2 would read as "discrepancies"
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: qe2") and "usage error: " in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert (__version__ in out) if flag == "--version" else out.startswith("usage: qe2")
 
 
 def test_check_json_deterministic(capsys, tmp_path):

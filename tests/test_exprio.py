@@ -12,8 +12,10 @@ from qe2.exprio import (
     Tensor,
     format_canonical,
     parse_expr,
+    parse_scalar,
 )
 from qe2.ncalg import NCPoly, normal_form
+from qe2.scalars import GaussRational, Parameter, ScalarContext
 
 
 def test_parse_products_and_signs():
@@ -129,3 +131,19 @@ def test_round_trip_tensor(fun_e2_tower):
     assert format_canonical(e) == src
     again = exprio.elaborate_expr(parse_expr(format_canonical(e)), legs)
     assert again == e
+
+
+def test_parse_scalar():
+    ctx = ScalarContext([Parameter("omega", "negated")])
+    w = ctx.param("omega")
+    assert parse_scalar(ctx, "(1 + i)*omega^2 - 3/4") == (
+        ctx.from_gauss(GaussRational(1, 1)) * w * w - ctx.from_gauss(GaussRational(3)) / 4
+    )
+    with pytest.raises(KeyError):
+        parse_scalar(ctx, "n")  # no generators in a scalar expression
+    with pytest.raises(KeyError):
+        parse_scalar(ScalarContext([]), "omega")
+    with pytest.raises(GrammarError):
+        parse_scalar(ctx, "2 omega")
+    with pytest.raises(ValueError):
+        parse_scalar(ctx, "1 (x) 1")

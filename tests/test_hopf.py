@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qe2 import exprio
+from qe2 import catalog, exprio
 from qe2.hopf import (
     TensorElement,
     hopf_axioms_report,
@@ -199,3 +199,80 @@ def test_tensor_componentwise_product(fun_e2):
     a = tensor(tower, "v (x) n")
     b = tensor(tower, "vb (x) 1 + n (x) v")
     assert a * b == tensor(tower, "1 (x) n + v*n (x) n*v")
+
+
+# -- leg surgery against its term-by-term definition ---------------------------
+
+
+def _random_tensor(tower, rng, arity):
+    ctx = tower.context
+    gens = tower.generators
+    out = TensorElement.zero((tower,) * arity)
+    for _ in range(rng.randint(1, 3)):
+        polys = []
+        for _ in range(arity):
+            word = []
+            for _ in range(rng.randint(0, 2)):
+                j = rng.randrange(len(gens))
+                e = rng.choice([-1, 1]) if gens[j].invertible else 1
+                word.append((j, e))
+            polys.append(normal_form(tower, word))
+        # complex coefficients, so that a missing conjugation shows
+        c = ctx.from_int(rng.randint(1, 3)) + ctx.i * ctx.from_int(rng.randint(-2, 2))
+        if rng.random() < 0.5:
+            c = c * ctx.param("omega")
+        out = out + TensorElement.from_legs(out.legs, polys).scale(c)
+    return out
+
+
+def _leg_polys(t, monos):
+    return [tower.tower_mono(m) for tower, m in zip(t.legs, monos)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("arity", [2, 3])
+def test_leg_surgery_matches_term_by_term(seed, arity):
+    b = catalog.get_preset("qe2-nonstd")
+    tower, H = b.tower, b.hopf
+    pi = catalog.get_preset("quotient-I").quotient
+    rng = random.Random(1000 * arity + seed)
+    t = _random_tensor(tower, rng, arity)
+    assert not t.is_zero()
+    for j in range(arity):
+        for f, new_tower, conj in (
+            (H.antipode, None, False),
+            (H.star, None, True),
+            (pi.apply, pi.target, False),
+        ):
+            legs = t.legs[:j] + (new_tower or tower,) + t.legs[j + 1 :]
+            want = TensorElement.zero(legs)
+            for monos, c in t.terms.items():
+                polys = _leg_polys(t, monos)
+                polys[j] = f(polys[j])
+                want = want + TensorElement.from_legs(legs, polys).scale(
+                    c.conjugate() if conj else c
+                )
+            got = t.map_leg(j, f, new_tower=new_tower, conjugate_coeff=conj)
+            assert got.legs == legs and got == want
+
+        legs = t.legs[:j] + (tower, tower) + t.legs[j + 1 :]
+        want = TensorElement.zero(legs)
+        for monos, c in t.terms.items():
+            polys = _leg_polys(t, monos)
+            for m2, c2 in H.coproduct(polys[j]).terms.items():
+                mid = [tower.tower_mono(m) for m in m2]
+                want = want + TensorElement.from_legs(
+                    legs, polys[:j] + mid + polys[j + 1 :]
+                ).scale(c * c2)
+        got = t.expand_leg(j, H.coproduct)
+        assert got.legs == legs and got == want
+
+        legs = t.legs[:j] + t.legs[j + 1 :]
+        want = TensorElement.zero(legs)
+        for monos, c in t.terms.items():
+            polys = _leg_polys(t, monos)
+            want = want + TensorElement.from_legs(
+                legs, polys[:j] + polys[j + 1 :]
+            ).scale(c * H.counit(polys[j]))
+        got = t.contract_leg(j, H.counit)
+        assert got.legs == legs and got == want

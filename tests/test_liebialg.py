@@ -114,6 +114,25 @@ def test_linearize_rejects_laurent():
         linearize_poisson(P)
 
 
+def test_bad_scalar_in_lie_preset_is_a_lie_error():
+    ctx = ScalarContext([])
+    spec = {"basis": ["J", "X"], "brackets": {"J,X": {"X": "X"}}}
+    with pytest.raises(LieError):
+        LieAlgebra.load(ctx, spec)
+    with pytest.raises(LieError):
+        Cocommutator.load(ctx, ["J", "X"], {"J": {"J,X": "1 (x) 1"}})
+
+
+def test_wedge_pairs_are_oriented_and_summed():
+    ctx = ScalarContext([])
+    one = ctx.one
+    assert WedgeBivector(ctx, 3, [((1, 0), one), ((0, 1), one)]).is_zero()
+    w = WedgeBivector(ctx, 3, [((2, 0), one), ((0, 2), one + one), ((1, 2), one)])
+    assert w.coeffs == {(0, 2): one, (1, 2): one}
+    with pytest.raises(LieError):
+        WedgeBivector(ctx, 3, {(1, 1): one})
+
+
 def test_zero_bracket_zero_cocommutator(std):
     tower, _, _ = std
     P = PoissonStructure(tower, {})

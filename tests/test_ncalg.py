@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qe2 import catalog, ncalg
 from qe2.exprio import format_canonical
@@ -20,6 +21,8 @@ from qe2.ncalg import (
     solve_affine,
     span_solve,
 )
+
+from qe2.scalars import GaussRational, Parameter, ScalarContext
 
 from conftest import preset_dict
 import stack_rewriter
@@ -399,3 +402,26 @@ def test_normal_form_idempotent(qe2_tower, seed):
     # multiplying by 1 re-runs the engine and must not change anything
     assert a * NCPoly.one(qe2_tower) == a
     assert NCPoly.one(qe2_tower) * a == a
+
+
+# -- the shared term-map core --------------------------------------------------
+
+_CTX = ScalarContext([Parameter("omega")])
+# small coefficients, so that pairs on one key often cancel; zero included
+_small_scalars = st.builds(
+    lambda a, b, e: _CTX.from_gauss(GaussRational(a, b)) * _CTX.param("omega") ** e,
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+    st.integers(0, 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), _small_scalars), max_size=14))
+def test_collect_matches_naive_sum(pairs):
+    sums = {}
+    for key, c in pairs:
+        sums[key] = sums.get(key, _CTX.zero) + c
+    assert ncalg.collect(pairs) == {k: c for k, c in sums.items() if c}
+    assert ncalg.collect(iter(pairs)) == ncalg.collect(pairs)
+    assert all(ncalg.collect(pairs).values())
