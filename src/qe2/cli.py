@@ -11,8 +11,11 @@ Subcommands:
     solve-family <preset>    covariant-family solver for a coaction preset
     presets                  list the shipped presets
 
-Exit codes: 0 all pass, 1 any fail, 2 discrepancies but no fails,
-3 usage error.
+Exit codes: 0 all pass, 1 any fail or an internal error, 2 discrepancies
+but no fails, 3 usage error.  Errors while reading the command line, a
+``--file`` presentation, an expression or an ``--at`` value are usage
+errors; the same exception classes raised later, while computing, are
+internal errors.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import json
 import sys
 
 from . import __version__, catalog, exprio, suites
-from .exprio import GrammarError
-from .ncalg import NCPoly, TowerError, load_tower
-from .poisson import covariant_family_solve, poisson_matrix_rank
+from .hopf import load_hopf
+from .ncalg import NCPoly, load_tower
+from .poisson import PoissonStructure, covariant_family_solve, poisson_matrix_rank
 from .report import CheckReport
 from .scalars import GaussRational, ScalarContext
 
@@ -81,17 +84,14 @@ def _load_bundle_or_file(preset, file_path):
                 raw = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot load presentation {file_path!r}: {e}")
-        tower = load_tower(raw)
-        hopf = None
-        poisson = None
-        if "hopf" in raw:
-            from .hopf import load_hopf
-
-            hopf = load_hopf(tower, raw["hopf"])
-        if "poisson" in raw:
-            from .poisson import PoissonStructure
-
-            poisson = PoissonStructure.load(tower, raw["poisson"])
+        try:
+            tower = load_tower(raw)
+            hopf = load_hopf(tower, raw["hopf"]) if "hopf" in raw else None
+            poisson = (
+                PoissonStructure.load(tower, raw["poisson"]) if "poisson" in raw else None
+            )
+        except (ValueError, KeyError) as e:
+            raise UsageError(f"bad presentation {file_path!r}: {e}")
         class _B:  # minimal bundle view
             pass
 
@@ -109,7 +109,7 @@ def _load_bundle_or_file(preset, file_path):
 def _expr_in(tower, text) -> NCPoly:
     try:
         return tower.poly(text)
-    except (GrammarError, KeyError, TowerError) as e:
+    except (ValueError, KeyError) as e:
         raise UsageError(f"bad expression {text!r}: {e}")
 
 
@@ -164,8 +164,9 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 3
+        # every input stage raises UsageError, so this is the engine's fault
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:

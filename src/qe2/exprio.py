@@ -218,6 +218,8 @@ class _Parser:
         if kind == "RAT":
             if "/" in value:
                 p, q = value.split("/")
+                if not int(q):
+                    raise GrammarError(f"zero denominator in {value!r}", pos)
                 return Lit(GaussRational(_Q(int(p), int(q))))
             return Lit(GaussRational(int(value)))
         if kind == "(":

@@ -17,7 +17,7 @@ from itertools import chain, product
 from typing import Callable, Optional, Sequence
 
 from . import exprio
-from .ncalg import NCPoly, OreTower, TowerError, collect
+from .ncalg import NCPoly, OreTower, TowerError, bilinear, collect, pin_unit
 from .report import FAIL, PASS, CheckReport
 from .scalars import Scalar
 
@@ -79,19 +79,25 @@ class TensorElement:
         return TensorElement(self.legs, {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd."""
+        """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd, by the
+        bilinear kernel over a table of monomial-tuple products that the
+        first leg's tower caches per leg tuple."""
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        pairs = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                coeff = c1 * c2
-                if coeff:
-                    pairs += _outer(coeff, [
-                        t._mono_mul_terms(a, b) for t, a, b in zip(self.legs, m1, m2)
-                    ])
-        return TensorElement(self.legs, collect(pairs))
+        legs = self.legs
+        one = legs[0].context.one
+        tables = legs[0]._tensor_mul
+        table = tables.get(legs)
+        if table is None:
+            table = tables[legs] = {}
+
+        def build(m1, m2):
+            return pin_unit(_outer(one, [
+                t._mono_mul_terms(a, b) for t, a, b in zip(legs, m1, m2)
+            ]), one)
+
+        return TensorElement(legs, bilinear(self.terms, other.terms, table, build, one))
 
     def __pow__(self, n: int):
         if n == 0:

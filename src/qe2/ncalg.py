@@ -23,7 +23,10 @@ higher-level letter right past a lower one while the inserted sigma- and
 delta-images only involve letters of strictly smaller level (delta may
 also reuse the level itself, which shortens the tail instead); this is
 the (level, degree)-lexicographic measure underlying the PBW property of
-Ore extensions.
+Ore extensions.  A product of normal forms is the bilinear kernel
+:func:`bilinear` over the tower's cached table of monomial-pair products;
+tensor products and Poisson brackets are the same kernel over their own
+tables.
 
 Confluence is certified by :func:`diamond_check` (Bergman's diamond
 lemma): every word of ``degree`` letters (3 at load time) whose levels
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import add as _add
 from typing import Optional, Sequence
 
 from . import exprio
@@ -104,6 +108,46 @@ def collect(pairs) -> dict:
             else:
                 del terms[key]
     return terms
+
+
+def bilinear(p: dict, q: dict, table: dict, build, one) -> dict:
+    """The term map of the sum of ``c1*c2*s`` at key ``m`` over the terms
+    ``(m1, c1)`` of ``p``, ``(m2, c2)`` of ``q`` and ``(m, s)`` of the
+    product of the monomial pair ``(m1, m2)``.
+
+    ``table`` caches each pair's product as a tuple of (key, Scalar) terms
+    with no zero coefficient, every coefficient equal to 1 stored as
+    ``one``; ``build(m1, m2)`` computes a missing entry.  The two data
+    coefficients of a pair are multiplied once, and a structure
+    coefficient that is ``one`` is not multiplied by.  ``OreTower.mul``,
+    ``TensorElement.__mul__`` and ``PoissonStructure.bracket`` are this
+    kernel over their own tables."""
+    acc = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = (m1, m2)
+            terms = table.get(key)
+            if terms is None:
+                terms = table[key] = build(m1, m2)
+            c = c1 * c2
+            for m, s in terms:
+                s = c if s is one else c * s
+                v = acc.get(m)
+                if v is None:
+                    acc[m] = s
+                else:
+                    v = v + s
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+    return acc
+
+
+def pin_unit(terms, one) -> tuple:
+    """The (key, Scalar) pairs ``terms`` as a tuple, each coefficient equal
+    to 1 replaced by ``one`` (the form of every cached structure table)."""
+    return tuple((m, one if c.is_one() else c) for m, c in terms)
 
 
 class NCPoly:
@@ -299,6 +343,9 @@ class OreTower:
         # caches
         self._push = {}
         self._mono_mul = {}
+        # {legs -> {(monomial tuple, monomial tuple) -> terms}} for tensor
+        # products over legs that start with this tower (hopf.TensorElement)
+        self._tensor_mul = {}
         self._sigma_pow = {}
         self._delta_pow = {}
         self._sigma_hat = {}
@@ -351,6 +398,9 @@ class OreTower:
         ) and all(delta[j].is_zero() for j in delta)
         if not ident:
             self.commutative = False
+            # products cached while the lower levels still commuted may
+            # involve this level, whose rules were not known then
+            self._mono_mul.clear()
         if g.invertible and L > 0:
             # left-inverse pushes for a non-base invertible generator are
             # only supported for a pure diagonal twist
@@ -367,54 +417,31 @@ class OreTower:
 
     # -- core rewriting ------------------------------------------------------
     def mul(self, p: NCPoly, q: NCPoly) -> NCPoly:
-        if self.commutative:
-            terms = {}
-            for m1, c1 in p.terms.items():
-                for m2, c2 in q.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    c = terms.get(m)
-                    c = c1 * c2 if c is None else c + c1 * c2
-                    if c:
-                        terms[m] = c
-                    else:
-                        terms.pop(m, None)
-            return NCPoly(self, terms)
-        acc = {}
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                for mono, cc in self._mono_mul_terms(m1, m2):
-                    v = acc.get(mono)
-                    v = cc * c if v is None else v + cc * c
-                    if v:
-                        acc[mono] = v
-                    else:
-                        acc.pop(mono, None)
-        return NCPoly(self, acc)
+        return NCPoly(self, bilinear(
+            p.terms, q.terms, self._mono_mul, self._mono_product, self.context.one
+        ))
 
     def _mono_mul_terms(self, m1, m2):
+        """The monomial product m1*m2 as a cached term tuple."""
         key = (m1, m2)
         hit = self._mono_mul.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._mono_mul[key] = self._mono_product(m1, m2)
+        return hit
+
+    def _mono_product(self, m1, m2):
+        """m1*m2 in normal form as a term tuple for the ``_mono_mul`` table."""
+        one = self.context.one
         top1 = _top_level(m1)
         low2 = _low_level(m2)
-        if top1 is None:
-            out = ((m2, self.context.one),)
-        elif low2 is None or top1 <= low2:
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            out = ((mono, self.context.one),)
-        else:
-            poly = NCPoly(self, {m2: self.context.one})
-            for L in range(len(m1) - 1, -1, -1):
-                e = m1[L]
-                if e:
-                    poly = self._push_power(L, e, poly)
-            out = tuple(poly.terms.items())
-        self._mono_mul[key] = out
-        return out
+        if self.commutative or top1 is None or low2 is None or top1 <= low2:
+            return ((tuple(map(_add, m1, m2)), one),)
+        poly = NCPoly(self, {m2: one})
+        for L in range(len(m1) - 1, -1, -1):
+            e = m1[L]
+            if e:
+                poly = self._push_power(L, e, poly)
+        return pin_unit(poly.terms.items(), one)
 
     def word_to_poly(self, word) -> NCPoly:
         """Normal form of a raw product word of (generator, exponent)."""
@@ -436,16 +463,21 @@ class OreTower:
                 f"negative power of non-invertible generator "
                 f"{self.generators[L].name}"
             )
+        one = self.context.one
         for _ in range(abs(e)):
             acc = {}
             for mono, c in poly.terms.items():
                 for m2, c2 in self._push_gen(L, sign, mono):
+                    c2 = c if c2 is one else c * c2
                     v = acc.get(m2)
-                    nv = c * c2 if v is None else v + c * c2
-                    if nv:
-                        acc[m2] = nv
+                    if v is None:
+                        acc[m2] = c2
                     else:
-                        acc.pop(m2, None)
+                        v = v + c2
+                        if v:
+                            acc[m2] = v
+                        else:
+                            del acc[m2]
             poly = NCPoly(self, acc)
         return poly
 
@@ -464,22 +496,15 @@ class OreTower:
         prefix = mono[:L] + (0,) * (len(mono) - L)
         suffix = (0,) * L + mono[L:]
         if sign > 0:
+            # sigma(prefix) g_L suffix + delta(prefix) suffix
             shat = self._sigma_hat_poly(L, prefix)
             dhat = self._delta_hat_poly(L, prefix)
-            acc = {}
-            for m, c in shat.terms.items():
-                nm = tuple(
-                    a + b for a, b in zip(m[:L] + (m[L] + 1,) + m[L + 1 :], suffix)
-                )
-                acc[nm] = acc.get(nm, self.context.zero) + c
-            for m, c in dhat.terms.items():
-                nm = tuple(a + b for a, b in zip(m, suffix))
-                v = acc.get(nm, self.context.zero) + c
-                if v:
-                    acc[nm] = v
-                else:
-                    acc.pop(nm, None)
-            out = tuple((m, c) for m, c in acc.items() if c)
+            g_suffix = suffix[:L] + (suffix[L] + 1,) + suffix[L + 1 :]
+            terms = collect(chain(
+                ((tuple(map(_add, m, g_suffix)), c) for m, c in shat.terms.items()),
+                ((tuple(map(_add, m, suffix)), c) for m, c in dhat.terms.items()),
+            ))
+            out = pin_unit(terms.items(), self.context.one)
         else:
             diag = self._sigma_inv_diag[L]
             if not diag and any(prefix):
@@ -491,7 +516,7 @@ class OreTower:
                 if e:
                     coeff = coeff * diag[j] ** (-e)
             m = mono[:L] + (mono[L] - 1,) + mono[L + 1 :]
-            out = ((m, coeff),)
+            out = pin_unit(((m, coeff),), self.context.one)
         self._push[key] = out
         return out
 
@@ -827,7 +852,7 @@ class LetterPushFold:
         self.leftmost = leftmost
         self._one = tower.context.one
         self._memo = {}     # (monomial, letter) -> ((monomial, coeff), ...)
-        self._rules = {}    # (letter, letter) redex -> [(letters, coeff)]
+        self._rules = {}    # (letter, letter) redex -> ((letters, coeff), ...)
 
     def reduce(self, word) -> NCPoly:
         """Normal form of a letter word under this object's strategy."""
@@ -940,11 +965,10 @@ class LetterPushFold:
             out.append((((j, sj), (i, -1)), c))
         # the unit coefficient is always the context's own ``one``, which
         # the fold recognises by identity and never multiplies by
-        one = tower.context.one
-        return [
-            (letters if self.leftmost else letters[::-1], one if c.is_one() else c)
-            for letters, c in out
-        ]
+        return pin_unit(
+            ((letters if self.leftmost else letters[::-1], c) for letters, c in out),
+            tower.context.one,
+        )
 
 
 def _mono_to_word(mono):

@@ -1,8 +1,15 @@
 """Poisson brackets on commutative presets and the covariance machinery.
 
-The bracket is stored on generator pairs and extended by the Leibniz rule
-through exact partial differentiation (Laurent exponents included, which
-realizes {v^-1, f} = -v^-2 {v, f} automatically).  Morphisms into tensor
+The bracket is stored on generator pairs P_ij = {x_i, x_j} and extended by
+bilinearity and the Leibniz rule.  On a commutative tower the Leibniz rule
+gives the bracket of two monomials in closed form,
+
+    {x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) * x^(a+b-e_i-e_j) * P_ij
+
+(Laurent exponents included, which realizes {v^-1, f} = -v^-2 {v, f}).
+Each structure keeps these as a bracket table, {(a, b) -> terms}, filled
+the first time a pair is met, and :meth:`PoissonStructure.bracket` is the
+bilinear kernel of ``ncalg`` over that table.  Morphisms into tensor
 squares carry the product structure
 
     {a (x) x, b (x) y} = {a,b} (x) xy + ab (x) {x,y}
@@ -14,11 +21,12 @@ coactions mean at the function-algebra level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from . import exprio
 from .hopf import TensorElement
-from .ncalg import NCPoly, OreTower, TowerError, collect
+from .ncalg import NCPoly, OreTower, TowerError, bilinear, collect, pin_unit
 from .report import FAIL, PASS, CheckReport
 from .scalars import GaussRational
 
@@ -44,6 +52,7 @@ class PoissonStructure:
             raise PoissonError("Poisson structures need a commutative tower")
         self.tower = tower
         self._table = {}
+        self._mono_brackets = {}  # (a, b) -> terms of {x^a, x^b}
         for (i, j), val in table.items():
             if i == j and not val.is_zero():
                 raise PoissonError("{g,g} must vanish")
@@ -71,19 +80,27 @@ class PoissonStructure:
         return -self._table.get((j, i), NCPoly.zero(self.tower))
 
     def bracket(self, f: NCPoly, g: NCPoly) -> NCPoly:
-        """{f, g} by the Leibniz extension."""
-        n = self.tower.nlevels
-        dfs = [_partial(f, i) for i in range(n)]
-        dgs = [_partial(g, j) for j in range(n)]
+        """{f, g} by bilinearity over the bracket table of monomial pairs."""
+        return NCPoly(self.tower, bilinear(
+            f.terms, g.terms, self._mono_brackets, self._mono_bracket,
+            self.tower.context.one,
+        ))
+
+    def _mono_bracket(self, a, b):
+        """{x^a, x^b} in closed form, as a term tuple for the bracket table."""
+        ctx = self.tower.context
         pairs = []
         for (i, j), pij in self._table.items():
-            if pij.is_zero():
-                continue
-            term = dfs[i] * dgs[j] - dfs[j] * dgs[i]
-            if term.is_zero():
-                continue
-            pairs += (term * pij).terms.items()
-        return NCPoly(self.tower, collect(pairs))
+            k = a[i] * b[j] - a[j] * b[i]
+            if k:
+                shift = list(map(add, a, b))
+                shift[i] -= 1
+                shift[j] -= 1
+                kc = ctx.from_int(k)
+                pairs += [
+                    (tuple(map(add, shift, m)), c * kc) for m, c in pij.terms.items()
+                ]
+        return pin_unit(collect(pairs).items(), ctx.one)
 
 
 def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:

@@ -29,6 +29,14 @@ parameter, and otherwise the multivariate primitive PRS.  What is left is
 fixing the constant factor (``_canon``).  ``_reduce``, the full gcd of an
 arbitrary num/den, is only the constructor path ``Scalar(ctx, num, den)``.
 
+The unit.  Each context has one Scalar ``ctx.one`` that stands for 1:
+``from_gauss`` and ``from_int`` return it for 1, the engine stores every
+cached structure coefficient equal to 1 (rewrite rules, monomial products,
+the tensor and bracket tables) as it, and ``x * ctx.one`` returns ``x``
+itself.  Other Scalars may still equal 1, so identity is only a hint that
+lets a loop skip a multiplication: ``c is ctx.one`` implies ``c == 1``, never
+the converse, and no result depends on it.
+
 Each parameter carries a conjugation rule: ``fixed`` parameters are real
 under the star (k, q), ``negated`` ones purely imaginary (omega).  The
 rule is declared, never inferred; the nonstandard presets declare omega
@@ -596,12 +604,14 @@ class ScalarContext:
         self._zero_exp = (0,) * self.nvars
         self._den_one = {self._zero_exp: GAUSS_ONE}
         self.zero = Scalar(self, {}, dict(self._den_one), _raw=True)
-        self.one = self.from_gauss(GAUSS_ONE)
+        self.one = Scalar(self, dict(self._den_one), dict(self._den_one), _raw=True)
         self.i = self.from_gauss(GAUSS_I)
 
     def from_gauss(self, g: GaussRational) -> "Scalar":
         if not g:
             return self.zero
+        if g.is_one():
+            return self.one
         return Scalar(self, {self._zero_exp: g}, dict(self._den_one), _raw=True)
 
     def from_int(self, n: int) -> "Scalar":
@@ -723,6 +733,10 @@ class Scalar:
         if o is None:
             return NotImplemented
         ctx = self.ctx
+        if o is ctx.one:
+            return self
+        if self is ctx.one and o.ctx is ctx:
+            return o
         sn, sd, on, od = self.num, self.den, o.num, o.den
         if not sn or not on:
             return ctx.zero

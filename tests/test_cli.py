@@ -5,6 +5,8 @@ import pytest
 
 from qe2 import __version__
 from qe2.cli import main
+from qe2.hopf import HopfStructure
+from qe2.ncalg import TowerError
 
 
 def run(capsys, *argv):
@@ -155,3 +157,54 @@ def test_bad_expression(capsys):
     code, _, err = run(capsys, "normal-form", "qe2-nonstd", "v*(n")
     assert code == 3
     assert "offset 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (("normal-form", "qe2-nonstd", "1/0*v"), 0),
+        (("rank", "nonstd-poisson", "--at", "v=1/0,n=0,nb=0"), 0),
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv, offset):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "usage error" in err and "zero denominator" in err
+    assert f"offset {offset}" in err
+
+
+def test_bad_file_presentation_is_usage_error(capsys, tmp_path):
+    # the wrong (n, nb) sign makes the tower fail its diamond check at load
+    desc = {
+        "name": "printed",
+        "parameters": [{"name": "omega", "star": "negated"}],
+        "tower": [
+            {"gen": "v", "invertible": True},
+            {"gen": "n", "sigma": {"v": "v"}, "delta": {"v": "omega*v - omega"}},
+            {
+                "gen": "nb",
+                "sigma": {"v": "v", "n": "n + omega"},
+                "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
+            },
+        ],
+    }
+    f = tmp_path / "printed.json"
+    f.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "normal-form", "--file", str(f), "v")
+    assert code == 3
+    assert out == ""
+    assert "usage error" in err and "not confluent" in err
+
+
+def test_engine_error_is_internal_error(capsys, monkeypatch):
+    # a TowerError is a ValueError; raised while computing, it is no usage error
+    def broken(self, x):
+        raise TowerError("coproduct failed")
+
+    monkeypatch.setattr(HopfStructure, "coproduct", broken)
+    code, out, err = run(capsys, "delta", "fun-e2", "n")
+    assert code == 1
+    assert out == ""
+    assert "internal error" in err and "coproduct failed" in err
+    assert "usage error" not in err

@@ -60,6 +60,14 @@ def test_rational_literals():
         parse_expr("1/")
 
 
+@pytest.mark.parametrize("text, offset", [("1/0", 0), ("v + 3/00*n", 4)])
+def test_zero_denominator_literal(text, offset):
+    with pytest.raises(GrammarError) as e:
+        parse_expr(text)
+    assert e.value.position == offset
+    assert "zero denominator" in str(e.value)
+
+
 def test_mandatory_star():
     with pytest.raises(GrammarError):
         parse_expr("2v")

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qe2 import catalog, exprio
 from qe2.hopf import (
     TensorElement,
+    _outer,
     hopf_axioms_report,
     load_hopf,
     respects_relations_report,
     star_apply,
 )
-from qe2.ncalg import NCPoly, load_tower, normal_form
+from qe2.ncalg import NCPoly, collect, load_tower, normal_form
 from qe2.report import DISCREPANCY, FAIL
+from qe2.scalars import GaussRational
 
 from conftest import preset_dict
 
@@ -276,3 +279,58 @@ def test_leg_surgery_matches_term_by_term(seed, arity):
             ).scale(c * H.counit(polys[j]))
         got = t.contract_leg(j, H.counit)
         assert got.legs == legs and got == want
+
+
+# -- tensor products against the term-by-term outer product ----------------------
+
+
+def _leg_product(tower, a, b):
+    """a*b for two normal monomials, by rewriting the word a b."""
+    return tower.word_to_poly([(j, e) for m in (a, b) for j, e in enumerate(m) if e])
+
+
+def _tensor_product_reference(s, t):
+    pairs = []
+    for m1, c1 in s.terms.items():
+        for m2, c2 in t.terms.items():
+            pairs += _outer(c1 * c2, [
+                _leg_product(tower, a, b).terms.items()
+                for tower, a, b in zip(s.legs, m1, m2)
+            ])
+    return TensorElement(s.legs, collect(pairs))
+
+
+_leg_mono = st.tuples(st.integers(-1, 1), st.integers(0, 2), st.integers(0, 1))
+_coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1))
+
+
+def _tensor_data(arity):
+    return st.lists(
+        st.tuples(st.tuples(*[_leg_mono] * arity), _coeff), min_size=1, max_size=3
+    )
+
+
+def _tensor(legs, data):
+    ctx = legs[0].context
+    w = ctx.param("omega")
+    return TensorElement(legs, collect(
+        (monos, ctx.from_gauss(GaussRational(a, b)) + ctx.from_int(c) * w)
+        for monos, (a, b, c) in data
+    ))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_tensor_mul_matches_term_by_term(data):
+    # the noncommutative qe2-nonstd and the commutative nonstd-poisson tower
+    # share monomials and scalars, so a product table must be keyed by legs
+    A = catalog.get_preset("qe2-nonstd").tower
+    P = catalog.get_preset("nonstd-poisson").tower
+    arity = data.draw(st.sampled_from([2, 3]))
+    s_data = data.draw(_tensor_data(arity))
+    t_data = data.draw(_tensor_data(arity))
+    for legs in ((A,) * arity, (A, P) + (A,) * (arity - 2), (P, A) + (P,) * (arity - 2)):
+        s, t = _tensor(legs, s_data), _tensor(legs, t_data)
+        want = _tensor_product_reference(s, t)
+        assert s * t == want
+        assert s * t == want  # now from the table

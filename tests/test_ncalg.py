@@ -425,3 +425,21 @@ def test_collect_matches_naive_sum(pairs):
     assert ncalg.collect(pairs) == {k: c for k, c in sums.items() if c}
     assert ncalg.collect(iter(pairs)) == ncalg.collect(pairs)
     assert all(ncalg.collect(pairs).values())
+
+
+def test_products_parsed_before_their_level_is_set():
+    # "b*a - b*a" is parsed while the tower still commutes, so b*a is
+    # multiplied as a*b then; the quantum-plane rule set right after must
+    # decide every later product
+    desc = {
+        "name": "plane",
+        "parameters": [{"name": "q"}],
+        "tower": [
+            {"gen": "a"},
+            {"gen": "b", "sigma": {"a": "q*a"}, "delta": {"a": "b*a - b*a"}},
+        ],
+    }
+    tower = load_tower(desc)
+    assert not tower.commutative
+    assert tower.poly("b*a") == tower.poly("q*a*b")
+    assert tower.gen("b") * tower.gen("a") == tower.poly("q*a*b")

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qe2.hopf import load_hopf
-from qe2.ncalg import NCPoly, load_tower, normal_form
+from qe2.ncalg import NCPoly, collect, load_tower, normal_form
 from qe2.poisson import (
     AlgebraMorphism,
     PoissonStructure,
+    _partial,
     covariant_family_solve,
     hamiltonian_fields,
     jacobi_report,
@@ -91,6 +93,68 @@ def test_bracket_leibniz_random(nonstd):
         f, g, h = rand(), rand(), rand()
         assert P.bracket(f, g) == -P.bracket(g, f)
         assert P.bracket(f, g * h) == P.bracket(f, g) * h + g * P.bracket(f, h)
+
+
+# -- the bracket table against the Leibniz extension by partial derivatives ----
+
+
+def _commutative_product(p, q):
+    """p*q on a commutative tower by adding exponents term by term."""
+    return NCPoly(p.tower, collect(
+        (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    ))
+
+
+def leibniz_bracket(P, f, g):
+    """Reference {f, g} = sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) P_ij,
+    by exact partial derivatives and a product that adds exponents."""
+    tower = P.tower
+    n = tower.nlevels
+    dfs = [_partial(f, i) for i in range(n)]
+    dgs = [_partial(g, j) for j in range(n)]
+    out = NCPoly.zero(tower)
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = _commutative_product(dfs[i], dgs[j]) - _commutative_product(
+                dfs[j], dgs[i]
+            )
+            out = out + _commutative_product(term, P.bracket_gens(i, j))
+    return out
+
+
+# (v, n, nb) exponents, negative powers of the invertible v included
+_exponents = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
+_coeff_data = st.tuples(
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2)
+).filter(lambda t: t[0] or t[1] or t[2])
+_element_data = st.lists(st.tuples(_exponents, _coeff_data), min_size=1, max_size=3)
+
+
+def _element(tower, data):
+    """Terms ((a + b*i) + c*omega) / (1 + omega)^k times v^e0 n^e1 nb^e2; on
+    a context without omega the omega part is 0 and the denominator 1 + i."""
+    ctx = tower.context
+    w = ctx.param("omega") if ctx.has_param("omega") else ctx.zero
+    den = ctx.one + w if w else ctx.from_gauss(GaussRational(1, 1))
+    return NCPoly.from_terms(tower, [
+        (mono, (ctx.from_gauss(GaussRational(a, b)) + ctx.from_int(c) * w) / den**k)
+        for mono, (a, b, c, k) in data
+    ])
+
+
+@pytest.mark.parametrize("preset", ["nonstd", "std"])
+@given(f_data=_element_data, g_data=_element_data)
+@settings(max_examples=120, deadline=None)
+def test_bracket_table_matches_leibniz(std, nonstd, preset, f_data, g_data):
+    tower, P, _ = nonstd if preset == "nonstd" else std
+    f, g = _element(tower, f_data), _element(tower, g_data)
+    want = leibniz_bracket(P, f, g)
+    assert P.bracket(f, g) == want
+    # again, now every monomial pair comes from the table
+    assert P.bracket(f, g) == want
+    assert P.bracket(g, f) == -want
 
 
 # -- Jacobi ---------------------------------------------------------------------

@@ -502,3 +502,32 @@ def test_ugcd_matches_sympy(h, a, b):
         assert got.is_zero
     else:
         assert (got - want.monic()).is_zero
+
+
+# -- the unit --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ctx", [ScalarContext([]), CTX])
+def test_unit_is_the_contexts_one(ctx):
+    assert ctx.from_int(1) is ctx.one
+    assert ctx.from_gauss(GaussRational(1)) is ctx.one
+    assert ctx.from_gauss(GaussRational(Fraction(2, 2), 0)) is ctx.one
+    assert ctx.from_int(-1) is not ctx.one and not ctx.from_int(-1).is_one()
+    assert ctx.one * ctx.one is ctx.one
+
+
+@given(small_scalars)
+@settings(max_examples=60, deadline=None)
+def test_mul_by_unit_returns_the_operand(x):
+    one = CTX.one
+    assert x * one is x
+    assert one * x is x
+    # a Scalar equal to 1 that is another object takes the general path and
+    # gives an equal result: identity only skips work
+    other_one = Scalar(CTX, {(0, 0, 0): GAUSS_ONE}, {(0, 0, 0): GAUSS_ONE})
+    assert other_one is not one and other_one == one
+    assert x * other_one == x and other_one * x == x
+    # the unit of an equal but distinct context is not taken for this one's
+    twin = ScalarContext(CTX.parameters)
+    assert twin == CTX and twin.one is not one
+    assert x * twin.one == x
