@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exprio
-from .hopf import HopfStructure, load_hopf
+from .hopf import AlgebraMorphism, HopfStructure, load_hopf
 from .homspace import QuotientMap, Subalgebra
 from .liebialg import Cocommutator, LieAlgebra, WedgeBivector
 from .ncalg import OreTower, load_tower
-from .poisson import AlgebraMorphism, PoissonStructure
+from .poisson import PoissonStructure
 from .scalars import Parameter, Scalar, ScalarContext
 
 PRESET_IDS = (

@@ -77,6 +77,33 @@ def _emit(report: CheckReport, fmt: str, out_path):
             sys.stdout.write("\n")
 
 
+def _shape_error(raw) -> str:
+    """What keeps ``raw`` from having the JSON shape of a presentation
+    (docs/presets.md), or "" when nothing does."""
+    if not isinstance(raw, dict):
+        return "the presentation must be a JSON object"
+    levels = raw.get("tower")
+    if not isinstance(levels, list) or not all(
+        isinstance(lv, dict) and isinstance(lv.get("gen"), str) for lv in levels
+    ):
+        return '"tower" must be a list of objects with a string "gen"'
+    params = raw.get("parameters", [])
+    if not isinstance(params, list) or not all(
+        isinstance(p, dict) and isinstance(p.get("name"), str) for p in params
+    ):
+        return '"parameters" must be a list of objects with a string "name"'
+    hopf = raw.get("hopf", {})
+    if not isinstance(hopf, dict):
+        return '"hopf" must be an object of tables'
+    maps = [(k, lv.get(k, {})) for lv in levels for k in ("sigma", "delta")]
+    maps += [(k, raw.get(k, {})) for k in ("star", "poisson")]
+    maps += [(f"hopf.{k}", table) for k, table in hopf.items()]
+    for key, m in maps:
+        if not isinstance(m, dict) or not all(isinstance(v, str) for v in m.values()):
+            return f'"{key}" must map names to expression strings'
+    return ""
+
+
 def _load_bundle_or_file(preset, file_path):
     if file_path:
         try:
@@ -84,6 +111,9 @@ def _load_bundle_or_file(preset, file_path):
                 raw = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot load presentation {file_path!r}: {e}")
+        problem = _shape_error(raw)
+        if problem:
+            raise UsageError(f"bad presentation {file_path!r}: {problem}")
         try:
             tower = load_tower(raw)
             hopf = load_hopf(tower, raw["hopf"]) if "hopf" in raw else None

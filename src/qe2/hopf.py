@@ -1,10 +1,14 @@
-"""Hopf structure maps and tensor arithmetic.
+"""Structure maps and tensor arithmetic.
 
-Structure maps live in a :class:`HopfStructure` attached to a tower:
-the coproduct and counit extend multiplicatively from their generator
-values, the antipode and the star antimultiplicatively (the star is
-antilinear on coefficients and is stored on the tower itself, since
-non-Hopf presets also carry one).
+:class:`AlgebraMorphism` is the one extension of generator values to the
+whole algebra: the image of a monomial is the product of the generator
+images (in reverse order for an antihomomorphism), cached per monomial,
+and an element's image is the sum of its terms' images (with conjugated
+coefficients for an antilinear map).  The coproduct and antipode of a
+:class:`HopfStructure`, the star of a tower (:func:`star_map`; kept on
+the tower, since non-Hopf presets also carry one) and the coactions,
+projections and quotient maps of the presets are all such maps.  Only
+the counit, whose target is the scalars, keeps a table of its own.
 
 :class:`TensorElement` implements A (x) B (and triple) tensors whose legs
 may live in different towers; this is what the quotient and coinvariance
@@ -233,55 +237,146 @@ def _outer(coeff, factors):
 
 
 # ---------------------------------------------------------------------------
-# Star (lives on the tower; antilinear antihomomorphism)
+# Structure maps
 # ---------------------------------------------------------------------------
+
+
+class AlgebraMorphism:
+    """Map determined by generator images and extended over each monomial;
+    the target is a tower or a tuple of towers (tensor legs).  ``reverse``
+    makes it an antihomomorphism and ``antilinear`` conjugates the
+    coefficients of its argument.  Monomial images are cached."""
+
+    def __init__(self, source: OreTower, target, images: dict,
+                 reverse: bool = False, antilinear: bool = False):
+        self.source = source
+        self.target = target
+        self.tensor = isinstance(target, tuple)
+        self.reverse = reverse
+        self.antilinear = antilinear
+        self.one = TensorElement.unit(target) if self.tensor else NCPoly.one(target)
+        imgs = {}
+        for gname, val in images.items():
+            idx = source.gen_index(gname)
+            if idx is None:
+                raise TowerError(f"morphism image for unknown generator {gname!r}")
+            if isinstance(val, TensorElement) != self.tensor:
+                raise TowerError(
+                    f"image of {gname} must {'' if self.tensor else 'not '}be a tensor"
+                )
+            imgs[idx] = val
+        if len(imgs) != source.nlevels:
+            raise TowerError("morphism must give an image for every generator")
+        self.images = imgs
+        self._mono_cache = {}
+
+    @classmethod
+    def load(cls, source: OreTower, target, images_spec: dict,
+             reverse: bool = False) -> "AlgebraMorphism":
+        """Generator images given as grammar expressions in the target."""
+        return cls(source, target, {
+            gname: exprio.elaborate_expr(exprio.parse_expr(expr), target)
+            for gname, expr in images_spec.items()
+        }, reverse=reverse)
+
+    def word_image(self, word):
+        """Image of the product of a word of (generator index, exponent)."""
+        factors = [self.images[j] ** e for j, e in word]
+        if self.reverse:
+            factors.reverse()
+        out = self.one
+        for f in factors:
+            out = out * f
+        return out
+
+    def apply(self, x: NCPoly):
+        if x.tower is not self.source:
+            raise TowerError("element not in the morphism source")
+        items = x.terms.items()
+        if self.antilinear:
+            items = [(mono, c.conjugate()) for mono, c in items]
+        cache = self._mono_cache
+        pairs = []
+        for mono, c in items:
+            img = cache.get(mono)
+            if img is None:
+                img = cache[mono] = self.word_image(
+                    [(j, e) for j, e in enumerate(mono) if e]
+                )
+            pairs += [(m, c * c2) for m, c2 in img.terms.items()]
+        if self.tensor:
+            return TensorElement(self.target, collect(pairs))
+        return NCPoly(self.target, collect(pairs))
+
+    def validate(self, suite="morphism") -> CheckReport:
+        """Images must satisfy every derived relation of the source."""
+        rep = CheckReport(suite)
+        for word, rhs in self.source.derived_rules():
+            check_id = f"respects[{_word_name(self.source, word)}]"
+            try:
+                lhs_img = self.word_image(word)
+                rhs_img = self.apply(rhs)
+            except TowerError as e:
+                rep.add(check_id, status=FAIL, witness=str(e))
+                continue
+            rep.add(
+                check_id,
+                status=PASS if lhs_img == rhs_img else FAIL,
+                lhs=exprio.format_canonical(lhs_img),
+                rhs=exprio.format_canonical(rhs_img),
+            )
+        return rep
+
+
+def _word_name(tower: OreTower, word) -> str:
+    return "*".join(
+        f"{tower.generators[j].name}^{e}" if e != 1 else tower.generators[j].name
+        for j, e in word
+    )
+
+
+def star_map(tower: OreTower) -> AlgebraMorphism:
+    """The tower's star table as an antilinear antihomomorphism, built on
+    first use and kept on the tower."""
+    if tower._star_map is None:
+        if tower.star_table is None:
+            raise TowerError(f"tower {tower.name!r} has no star table")
+        tower._star_map = AlgebraMorphism(
+            tower,
+            tower,
+            {g.name: tower.star_table[j] for j, g in enumerate(tower.generators)},
+            reverse=True,
+            antilinear=True,
+        )
+    return tower._star_map
 
 
 def star_apply(x: NCPoly, tower: Optional[OreTower] = None) -> NCPoly:
     """(c * g1^a ... gk^b)* = conj(c) * star(gk)^b ... star(g1)^a."""
-    tower = tower or x.tower
-    table = tower.star_table
-    if table is None:
-        raise TowerError(f"tower {tower.name!r} has no star table")
-    pairs = []
-    for mono, c in x.terms.items():
-        p = NCPoly.one(tower)
-        for j in range(len(mono) - 1, -1, -1):
-            e = mono[j]
-            if e:
-                p = p * (table[j] ** e)
-        c = c.conjugate()
-        pairs += [(m, c * c2) for m, c2 in p.terms.items()]
-    return NCPoly(tower, collect(pairs))
-
-
-# ---------------------------------------------------------------------------
-# Hopf structure
-# ---------------------------------------------------------------------------
+    return star_map(tower or x.tower).apply(x)
 
 
 class HopfStructure:
-    """Coproduct, counit, antipode tables on generators, extended
-    (anti)multiplicatively; the star table is taken from the tower."""
+    """Coproduct and antipode as structure maps (the antipode reverses
+    products) and the counit as a table of scalars on generators; the star
+    is the tower's own."""
 
-    def __init__(self, tower: OreTower, delta, counit, antipode):
+    def __init__(self, tower: OreTower, coproduct_map: AlgebraMorphism,
+                 counit_table: dict, antipode_map: AlgebraMorphism):
         self.tower = tower
-        self.delta_table = delta      # idx -> TensorElement (tower, tower)
-        self.counit_table = counit    # idx -> Scalar
-        self.antipode_table = antipode  # idx -> NCPoly
-        self._delta_mono = {}
-        self._antipode_mono = {}
+        self.coproduct_map = coproduct_map
+        self.counit_table = counit_table  # idx -> Scalar
+        self.antipode_map = antipode_map
         for j, g in enumerate(tower.generators):
             if g.invertible:
-                d = delta[j]
-                if len(d.terms) != 1:
+                if len(coproduct_map.images[j].terms) != 1:
                     raise TowerError(
                         f"coproduct of invertible generator {g.name} must be a "
                         "monomial tensor"
                     )
-                if not counit[j]:
+                if not counit_table[j]:
                     raise TowerError(f"counit of invertible {g.name} must be a unit")
-                if not antipode[j].is_invertible_monomial():
+                if not antipode_map.images[j].is_invertible_monomial():
                     raise TowerError(
                         f"antipode of invertible generator {g.name} must be an "
                         "invertible monomial"
@@ -289,23 +384,7 @@ class HopfStructure:
 
     # -- structure maps ------------------------------------------------------
     def coproduct(self, x: NCPoly) -> TensorElement:
-        return TensorElement((self.tower, self.tower), collect(
-            (m, c * c2)
-            for mono, c in x.terms.items()
-            for m, c2 in self._delta_of_mono(mono).terms.items()
-        ))
-
-    def _delta_of_mono(self, mono) -> TensorElement:
-        hit = self._delta_mono.get(mono)
-        if hit is not None:
-            return hit
-        legs = (self.tower, self.tower)
-        out = TensorElement.unit(legs)
-        for j, e in enumerate(mono):
-            if e:
-                out = out * (self.delta_table[j] ** e)
-        self._delta_mono[mono] = out
-        return out
+        return self.coproduct_map.apply(x)
 
     def counit(self, x: NCPoly) -> Scalar:
         ctx = self.tower.context
@@ -319,23 +398,7 @@ class HopfStructure:
         return total
 
     def antipode(self, x: NCPoly) -> NCPoly:
-        return NCPoly(self.tower, collect(
-            (m, c * c2)
-            for mono, c in x.terms.items()
-            for m, c2 in self._antipode_of_mono(mono).terms.items()
-        ))
-
-    def _antipode_of_mono(self, mono) -> NCPoly:
-        hit = self._antipode_mono.get(mono)
-        if hit is not None:
-            return hit
-        p = NCPoly.one(self.tower)
-        for j in range(len(mono) - 1, -1, -1):
-            e = mono[j]
-            if e:
-                p = p * (self.antipode_table[j] ** e)
-        self._antipode_mono[mono] = p
-        return p
+        return self.antipode_map.apply(x)
 
     def star(self, x: NCPoly) -> NCPoly:
         return star_apply(x, self.tower)
@@ -349,34 +412,21 @@ class HopfStructure:
 
 
 def load_hopf(tower: OreTower, spec: dict) -> HopfStructure:
-    """Attach the Hopf tables given as grammar expressions."""
-    delta = {}
+    """Attach the Hopf tables given as grammar expressions; each table
+    names every generator of the tower and no other."""
+    delta = AlgebraMorphism.load(tower, (tower, tower), spec["delta"])
     counit = {}
-    antipode = {}
-    legs = (tower, tower)
-    for gname, expr in spec["delta"].items():
-        j = tower.gen_index(gname)
-        val = exprio.elaborate_expr(exprio.parse_expr(expr), legs)
-        if isinstance(val, NCPoly):
-            raise TowerError(f"coproduct of {gname} must be a tensor expression")
-        delta[j] = val
     for gname, expr in spec["counit"].items():
         j = tower.gen_index(gname)
-        p = tower.poly(expr)
-        s = p.as_scalar()
+        if j is None:
+            raise TowerError(f"counit of unknown generator {gname!r}")
+        s = tower.poly(expr).as_scalar()
         if s is None:
             raise TowerError(f"counit of {gname} must be scalar")
         counit[j] = s
-    for gname, expr in spec["antipode"].items():
-        j = tower.gen_index(gname)
-        antipode[j] = tower.poly(expr)
-    missing = [
-        g.name
-        for j, g in enumerate(tower.generators)
-        if j not in delta or j not in counit or j not in antipode
-    ]
-    if missing:
-        raise TowerError(f"hopf tables missing generators: {missing}")
+    if len(counit) != tower.nlevels:
+        raise TowerError("counit table must give a value for every generator")
+    antipode = AlgebraMorphism.load(tower, tower, spec["antipode"], reverse=True)
     return HopfStructure(tower, delta, counit, antipode)
 
 
@@ -431,46 +481,43 @@ def respects_relations_report(
         Delta(lhs) = Delta(rhs), eps(lhs) = eps(rhs), S(lhs) = S(rhs)
         and (lhs)* = (rhs)*
 
-    where the maps are applied to the *word* side antimultiplicatively
-    (S and star reverse products).  ``star_status_on_fail`` lets callers
+    where the image of the *word* side is the product of the generator
+    images (``AlgebraMorphism.word_image``; S and star reverse products).
+    ``star_status_on_fail`` lets callers
     classify a star mismatch as a reported discrepancy when the printed
     star table itself is under scrutiny."""
     rep = CheckReport(suite)
-    rules = tower.derived_rules()
-    for word, rhs in rules:
-        wname = "*".join(
-            f"{tower.generators[j].name}^{e}" if e != 1 else tower.generators[j].name
-            for j, e in word
-        )
-        factors = [NCPoly.generator(tower, j, e) for j, e in word]
+    star = star_map(tower) if tower.star_table is not None else None
+    for word, rhs in tower.derived_rules():
+        wname = _word_name(tower, word)
         if H is not None:
-            d_lhs = None
-            for f in factors:
-                df = H.coproduct(f)
-                d_lhs = df if d_lhs is None else d_lhs * df
-            _cmp(rep, f"delta-on[{wname}]", d_lhs, H.coproduct(rhs))
+            _cmp(
+                rep,
+                f"delta-on[{wname}]",
+                H.coproduct_map.word_image(word),
+                H.coproduct(rhs),
+            )
             e_lhs = tower.context.one
-            for f in factors:
-                e_lhs = e_lhs * H.counit(f)
+            for j, e in word:
+                e_lhs = e_lhs * H.counit_table[j] ** e
             _cmp(
                 rep,
                 f"counit-on[{wname}]",
                 NCPoly.constant(tower, e_lhs),
                 NCPoly.constant(tower, H.counit(rhs)),
             )
-            s_lhs = NCPoly.one(tower)
-            for f in factors:  # S reverses products
-                s_lhs = H.antipode(f) * s_lhs
-            _cmp(rep, f"antipode-on[{wname}]", s_lhs, H.antipode(rhs))
-        if tower.star_table is not None:
-            st_lhs = NCPoly.one(tower)
-            for f in factors:  # star reverses products
-                st_lhs = star_apply(f) * st_lhs
+            _cmp(
+                rep,
+                f"antipode-on[{wname}]",
+                H.antipode_map.word_image(word),
+                H.antipode(rhs),
+            )
+        if star is not None:
             _cmp(
                 rep,
                 f"star-on[{wname}]",
-                st_lhs,
-                star_apply(rhs),
+                star.word_image(word),
+                star.apply(rhs),
                 fail_status=star_status_on_fail,
             )
     return rep

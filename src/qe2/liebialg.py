@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exprio
-from .ncalg import OreTower, collect, solve_affine
+from .ncalg import AffineSolutions, OreTower, collect, solve_affine
 from .poisson import PoissonStructure
 from .report import FAIL, PASS, CheckReport
 from .scalars import Scalar, ScalarContext
@@ -256,7 +256,7 @@ def lie_from_group(tower: OreTower, hopf, names: Optional[Sequence[str]] = None)
         [[ctx.zero] * n for _ in range(n)] for _ in range(n)
     ]  # B[k][a][b]
     for k in range(n):
-        dval = hopf.delta_table[k]
+        dval = hopf.coproduct_map.images[k]
         const = ctx.zero
         lin_left = [ctx.zero] * n
         lin_right = [ctx.zero] * n
@@ -405,18 +405,10 @@ def cocycle_cojacobi_report(
 
 
 @dataclass
-class CoboundarySolution:
+class CoboundarySolution(AffineSolutions):
     pairs: list                 # wedge index pairs (i, j), i < j
     particular: Optional[list]  # Scalar coefficients, None if empty
     nullspace: list
-
-    @property
-    def empty(self):
-        return self.particular is None
-
-    @property
-    def dimension(self):
-        return len(self.nullspace) if self.particular is not None else -1
 
     def witness(self, ctx, dim) -> Optional[WedgeBivector]:
         if self.particular is None:
@@ -426,14 +418,8 @@ class CoboundarySolution:
         )
 
     def contains(self, ctx, candidate: WedgeBivector) -> bool:
-        if self.particular is None:
-            return False
         vec = [candidate.coeffs.get(p, ctx.zero) for p in self.pairs]
-        diff = [a - b for a, b in zip(vec, self.particular)]
-        if not self.nullspace:
-            return all(not d for d in diff)
-        rows = [[nv[i] for nv in self.nullspace] for i in range(len(diff))]
-        return solve_affine(rows, diff, ctx) is not None
+        return self.contains_solution(vec, ctx)
 
 
 def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
@@ -456,8 +442,7 @@ def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
     sol = solve_affine(rows, rhs, ctx)
     if sol is None:
         return CoboundarySolution(pairs, None, [])
-    particular, nullspace = sol
-    out = CoboundarySolution(pairs, particular, nullspace)
+    out = CoboundarySolution(pairs, *sol)
     # self-consistency: the witness reproduces delta
     w = out.witness(ctx, n)
     for k in range(n):

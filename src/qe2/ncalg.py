@@ -346,6 +346,7 @@ class OreTower:
         # {legs -> {(monomial tuple, monomial tuple) -> terms}} for tensor
         # products over legs that start with this tower (hopf.TensorElement)
         self._tensor_mul = {}
+        self._star_map = None  # the star table as a hopf.AlgebraMorphism
         self._sigma_pow = {}
         self._delta_pow = {}
         self._sigma_hat = {}
@@ -731,6 +732,29 @@ def solve_affine(rows, rhs, ctx):
             vec[c] = -mat[rr][fc]
         null.append(vec)
     return coeffs, null
+
+
+class AffineSolutions:
+    """Mixin for the solution set ``particular + span(nullspace)`` of a
+    linear system, as returned by ``solve_affine``; ``particular`` is None
+    when the system has no solution."""
+
+    @property
+    def empty(self):
+        return self.particular is None
+
+    @property
+    def dimension(self):
+        return len(self.nullspace) if self.particular is not None else -1
+
+    def contains_solution(self, vec, ctx) -> bool:
+        if self.particular is None:
+            return False
+        diff = [a - b for a, b in zip(vec, self.particular)]
+        if not self.nullspace:
+            return all(not d for d in diff)
+        rows = [[nv[i] for nv in self.nullspace] for i in range(len(diff))]
+        return solve_affine(rows, diff, ctx) is not None
 
 
 def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> Optional[SpanSolution]:

@@ -9,8 +9,11 @@ gives the bracket of two monomials in closed form,
 (Laurent exponents included, which realizes {v^-1, f} = -v^-2 {v, f}).
 Each structure keeps these as a bracket table, {(a, b) -> terms}, filled
 the first time a pair is met, and :meth:`PoissonStructure.bracket` is the
-bilinear kernel of ``ncalg`` over that table.  Morphisms into tensor
-squares carry the product structure
+bilinear kernel of ``ncalg`` over that table.
+
+The maps checked here are :class:`qe2.hopf.AlgebraMorphism` instances: a
+Hopf structure's coproduct map, and the coactions and projections of the
+presets.  Morphisms into tensor squares carry the product structure
 
     {a (x) x, b (x) y} = {a,b} (x) xy + ab (x) {x,y}
 
@@ -25,8 +28,17 @@ from operator import add
 from typing import Optional, Sequence
 
 from . import exprio
-from .hopf import TensorElement
-from .ncalg import NCPoly, OreTower, TowerError, bilinear, collect, pin_unit
+from .hopf import AlgebraMorphism, TensorElement
+from .ncalg import (
+    AffineSolutions,
+    NCPoly,
+    OreTower,
+    bilinear,
+    collect,
+    pin_unit,
+    solve_affine,
+    span_solve,
+)
 from .report import FAIL, PASS, CheckReport
 from .scalars import GaussRational
 
@@ -143,101 +155,6 @@ def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-class AlgebraMorphism:
-    """Algebra map determined by generator images; the target is a tower
-    or a tuple of towers (tensor legs)."""
-
-    def __init__(self, source: OreTower, target, images):
-        self.source = source
-        self.target = target
-        self.tensor = isinstance(target, tuple)
-        imgs = {}
-        for gname, val in images.items():
-            idx = source.gen_index(gname)
-            if idx is None:
-                raise TowerError(f"morphism image for unknown generator {gname!r}")
-            imgs[idx] = val
-        if len(imgs) != source.nlevels:
-            raise TowerError("morphism must give an image for every generator")
-        self.images = imgs
-        self._mono_cache = {}
-
-    @classmethod
-    def load(cls, source: OreTower, target, images_spec: dict) -> "AlgebraMorphism":
-        images = {}
-        for gname, expr in images_spec.items():
-            ast = exprio.parse_expr(expr)
-            images[gname] = exprio.elaborate_expr(
-                ast, target if isinstance(target, tuple) else target
-            )
-        return cls(source, target, images)
-
-    def _unit(self):
-        if self.tensor:
-            return TensorElement.unit(self.target)
-        return NCPoly.one(self.target)
-
-    def apply(self, x: NCPoly):
-        if x.tower is not self.source:
-            raise TowerError("element not in the morphism source")
-        terms = collect(
-            (m, c * c2)
-            for mono, c in x.terms.items()
-            for m, c2 in self._apply_mono(mono).terms.items()
-        )
-        if self.tensor:
-            return TensorElement(self.target, terms)
-        return NCPoly(self.target, terms)
-
-    def _apply_mono(self, mono):
-        hit = self._mono_cache.get(mono)
-        if hit is not None:
-            return hit
-        out = self._unit()
-        for j, e in enumerate(mono):
-            if e:
-                out = out * (self.images[j] ** e)
-        self._mono_cache[mono] = out
-        return out
-
-    def validate(self, suite="morphism") -> CheckReport:
-        """Images must satisfy every derived relation of the source, and
-        invertible generators need invertible images."""
-        rep = CheckReport(suite)
-        for word, rhs in self.source.derived_rules():
-            wname = "*".join(
-                f"{self.source.generators[j].name}^{e}"
-                if e != 1
-                else self.source.generators[j].name
-                for j, e in word
-            )
-            try:
-                lhs_img = self._unit()
-                for j, e in word:
-                    lhs_img = lhs_img * (self.images[j] ** e)
-                rhs_img = self.apply(rhs)
-            except TowerError as e:
-                rep.add(f"respects[{wname}]", status=FAIL, witness=str(e))
-                continue
-            ok = lhs_img == rhs_img
-            rep.add(
-                f"respects[{wname}]",
-                status=PASS if ok else FAIL,
-                lhs=exprio.format_canonical(lhs_img),
-                rhs=exprio.format_canonical(rhs_img),
-            )
-        return rep
-
-
-def morphism_from_hopf(H) -> AlgebraMorphism:
-    """The coproduct as an algebra morphism into the tensor square."""
-    tower = H.tower
-    images = {
-        tower.generators[j].name: H.delta_table[j] for j in range(tower.nlevels)
-    }
-    return AlgebraMorphism(tower, (tower, tower), images)
-
-
 def tensor_bracket(
     t1: TensorElement,
     t2: TensorElement,
@@ -311,36 +228,17 @@ def poisson_morphism_report(
 
 
 @dataclass
-class CovariantFamily:
+class CovariantFamily(AffineSolutions):
     ansatz: list              # candidate bracket monomials (NCPoly)
     particular: Optional[list]  # Scalars, or None when no solution exists
     nullspace: list           # list of Scalar vectors
 
-    @property
-    def dimension(self):
-        return len(self.nullspace) if self.particular is not None else -1
-
-    @property
-    def empty(self):
-        return self.particular is None
-
     def contains_vector(self, vec) -> bool:
-        if self.particular is None:
-            return False
-        ctx = self.ansatz[0].tower.context
-        diff = [a - b for a, b in zip(vec, self.particular)]
-        if not self.nullspace:
-            return all(not d for d in diff)
-        rows = [[nv[i] for nv in self.nullspace] for i in range(len(diff))]
-        from .ncalg import solve_affine
-
-        return solve_affine(rows, diff, ctx) is not None
+        return self.contains_solution(vec, self.ansatz[0].tower.context)
 
     def contains_bracket(self, value: NCPoly) -> bool:
         """Decompose a candidate bracket over the ansatz monomials and test
         the affine system."""
-        from .ncalg import span_solve
-
         sol = span_solve(value, self.ansatz)
         if sol is None:
             return False
@@ -404,13 +302,7 @@ def covariant_family_solve(
     zero = ctx.zero
     mat = [[col.terms.get(m, zero) for col in cols] for m in rows]
     rhs = [gpart.terms.get(m, zero) for m in rows]
-    from .ncalg import solve_affine
-
-    sol = solve_affine(mat, rhs, ctx)
-    if sol is None:
-        return CovariantFamily(list(ansatz), None, [])
-    particular, nullspace = sol
-    return CovariantFamily(list(ansatz), particular, nullspace)
+    return CovariantFamily(list(ansatz), *(solve_affine(mat, rhs, ctx) or (None, [])))
 
 
 # ---------------------------------------------------------------------------

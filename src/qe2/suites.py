@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from . import catalog, exprio
-from .hopf import hopf_axioms_report, respects_relations_report
+from .hopf import AlgebraMorphism, hopf_axioms_report, respects_relations_report
 from .homspace import (
     coideal_report,
     coinvariance_check,
@@ -32,6 +32,7 @@ from .liebialg import (
 )
 from .ncalg import (
     NCPoly,
+    commutator,
     diamond_check,
     graded_degree,
     load_tower,
@@ -39,10 +40,10 @@ from .ncalg import (
     span_solve,
 )
 from .poisson import (
+    PoissonStructure,
     covariant_family_solve,
     hamiltonian_fields,
     jacobi_report,
-    morphism_from_hopf,
     poisson_ideal_check,
     poisson_matrix_rank,
     poisson_morphism_report,
@@ -80,14 +81,16 @@ def _ok(rep, check_id, anchor, condition, lhs="", rhs="", witness_fail=""):
     )
 
 
-def _discrepancy(rep, check_id, anchor, engine, printed, note):
+def _printed(rep, check_id, anchor, agrees, engine, printed, note):
+    """Record an engine value against the manuscript's printed one: pass
+    when they agree, else a discrepancy explained by ``note``."""
     rep.add(
         check_id,
         anchor=anchor,
-        status=DISCREPANCY,
+        status=PASS if agrees else DISCREPANCY,
         lhs=engine,
         rhs=printed,
-        witness=note,
+        witness="" if agrees else note,
     )
 
 
@@ -102,21 +105,25 @@ def suite_jacobi(rep: CheckReport, degree_bound: int):
     _summarize(rep, "jacobi-std-poisson", "Prop. 2.2", jacobi_report(std.poisson))
     _summarize(rep, "jacobi-nonstd-poisson", "Sec. 3", jacobi_report(nonstd.poisson))
     t = std.tower
-    _discrepancy(
+    engine = std.poisson.bracket(t.gen("n"), t.gen("nb"))
+    _printed(
         rep,
         "bracket-table-std-n-nb",
         "Sec. 2",
-        exprio.format_canonical(std.poisson.bracket(t.gen("n"), t.gen("nb"))),
+        engine == t.poly("n*nb"),
+        exprio.format_canonical(engine),
         "n*nb",
         "multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
         "with the displayed sign the coproduct is not a Poisson morphism",
     )
     tn = nonstd.tower
-    _discrepancy(
+    engine = nonstd.poisson.bracket(tn.gen("n"), tn.gen("nb"))
+    _printed(
         rep,
         "bracket-table-nonstd-n-nb",
         "Sec. 3",
-        exprio.format_canonical(nonstd.poisson.bracket(tn.gen("n"), tn.gen("nb"))),
+        engine == tn.poly("omega*n - omega*nb"),
+        exprio.format_canonical(engine),
         "omega*n - omega*nb",
         "the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
         "leaves the cyclic sum 2*omega^2*(v-1)^2",
@@ -131,8 +138,9 @@ def suite_jacobi(rep: CheckReport, degree_bound: int):
 def suite_multiplicativity(rep: CheckReport, degree_bound: int):
     for pid, anchor in (("std-poisson", "Prop. 2.2"), ("nonstd-poisson", "Sec. 3")):
         b = catalog.get_preset(pid)
-        phi = morphism_from_hopf(b.hopf)
-        sub = poisson_morphism_report(phi, b.poisson, (b.poisson, b.poisson))
+        sub = poisson_morphism_report(
+            b.hopf.coproduct_map, b.poisson, (b.poisson, b.poisson)
+        )
         _summarize(rep, f"multiplicativity-{pid}", anchor, sub)
 
 
@@ -149,18 +157,17 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
     _summarize(rep, "covariance-plane-coaction-k-symbolic", "Prop. 2.6", sub)
 
     space, group = cp.space_tower, cp.group_tower
-    from .poisson import AlgebraMorphism, PoissonStructure
-
     literal = AlgebraMorphism.load(
         space,
         (group, space),
         {"z": "v (x) z + n (x) 1", "zb": "vb (x) zb + nb (x) 1"},
     )
     literal_fam = covariant_family_solve(literal, cp.group_poisson, cp.ansatz)
-    _discrepancy(
+    _printed(
         rep,
         "covariance-plane-orientation",
         "Cor. 2.4 / Prop. 2.6",
+        literal_fam.contains_bracket(space.poly("z*zb + k")),
         "alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
         "alpha(z) = v (x) z + n (x) 1 (z paired with n)",
         "the displayed pairing admits no covariant bracket at all "
@@ -185,19 +192,18 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
 
     cc = catalog.get_preset("coaction-cylinder")
     engine_member = cc.space_tower.poly(cc.raw["engine_family_member"])
-    from .poisson import PoissonStructure as PS
-
-    p_m = PS(cc.space_tower, {(0, 1): engine_member})
+    p_m = PoissonStructure(cc.space_tower, {(0, 1): engine_member})
     sub = poisson_morphism_report(cc.coaction, p_m, (cc.group_poisson, p_m))
     _summarize(rep, "covariance-cylinder-engine-member", "Prop. 3.2", sub)
 
     nonstd = catalog.get_preset("nonstd-poisson")
     tn = nonstd.tower
     engine_bracket = nonstd.poisson.bracket(tn.gen("v"), tn.poly("vb*nb - v*n"))
-    _discrepancy(
+    _printed(
         rep,
         "prop32-bracket-printed",
         "Prop. 3.2",
+        engine_bracket == tn.poly("-omega*(v^2 - 1)"),
         exprio.format_canonical(engine_bracket),
         "-omega*(v^2 - 1)",
         "Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
@@ -256,26 +262,17 @@ def suite_families(rep: CheckReport, degree_bound: int):
         rhs="one-parameter affine family",
         witness_fail="cylinder family mismatch",
     )
-    printed = sp.poly(cc.raw["printed_family"])
-    if fam_c.contains_bracket(printed):
-        rep.add(
-            "family-cylinder-printed-member",
-            anchor="Prop. 3.5",
-            status=PASS,
-            lhs=cc.raw["printed_family"],
-            rhs="member of the solved family",
-        )
-    else:
-        _discrepancy(
-            rep,
-            "family-cylinder-printed-member",
-            "Prop. 3.5",
-            "solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
-            "omega*(v-1)^2 + k*v",
-            cc.raw["printed_family"],
-            "the displayed family -omega*(v^2-1) + k solves the covariance "
-            "identity for no value of the free coefficient",
-        )
+    _printed(
+        rep,
+        "family-cylinder-printed-member",
+        "Prop. 3.5",
+        fam_c.contains_bracket(sp.poly(cc.raw["printed_family"])),
+        "solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
+        "omega*(v-1)^2 + k*v",
+        cc.raw["printed_family"],
+        "the displayed family -omega*(v^2-1) + k solves the covariance "
+        "identity for no value of the free coefficient",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +388,16 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
     printed_ok, witness = fstd.relation_holds(
         {"v": ts.poly("v*n*nb"), "n": ts.poly("nb"), "nb": ts.poly("n")}
     )
-    if printed_ok:
-        rep.add("field-relation-std-printed", anchor="Rem. 2.3", status=PASS)
-    else:
-        _discrepancy(
-            rep,
-            "field-relation-std-printed",
-            "Rem. 2.3",
-            "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
-            "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
-            f"displayed combination does not vanish ({witness}); the geometric "
-            "conclusion (generic rank 2) verifies via the engine relation",
-        )
+    _printed(
+        rep,
+        "field-relation-std-printed",
+        "Rem. 2.3",
+        printed_ok,
+        "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
+        "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
+        f"displayed combination does not vanish ({witness}); the geometric "
+        "conclusion (generic rank 2) verifies via the engine relation",
+    )
 
     tn = nonstd.tower
     fns = hamiltonian_fields(nonstd.poisson)
@@ -420,18 +415,16 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
     printed_ok, witness = fns.relation_holds(
         {"n": tn.poly("v - v^2"), "nb": tn.poly("v - 1"), "v": tn.poly("nb - n")}
     )
-    if printed_ok:
-        rep.add("field-relation-nonstd-printed", anchor="Rem. 3.1", status=PASS)
-    else:
-        _discrepancy(
-            rep,
-            "field-relation-nonstd-printed",
-            "Rem. 3.1",
-            "vanishing combination carries (n - nb) on X_v",
-            "displayed combination carries (nb - n) on X_v",
-            f"displayed combination does not vanish under the corrected bracket "
-            f"table ({witness})",
-        )
+    _printed(
+        rep,
+        "field-relation-nonstd-printed",
+        "Rem. 3.1",
+        printed_ok,
+        "vanishing combination carries (n - nb) on X_v",
+        "displayed combination carries (nb - n) on X_v",
+        f"displayed combination does not vanish under the corrected bracket "
+        f"table ({witness})",
+    )
 
     # Poisson subgroup loci
     circle = catalog.get_preset("quotient-circle")
@@ -514,10 +507,11 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
     ref = catalog.get_preset("nonstd-bialg").cocommutator
     engine_txt = "delta(P2) = -omega P2^P1  (= -2*omega X^Y)"
     if dp2 == ref.of(1) - ref.of(2):
-        _discrepancy(
+        _printed(
             rep,
             "bialg-delta-p2-printed",
             "Sec. 3",
+            dp2 == WedgeBivector(ctxn, 3, {(1, 2): w + w}),  # +omega P2^P1
             engine_txt,
             "delta(P2) = +omega P2^P1",
             "sign differs from the display under P1 = X+Y, P2 = X-Y; the "
@@ -526,10 +520,12 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
     else:
         rep.add("bialg-delta-p2-printed", anchor="Sec. 3", status=FAIL,
                 lhs=dp2.text(LIE_NAMES), rhs="-omega P2^P1")
-    _discrepancy(
+    printed_r = WedgeBivector(ctxn, 3, {(0, 1): w, (0, 2): -w})  # omega J^P2
+    _printed(
         rep,
         "bialg-delta-j-printed",
         "Sec. 3",
+        d_ns.of(0) == printed_r,
         f"delta(J) = {d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
         "delta(J) = omega J^P2",
         "the linearized delta(J) is proportional to J^P1, not J^P2, under "
@@ -556,7 +552,6 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
     )
     g_ns = lie_from_group(nonstd.tower, nonstd.hopf, names=LIE_NAMES)
     sol_ns = coboundary_solve(g_ns, d_ns)
-    printed_r = WedgeBivector(ctxn, 3, {(0, 1): w, (0, 2): -w})
     _ok(
         rep,
         "bialg-coboundary-nonstd-rmatrix",
@@ -609,10 +604,11 @@ def suite_diamond(rep: CheckReport, degree_bound: int):
         rep.add("tower-printed-nonstd-sign", anchor="Sec. 3 / Sec. 4", status=FAIL,
                 witness="printed tower unexpectedly confluent")
     else:
-        _discrepancy(
+        _printed(
             rep,
             "tower-printed-nonstd-sign",
             "Sec. 3 / Sec. 4",
+            False,  # the printed tower is not confluent
             "engine tower: sigma(n) = n - omega, delta(n) = omega*n "
             "([n,nb] = omega*(nb-n)) is confluent",
             "displayed commutator [n,nb] = omega*(n-nb) quantizes to a "
@@ -649,10 +645,11 @@ def suite_relations(rep: CheckReport, degree_bound: int):
     sub = respects_relations_report(qc.tower, None, star_status_on_fail=DISCREPANCY)
     if sub.worst == DISCREPANCY:
         bad = next(r for r in sub.records if r.status == DISCREPANCY)
-        _discrepancy(
+        _printed(
             rep,
             "relations-quantum-cylinder-star",
             "Def. 4.1",
+            False,  # a star-on record differs
             bad.lhs_canonical,
             bad.rhs_canonical,
             "the displayed star table (m* = -m) is inconsistent with the "
@@ -666,29 +663,27 @@ def suite_relations(rep: CheckReport, degree_bound: int):
     # Def. 4.1's second displayed relation vs the rule derived from the first
     engine_rhs = qc.tower.poly("m*vb")
     printed_rhs = qc.tower.poly("vb*m + omega*vb - omega*vb^2")
-    derived_text = exprio.format_canonical(engine_rhs)
-    if engine_rhs == printed_rhs:
-        rep.add("def41-second-relation-printed", anchor="Def. 4.1", status=PASS)
-    else:
-        _discrepancy(
-            rep,
-            "def41-second-relation-printed",
-            "Def. 4.1",
-            f"m*vb = {derived_text}  (vb*m = m*vb + omega*(1 - vb^2))",
-            "vb*m = m*vb + omega*(vb - vb^2)",
-            "the displayed second relation contradicts the one derived from "
-            "v*vb = 1 and the first relation",
-        )
+    _printed(
+        rep,
+        "def41-second-relation-printed",
+        "Def. 4.1",
+        engine_rhs == printed_rhs,
+        f"m*vb = {exprio.format_canonical(engine_rhs)}  "
+        "(vb*m = m*vb + omega*(1 - vb^2))",
+        "vb*m = m*vb + omega*(vb - vb^2)",
+        "the displayed second relation contradicts the one derived from "
+        "v*vb = 1 and the first relation",
+    )
 
     amb = catalog.get_preset("qe2-nonstd").tower
-    from .ncalg import commutator
-
     embedded = commutator(amb.gen("v"), amb.poly("vb*nb - v*n"))
     standalone = commutator(qc.tower.gen("v"), qc.tower.gen("m"))
-    _discrepancy(
+    embed = AlgebraMorphism.load(qc.tower, amb, qc.raw["embedding"]["images"])
+    _printed(
         rep,
         "def41-first-relation-vs-embedded",
         "Def. 4.1 / Prop. 3.2",
+        embed.apply(standalone) == embedded,
         f"embedded [v, vb*nb - v*n] = {exprio.format_canonical(embedded)}",
         f"standalone [v, m] = {exprio.format_canonical(standalone)}",
         "the standalone cylinder uses the displayed bracket; the embedded "
@@ -822,10 +817,11 @@ def suite_closure(rep: CheckReport, degree_bound: int):
         rhs="n does not belong to the closure",
     )
     residual = coinvariance_residual(m, pi, H, "left")
-    _discrepancy(
+    _printed(
         rep,
         "closure-coinvariance-side-printed",
         "Prop. 4.4",
+        residual.is_zero(),
         "(id (x) pi) Delta(m) = m (x) 1 holds (right coinvariant)",
         "(pi (x) id) Delta(m) = 1 (x) m as displayed",
         "the displayed left-side computation regroups terms across the tensor "
@@ -872,18 +868,16 @@ def suite_closure(rep: CheckReport, degree_bound: int):
         rhs="v - 1",
     )
     s_m = sig1["(S^1 - eps)(m)"]
-    if s_m == amb.poly("n - nb"):
-        rep.add("closure-sigma-m-printed", anchor="Prop. 4.4", status=PASS)
-    else:
-        _discrepancy(
-            rep,
-            "closure-sigma-m-printed",
-            "Prop. 4.4",
-            exprio.format_canonical(s_m),
-            "n - nb",
-            "difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
-            "closure conclusion is unaffected",
-        )
+    _printed(
+        rep,
+        "closure-sigma-m-printed",
+        "Prop. 4.4",
+        s_m == amb.poly("n - nb"),
+        exprio.format_canonical(s_m),
+        "n - nb",
+        "difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
+        "closure conclusion is unaffected",
+    )
     _ok(
         rep,
         "closure-s-n-minus-nb",
@@ -893,10 +887,11 @@ def suite_closure(rep: CheckReport, degree_bound: int):
         rhs="vb*nb - v*n  (= m)",
     )
     engine_sv = H.antipode(amb.poly("v - 1"))
-    _discrepancy(
+    _printed(
         rep,
         "closure-s-v-minus-1-sign",
         "Prop. 4.4",
+        engine_sv == amb.poly("-vb*(1 - v)"),
         exprio.format_canonical(engine_sv),
         "-vb*(1 - v)  (= 1 - vb)",
         "overall sign differs from the display; immaterial to ideal membership",

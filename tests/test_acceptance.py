@@ -7,6 +7,7 @@ outcome: the engine value is asserted exactly and the displayed value is
 recorded as a discrepancy (never silently skipped, never a failure).
 """
 
+import dataclasses
 import time
 
 from qe2 import catalog, exprio, suites
@@ -34,14 +35,14 @@ from qe2.ncalg import (
     span_solve,
 )
 from qe2.poisson import (
+    PoissonStructure,
     covariant_family_solve,
     hamiltonian_fields,
     jacobi_report,
-    morphism_from_hopf,
     poisson_matrix_rank,
     poisson_morphism_report,
 )
-from qe2.report import DISCREPANCY, FAIL, PASS
+from qe2.report import DISCREPANCY, FAIL, PASS, CheckReport
 from qe2.scalars import GaussRational
 
 LIE_NAMES = ("J", "X", "Y")
@@ -82,7 +83,7 @@ def test_criterion_02_multiplicativity():
     with _Clock(2.0) as c:
         for pid in ("std-poisson", "nonstd-poisson"):
             b = catalog.get_preset(pid)
-            phi = morphism_from_hopf(b.hopf)
+            phi = b.hopf.coproduct_map
             assert poisson_morphism_report(phi, b.poisson, (b.poisson, b.poisson)).clean
     _line(2, f"the coproduct is a Poisson morphism for both structures "
              f"({c.elapsed:.2f}s)")
@@ -327,6 +328,26 @@ def test_criterion_12_discrepancy_ledger():
     assert rep.counts[FAIL] == 0
     _line(12, f"`all` suite emits {rep.counts[DISCREPANCY]} discrepancy records, "
               f"0 failures; exit code {rep.exit_code()}")
+
+
+def test_discrepancy_ledger_passes_an_agreeing_printed_value(monkeypatch):
+    # with the displayed table {n,nb} = n*nb the engine agrees with the
+    # printed value, so the record is a pass, not a discrepancy
+    std = catalog.get_preset("std-poisson")
+    table = {**std.raw["poisson"], "n,nb": "n*nb"}
+    printed = dataclasses.replace(
+        std, poisson=PoissonStructure.load(std.tower, table)
+    )
+    real = catalog.get_preset
+    monkeypatch.setattr(
+        catalog, "get_preset", lambda pid: printed if pid == "std-poisson" else real(pid)
+    )
+    rep = CheckReport("jacobi")
+    suites.suite_jacobi(rep, 4)
+    rec = next(r for r in rep.records if r.check_id == "bracket-table-std-n-nb")
+    assert rec.status == PASS
+    assert rec.lhs_canonical == rec.rhs_canonical == "n*nb"
+    assert rec.witness == ""
 
 
 def test_criterion_13_determinism():

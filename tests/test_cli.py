@@ -8,6 +8,8 @@ from qe2.cli import main
 from qe2.hopf import HopfStructure
 from qe2.ncalg import TowerError
 
+from conftest import preset_dict
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -174,27 +176,52 @@ def test_zero_denominator_is_usage_error(capsys, argv, offset):
     assert f"offset {offset}" in err
 
 
-def test_bad_file_presentation_is_usage_error(capsys, tmp_path):
-    # the wrong (n, nb) sign makes the tower fail its diamond check at load
-    desc = {
-        "name": "printed",
-        "parameters": [{"name": "omega", "star": "negated"}],
-        "tower": [
-            {"gen": "v", "invertible": True},
-            {"gen": "n", "sigma": {"v": "v"}, "delta": {"v": "omega*v - omega"}},
-            {
-                "gen": "nb",
-                "sigma": {"v": "v", "n": "n + omega"},
-                "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
-            },
-        ],
-    }
-    f = tmp_path / "printed.json"
+# the wrong (n, nb) sign makes the tower fail its diamond check at load
+PRINTED_TOWER = {
+    "name": "printed",
+    "parameters": [{"name": "omega", "star": "negated"}],
+    "tower": [
+        {"gen": "v", "invertible": True},
+        {"gen": "n", "sigma": {"v": "v"}, "delta": {"v": "omega*v - omega"}},
+        {
+            "gen": "nb",
+            "sigma": {"v": "v", "n": "n + omega"},
+            "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
+        },
+    ],
+}
+
+
+def _unknown_hopf_generator(table):
+    desc = preset_dict("fun-e2")
+    desc["hopf"][table]["zz"] = desc["hopf"][table]["v"]
+    return desc
+
+
+@pytest.mark.parametrize(
+    "desc, reason",
+    [
+        (PRINTED_TOWER, "not confluent"),
+        ({"name": "x", "tower": 5}, '"tower" must be a list'),
+        ([1, 2], "must be a JSON object"),
+    ]
+    + [(_unknown_hopf_generator(t), "'zz'") for t in ("delta", "counit", "antipode")],
+    ids=[
+        "printed-tower",
+        "tower-not-a-list",
+        "not-an-object",
+        "delta-unknown-generator",
+        "counit-unknown-generator",
+        "antipode-unknown-generator",
+    ],
+)
+def test_bad_file_presentation_is_usage_error(capsys, tmp_path, desc, reason):
+    f = tmp_path / "bad.json"
     f.write_text(json.dumps(desc))
     code, out, err = run(capsys, "normal-form", "--file", str(f), "v")
     assert code == 3
     assert out == ""
-    assert "usage error" in err and "not confluent" in err
+    assert "usage error" in err and reason in err
 
 
 def test_engine_error_is_internal_error(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from qe2.homspace import (
     Subalgebra,
     coideal_report,
     coinvariance_check,
+    coinvariance_residual,
     hopf_star_ideal_report,
     ideal_member,
     quotient_check,
@@ -238,6 +239,14 @@ def test_coinvariance_left_side_m_residual(qe2, quotient_i):
     assert coinvariance_check(tower.gen("v"), quotient_i, H, "left")
     assert not coinvariance_check(m, quotient_i, H, "left")
     assert not coinvariance_check(tower.gen("n"), quotient_i, H, "left")
+
+
+@pytest.mark.parametrize("side", ["Left", "middle", ""])
+def test_coinvariance_unknown_side_rejected(qe2, quotient_i, side):
+    tower, H = qe2
+    for f in (coinvariance_check, coinvariance_residual):
+        with pytest.raises(ValueError, match="left' or 'right"):
+            f(tower.gen("v"), quotient_i, H, side)
 
 
 def test_coinvariance_monomials_bounded(qe2, quotient_i):

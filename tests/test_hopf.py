@@ -12,7 +12,7 @@ from qe2.hopf import (
     respects_relations_report,
     star_apply,
 )
-from qe2.ncalg import NCPoly, collect, load_tower, normal_form
+from qe2.ncalg import NCPoly, TowerError, collect, load_tower, normal_form
 from qe2.report import DISCREPANCY, FAIL
 from qe2.scalars import GaussRational
 
@@ -93,13 +93,37 @@ def test_antipode_values(fun_e2, qe2):
     assert QH.antipode(QH.antipode(qt.gen("nb"))) == qt.poly("nb + omega*v - omega")
 
 
+def _random_element(tower, rng):
+    """One to three words of up to three letters (inverse letters
+    included), with coefficients in i and omega."""
+    ctx = tower.context
+    w = ctx.param("omega")
+    out = NCPoly.zero(tower)
+    for _ in range(rng.randint(1, 3)):
+        word = []
+        for _ in range(rng.randint(0, 3)):
+            j = rng.randrange(tower.nlevels)
+            e = rng.choice([-1, 1]) if tower.generators[j].invertible else 1
+            word.append((j, e))
+        c = ctx.from_int(rng.randint(-2, 2)) + ctx.i * ctx.from_int(rng.choice([-1, 1]))
+        c = c + w * ctx.from_int(rng.randint(-1, 1))
+        out = out + normal_form(tower, word).scale(c)
+    return out
+
+
 def test_antipode_antimorphism_random(qe2):
     tower, H = qe2
     rng = random.Random(5)
+    c = tower.context.i + tower.context.param("omega")
     for _ in range(8):
         x = normal_form(tower, [(rng.randrange(3), 1) for _ in range(rng.randint(0, 2))])
         y = normal_form(tower, [(rng.randrange(3), 1) for _ in range(rng.randint(0, 2))])
         assert H.antipode(x * y) == H.antipode(y) * H.antipode(x)
+    for _ in range(8):
+        x, y = _random_element(tower, rng), _random_element(tower, rng)
+        assert H.antipode(x * y) == H.antipode(y) * H.antipode(x)
+        # linear, not antilinear
+        assert H.antipode(x.scale(c)) == H.antipode(x).scale(c)
 
 
 def test_antipode_squared_identity_classical(fun_e2):
@@ -148,10 +172,19 @@ def test_star_involution_random(qe2):
 def test_star_antimorphism_random(qe2):
     qt, _ = qe2
     rng = random.Random(17)
+    ctx = qt.context
     for _ in range(8):
         x = normal_form(qt, [(rng.randrange(3), 1) for _ in range(rng.randint(0, 2))])
         y = normal_form(qt, [(rng.randrange(3), 1) for _ in range(rng.randint(0, 2))])
         assert star_apply(x * y) == star_apply(y) * star_apply(x)
+    # omega* = -omega on this tower, so (i + omega)* = -(i + omega)
+    c = ctx.i + ctx.param("omega")
+    assert c.conjugate() == -c
+    assert star_apply(NCPoly.constant(qt, c)) == NCPoly.constant(qt, -c)
+    for _ in range(8):
+        x, y = _random_element(qt, rng), _random_element(qt, rng)
+        assert star_apply(x * y) == star_apply(y) * star_apply(x)
+        assert star_apply(x.scale(c)) == star_apply(x).scale(-c)
 
 
 # -- axiom reports -----------------------------------------------------------
@@ -161,6 +194,15 @@ def test_hopf_axioms_pass(fun_e2, qe2):
     for tower, H in (fun_e2, qe2):
         rep = hopf_axioms_report(H)
         assert rep.clean, rep.to_text()
+
+
+@pytest.mark.parametrize("table", ["delta", "counit", "antipode"])
+def test_load_hopf_rejects_unknown_generator(table):
+    desc = preset_dict("fun-e2")
+    desc["hopf"][table]["zz"] = desc["hopf"][table]["v"]
+    tower = load_tower(desc)
+    with pytest.raises(TowerError, match="'zz'"):
+        load_hopf(tower, desc["hopf"])
 
 
 def test_hopf_axioms_negative_control():
