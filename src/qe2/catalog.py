@@ -147,14 +147,7 @@ def get_preset(preset_id: str) -> PresetBundle:
             gens["vb"] = amb.tower.poly("v^-1")
             bundle.embedded_ambient = amb
             bundle.embedded_subalgebra = Subalgebra(
-                amb.tower,
-                gens,
-                {
-                    "type": "laurent-times-poly",
-                    "laurent": "v",
-                    "poly": "m",
-                    "counters": ["n", "nb"],
-                },
+                amb.tower, gens, laurent="v", poly="m", counters=("n", "nb")
             )
     elif kind == "quotient":
         bundle.source_id = raw["source"]

@@ -2,6 +2,10 @@
 membership, quotient maps, Hopf-*-ideal verification, coinvariants, and
 the antipode-difference generators of the closure correspondence.
 
+Subalgebra membership is one exact linear system over the candidates
+v^r m^s, with s bounded by the degree of x in the counting generators
+and |r| by its largest |v-exponent| plus s (see :class:`Subalgebra`).
+
 Ideal membership is implemented as kernel membership of a declared
 quotient map; identifying that kernel with the two-sided ideal generated
 by the preset's listed generators is a documented preset-level assumption
@@ -11,7 +15,6 @@ not something the engine re-proves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exprio
@@ -24,107 +27,55 @@ class HomspaceError(ValueError):
     pass
 
 
-@dataclass
-class Decomposition:
-    labels: list     # one label per contributing candidate
-    coefficients: list
-    candidates: list
-
-    def text(self):
-        parts = [
-            f"{c} * {label}"
-            for label, c in zip(self.labels, self.coefficients)
-            if c
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
 class Subalgebra:
-    """Subalgebra of an ambient tower given by generator values and a
-    monomial-bound policy that makes membership finitely decidable.
+    """Subalgebra of an ambient tower generated by an invertible ambient
+    generator v (with its inverse) and one further element m, given by
+    generator values; membership is decided over the candidates v^r m^s.
 
-    Policies:
+    The bounds s <= total degree of x in the counting generators and
+    |r| <= max |v-exponent| + s make membership finitely decidable, and
+    they are sufficient for the shipped cylinder: every m-factor
+    contributes exactly one counting generator (so deg_m is bounded by
+    the counting degree) and multiplying by v^r shifts the v-exponent
+    range by r.
 
-    * ``laurent-times-poly``: the subalgebra is generated by an invertible
-      ambient generator v (with its inverse) and one further element m;
-      candidates are v^r m^s.  The bounds s <= total degree of x in the
-      declared counting generators and |r| <= max |v-exponent| + s are
-      sufficient for the shipped cylinder: every m-factor contributes
-      exactly one counting generator (so deg_m is bounded by the counting
-      degree) and multiplying by v^r shifts the v-exponent range by r.
-    * ``words``: candidates are all products of the listed generators up
-      to the total degree of x (adequate for polynomial subalgebras like
-      the one generated by n).
+    ``laurent`` names the ambient generator v, ``poly`` the entry of
+    ``generators`` that is m, and ``counters`` the counting generators.
     """
 
-    def __init__(self, ambient: OreTower, generators: dict, policy: dict):
+    def __init__(self, ambient: OreTower, generators: dict, laurent: str,
+                 poly: str, counters: Sequence[str]):
         self.ambient = ambient
-        self.generator_names = list(generators)
         self.generators = dict(generators)  # name -> NCPoly
-        self.policy = policy
+        self.laurent = laurent
+        self.poly = poly
+        self.counters = tuple(counters)
 
-    @classmethod
-    def load(cls, ambient: OreTower, spec: dict) -> "Subalgebra":
-        gens = {name: ambient.poly(expr) for name, expr in spec["generators"].items()}
-        return cls(ambient, gens, spec.get("policy", {"type": "words"}))
-
-    # -- candidate enumeration ------------------------------------------------
     def _candidates(self, x: NCPoly):
-        kind = self.policy.get("type", "words")
-        if kind == "laurent-times-poly":
-            vname = self.policy["laurent"]
-            pname = self.policy["poly"]
-            vidx = self.ambient.gen_index(vname)
-            counters = [self.ambient.gen_index(c) for c in self.policy["counters"]]
-            m = self.generators[pname]
-            smax = max(
-                (sum(mono[c] for c in counters) for mono in x.terms), default=0
-            )
-            rmax = max(
-                (abs(mono[vidx]) for mono in x.terms), default=0
-            ) + smax
-            out = []
-            mpow = [NCPoly.one(self.ambient)]
-            for _ in range(smax):
-                mpow.append(mpow[-1] * m)
-            for r in range(-rmax, rmax + 1):
-                vr = NCPoly.generator(self.ambient, vidx, r) if r else NCPoly.one(self.ambient)
-                for s in range(smax + 1):
-                    out.append((f"{vname}^{r}*{pname}^{s}", vr * mpow[s]))
-            return out
-        if kind == "words":
-            bound = self.policy.get(
-                "bound", max((sum(abs(e) for e in mono) for mono in x.terms), default=0)
-            )
-            out = [("1", NCPoly.one(self.ambient))]
-            frontier = [("", NCPoly.one(self.ambient))]
-            for _ in range(bound):
-                new = []
-                for label, p in frontier:
-                    for name in self.generator_names:
-                        q = p * self.generators[name]
-                        lbl = f"{label}*{name}".lstrip("*")
-                        new.append((lbl, q))
-                seen = {str(c[1]) for c in out}
-                for lbl, q in new:
-                    if str(q) not in seen:
-                        out.append((lbl, q))
-                        seen.add(str(q))
-                frontier = new
-            return out
-        raise HomspaceError(f"unknown membership policy {kind!r}")
+        vidx = self.ambient.gen_index(self.laurent)
+        counters = [self.ambient.gen_index(c) for c in self.counters]
+        m = self.generators[self.poly]
+        smax = max((sum(mono[c] for c in counters) for mono in x.terms), default=0)
+        rmax = max((abs(mono[vidx]) for mono in x.terms), default=0) + smax
+        mpow = [NCPoly.one(self.ambient)]
+        for _ in range(smax):
+            mpow.append(mpow[-1] * m)
+        return [
+            (f"{self.laurent}^{r}*{self.poly}^{s}",
+             NCPoly.generator(self.ambient, vidx, r) * mpow[s])
+            for r in range(-rmax, rmax + 1)
+            for s in range(smax + 1)
+        ]
 
 
-def subalgebra_membership(x: NCPoly, B: Subalgebra) -> Optional[Decomposition]:
-    """Exact coefficients of x over the policy's candidate monomials, or
-    None when x lies outside their span."""
+def subalgebra_membership(x: NCPoly, B: Subalgebra) -> Optional[dict]:
+    """{label: coefficient} of x over the candidate monomials v^r m^s,
+    nonzero coefficients only, or None when x lies outside their span."""
     cands = B._candidates(x)
     sol = span_solve(x, [p for _, p in cands])
-    if sol is None:
+    if sol.empty:
         return None
-    return Decomposition(
-        [label for label, _ in cands], sol.coefficients, [p for _, p in cands]
-    )
+    return {label: c for (label, _), c in zip(cands, sol.particular) if c}
 
 
 # ---------------------------------------------------------------------------

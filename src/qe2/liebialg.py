@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exprio
-from .ncalg import AffineSolutions, OreTower, collect, solve_affine
+from .ncalg import AffineSolutions, OreTower, collect, solve_terms
 from .poisson import PoissonStructure
 from .report import FAIL, PASS, CheckReport
 from .scalars import Scalar, ScalarContext
@@ -406,9 +406,7 @@ def cocycle_cojacobi_report(
 
 @dataclass
 class CoboundarySolution(AffineSolutions):
-    pairs: list                 # wedge index pairs (i, j), i < j
-    particular: Optional[list]  # Scalar coefficients, None if empty
-    nullspace: list
+    pairs: list  # wedge index pairs (i, j), i < j, one per column
 
     def witness(self, ctx, dim) -> Optional[WedgeBivector]:
         if self.particular is None:
@@ -424,30 +422,25 @@ class CoboundarySolution(AffineSolutions):
 
 def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
     """Exact affine solution set of delta(e_k) = ad_{e_k} r over unknown
-    r in the wedge square; empty means non-coboundary."""
+    r in the wedge square, one equation per (k, (i, j)); empty means
+    non-coboundary."""
     ctx = g.ctx
     n = g.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = []
-    rhs = []
-    for k in range(n):
-        target = delta.of(k)
-        images = []
-        for (a, b) in pairs:
-            basis_wedge = WedgeBivector(ctx, n, {(a, b): ctx.one})
-            images.append(ad_wedge(g, k, basis_wedge))
-        for (i, j) in pairs:
-            rows.append([im.coeffs.get((i, j), ctx.zero) for im in images])
-            rhs.append(target.coeffs.get((i, j), ctx.zero))
-    sol = solve_affine(rows, rhs, ctx)
-    if sol is None:
-        return CoboundarySolution(pairs, None, [])
-    out = CoboundarySolution(pairs, *sol)
+
+    def terms(wedges):
+        return {(k, p): c for k, w in enumerate(wedges) for p, c in w.coeffs.items()}
+
+    cols = [
+        terms(ad_wedge(g, k, WedgeBivector(ctx, n, {p: ctx.one})) for k in range(n))
+        for p in pairs
+    ]
+    sol = solve_terms(terms(delta.of(k) for k in range(n)), cols, ctx)
+    out = CoboundarySolution(sol.particular, sol.nullspace, pairs)
     # self-consistency: the witness reproduces delta
     w = out.witness(ctx, n)
-    for k in range(n):
-        if ad_wedge(g, k, w) != delta.of(k):
-            raise LieError("coboundary witness fails to reproduce delta")
+    if w is not None and any(ad_wedge(g, k, w) != delta.of(k) for k in range(n)):
+        raise LieError("coboundary witness fails to reproduce delta")
     return out
 
 

@@ -671,22 +671,15 @@ def graded_degree(x: NCPoly, gen) -> int:
     return x.max_exponent(idx)
 
 
-@dataclass
-class SpanSolution:
-    coefficients: list          # particular solution, one Scalar per basis element
-    nullspace: list             # basis of the solution space of the homogeneous system
-    @property
-    def unique(self):
-        return not self.nullspace
-
-
-def solve_affine(rows, rhs, ctx):
+def solve_affine(rows, rhs, ctx, ncols=None):
     """Gauss-Jordan solve of (rows) c = rhs over the scalar field.
 
     Returns (particular, nullspace_basis) with free variables set to zero,
-    or None when the system is inconsistent.
+    or None when the system is inconsistent.  ``ncols`` defaults to the
+    length of the first row; a system without rows needs it given.
     """
-    ncols = len(rows[0]) if rows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     mat = [list(r) + [b] for r, b in zip(rows, rhs)]
     zero, one = ctx.zero, ctx.one
     pivots = []
@@ -734,14 +727,21 @@ def solve_affine(rows, rhs, ctx):
     return coeffs, null
 
 
+@dataclass
 class AffineSolutions:
-    """Mixin for the solution set ``particular + span(nullspace)`` of a
-    linear system, as returned by ``solve_affine``; ``particular`` is None
-    when the system has no solution."""
+    """The solution set ``particular + span(nullspace)`` of a linear
+    system; ``particular`` is None when the system has no solution."""
+
+    particular: Optional[list]  # one Scalar per column, free variables zero
+    nullspace: list             # basis of the homogeneous solutions
 
     @property
     def empty(self):
         return self.particular is None
+
+    @property
+    def unique(self):
+        return self.particular is not None and not self.nullspace
 
     @property
     def dimension(self):
@@ -750,33 +750,31 @@ class AffineSolutions:
     def contains_solution(self, vec, ctx) -> bool:
         if self.particular is None:
             return False
-        diff = [a - b for a, b in zip(vec, self.particular)]
-        if not self.nullspace:
-            return all(not d for d in diff)
-        rows = [[nv[i] for nv in self.nullspace] for i in range(len(diff))]
-        return solve_affine(rows, diff, ctx) is not None
+        diff = {i: a - b for i, (a, b) in enumerate(zip(vec, self.particular))}
+        cols = [dict(enumerate(nv)) for nv in self.nullspace]
+        return not solve_terms(diff, cols, ctx).empty
 
 
-def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> Optional[SpanSolution]:
-    """Exact solution of sum_i c_i basis_i = x over the scalar field.
+def solve_terms(target: dict, columns: Sequence[dict], ctx) -> AffineSolutions:
+    """Exact solution set of sum_i c_i columns[i] = target over the scalar
+    field.  Target and columns are term maps {key -> Scalar} over sortable
+    keys, one equation per key that occurs in any of them."""
+    keys = set(target)
+    for col in columns:
+        keys.update(col)
+    zero = ctx.zero
+    ordered = sorted(keys, reverse=True)
+    rows = [[col.get(k, zero) for col in columns] for k in ordered]
+    rhs = [target.get(k, zero) for k in ordered]
+    sol = solve_affine(rows, rhs, ctx, len(columns))
+    return AffineSolutions(*sol) if sol is not None else AffineSolutions(None, [])
 
-    Returns None when x is outside the span.  When the basis is linearly
-    independent the solution is unique and ``nullspace`` is empty.
-    """
-    if not basis:
-        return None if not x.is_zero() else SpanSolution([], [])
-    tower = basis[0].tower
-    ctx = tower.context
-    monos = set(x.terms)
-    for b in basis:
-        monos.update(b.terms)
-    ordered = sorted(monos, reverse=True)
-    rows = [[b.coefficient(m) for b in basis] for m in ordered]
-    rhs = [x.coefficient(m) for m in ordered]
-    sol = solve_affine(rows, rhs, ctx)
-    if sol is None:
-        return None
-    return SpanSolution(*sol)
+
+def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> AffineSolutions:
+    """Exact solution set of sum_i c_i basis_i = x; ``empty`` when x is
+    outside the span, ``unique`` when the basis is linearly independent."""
+    ctx = x.tower.context
+    return solve_terms(x.terms, [b.terms for b in basis], ctx)
 
 
 # ---------------------------------------------------------------------------

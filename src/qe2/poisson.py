@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import exprio
 from .hopf import AlgebraMorphism, TensorElement
@@ -36,11 +36,11 @@ from .ncalg import (
     bilinear,
     collect,
     pin_unit,
-    solve_affine,
+    solve_terms,
     span_solve,
 )
 from .report import FAIL, PASS, CheckReport
-from .scalars import GaussRational
+from .scalars import GaussRational, ScalarContext
 
 
 class PoissonError(ValueError):
@@ -229,9 +229,7 @@ def poisson_morphism_report(
 
 @dataclass
 class CovariantFamily(AffineSolutions):
-    ansatz: list              # candidate bracket monomials (NCPoly)
-    particular: Optional[list]  # Scalars, or None when no solution exists
-    nullspace: list           # list of Scalar vectors
+    ansatz: list  # candidate bracket monomials (NCPoly), one per column
 
     def contains_vector(self, vec) -> bool:
         return self.contains_solution(vec, self.ansatz[0].tower.context)
@@ -240,9 +238,7 @@ class CovariantFamily(AffineSolutions):
         """Decompose a candidate bracket over the ansatz monomials and test
         the affine system."""
         sol = span_solve(value, self.ansatz)
-        if sol is None:
-            return False
-        return self.contains_vector(sol.coefficients)
+        return not sol.empty and self.contains_vector(sol.particular)
 
 
 def covariant_family_solve(
@@ -287,22 +283,14 @@ def covariant_family_solve(
             if not jac.is_zero():
                 ab = group.tower_mono(ma) * group.tower_mono(mb)
                 jacobians.append((ab.scale(-(ca * cb)), jac))
-    gpart = TensorElement(legs, collect(gpairs))
     cols = []
     for t in ansatz:
         pairs = list(coaction.apply(t).terms.items())
         for ab, jac in jacobians:
             pairs += TensorElement.from_legs(legs, [ab, jac * t]).terms.items()
-        cols.append(TensorElement(legs, collect(pairs)))
-
-    monos = set(gpart.terms)
-    for col in cols:
-        monos.update(col.terms)
-    rows = sorted(monos)
-    zero = ctx.zero
-    mat = [[col.terms.get(m, zero) for col in cols] for m in rows]
-    rhs = [gpart.terms.get(m, zero) for m in rows]
-    return CovariantFamily(list(ansatz), *(solve_affine(mat, rhs, ctx) or (None, [])))
+        cols.append(collect(pairs))
+    sol = solve_terms(collect(gpairs), cols, ctx)
+    return CovariantFamily(sol.particular, sol.nullspace, list(ansatz))
 
 
 # ---------------------------------------------------------------------------
@@ -338,83 +326,36 @@ def poisson_matrix_at(P: PoissonStructure, gen_values, param_values):
     n = P.tower.nlevels
     mat = [[GaussRational(0)] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                mat[i][j] = evaluate_poly(
-                    P.bracket_gens(i, j), gen_values, param_values
-                )
+        for j in range(i + 1, n):
+            mat[i][j] = evaluate_poly(P.bracket_gens(i, j), gen_values, param_values)
+            mat[j][i] = -mat[i][j]
     return mat
 
 
 def poisson_matrix_rank(P: PoissonStructure, gen_values, param_values) -> int:
     """Exact rank of the evaluated bracket matrix (= the symplectic leaf
-    dimension at the point)."""
+    dimension at the point): n minus the dimension of its kernel."""
     mat = poisson_matrix_at(P, gen_values, param_values)
-    n = len(mat)
-    rank = 0
-    rows = [list(r) for r in mat]
-    col = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    ctx = ScalarContext()
+    cols = [
+        {i: ctx.from_gauss(row[j]) for i, row in enumerate(mat) if row[j]}
+        for j in range(len(mat))
+    ]
+    return len(mat) - solve_terms({}, cols, ctx).dimension
 
 
-class HamiltonianFields:
-    """X_{g_i} with j-th component {g_i, g_j}, plus the symbolic relation
-    checker for combinations sum_i c_i X_{f_i}."""
-
-    def __init__(self, P: PoissonStructure):
-        self.P = P
-        tower = P.tower
-        n = tower.nlevels
-        self.components = [
-            [P.bracket_gens(i, j) for j in range(n)] for i in range(n)
-        ]
-
-    def field(self, gen) -> list:
-        idx = gen if isinstance(gen, int) else self.P.tower.gen_index(gen)
-        return self.components[idx]
-
-    def combination(self, coeffs: dict) -> list:
-        """sum over gens of c_g * X_g, as a component vector of NCPolys."""
-        tower = self.P.tower
-        n = tower.nlevels
-        out = [NCPoly.zero(tower) for _ in range(n)]
+def field_relation(P: PoissonStructure, coeffs: dict):
+    """Whether sum_g c_g X_g vanishes identically, where the Hamiltonian
+    field X_g has j-th component {g, x_j}: (True, None), or (False, the
+    text of the first nonzero component)."""
+    tower = P.tower
+    for j, g in enumerate(tower.generators):
+        comp = NCPoly.zero(tower)
         for gen, c in coeffs.items():
-            idx = gen if isinstance(gen, int) else tower.gen_index(gen)
-            for j in range(n):
-                out[j] = out[j] + c * self.components[idx][j]
-        return out
-
-    def relation_holds(self, coeffs: dict):
-        """(True, None) when the combination vanishes identically, else
-        (False, witness text)."""
-        vec = self.combination(coeffs)
-        names = [g.name for g in self.P.tower.generators]
-        for j, comp in enumerate(vec):
-            if not comp.is_zero():
-                return False, (
-                    f"component d/d{names[j]}: {exprio.format_canonical(comp)}"
-                )
-        return True, None
-
-
-def hamiltonian_fields(P: PoissonStructure) -> HamiltonianFields:
-    return HamiltonianFields(P)
+            comp = comp + c * P.bracket_gens(tower.gen_index(gen), j)
+        if not comp.is_zero():
+            return False, f"component d/d{g.name}: {exprio.format_canonical(comp)}"
+    return True, None
 
 
 def poisson_ideal_check(

@@ -38,12 +38,9 @@ def cylinder_sub(qe2):
             "vb": tower.poly("v^-1"),
             "m": tower.poly("vb*nb - v*n"),
         },
-        {
-            "type": "laurent-times-poly",
-            "laurent": "v",
-            "poly": "m",
-            "counters": ["n", "nb"],
-        },
+        laurent="v",
+        poly="m",
+        counters=("n", "nb"),
     )
 
 
@@ -67,9 +64,7 @@ def test_membership_generator_product(qe2, cylinder_sub):
     tower, _ = qe2
     x = tower.poly("v^2*(vb*nb - v*n)")
     dec = subalgebra_membership(x, cylinder_sub)
-    assert dec is not None
-    nonzero = {l: c for l, c in zip(dec.labels, dec.coefficients) if c}
-    assert nonzero == {"v^2*m^1": tower.context.one}
+    assert dec == {"v^2*m^1": tower.context.one}
 
 
 def test_membership_n_fails(qe2, cylinder_sub):
@@ -81,9 +76,7 @@ def test_membership_scalar(qe2, cylinder_sub):
     tower, _ = qe2
     w = tower.context.param("omega")
     dec = subalgebra_membership(NCPoly.constant(tower, w), cylinder_sub)
-    assert dec is not None
-    nonzero = {l: c for l, c in zip(dec.labels, dec.coefficients) if c}
-    assert nonzero == {"v^0*m^0": w}
+    assert dec == {"v^0*m^0": w}
 
 
 def test_membership_m_star(qe2, cylinder_sub):
@@ -108,17 +101,18 @@ def test_coideal_cylinder(qe2, cylinder_sub):
 
 def test_coideal_n_subalgebra_fails_at_star(qe2):
     tower, H = qe2
-    B = Subalgebra(tower, {"n": tower.gen("n")}, {"type": "words"})
+    B = Subalgebra(
+        tower, {"v": tower.gen("v"), "n": tower.gen("n")},
+        laurent="v", poly="n", counters=("n",),
+    )
     rep = coideal_report(B, H)
     by_id = {r.check_id: r.status for r in rep.records}
-    # the right legs of Delta(n) = vb (x) n + n (x) 1 do lie in <1, n>;
-    # what fails is star invariance: n* = nb is outside
+    # the right legs of Delta(n) = vb (x) n + n (x) 1 do lie in the span of
+    # the candidates v^r n^s; what fails is star invariance: n* = nb is outside
     assert by_id["coideal-n-star"] == FAIL
-    assert all(
-        status == PASS
-        for cid, status in by_id.items()
-        if cid.startswith("coideal-n-leftleg")
-    )
+    legs = [cid for cid in by_id if cid.startswith("coideal-n-leftleg")]
+    assert len(legs) == 2
+    assert all(by_id[cid] == PASS for cid in legs)
     assert not rep.clean
 
 
@@ -281,7 +275,9 @@ def test_sigma_generators(qe2, cylinder_sub, quotient_i):
 
 def test_sigma_of_unit(qe2, cylinder_sub):
     tower, H = qe2
-    B = Subalgebra(tower, {"one": NCPoly.one(tower)}, {"type": "words"})
+    B = Subalgebra(
+        tower, {"one": NCPoly.one(tower)}, laurent="v", poly="one", counters=("n",)
+    )
     out = dict(sigma_generators(B, H, max_power=2))
     assert out["(S^1 - eps)(one)"].is_zero()
 

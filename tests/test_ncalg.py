@@ -19,6 +19,7 @@ from qe2.ncalg import (
     load_tower,
     normal_form,
     solve_affine,
+    solve_terms,
     span_solve,
 )
 
@@ -243,13 +244,13 @@ def test_span_solve_swap_relation(cylinder_tower):
     x = t.poly("m*v")
     basis = _cyl_basis(t, 2, 1)
     sol = span_solve(x, basis)
-    assert sol is not None and sol.unique
+    assert not sol.empty and sol.unique
     named = {}
     idx = 0
     for r in range(-2, 3):
         for s in range(2):
-            if sol.coefficients[idx]:
-                named[(r, s)] = sol.coefficients[idx]
+            if sol.particular[idx]:
+                named[(r, s)] = sol.particular[idx]
             idx += 1
     W = t.context.param("omega")
     assert named == {(1, 1): t.context.one, (2, 0): W, (0, 0): -W}
@@ -259,8 +260,8 @@ def test_basis_independence(cylinder_tower):
     basis = _cyl_basis(cylinder_tower, 3, 3)
     zero = NCPoly.zero(cylinder_tower)
     sol = span_solve(zero, basis)
-    assert sol is not None
-    assert all(not c for c in sol.coefficients)
+    assert not sol.empty
+    assert all(not c for c in sol.particular)
     assert sol.unique
 
 
@@ -272,7 +273,76 @@ def test_outside_span(qe2_tower):
     for r in range(-2, 3):
         for s in range(3):
             basis.append(normal_form(t, [("v", r)]) * m ** s)
-    assert span_solve(t.gen("n"), basis) is None
+    assert span_solve(t.gen("n"), basis).empty
+
+
+def test_span_of_zero_vectors_is_not_independent(qe2_tower):
+    # no monomial occurs, so the system has no equation; the column count
+    # still comes from the basis
+    zero = NCPoly.zero(qe2_tower)
+    sol = span_solve(zero, [zero, zero])
+    assert sol.dimension == 2
+    assert not sol.unique
+    assert len(sol.particular) == 2
+
+
+small_gauss = st.builds(
+    GaussRational,
+    st.sampled_from([-2, -1, 0, 0, 0, 1, 2]),
+    st.sampled_from([-1, 0, 0, 0, 1]),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_terms_matches_sympy(data):
+    # random constant Q(i) systems, one equation per key 0..nrows-1
+    sympy = pytest.importorskip("sympy")
+    ctx = ScalarContext()
+    nrows, ncols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    dense = [[data.draw(small_gauss) for _ in range(ncols)] for _ in range(nrows)]
+    if data.draw(st.booleans()):  # consistent: rhs is a combination of columns
+        x = [data.draw(small_gauss) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), GaussRational(0)) for row in dense]
+    else:
+        rhs = [data.draw(small_gauss) for _ in range(nrows)]
+
+    def system(keys):
+        target = {keys[k]: ctx.from_gauss(b) for k, b in enumerate(rhs) if b}
+        cols = [
+            {keys[k]: ctx.from_gauss(row[j]) for k, row in enumerate(dense) if row[j]}
+            for j in range(ncols)
+        ]
+        return target, cols
+
+    target, cols = system(list(range(nrows)))
+    sol = solve_terms(target, cols, ctx)
+    # relabelling the keys reorders the equations and changes nothing
+    shuffled = data.draw(st.permutations(range(nrows)))
+    assert solve_terms(*system(shuffled), ctx) == sol
+
+    def to_sympy(g):
+        return sympy.Rational(g.a, g.d) + sympy.I * sympy.Rational(g.b, g.d)
+
+    A = sympy.Matrix(nrows, ncols, [to_sympy(g) for row in dense for g in row])
+    Ab = A.row_join(sympy.Matrix(nrows, 1, [to_sympy(b) for b in rhs]))
+    rank = A.rank()
+    assert sol.empty == (Ab.rank() > rank)
+    if sol.empty:
+        return
+
+    def image(vec):
+        return [
+            sum((ctx.from_gauss(a) * c for a, c in zip(row, vec)), ctx.zero)
+            for row in dense
+        ]
+
+    assert len(sol.particular) == ncols
+    assert image(sol.particular) == [ctx.from_gauss(b) for b in rhs]
+    for vec in sol.nullspace:
+        assert not all(not c for c in vec)
+        assert all(not c for c in image(vec))
+    assert sol.dimension == ncols - rank
 
 
 def _dense_solve_affine(rows, rhs, ctx):

@@ -66,7 +66,9 @@ def test_coideal_report_order_independent():
     rev = Subalgebra(
         B.ambient,
         dict(reversed(list(B.generators.items()))),
-        B.policy,
+        laurent=B.laurent,
+        poly=B.poly,
+        counters=B.counters,
     )
     r1 = coideal_report(B, qe2.hopf)
     r2 = coideal_report(rev, qe2.hopf)
