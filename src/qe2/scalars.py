@@ -2,10 +2,21 @@
 
 A :class:`Scalar` is a rational function in a declared tuple of formal
 parameters (``omega``, ``k``, ``q``, ...) with Gaussian-rational
-coefficients.  Everything is exact: a coefficient is a triple of Python
-ints ``(a, b, d)`` standing for ``(a + b*i)/d`` in lowest terms, and
-fractions of polynomials are kept in a canonical reduced form so that
-equality of scalars is plain structural equality.
+coefficients.  Everything is exact.  A Scalar holds two sparse polynomials,
+``num`` and ``den``, each a dict {exponent tuple -> coefficient}, and every
+coefficient is a canonical triple of Python ints ``(a, b, d)`` standing for
+``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``.  No zero
+coefficient is ever stored, and fractions of polynomials are kept in a
+canonical reduced form, so equality of scalars is plain structural equality.
+
+The kernel works on the triples themselves: the ``_c*`` helpers do Q(i)
+arithmetic on one triple and the ``_p*`` helpers on polynomials, and each
+result coefficient takes at most one gcd, only when its denominator is not 1
+(the canonical-fraction discipline of Knuth, TAOCP vol. 2, 4.5.1, on bare
+integers).  :class:`GaussRational` wraps one triple and is only the value
+type at the API boundary: parser literals, ``from_gauss``, the values and
+points of ``evaluate``, ``--at`` points and the Poisson point matrices.  Its
+operators call the same triple helpers, so Q(i) arithmetic is written once.
 
 Canonical form of a fraction num/den:
 
@@ -69,100 +80,157 @@ class PoleAtPoint(ScalarError):
     """The denominator vanishes at the evaluation point."""
 
 
-class GaussRational:
-    """An element of Q(i), stored as integers ``(a, b, d)`` with value
-    ``(a + b*i)/d``, where ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is
-    unique, so equality is equality of the triples."""
+# ---------------------------------------------------------------------------
+# Q(i) on canonical triples (a, b, d) = (a + b*i)/d, d > 0, gcd(a, b, d) == 1.
+# Zero is (0, 0, 1); a triple is zero iff a == b == 0.
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("a", "b", "d")
+_ZERO = (0, 0, 1)
+_ONE = (1, 0, 1)
+_I = (0, 1, 1)
+_NEG_ONE = (-1, 0, 1)
+_NEG_I = (0, -1, 1)
+
+
+def _cnorm(a, b, d):
+    """The canonical triple of (a + b*i)/d for ints with d > 0."""
+    if d != 1:
+        g = _igcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _cadd(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        if d1 == 1:
+            return a1 + a2, b1 + b2, 1
+        return _cnorm(a1 + a2, b1 + b2, d1)
+    return _cnorm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _csub(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        return _cnorm(a1 - a2, b1 - b2, d1)
+    return _cnorm(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+
+
+def _cmul(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    d = d1 * d2
+    if d == 1:
+        return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1
+    return _cnorm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+
+
+def _cdiv(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    n2 = a2 * a2 + b2 * b2
+    if n2 == 0:
+        raise DegenerateScalar("division by zero in Q(i)")
+    # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+    return _cnorm((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n2)
+
+
+def _cinv(x):
+    return _cdiv(_ONE, x)
+
+
+def _qtext(n, d):
+    """``str(Fraction(n, d))`` for ints with d > 0."""
+    g = _igcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _ctext(c):
+    """Readable form of a triple: ``2``, ``i``, ``-3/2*i``, ``1+2*i``."""
+    a, b, d = c
+    if b == 0:
+        return _qtext(a, d)
+    imt = "i" if b == d else "-i" if b == -d else f"{_qtext(b, d)}*i"
+    if a == 0:
+        return imt
+    return f"{_qtext(a, d)}{'' if b < 0 else '+'}{imt}"
+
+
+class GaussRational:
+    """An element of Q(i): one canonical triple ``(a, b, d)`` with value
+    ``(a + b*i)/d``.  The form is unique, so equality is equality of the
+    triples."""
+
+    __slots__ = ("triple",)
 
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
-            a, b, d = re, im, 1
+            t = (re, im, 1)
         else:
             # two reduced fractions over their lcm already have gcd(a, b, d) 1
             re, im = _Q(re), _Q(im)
             rd, md = re.denominator, im.denominator
             d = rd * md // _igcd(rd, md)
-            a = re.numerator * (d // rd)
-            b = im.numerator * (d // md)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
+            t = (re.numerator * (d // rd), im.numerator * (d // md), d)
+        _set_triple(self, t)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("GaussRational is immutable")
 
+    a = property(lambda self: self.triple[0])
+    b = property(lambda self: self.triple[1])
+    d = property(lambda self: self.triple[2])
+
     @property
     def re(self):
-        return _Q(self.a, self.d)
+        return _Q(self.triple[0], self.triple[2])
 
     @property
     def im(self):
-        return _Q(self.b, self.d)
+        return _Q(self.triple[1], self.triple[2])
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        a, b, _ = self.triple
+        return a != 0 or b != 0
 
     def is_one(self):
-        return self.a == 1 and self.b == 0 and self.d == 1
+        return self.triple == _ONE
 
     def __add__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gauss(self.a + other.a, self.b + other.b, d1)
-        return _gauss(
-            self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
-        )
+        return _gauss(_cadd(self.triple, _as_gauss(other).triple))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gauss(self.a - other.a, self.b - other.b, d1)
-        return _gauss(
-            self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
-        )
+        return _gauss(_csub(self.triple, _as_gauss(other).triple))
 
     def __rsub__(self, other):
-        return _as_gauss(other).__sub__(self)
+        return _gauss(_csub(_as_gauss(other).triple, self.triple))
 
     def __neg__(self):
-        return _gauss_raw(-self.a, -self.b, self.d)
+        a, b, d = self.triple
+        return _gauss((-a, -b, d))
 
     def __mul__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+        return _gauss(_cmul(self.triple, _as_gauss(other).triple))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        a1, b1, a2, b2, d2 = self.a, self.b, other.a, other.b, other.d
-        n2 = a2 * a2 + b2 * b2
-        if n2 == 0:
-            raise DegenerateScalar("division by zero in Q(i)")
-        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
-        return _gauss(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n2
-        )
+        return _gauss(_cdiv(self.triple, _as_gauss(other).triple))
 
     def __rtruediv__(self, other):
-        return _as_gauss(other).__truediv__(self)
+        return _gauss(_cdiv(_as_gauss(other).triple, self.triple))
 
     def inverse(self):
-        return GAUSS_ONE / self
+        return _gauss(_cinv(self.triple))
 
     def conjugate(self):
-        return _gauss_raw(self.a, -self.b, self.d)
+        a, b, d = self.triple
+        return _gauss((a, -b, d))
 
     def __pow__(self, n: int):
         out = GAUSS_ONE
@@ -173,16 +241,17 @@ class GaussRational:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.a == other and self.b == 0 and self.d == 1
+            return self.triple == (other, 0, 1)
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return self.triple == other.triple
 
     def __hash__(self):
-        # equal to hash((re, im)): Scalar hashes (and so set orders) depend on it
-        if self.d == 1:
-            return hash((self.a, self.b))
-        return hash((self.re, self.im))
+        # equal to hash((re, im)), as for the Fraction pairs it replaced
+        a, b, d = self.triple
+        if d == 1:
+            return hash((a, b))
+        return hash((_Q(a, d), _Q(b, d)))
 
     def __repr__(self):
         return f"GaussRational({self.re!s}, {self.im!s})"
@@ -192,45 +261,18 @@ class GaussRational:
 
     def text(self):
         """Readable form: ``2``, ``i``, ``-3/2*i``, ``1+2*i``."""
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if im == 1:
-            imt = "i"
-        elif im == -1:
-            imt = "-i"
-        else:
-            imt = f"{im}*i"
-        if re == 0:
-            return imt
-        sep = "" if imt.startswith("-") else "+"
-        return f"{re}{sep}{imt}"
+        return _ctext(self.triple)
 
 
-_set_a = GaussRational.a.__set__
-_set_b = GaussRational.b.__set__
-_set_d = GaussRational.d.__set__
-_new_gauss = object.__new__
+_set_triple = GaussRational.triple.__set__
+_new = object.__new__
 
 
-def _gauss_raw(a, b, d) -> GaussRational:
-    """The GaussRational (a + b*i)/d for a triple already in canonical form."""
-    g = _new_gauss(GaussRational)
-    _set_a(g, a)
-    _set_b(g, b)
-    _set_d(g, d)
+def _gauss(t) -> GaussRational:
+    """The GaussRational of a canonical triple."""
+    g = _new(GaussRational)
+    _set_triple(g, t)
     return g
-
-
-def _gauss(a, b, d) -> GaussRational:
-    """The GaussRational (a + b*i)/d for ints with d > 0."""
-    if d != 1:
-        g = _igcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _gauss_raw(a, b, d)
 
 
 def _as_gauss(x) -> GaussRational:
@@ -241,15 +283,12 @@ def _as_gauss(x) -> GaussRational:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
 
 
-GAUSS_ZERO = GaussRational(0)
-GAUSS_ONE = GaussRational(1)
-GAUSS_I = GaussRational(0, 1)
-GAUSS_NEG_ONE = GaussRational(-1)
-GAUSS_NEG_I = GaussRational(0, -1)
+GAUSS_ONE = _gauss(_ONE)
+GAUSS_I = _gauss(_I)
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials: {exponent tuple -> GaussRational}.
+# Sparse multivariate polynomials: {exponent tuple -> canonical triple}.
 # Exponents are >= 0; fractions of these make up Scalar.  Plain dicts keep
 # the inner loops cheap.
 # ---------------------------------------------------------------------------
@@ -258,39 +297,64 @@ GAUSS_NEG_I = GaussRational(0, -1)
 def _padd(p, q):
     r = dict(p)
     for e, c in q.items():
-        nc = r.get(e, GAUSS_ZERO) + c
-        if nc:
-            r[e] = nc
+        old = r.get(e)
+        if old is None:
+            r[e] = c
         else:
-            r.pop(e, None)
+            c = _cadd(old, c)
+            if c[0] or c[1]:
+                r[e] = c
+            else:
+                del r[e]
     return r
 
 
 def _pneg(p):
-    return {e: -c for e, c in p.items()}
+    return {e: (-a, -b, d) for e, (a, b, d) in p.items()}
 
 
 def _pscale(p, c):
-    if not c:
-        return {}
-    return {e: cc * c for e, cc in p.items()}
+    """c*p for a nonzero triple c."""
+    return {e: _cmul(cc, c) for e, cc in p.items()}
 
 
 def _pmul(p, q):
-    r = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        # a monomial times a polynomial: no two terms land on one key
+        ((e1, c1),) = p.items()
+        shift = any(e1)
+        if c1 == _ONE:
+            return {tuple(map(_iadd, e1, e)): c for e, c in q.items()} if shift else dict(q)
+        a1, b1, d1 = c1
+        return {
+            tuple(map(_iadd, e1, e)) if shift else e: _cnorm(
+                a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            )
+            for e, (a2, b2, d2) in q.items()
+        }
+    # sum raw products per key, then normalise each coefficient once
+    acc = {}
+    for e1, (a1, b1, d1) in p.items():
+        for e2, (a2, b2, d2) in q.items():
             e = tuple(map(_iadd, e1, e2))
-            c = c1 * c2
-            old = r.get(e)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            old = acc.get(e)
             if old is None:
-                r[e] = c
+                acc[e] = (a, b, d)
             else:
-                c = old + c
-                if c:
-                    r[e] = c
+                oa, ob, od = old
+                if od == d:
+                    acc[e] = (oa + a, ob + b, d)
                 else:
-                    del r[e]
+                    acc[e] = (oa * d + a * od, ob * d + b * od, od * d)
+    r = {}
+    for e, (a, b, d) in acc.items():
+        if a or b:
+            r[e] = _cnorm(a, b, d)
     return r
 
 
@@ -315,7 +379,7 @@ def _pdivexact(f, g):
     if not f:
         return {}
     gl = _plead(g)
-    gc = g[gl]
+    ginv = _cinv(g[gl])
     q = {}
     r = dict(f)
     while r:
@@ -323,12 +387,12 @@ def _pdivexact(f, g):
         diff = tuple(a - b for a, b in zip(rl, gl))
         if any(x < 0 for x in diff):
             return None
-        c = r[rl] / gc
+        c = _cmul(r[rl], ginv)
         q[diff] = c
         for e, cc in g.items():
             ne = tuple(a + b for a, b in zip(e, diff))
-            nc = r.get(ne, GAUSS_ZERO) - cc * c
-            if nc:
+            nc = _csub(r.get(ne, _ZERO), _cmul(cc, c))
+            if nc[0] or nc[1]:
                 r[ne] = nc
             else:
                 r.pop(ne, None)
@@ -406,7 +470,7 @@ def _pgcd(f, g):
     vs = _pvars(f) | _pvars(g)
     if not vs:
         n = len(next(iter(f)))
-        return {(0,) * n: GAUSS_ONE}
+        return {(0,) * n: _ONE}
     v = min(vs)
     fc = _by_var(f, v)
     gc = _by_var(g, v)
@@ -433,24 +497,26 @@ def _ugcd(f, g, v):
     Euclid over Q(i)."""
     a, b = _dense(f, v), _dense(g, v)
     while b:
-        inv = b[-1].inverse()
-        b = [c * inv for c in b]  # monic, so the remainder needs no division
+        inv = _cinv(b[-1])
+        b = [_cmul(c, inv) for c in b]  # monic, so the remainder needs no division
         db = len(b) - 1
         while len(a) > db:
             q = a.pop()
-            if q:
+            if q[0] or q[1]:
                 shift = len(a) - db
                 for j in range(db):
-                    a[shift + j] = a[shift + j] - q * b[j]
-        while a and not a[-1]:
+                    a[shift + j] = _csub(a[shift + j], _cmul(q, b[j]))
+        while a and not (a[-1][0] or a[-1][1]):
             a.pop()
         a, b = b, a
     if not a:
         return {}
     e0 = (0,) * len(next(iter(f or g)))
-    inv = a[-1].inverse()
+    inv = _cinv(a[-1])
     return {
-        e0[:v] + (j,) + e0[v + 1 :]: c * inv for j, c in enumerate(a) if c
+        e0[:v] + (j,) + e0[v + 1 :]: _cmul(c, inv)
+        for j, c in enumerate(a)
+        if c[0] or c[1]
     }
 
 
@@ -459,7 +525,7 @@ def _dense(p, v):
     first, with no trailing zeros."""
     if not p:
         return []
-    out = [GAUSS_ZERO] * (max(e[v] for e in p) + 1)
+    out = [_ZERO] * (max(e[v] for e in p) + 1)
     for e, c in p.items():
         out[e[v]] = c
     return out
@@ -473,7 +539,7 @@ def _gcd(p, q):
     pair in one parameter takes the dense Euclid of :func:`_ugcd`, and the
     rest the primitive PRS of :func:`_pgcd`."""
     if len(p) == 1 or len(q) == 1:
-        return {tuple(map(min, *p, *q)): GAUSS_ONE}
+        return {tuple(map(min, *p, *q)): _ONE}
     vs = _pvars(p) | _pvars(q)
     if len(vs) == 1:
         return _ugcd(p, q, vs.pop())
@@ -484,7 +550,7 @@ def _pdiv(p, g):
     """p / g for a divisor g of p."""
     if len(g) == 1:
         ((e, c),) = g.items()
-        if c.is_one():
+        if c == _ONE:
             return _pshift(p, tuple(-x for x in e))
     return _pdivexact(p, g)
 
@@ -510,34 +576,35 @@ def _pnormal_unit(p):
     if not p:
         return dict(p)
     u = _canonical_unit(p[_plead(p)])
-    if u.is_one():
+    if u == _ONE:
         return dict(p)
     return _pscale(p, u)
 
 
-def _canonical_unit(c: GaussRational) -> GaussRational:
-    a, b = c.a, c.b
-    # (re, im) of c*u, times the positive c.d, for u = 1, i, -1, -i
+def _canonical_unit(c):
+    """The unit u of Z[i] that puts c*u in the quadrant re > 0, im >= 0."""
+    a, b, _ = c
+    # (re, im) of c*u, times the positive denominator, for u = 1, i, -1, -i
     for u, re, im in (
-        (GAUSS_ONE, a, b),
-        (GAUSS_I, -b, a),
-        (GAUSS_NEG_ONE, -a, -b),
-        (GAUSS_NEG_I, b, -a),
+        (_ONE, a, b),
+        (_I, -b, a),
+        (_NEG_ONE, -a, -b),
+        (_NEG_I, b, -a),
     ):
         if re > 0 and im >= 0:
             return u
     raise DegenerateScalar("zero coefficient has no canonical unit")
 
 
-def _prat_content(p) -> GaussRational:
+def _prat_content(p):
     """Positive rational r such that r*p has Gaussian-integer coefficients
     with coprime rational parts."""
-    den_l = _ilcm(*(c.d for c in p.values()))
+    den_l = _ilcm(*(d for _, _, d in p.values()))
     num_g = 0
-    for c in p.values():
-        s = den_l // c.d
-        num_g = _igcd(num_g, c.a * s, c.b * s)
-    return _gauss(den_l, 0, num_g or 1)
+    for a, b, d in p.values():
+        s = den_l // d
+        num_g = _igcd(num_g, a * s, b * s)
+    return _cnorm(den_l, 0, num_g or 1)
 
 
 def _iround(p, q):
@@ -554,16 +621,16 @@ def _zmod(a, b):
     return (ax - (qx * bx - qy * by), ay - (qx * by + qy * bx))
 
 
-def _zgauss_content(p) -> GaussRational:
-    """Gcd over Z[i] of the (integral) coefficients of p."""
+def _zgauss_content(p):
+    """Gcd over Z[i] of the (integral) coefficients of p, as a triple."""
     g = (0, 0)
-    for c in p.values():
-        b = (c.a, c.b)
-        while b != (0, 0):
-            g, b = b, _zmod(g, b)
+    for a, b, _ in p.values():
+        y = (a, b)
+        while y != (0, 0):
+            g, y = y, _zmod(g, y)
         if g == (1, 0):
             break
-    return GaussRational(g[0], g[1])
+    return (g[0], g[1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +669,12 @@ class ScalarContext:
         self._index = {n: j for j, n in enumerate(names)}
         self.nvars = len(names)
         self._zero_exp = (0,) * self.nvars
-        self._den_one = {self._zero_exp: GAUSS_ONE}
-        self.zero = Scalar(self, {}, dict(self._den_one), _raw=True)
-        self.one = Scalar(self, dict(self._den_one), dict(self._den_one), _raw=True)
+        self._den_one = {self._zero_exp: _ONE}
+        self._negated = tuple(
+            j for j, p in enumerate(self.parameters) if p.star_rule == STAR_NEGATED
+        )
+        self.zero = _scalar(self, {}, self._den_one)
+        self.one = _scalar(self, self._den_one, self._den_one)
         self.i = self.from_gauss(GAUSS_I)
 
     def from_gauss(self, g: GaussRational) -> "Scalar":
@@ -612,7 +682,7 @@ class ScalarContext:
             return self.zero
         if g.is_one():
             return self.one
-        return Scalar(self, {self._zero_exp: g}, dict(self._den_one), _raw=True)
+        return _scalar(self, {self._zero_exp: g.triple}, self._den_one)
 
     def from_int(self, n: int) -> "Scalar":
         return self.from_gauss(GaussRational(n))
@@ -622,13 +692,10 @@ class ScalarContext:
         if j is None:
             raise UnboundParameter(f"parameter {name!r} not declared in this context")
         e = tuple(1 if jj == j else 0 for jj in range(self.nvars))
-        return Scalar(self, {e: GAUSS_ONE}, dict(self._den_one), _raw=True)
+        return _scalar(self, {e: _ONE}, self._den_one)
 
     def has_param(self, name: str) -> bool:
         return name in self._index
-
-    def star_sign(self, j: int) -> int:
-        return -1 if self.parameters[j].star_rule == STAR_NEGATED else 1
 
     def __eq__(self, other):
         return isinstance(other, ScalarContext) and self.parameters == other.parameters
@@ -641,17 +708,17 @@ class ScalarContext:
 
 
 class Scalar:
-    """A canonical-form rational function over a :class:`ScalarContext`."""
+    """A canonical-form rational function over a :class:`ScalarContext`.
+
+    ``Scalar(ctx, num, den)`` reduces an arbitrary fraction of triple
+    polynomials; the field operations build their canonical results with
+    :func:`_scalar` instead."""
 
     __slots__ = ("ctx", "num", "den", "_h")
 
-    def __init__(self, ctx: ScalarContext, num, den, _raw=False):
+    def __init__(self, ctx: ScalarContext, num, den):
         self.ctx = ctx
-        if _raw:
-            self.num = num
-            self.den = den
-        else:
-            self.num, self.den = _reduce(num, den, ctx.nvars)
+        self.num, self.den = _reduce(num, den, ctx.nvars)
         self._h = None
 
     def is_zero(self):
@@ -678,7 +745,10 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        if type(other) is Scalar and other.ctx is self.ctx:
+            o = other
+        else:
+            o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
@@ -686,38 +756,38 @@ class Scalar:
         one_b, one_d = _is_constant(b, ctx), _is_constant(d, ctx)
         if one_b and one_d:
             # a sum over the unit denominator is already canonical
-            return Scalar(ctx, _padd(a, c), ctx._den_one, _raw=True)
+            return _scalar(ctx, _padd(a, c), ctx._den_one)
         # a/b + c = (a + c*b)/b is in lowest terms because a/b is
         if one_b:
-            return Scalar(ctx, _padd(c, _pmul(a, d)), d, _raw=True)
+            return _scalar(ctx, _padd(c, _pmul(a, d)), d)
         if one_d:
-            return Scalar(ctx, _padd(a, _pmul(c, b)), b, _raw=True)
+            return _scalar(ctx, _padd(a, _pmul(c, b)), b)
         if b == d:
             n = _padd(a, c)
             if not n:
                 return ctx.zero
             g = _gcd(n, b)
             if _is_constant(g, ctx):
-                return Scalar(ctx, n, b, _raw=True)
-            return Scalar(ctx, *_canon(_pdiv(n, g), _pdiv(b, g)), _raw=True)
+                return _scalar(ctx, n, b)
+            return _scalar(ctx, *_canon(_pdiv(n, g), _pdiv(b, g)))
         # Henrici: with g = gcd(b, d) and t = a*(d/g) + c*(b/g), the sum is
         # (t/g2) / ((b/g)*(d/g2)) for g2 = gcd(t, g).  Distinct canonical
         # denominators mean a/b != -c/d, so t is nonzero.
         g = _gcd(b, d)
         if _is_constant(g, ctx):
             t = _padd(_pmul(a, d), _pmul(c, b))
-            return Scalar(ctx, *_canon(t, _pmul(b, d)), _raw=True)
+            return _scalar(ctx, *_canon(t, _pmul(b, d)))
         bg, dg = _pdiv(b, g), _pdiv(d, g)
         t = _padd(_pmul(a, dg), _pmul(c, bg))
         g2 = _gcd(t, g)
         if not _is_constant(g2, ctx):
             t, d = _pdiv(t, g2), _pdiv(d, g2)
-        return Scalar(ctx, *_canon(t, _pmul(bg, d)), _raw=True)
+        return _scalar(ctx, *_canon(t, _pmul(bg, d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, _pneg(self.num), dict(self.den), _raw=True)
+        return _scalar(self.ctx, _pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -729,7 +799,10 @@ class Scalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        if type(other) is Scalar and other.ctx is self.ctx:
+            o = other
+        else:
+            o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
@@ -756,10 +829,10 @@ class Scalar:
                 if any(m):
                     e = tuple(map(_isub, e, m))
                     f = tuple(map(_isub, f, m))
-                den = {f: GAUSS_ONE} if any(f) else ctx._den_one
-            return Scalar(ctx, {e: c1 * c2}, den, _raw=True)
+                den = {f: _ONE} if any(f) else ctx._den_one
+            return _scalar(ctx, {e: _cmul(c1, c2)}, den)
         if _is_constant(sd, ctx) and _is_constant(od, ctx):
-            return Scalar(ctx, _pmul(sn, on), ctx._den_one, _raw=True)
+            return _scalar(ctx, _pmul(sn, on), ctx._den_one)
         return _mul_reduced(ctx, sn, sd, on, od)
 
     __rmul__ = __mul__
@@ -798,21 +871,16 @@ class Scalar:
         if not self.num:
             return self
         # a ring automorphism keeps num and den coprime
-        return Scalar(
-            self.ctx,
-            *_canon(self._conj_poly(self.num), self._conj_poly(self.den)),
-            _raw=True,
+        return _scalar(
+            self.ctx, *_canon(self._conj_poly(self.num), self._conj_poly(self.den))
         )
 
     def _conj_poly(self, p):
+        neg = self.ctx._negated
         out = {}
-        for e, c in p.items():
-            s = 1
-            for j, x in enumerate(e):
-                if x and self.ctx.star_sign(j) < 0 and x % 2:
-                    s = -s
-            cc = c.conjugate()
-            out[e] = cc if s > 0 else -cc
+        for e, (a, b, d) in p.items():
+            # an odd total degree in the negated parameters flips the sign
+            out[e] = (-a, b, d) if sum(e[j] for j in neg) % 2 else (a, -b, d)
         return out
 
     def evaluate(self, assignment: Mapping[str, GaussRational]) -> GaussRational:
@@ -825,7 +893,7 @@ class Scalar:
         for j, name in enumerate(self.ctx.names):
             if name in assignment:
                 v = assignment[name]
-                vals[j] = v if isinstance(v, GaussRational) else GaussRational(v)
+                vals[j] = (v if isinstance(v, GaussRational) else GaussRational(v)).triple
         for p in (self.num, self.den):
             for e in p:
                 for j, x in enumerate(e):
@@ -834,9 +902,9 @@ class Scalar:
                             f"parameter {self.ctx.names[j]!r} has no value"
                         )
         den = _peval(self.den, vals)
-        if not den:
+        if not (den[0] or den[1]):
             raise PoleAtPoint("denominator vanishes at the point")
-        return _peval(self.num, vals) / den
+        return _gauss(_cdiv(_peval(self.num, vals), den))
 
     def __eq__(self, other):
         if isinstance(other, (int, GaussRational)):
@@ -863,8 +931,8 @@ class Scalar:
         lower/left half plane; used to extract '-' when printing."""
         if not self.num:
             return False
-        c = self.num[_plead(self.num)]
-        return c.a < 0 or (c.a == 0 and c.b < 0)
+        a, b, _ = self.num[_plead(self.num)]
+        return a < 0 or (a == 0 and b < 0)
 
     def text(self) -> str:
         """Canonical text.  Polynomial scalars and monomial denominators
@@ -884,6 +952,16 @@ class Scalar:
         return f"({num})/({dent})"
 
 
+def _scalar(ctx, num, den) -> Scalar:
+    """The Scalar num/den of a context, for num and den already canonical."""
+    s = _new(Scalar)
+    s.ctx = ctx
+    s.num = num
+    s.den = den
+    s._h = None
+    return s
+
+
 def _is_constant(p, ctx):
     # (a canonical denominator that is constant is the unit one)
     return len(p) == 1 and ctx._zero_exp in p
@@ -899,17 +977,17 @@ def _mul_reduced(ctx, a, b, c, d):
         a, d = _cancel(a, d, ctx)
     if not _is_constant(b, ctx):
         c, b = _cancel(c, b, ctx)
-    return Scalar(ctx, *_canon(_pmul(a, c), _pmul(b, d)), _raw=True)
+    return _scalar(ctx, *_canon(_pmul(a, c), _pmul(b, d)))
 
 
 def _peval(p, vals):
-    total = GAUSS_ZERO
+    """The triple value of p with parameter j set to the triple vals[j]."""
+    total = _ZERO
     for e, c in p.items():
-        term = c
         for j, x in enumerate(e):
-            if x:
-                term = term * (vals[j] ** x)
-        total = total + term
+            for _ in range(x):
+                c = _cmul(c, vals[j])
+        total = _cadd(total, c)
     return total
 
 
@@ -918,7 +996,7 @@ def _reduce(num, den, nvars):
     if not den:
         raise DegenerateScalar("zero denominator")
     if not num:
-        return {}, {(0,) * nvars: GAUSS_ONE}
+        return {}, {(0,) * nvars: _ONE}
     # strip the common monomial factor
     mins = [
         min(min(e[j] for e in num), min(e[j] for e in den)) for j in range(nvars)
@@ -941,44 +1019,45 @@ def _canon(num, den):
     if len(den) == 1:
         # monomial denominator: carry coefficient 1
         ((e, c),) = den.items()
-        if not c.is_one():
-            num = _pscale(num, c.inverse())
-            den = {e: GAUSS_ONE}
+        if c != _ONE:
+            num = _pscale(num, _cinv(c))
+            den = {e: _ONE}
         return num, den
-    # general denominator: integral, Z[i]-content a unit, leading coeff in
-    # the canonical sector
+    # general denominator: integral with coprime rational parts (r), then
+    # Z[i]-content a unit and leading coefficient in the canonical sector
+    # (t); num is scaled once, by r*t
     r = _prat_content(den)
-    if not r.is_one():
-        num = _pscale(num, r)
+    if r != _ONE:
         den = _pscale(den, r)
     zc = _zgauss_content(den)
-    if not zc.is_one():
-        zi = zc.inverse()
-        num = _pscale(num, zi)
-        den = _pscale(den, zi)
-    u = _canonical_unit(den[_plead(den)])
-    if not u.is_one():
-        num = _pscale(num, u)
-        den = _pscale(den, u)
+    t = _ONE if zc == _ONE else _cinv(zc)
+    t = _cmul(t, _canonical_unit(_cmul(den[_plead(den)], t)))
+    if t != _ONE:
+        den = _pscale(den, t)
+    s = _cmul(r, t)
+    if s != _ONE:
+        num = _pscale(num, s)
     return num, den
 
 
 def _poly_text(p, names) -> str:
     terms = []
     for e in sorted(p, reverse=True):
-        c = p[e]
+        a, b, d = p[e]
         factors = [
             f"{names[j]}^{x}" if x > 1 else names[j] for j, x in enumerate(e) if x
         ]
-        neg = c.a < 0 or (c.a == 0 and c.b < 0)
-        cc = -c if neg else c
+        neg = a < 0 or (a == 0 and b < 0)
+        if neg:
+            a, b = -a, -b
         if not factors:
-            body = cc.text() if (cc.b == 0 or cc.a == 0) else f"({cc.text()})"
-        elif cc.is_one():
+            ct = _ctext((a, b, d))
+            body = ct if (b == 0 or a == 0) else f"({ct})"
+        elif (a, b, d) == _ONE:
             body = "*".join(factors)
         else:
-            ct = cc.text()
-            if cc.b != 0 and cc.a != 0:
+            ct = _ctext((a, b, d))
+            if b != 0 and a != 0:
                 ct = f"({ct})"
             body = "*".join([ct] + factors)
         terms.append(("-" if neg else "+", body))

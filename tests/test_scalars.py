@@ -159,6 +159,13 @@ from operator import add, mul, truediv  # noqa: E402
 
 from qe2.scalars import Scalar, _pmul  # noqa: E402
 
+
+def _triples(p):
+    """A {exponent: GaussRational} polynomial in the kernel's form: canonical
+    int triples (a, b, d), zero coefficients dropped."""
+    return {e: c.triple for e, c in p.items() if c}
+
+
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 gauss_q = st.builds(GaussRational, fracs, fracs)
 
@@ -269,9 +276,9 @@ def test_scalar_ops_match_sympy_cancel(x, y, op):
 
     def expr(p):
         return sum(
-            (sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d))
+            (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d))
             * sympy.Mul(*(s**e for s, e in zip(syms, exp)))
-            for exp, c in p.items()
+            for exp, (a, b, d) in p.items()
         )
 
     def qqi(e):
@@ -335,7 +342,7 @@ def _poly(ctx, terms):
             p[e] = c
         else:
             p.pop(e, None)
-    return p
+    return _triples(p)
 
 
 def _operands(ctx):
@@ -446,7 +453,7 @@ def _upoly(ctx, v, coeffs):
             e = [0] * ctx.nvars
             e[v] = j
             p[tuple(e)] = c
-    return p
+    return _triples(p)
 
 
 def _same_up_to_unit(f, g):
@@ -465,7 +472,7 @@ def test_ugcd_matches_pgcd(ctx, v, h, a, b):
     got = _ugcd(f, g, v)
     assert _same_up_to_unit(got, _pgcd(f, g))
     if got:
-        assert got[max(got)] == GAUSS_ONE  # monic
+        assert got[max(got)] == GAUSS_ONE.triple  # monic
         assert _pdivexact(f, got) is not None and _pdivexact(g, got) is not None
         if h:
             assert _pdivexact(got, h) is not None
@@ -474,13 +481,13 @@ def test_ugcd_matches_pgcd(ctx, v, h, a, b):
 
 
 def test_ugcd_edge_cases():
-    one = {(0,): GAUSS_ONE}
-    w1 = {(1,): GAUSS_ONE, (0,): GAUSS_ONE}  # omega + 1
+    one = _triples({(0,): GAUSS_ONE})
+    w1 = _triples({(1,): GAUSS_ONE, (0,): GAUSS_ONE})  # omega + 1
     assert _ugcd({}, {}, 0) == {}
-    assert _ugcd({}, _pmul(w1, {(0,): GaussRational(3)}), 0) == w1
-    assert _ugcd({(0,): GaussRational(5)}, w1, 0) == one
-    assert _ugcd(w1, {(1,): GAUSS_ONE, (0,): GaussRational(-1)}, 0) == one  # coprime
-    assert _ugcd(_pmul(w1, w1), _pmul(w1, {(1,): GAUSS_I}), 0) == w1
+    assert _ugcd({}, _pmul(w1, _triples({(0,): GaussRational(3)})), 0) == w1
+    assert _ugcd(_triples({(0,): GaussRational(5)}), w1, 0) == one
+    assert _ugcd(w1, _triples({(1,): GAUSS_ONE, (0,): GaussRational(-1)}), 0) == one  # coprime
+    assert _ugcd(_pmul(w1, w1), _pmul(w1, _triples({(1,): GAUSS_I})), 0) == w1
 
 
 @given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
@@ -492,8 +499,8 @@ def test_ugcd_matches_sympy(h, a, b):
 
     def poly(p):
         expr = sum(
-            (sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)) * x ** e[0]
-            for e, c in p.items()
+            (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)) * x ** e[0]
+            for e, (a, b, d) in p.items()
         )
         return sympy.Poly(expr, x, domain=sympy.QQ_I)
 
@@ -524,10 +531,239 @@ def test_mul_by_unit_returns_the_operand(x):
     assert one * x is x
     # a Scalar equal to 1 that is another object takes the general path and
     # gives an equal result: identity only skips work
-    other_one = Scalar(CTX, {(0, 0, 0): GAUSS_ONE}, {(0, 0, 0): GAUSS_ONE})
+    other_one = Scalar(
+        CTX, _triples({(0, 0, 0): GAUSS_ONE}), _triples({(0, 0, 0): GAUSS_ONE})
+    )
     assert other_one is not one and other_one == one
     assert x * other_one == x and other_one * x == x
     # the unit of an equal but distinct context is not taken for this one's
     twin = ScalarContext(CTX.parameters)
     assert twin == CTX and twin.one is not one
     assert x * twin.one == x
+
+
+# -- the triple kernel against GaussRational arithmetic -----------------------
+
+from math import lcm  # noqa: E402
+
+from qe2.scalars import _canon, _pscale  # noqa: E402
+
+GAUSS_ZERO = GaussRational(0)
+
+_UNITS = (GAUSS_ONE, GAUSS_I, GaussRational(-1), GaussRational(0, -1))
+
+
+def _is_canonical(p):
+    """Every coefficient of p is a canonical, nonzero int triple."""
+    return all(
+        type(c) is tuple
+        and len(c) == 3
+        and all(type(x) is int for x in c)
+        and c[2] > 0
+        and gcd(*c) == 1
+        and (c[0] or c[1])
+        for c in p.values()
+    )
+
+
+def _gauss_coeff(c):
+    a, b, d = c
+    return GaussRational(Fraction(a, d), Fraction(b, d))
+
+
+def _gauss_poly(p):
+    """The {exponent: GaussRational} polynomial of a triple polynomial."""
+    return {e: _gauss_coeff(c) for e, c in p.items()}
+
+
+def _ref_add(p, q):
+    r = dict(p)
+    for e, c in q.items():
+        r[e] = r.get(e, GAUSS_ZERO) + c
+    return {e: c for e, c in r.items() if c}
+
+
+def _ref_mul(p, q):
+    r = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            r[e] = r.get(e, GAUSS_ZERO) + c1 * c2
+    return {e: c for e, c in r.items() if c}
+
+
+def _ref_divexact(f, g):
+    """Long division by the lex-leading term; None when g does not divide f."""
+    gl = max(g)
+    q, r = {}, dict(f)
+    while r:
+        rl = max(r)
+        diff = tuple(x - y for x, y in zip(rl, gl))
+        if min(diff) < 0:
+            return None
+        c = r[rl] / g[gl]
+        q[diff] = c
+        r = _ref_add(r, {tuple(x + y for x, y in zip(e, diff)): -cc * c for e, cc in g.items()})
+    return q
+
+
+def _ref_ugcd(f, g, v):
+    """Monic gcd in the variable v by Euclid on dense GaussRational lists."""
+
+    def dense(p):
+        out = [GAUSS_ZERO] * (max((e[v] for e in p), default=-1) + 1)
+        for e, c in p.items():
+            out[e[v]] = c
+        return out
+
+    a, b = dense(f), dense(g)
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] = a[shift + j] - q * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return {}
+    e0 = (0,) * len(next(iter(f or g)))
+    return {e0[:v] + (j,) + e0[v + 1 :]: c / a[-1] for j, c in enumerate(a) if c}
+
+
+def _ref_canon(num, den):
+    """The constant-factor normalisation of the module docs, on GaussRationals:
+    a monomial den gets coefficient 1; otherwise den is made integral with
+    coprime rational parts, divided by its Z[i] gcd and rotated by the unit
+    that puts its lex-leading coefficient in the quadrant re > 0, im >= 0."""
+    if len(den) == 1:
+        ((e, c),) = den.items()
+        return {k: v / c for k, v in num.items()}, {e: GAUSS_ONE}
+    cs = [x for c in den.values() for x in (c.re, c.im)]
+    m = lcm(*(x.denominator for x in cs))
+    r = GaussRational(Fraction(m, gcd(*(int(x * m) for x in cs))))
+    z = GAUSS_ZERO
+    for c in den.values():
+        x, y = z, c * r
+        while y:
+            qq = x / y
+            x, y = y, x - GaussRational(round(qq.re), round(qq.im)) * y
+        z = x
+    lead = den[max(den)] * r / z
+    u = next(u for u in _UNITS if (lead * u).re > 0 and (lead * u).im >= 0)
+    s = r / z * u
+    return {e: c * s for e, c in num.items()}, {e: c * s for e, c in den.items()}
+
+
+# Two parameters, exponents up to 2: terms of a product often share a key.
+_tri_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_tri_coeffs = st.one_of(
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]).flatmap(
+        lambda x: st.sampled_from([GaussRational(x), GaussRational(0, x)])
+    ),
+    nonzero_gauss,
+).map(lambda g: g.triple)
+_tri_polys = st.dictionaries(_tri_exps, _tri_coeffs, max_size=4)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_triple_kernel_matches_gauss_arithmetic(data):
+    p, q, h = (data.draw(_tri_polys) for _ in range(3))
+    # q also takes some of p's terms negated, so p + q cancels there
+    for e, (a, b, d) in p.items():
+        if data.draw(st.booleans()):
+            q[e] = (-a, -b, d)
+    c = data.draw(_tri_coeffs)
+    G = _gauss_poly
+    pq = _padd(p, q)
+    pmq = _padd(p, _pneg(q))
+    cases = [
+        (pq, _ref_add(G(p), G(q))),
+        (_pmul(p, q), _ref_mul(G(p), G(q))),
+        # (p + q)(p - q): the cross terms cancel
+        (_pmul(pq, pmq), _ref_mul(_ref_add(G(p), G(q)), _ref_add(G(p), G(_pneg(q))))),
+        (_pmul(p, {(1, 0): c}), _ref_mul(G(p), G({(1, 0): c}))),
+        (_pmul({(0, 0): c}, p), _ref_mul(G({(0, 0): c}), G(p))),
+        (_pscale(p, c), {e: x * _gauss_coeff(c) for e, x in G(p).items()}),
+    ]
+    if h:
+        got = _pdivexact(q, h)
+        want = _ref_divexact(G(q), G(h))
+        assert (got is None) == (want is None)
+        if got is not None:
+            cases.append((got, want))
+        cases.append((_pdivexact(_pmul(p, h), h), G(p)))
+    for got, want in cases:
+        assert _is_canonical(got)
+        assert G(got) == want
+    # _ugcd on the parts of p, q and h in the second parameter alone
+    f, g, k = ({e: x for e, x in s.items() if e[0] == 0} for s in (p, q, h))
+    f, g = _pmul(f, k), _pmul(g, k)
+    got = _ugcd(f, g, 1)
+    assert _is_canonical(got)
+    assert G(got) == _ref_ugcd(G(f), G(g), 1)
+    if p and h:
+        num, den = _canon(p, h)
+        assert _is_canonical(num) and _is_canonical(den)
+        assert (G(num), G(den)) == _ref_canon(G(p), G(h))
+
+
+# -- equality, hashes and text of constructed and computed scalars ------------
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX], ids=["omega", "omega-k-q"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_scalars_share_hash_and_text(ctx, data):
+    x, y = (data.draw(_operands(ctx)) for _ in range(2))
+    computed = [x.conjugate(), -x, 3 - x]
+    for op in (add, sub, mul, truediv):
+        if op is not truediv or y:
+            got = op(x, y)
+            computed.append(got)
+            full = Scalar(ctx, *_unreduced(op, x, y))
+            assert got == full
+            assert hash(got) == hash(full) and got.text() == full.text()
+    # x rebuilt by the field operations equals the constructed x
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x) and back.text() == x.text()
+    for s in computed + [back]:
+        assert _is_canonical(s.num) and _is_canonical(s.den)
+        assert not any(isinstance(c, GaussRational) for c in (*s.num.values(), *s.den.values()))
+
+
+# -- the printers against Fraction-based references ---------------------------
+
+from qe2.scalars import _poly_text  # noqa: E402
+
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+def _ref_poly_text(p, names):
+    terms = []
+    for e in sorted(p, reverse=True):
+        a, b, d = p[e]
+        re, im = Fraction(a, d), Fraction(b, d)
+        neg = re < 0 or (re == 0 and im < 0)
+        if neg:
+            re, im = -re, -im
+        ct = _ref_text(re, im)
+        factors = [f"{names[j]}^{x}" if x > 1 else names[j] for j, x in enumerate(e) if x]
+        if re and im:
+            ct = f"({ct})"
+        if factors and (re, im) == (1, 0):
+            body = "*".join(factors)
+        else:
+            body = "*".join([ct] + factors)
+        terms.append(f"{'-' if neg else '+'} {body}")
+    out = " ".join(terms)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+@given(st.builds(GaussRational, wide_fracs, wide_fracs), _tri_polys.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_text_matches_fraction_reference(g, p):
+    assert g.text() == _ref_text(g.re, g.im)
+    assert _poly_text(p, ("omega", "k")) == _ref_poly_text(p, ("omega", "k"))
