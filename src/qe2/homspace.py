@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import exprio
 from .hopf import AlgebraMorphism, HopfStructure, TensorElement, star_apply
 from .ncalg import NCPoly, OreTower, TowerError, span_solve
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, CheckReport
 
 
 class HomspaceError(ValueError):
@@ -110,7 +110,7 @@ def quotient_check(pi: QuotientMap, suite="quotient") -> CheckReport:
             continue
         try:
             pi.images[j].unit_inverse()
-            rep.add(f"invertible-image-{g.name}", status=PASS)
+            rep.add(f"invertible-image-{g.name}")
         except TowerError as e:
             rep.add(
                 f"invertible-image-{g.name}",
@@ -119,13 +119,8 @@ def quotient_check(pi: QuotientMap, suite="quotient") -> CheckReport:
             )
     for idx, g in enumerate(pi.kernel_gens):
         img = pi.apply(g)
-        ok = img.is_zero()
-        rep.add(
-            f"kernel-gen-{idx}",
-            status=PASS if ok else FAIL,
-            lhs=exprio.format_canonical(img),
-            rhs="0",
-        )
+        rep.verdict(f"kernel-gen-{idx}", img.is_zero(),
+                    lhs=exprio.format_canonical(img), rhs="0")
     return rep
 
 
@@ -161,26 +156,20 @@ def coideal_report(B: Subalgebra, H: HopfStructure, suite="coideal") -> CheckRep
         db = H.coproduct(b)
         for ml, right in sorted(_group_by_left_leg(db).items()):
             label = exprio.format_canonical(amb.tower_mono(ml))
-            dec = subalgebra_membership(right, B)
-            ok = dec is not None
-            rep.add(
+            rep.verdict(
                 f"coideal-{name}-leftleg[{label}]",
-                status=PASS if ok else FAIL,
+                subalgebra_membership(right, B) is not None,
                 lhs=exprio.format_canonical(right),
                 rhs="<element of the subalgebra>",
-                witness=""
-                if ok
-                else f"right leg of Delta({name}) grouped at {label} is outside B",
+                witness=f"right leg of Delta({name}) grouped at {label} is outside B",
             )
         bstar = star_apply(b, amb)
-        dec = subalgebra_membership(bstar, B)
-        ok = dec is not None
-        rep.add(
+        rep.verdict(
             f"coideal-{name}-star",
-            status=PASS if ok else FAIL,
+            subalgebra_membership(bstar, B) is not None,
             lhs=exprio.format_canonical(bstar),
             rhs="<element of the subalgebra>",
-            witness="" if ok else f"{name}* is outside B",
+            witness=f"{name}* is outside B",
         )
     return rep
 
@@ -204,29 +193,20 @@ def hopf_star_ideal_report(
         both = dg.map_leg(0, pi.apply, new_tower=pi.target).map_leg(
             1, pi.apply, new_tower=pi.target
         )
-        _flag(rep, f"coideal[(pi x pi) delta({gname})]", both.is_zero(), both)
-        eps = H.counit(g)
-        _flag(
-            rep,
-            f"counit[eps({gname})]",
-            not eps,
-            NCPoly.constant(pi.source, eps),
-        )
-        s_img = pi.apply(H.antipode(g))
-        _flag(rep, f"antipode[pi(S({gname}))]", s_img.is_zero(), s_img)
-        st_img = pi.apply(star_apply(g, pi.source))
-        _flag(rep, f"star[pi(({gname})*)]", st_img.is_zero(), st_img)
+        for check_id, residual in (
+            (f"coideal[(pi x pi) delta({gname})]", both),
+            (f"counit[eps({gname})]", NCPoly.constant(pi.source, H.counit(g))),
+            (f"antipode[pi(S({gname}))]", pi.apply(H.antipode(g))),
+            (f"star[pi(({gname})*)]", pi.apply(star_apply(g, pi.source))),
+        ):
+            rep.verdict(
+                check_id,
+                residual.is_zero(),
+                lhs=exprio.format_canonical(residual),
+                rhs="0",
+                witness="nonzero residual",
+            )
     return rep
-
-
-def _flag(rep, check_id, ok, residual):
-    rep.add(
-        check_id,
-        status=PASS if ok else FAIL,
-        lhs=exprio.format_canonical(residual) if residual is not None else "",
-        rhs="0",
-        witness="" if ok else "nonzero residual",
-    )
 
 
 def coinvariance_check(

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from . import exprio
 from .ncalg import NCPoly, OreTower, TowerError, bilinear, collect, pin_unit
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, CheckReport
 from .scalars import Scalar
 
 
@@ -319,9 +319,9 @@ class AlgebraMorphism:
             except TowerError as e:
                 rep.add(check_id, status=FAIL, witness=str(e))
                 continue
-            rep.add(
+            rep.verdict(
                 check_id,
-                status=PASS if lhs_img == rhs_img else FAIL,
+                lhs_img == rhs_img,
                 lhs=exprio.format_canonical(lhs_img),
                 rhs=exprio.format_canonical(rhs_img),
             )
@@ -357,15 +357,15 @@ def star_apply(x: NCPoly, tower: Optional[OreTower] = None) -> NCPoly:
 
 
 class HopfStructure:
-    """Coproduct and antipode as structure maps (the antipode reverses
-    products) and the counit as a table of scalars on generators; the star
-    is the tower's own."""
+    """Coproduct, counit and antipode as structure maps (the counit's target
+    is the tower without generators, the antipode reverses products); the
+    star is the tower's own."""
 
     def __init__(self, tower: OreTower, coproduct_map: AlgebraMorphism,
-                 counit_table: dict, antipode_map: AlgebraMorphism):
+                 counit_map: AlgebraMorphism, antipode_map: AlgebraMorphism):
         self.tower = tower
         self.coproduct_map = coproduct_map
-        self.counit_table = counit_table  # idx -> Scalar
+        self.counit_map = counit_map
         self.antipode_map = antipode_map
         for j, g in enumerate(tower.generators):
             if g.invertible:
@@ -374,7 +374,7 @@ class HopfStructure:
                         f"coproduct of invertible generator {g.name} must be a "
                         "monomial tensor"
                     )
-                if not counit_table[j]:
+                if not counit_map.images[j]:
                     raise TowerError(f"counit of invertible {g.name} must be a unit")
                 if not antipode_map.images[j].is_invertible_monomial():
                     raise TowerError(
@@ -387,15 +387,7 @@ class HopfStructure:
         return self.coproduct_map.apply(x)
 
     def counit(self, x: NCPoly) -> Scalar:
-        ctx = self.tower.context
-        total = ctx.zero
-        for mono, c in x.terms.items():
-            term = c
-            for j, e in enumerate(mono):
-                if e and term:
-                    term = term * self.counit_table[j] ** e
-            total = total + term
-        return total
+        return self.counit_map.apply(x).as_scalar()
 
     def antipode(self, x: NCPoly) -> NCPoly:
         return self.antipode_map.apply(x)
@@ -412,20 +404,12 @@ class HopfStructure:
 
 
 def load_hopf(tower: OreTower, spec: dict) -> HopfStructure:
-    """Attach the Hopf tables given as grammar expressions; each table
-    names every generator of the tower and no other."""
+    """Attach the Hopf tables given as grammar expressions (the counit's
+    are scalar expressions); each table names every generator of the tower
+    and no other."""
     delta = AlgebraMorphism.load(tower, (tower, tower), spec["delta"])
-    counit = {}
-    for gname, expr in spec["counit"].items():
-        j = tower.gen_index(gname)
-        if j is None:
-            raise TowerError(f"counit of unknown generator {gname!r}")
-        s = tower.poly(expr).as_scalar()
-        if s is None:
-            raise TowerError(f"counit of {gname} must be scalar")
-        counit[j] = s
-    if len(counit) != tower.nlevels:
-        raise TowerError("counit table must give a value for every generator")
+    scalars = OreTower("scalars", tower.context, [])
+    counit = AlgebraMorphism.load(tower, scalars, spec["counit"])
     antipode = AlgebraMorphism.load(tower, tower, spec["antipode"], reverse=True)
     return HopfStructure(tower, delta, counit, antipode)
 
@@ -435,37 +419,40 @@ def load_hopf(tower: OreTower, spec: dict) -> HopfStructure:
 # ---------------------------------------------------------------------------
 
 
+_DIFFER = "left and right canonical forms differ"
+
+
 def hopf_axioms_report(H: HopfStructure, suite="hopf-axioms") -> CheckReport:
     """Coassociativity, counit, antipode, star-coproduct compatibility and
     the star involution, on every generator (which suffices: all maps are
     determined by their generator values and their (anti)multiplicativity,
     given that the tower relations are respected; see
     respects_relations_report)."""
-    rep = CheckReport(suite)
     tower = H.tower
-    has_star = tower.star_table is not None
+    sides = []  # (check id, left side, right side)
     for j, g in enumerate(tower.generators):
         x = NCPoly.generator(tower, j)
         dx = H.coproduct(x)
-        lhs = H.coproduct_leg(dx, 0)
-        rhs = H.coproduct_leg(dx, 1)
-        _cmp(rep, f"coassoc-{g.name}", lhs, rhs)
-        left_counit = H.counit_leg(dx, 0).as_poly_times_unit(0)
-        right_counit = H.counit_leg(dx, 1).as_poly_times_unit(0)
-        _cmp(rep, f"counit-left-{g.name}", left_counit, x)
-        _cmp(rep, f"counit-right-{g.name}", right_counit, x)
         eta_eps = NCPoly.constant(tower, H.counit(x))
-        s_left = dx.map_leg(0, H.antipode).multiply_out()
-        s_right = dx.map_leg(1, H.antipode).multiply_out()
-        _cmp(rep, f"antipode-left-{g.name}", s_left, eta_eps)
-        _cmp(rep, f"antipode-right-{g.name}", s_right, eta_eps)
-        if has_star:
-            star_dx = H.coproduct(H.star(x))
-            dx_star = dx.map_leg(0, H.star, conjugate_coeff=True).map_leg(
-                1, H.star
-            )
-            _cmp(rep, f"star-coproduct-{g.name}", star_dx, dx_star)
-            _cmp(rep, f"star-involution-{g.name}", H.star(H.star(x)), x)
+        sides += [
+            (f"coassoc-{g.name}", H.coproduct_leg(dx, 0), H.coproduct_leg(dx, 1)),
+            (f"counit-left-{g.name}", H.counit_leg(dx, 0).as_poly_times_unit(0), x),
+            (f"counit-right-{g.name}", H.counit_leg(dx, 1).as_poly_times_unit(0), x),
+            (f"antipode-left-{g.name}", dx.map_leg(0, H.antipode).multiply_out(),
+             eta_eps),
+            (f"antipode-right-{g.name}", dx.map_leg(1, H.antipode).multiply_out(),
+             eta_eps),
+        ]
+        if tower.star_table is not None:
+            dx_star = dx.map_leg(0, H.star, conjugate_coeff=True).map_leg(1, H.star)
+            sides += [
+                (f"star-coproduct-{g.name}", H.coproduct(H.star(x)), dx_star),
+                (f"star-involution-{g.name}", H.star(H.star(x)), x),
+            ]
+    rep = CheckReport(suite)
+    for check_id, lhs, rhs in sides:
+        rep.verdict(check_id, lhs == rhs, lhs=exprio.format_canonical(lhs),
+                    rhs=exprio.format_canonical(rhs), witness=_DIFFER)
     return rep
 
 
@@ -486,50 +473,21 @@ def respects_relations_report(
     ``star_status_on_fail`` lets callers
     classify a star mismatch as a reported discrepancy when the printed
     star table itself is under scrutiny."""
+    maps = []  # (check id prefix, structure map, status on mismatch)
+    if H is not None:
+        maps += [
+            ("delta", H.coproduct_map, FAIL),
+            ("counit", H.counit_map, FAIL),
+            ("antipode", H.antipode_map, FAIL),
+        ]
+    if tower.star_table is not None:
+        maps.append(("star", star_map(tower), star_status_on_fail))
     rep = CheckReport(suite)
-    star = star_map(tower) if tower.star_table is not None else None
     for word, rhs in tower.derived_rules():
         wname = _word_name(tower, word)
-        if H is not None:
-            _cmp(
-                rep,
-                f"delta-on[{wname}]",
-                H.coproduct_map.word_image(word),
-                H.coproduct(rhs),
-            )
-            e_lhs = tower.context.one
-            for j, e in word:
-                e_lhs = e_lhs * H.counit_table[j] ** e
-            _cmp(
-                rep,
-                f"counit-on[{wname}]",
-                NCPoly.constant(tower, e_lhs),
-                NCPoly.constant(tower, H.counit(rhs)),
-            )
-            _cmp(
-                rep,
-                f"antipode-on[{wname}]",
-                H.antipode_map.word_image(word),
-                H.antipode(rhs),
-            )
-        if star is not None:
-            _cmp(
-                rep,
-                f"star-on[{wname}]",
-                star.word_image(word),
-                star.apply(rhs),
-                fail_status=star_status_on_fail,
-            )
+        for name, f, bad in maps:
+            left, right = f.word_image(word), f.apply(rhs)
+            rep.verdict(f"{name}-on[{wname}]", left == right,
+                        lhs=exprio.format_canonical(left),
+                        rhs=exprio.format_canonical(right), witness=_DIFFER, bad=bad)
     return rep
-
-
-def _cmp(rep: CheckReport, check_id, lhs, rhs, fail_status=FAIL):
-    ok = lhs == rhs
-    rep.add(
-        check_id,
-        status=PASS if ok else fail_status,
-        lhs=exprio.format_canonical(lhs) if lhs is not None else "<none>",
-        rhs=exprio.format_canonical(rhs) if rhs is not None else "<none>",
-        witness="" if ok else "left and right canonical forms differ",
-    )
-    return ok

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import exprio
 from .ncalg import AffineSolutions, OreTower, collect, solve_terms
 from .poisson import PoissonStructure
-from .report import FAIL, PASS, CheckReport
+from .report import CheckReport
 from .scalars import Scalar, ScalarContext
 
 
@@ -358,13 +358,12 @@ def cocycle_cojacobi_report(
                 for key, cw in delta.of(k).coeffs.items()
             ])
             rhs = ad_wedge(g, a, delta.of(b)) - ad_wedge(g, b, delta.of(a))
-            ok = lhs == rhs
-            rep.add(
+            rep.verdict(
                 f"cocycle-({g.names[a]},{g.names[b]})",
-                status=PASS if ok else FAIL,
+                lhs == rhs,
                 lhs=lhs.text(g.names),
                 rhs=rhs.text(g.names),
-                witness="" if ok else "cocycle condition violated",
+                witness="cocycle condition violated",
             )
     # co-Jacobi via antisymmetric matrices D_k
     def D(k, i, j):
@@ -391,15 +390,13 @@ def cocycle_cojacobi_report(
                     break
             if bad:
                 break
-        ok = bad is None
-        rep.add(
+        a, b, c, total = bad or (0, 0, 0, ctx.zero)
+        rep.verdict(
             f"cojacobi-{g.names[k]}",
-            status=PASS if ok else FAIL,
-            lhs="0" if ok else str(bad[3]),
+            bad is None,
+            lhs=str(total),
             rhs="0",
-            witness=""
-            if ok
-            else f"slot ({g.names[bad[0]]},{g.names[bad[1]]},{g.names[bad[2]]})",
+            witness=f"slot ({g.names[a]},{g.names[b]},{g.names[c]})",
         )
     return rep
 
@@ -480,12 +477,11 @@ def stabilizer_invariance_check(
     # trace part of the action on rho (2-dim top wedge)
     act = (stab_action[0][0] + stab_action[1][1]) * rho
     total = pushed + act
-    ok = not total
-    rep.add(
+    rep.verdict(
         "stabilizer-invariance",
-        status=PASS if ok else FAIL,
+        not total,
         lhs=str(total),
         rhs="0",
-        witness="" if ok else "invariance condition violated",
+        witness="invariance condition violated",
     )
     return rep

@@ -11,8 +11,8 @@ generators; the engine derives every swap rule
 
     g_L * x = sigma(x) * g_L + delta(x)
 
-from them, including the rules for inverse powers of invertible lower
-generators via the sandwich identities
+from them, including the rules for inverse letters of invertible lower
+generators via
 
     sigma(x^-1) = sigma(x)^-1        delta(x^-1) = -sigma(x)^-1 delta(x) x^-1.
 
@@ -23,29 +23,30 @@ higher-level letter right past a lower one while the inserted sigma- and
 delta-images only involve letters of strictly smaller level (delta may
 also reuse the level itself, which shortens the tail instead); this is
 the (level, degree)-lexicographic measure underlying the PBW property of
-Ore extensions.  A product of normal forms is the bilinear kernel
+Ore extensions.
+
+Rules are applied by one code path, :class:`LetterPushFold`.
+Leftmost-first rewriting of ``p*y`` reduces ``p`` completely before it
+touches the ``p|y`` boundary, so it is a left fold of "push one letter
+into a normal monomial"; rightmost-first is the mirrored right fold.  A
+fold memoises its pushes by (normal monomial, letter), and
+``REWRITE_STEP_BUDGET`` bounds the pushes of each ``reduce`` call.
+
+The engine is the leftmost fold: each tower keeps one, and
+:meth:`OreTower.word_to_poly` and every product of two normal monomials
+push letters with it.  A product of normal forms is the bilinear kernel
 :func:`bilinear` over the tower's cached table of monomial-pair products;
 tensor products and Poisson brackets are the same kernel over their own
 tables.
 
 Confluence is certified by :func:`diamond_check` (Bergman's diamond
 lemma): every word of ``degree`` letters (3 at load time) whose levels
-never increase, inverse letters included, is reduced leftmost-first and
-rightmost-first and both results are compared with the engine's normal
-form.  At degree 3 this is exactly the endomorphism / twisted-derivation
-compatibility of each level with the relations below it; higher degrees
-cross-check the engine.  Towers failing the check are rejected at load
-time.
-
-The two strategies are folds (:class:`LetterPushFold`).  Leftmost-first
-rewriting of ``p*y`` reduces ``p`` completely before it touches the
-``p|y`` boundary, so it is a left fold of "push one letter into a normal
-monomial"; rightmost-first is the mirrored right fold.  Each strategy
-memoises its pushes by (normal monomial, letter), so overlap words share
-their rewriting work.  The memos live only for one ``diamond_check``
-call, one per strategy, apart from the engine's ``_push``/``_mono_mul``
-caches and from each other, so the check still compares two independent
-rewriting paths with the engine.
+never increase, inverse letters included, is reduced by a fresh leftmost
+fold and a fresh rightmost fold, and the two results are compared.  At
+degree 3 this is exactly the endomorphism / twisted-derivation
+compatibility of each level with the relations below it; when it holds,
+normal forms are unique, so the engine's leftmost one is the normal form.
+Towers failing the check are rejected at load time.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class RewriteBudgetExceeded(TowerError):
         self.witness = witness
 
 
-# pushes LetterPushFold may compute for one word before giving up
+# pushes one LetterPushFold.reduce call may compute before giving up; it
+# bounds engine products as well as diamond-check words
 REWRITE_STEP_BUDGET = 200000
 
 
@@ -341,7 +343,7 @@ class OreTower:
         self._sigma_inv_diag = [dict() for _ in range(n)]
         self.commutative = True
         # caches
-        self._push = {}
+        self._engine_fold = None  # built by _engine()
         self._mono_mul = {}
         # {legs -> {(monomial tuple, monomial tuple) -> terms}} for tensor
         # products over legs that start with this tower (hopf.TensorElement)
@@ -349,8 +351,6 @@ class OreTower:
         self._star_map = None  # the star table as a hopf.AlgebraMorphism
         self._sigma_pow = {}
         self._delta_pow = {}
-        self._sigma_hat = {}
-        self._delta_hat = {}
 
     # -- structure access -------------------------------------------------
     def gen_index(self, name: str) -> Optional[int]:
@@ -402,6 +402,7 @@ class OreTower:
             # products cached while the lower levels still commuted may
             # involve this level, whose rules were not known then
             self._mono_mul.clear()
+        self._engine_fold = None  # its memo and rules predate this level
         if g.invertible and L > 0:
             # left-inverse pushes for a non-base invertible generator are
             # only supported for a pure diagonal twist
@@ -431,173 +432,60 @@ class OreTower:
         return hit
 
     def _mono_product(self, m1, m2):
-        """m1*m2 in normal form as a term tuple for the ``_mono_mul`` table."""
+        """m1*m2 in normal form as a term tuple for the ``_mono_mul`` table:
+        the letters of m2 folded into m1 by the engine fold."""
         one = self.context.one
         top1 = _top_level(m1)
         low2 = _low_level(m2)
         if self.commutative or top1 is None or low2 is None or top1 <= low2:
             return ((tuple(map(_add, m1, m2)), one),)
-        poly = NCPoly(self, {m2: one})
-        for L in range(len(m1) - 1, -1, -1):
-            e = m1[L]
-            if e:
-                poly = self._push_power(L, e, poly)
+        poly = self._engine().reduce(_mono_to_word(m2), start=m1)
         return pin_unit(poly.terms.items(), one)
+
+    def _engine(self) -> "LetterPushFold":
+        """The leftmost fold that computes every product of this tower."""
+        if self._engine_fold is None:
+            self._engine_fold = LetterPushFold(self, leftmost=True)
+        return self._engine_fold
 
     def word_to_poly(self, word) -> NCPoly:
         """Normal form of a raw product word of (generator, exponent)."""
-        out = NCPoly.one(self)
-        for idx, e in reversed(list(word)):
+        letters = []
+        for idx, e in word:
             if isinstance(idx, str):
                 j = self.gen_index(idx)
                 if j is None:
                     raise TowerError(f"unknown generator {idx!r}")
                 idx = j
-            if e:
-                out = self._push_power(idx, e, out)
-        return out
-
-    def _push_power(self, L: int, e: int, poly: NCPoly) -> NCPoly:
-        sign = 1 if e > 0 else -1
-        if sign < 0 and not self.generators[L].invertible:
-            raise TowerError(
-                f"negative power of non-invertible generator "
-                f"{self.generators[L].name}"
-            )
-        one = self.context.one
-        for _ in range(abs(e)):
-            acc = {}
-            for mono, c in poly.terms.items():
-                for m2, c2 in self._push_gen(L, sign, mono):
-                    c2 = c if c2 is one else c * c2
-                    v = acc.get(m2)
-                    if v is None:
-                        acc[m2] = c2
-                    else:
-                        v = v + c2
-                        if v:
-                            acc[m2] = v
-                        else:
-                            del acc[m2]
-            poly = NCPoly(self, acc)
-        return poly
-
-    def _push_gen(self, L: int, sign: int, mono):
-        """g_L^sign * mono as a term tuple, normal-formed."""
-        key = (L, sign, mono)
-        hit = self._push.get(key)
-        if hit is not None:
-            return hit
-        low = _low_level(mono)
-        if low is None or low >= L:
-            m = mono[:L] + (mono[L] + sign,) + mono[L + 1 :]
-            out = ((m, self.context.one),)
-            self._push[key] = out
-            return out
-        prefix = mono[:L] + (0,) * (len(mono) - L)
-        suffix = (0,) * L + mono[L:]
-        if sign > 0:
-            # sigma(prefix) g_L suffix + delta(prefix) suffix
-            shat = self._sigma_hat_poly(L, prefix)
-            dhat = self._delta_hat_poly(L, prefix)
-            g_suffix = suffix[:L] + (suffix[L] + 1,) + suffix[L + 1 :]
-            terms = collect(chain(
-                ((tuple(map(_add, m, g_suffix)), c) for m, c in shat.terms.items()),
-                ((tuple(map(_add, m, suffix)), c) for m, c in dhat.terms.items()),
-            ))
-            out = pin_unit(terms.items(), self.context.one)
-        else:
-            diag = self._sigma_inv_diag[L]
-            if not diag and any(prefix):
+            if e < 0 and not self.generators[idx].invertible:
                 raise TowerError(
-                    f"inverse push of {self.generators[L].name} is unsupported"
+                    f"negative power of non-invertible generator "
+                    f"{self.generators[idx].name}"
                 )
-            coeff = self.context.one
-            for j, e in enumerate(prefix):
-                if e:
-                    coeff = coeff * diag[j] ** (-e)
-            m = mono[:L] + (mono[L] - 1,) + mono[L + 1 :]
-            out = pin_unit(((m, coeff),), self.context.one)
-        self._push[key] = out
-        return out
+            letters += [(idx, 1 if e > 0 else -1)] * abs(e)
+        return self._engine().reduce(letters)
 
     def _sigma_img(self, L: int, j: int, e: int) -> NCPoly:
-        """sigma_L(g_j^e), derived for negative e via sigma(x^-1)=sigma(x)^-1."""
+        """sigma_L(g_j^e) for e = +-1, via sigma(x^-1) = sigma(x)^-1."""
         key = (L, j, e)
         hit = self._sigma_pow.get(key)
-        if hit is not None:
-            return hit
-        base = self.sigma[L][j]
-        if e >= 0:
-            out = base ** e
-        else:
-            out = base.unit_inverse() ** (-e)
-        self._sigma_pow[key] = out
-        return out
+        if hit is None:
+            base = self.sigma[L][j]
+            hit = self._sigma_pow[key] = base if e > 0 else base.unit_inverse()
+        return hit
 
     def _delta_img(self, L: int, j: int, e: int) -> NCPoly:
-        """delta_L(g_j^e) via the twisted Leibniz rule; negative powers via
+        """delta_L(g_j^e) for e = +-1, via
         delta(x^-1) = -sigma(x)^-1 delta(x) x^-1."""
         key = (L, j, e)
         hit = self._delta_pow.get(key)
-        if hit is not None:
-            return hit
-        if e == 0:
-            out = NCPoly.zero(self)
-        elif e == 1:
+        if hit is None:
             out = self.delta[L][j]
-        elif e > 1:
-            # delta(g^e) = sigma(g) delta(g^(e-1)) + delta(g) g^(e-1)
-            g_pow = NCPoly.generator(self, j, e - 1)
-            out = self._sigma_img(L, j, 1) * self._delta_img(L, j, e - 1) + (
-                self._delta_img(L, j, 1) * g_pow
-            )
-        elif e == -1:
-            ginv = NCPoly.generator(self, j, -1)
-            out = -(self._sigma_img(L, j, -1) * self.delta[L][j] * ginv)
-        else:
-            # delta(g^e) = sigma(g^(e+1)) delta(g^-1) + delta(g^(e+1)) g^-1
-            ginv = NCPoly.generator(self, j, -1)
-            out = self._sigma_img(L, j, e + 1) * self._delta_img(L, j, -1) + (
-                self._delta_img(L, j, e + 1) * ginv
-            )
-        self._delta_pow[key] = out
-        return out
-
-    def _sigma_hat_poly(self, L: int, prefix) -> NCPoly:
-        key = (L, prefix)
-        hit = self._sigma_hat.get(key)
-        if hit is not None:
-            return hit
-        out = NCPoly.one(self)
-        for j in range(L):
-            e = prefix[j]
-            if e:
-                out = out * self._sigma_img(L, j, e)
-        self._sigma_hat[key] = out
-        return out
-
-    def _delta_hat_poly(self, L: int, prefix) -> NCPoly:
-        """delta_L extended to the prefix monomial by
-        delta(xy) = sigma(x) delta(y) + delta(x) y."""
-        key = (L, prefix)
-        hit = self._delta_hat.get(key)
-        if hit is not None:
-            return hit
-        j = _low_level(prefix)
-        if j is None:
-            out = NCPoly.zero(self)
-        else:
-            e = prefix[j]
-            rest = prefix[:j] + (0,) + prefix[j + 1 :]
-            if not any(rest):
-                out = self._delta_img(L, j, e)
-            else:
-                out = self._sigma_img(L, j, e) * self._delta_hat_poly(L, rest) + (
-                    self._delta_img(L, j, e) * self.tower_mono(rest)
-                )
-        self._delta_hat[key] = out
-        return out
+            if e < 0:
+                ginv = NCPoly.generator(self, j, -1)
+                out = -(self._sigma_img(L, j, -1) * out * ginv)
+            hit = self._delta_pow[key] = out
+        return hit
 
     def tower_mono(self, mono) -> NCPoly:
         return NCPoly(self, {mono: self.context.one})
@@ -778,8 +666,7 @@ def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> AffineSolutions:
 
 
 # ---------------------------------------------------------------------------
-# Diamond (confluence) check: two-path word rewriting, independent of the
-# engine's own association order.
+# Diamond (confluence) check: two fresh folds, one per strategy.
 # ---------------------------------------------------------------------------
 
 
@@ -801,14 +688,13 @@ class DiamondResult:
 
 def diamond_check(tower: OreTower, degree: int = 3) -> DiamondResult:
     """Reduce every descending word of the given length leftmost-first and
-    rightmost-first, and compare the two results with each other and with
-    the engine's own normal form.
+    rightmost-first, and compare the two results.
 
     Words are checked in the lexicographic order of their letters
     (``(level, +1)`` before ``(level, -1)``, lower levels first), and the
-    first word whose three results disagree is the witness.  Each strategy
+    first word whose two results disagree is the witness.  Each strategy
     is a :class:`LetterPushFold` of its own, made for this call alone: the
-    two share no memo with each other, with the engine's caches or with
+    two share no memo with each other, with the engine's fold or with
     later calls, so they remain two independent rewriting paths.
     """
     if degree < 3:
@@ -823,8 +709,7 @@ def diamond_check(tower: OreTower, degree: int = 3) -> DiamondResult:
     for word in _descending_words(letters, degree):
         left = leftmost.reduce(word)
         right = rightmost.reduce(word)
-        engine = tower.word_to_poly(word)
-        if left != right or left != engine:
+        if left != right:
             names = tuple(
                 (tower.generators[j].name, e) for j, e in word
             )
@@ -864,9 +749,9 @@ class LetterPushFold:
     object.  A push that needs one not yet known waits on an explicit work
     stack, so a long rewriting chain never deepens the Python stack.  Each
     push computed counts as one step against ``REWRITE_STEP_BUDGET`` per
-    word; past it, :class:`RewriteBudgetExceeded` is raised with the word
-    as witness.  Terms that cancel between two letters are dropped before
-    the next letter is pushed.
+    :meth:`reduce` call; past it, :class:`RewriteBudgetExceeded` is raised
+    with the word as witness.  Terms that cancel between two letters are
+    dropped before the next letter is pushed.
     """
 
     def __init__(self, tower: OreTower, leftmost: bool):
@@ -876,11 +761,15 @@ class LetterPushFold:
         self._memo = {}     # (monomial, letter) -> ((monomial, coeff), ...)
         self._rules = {}    # (letter, letter) redex -> ((letters, coeff), ...)
 
-    def reduce(self, word) -> NCPoly:
-        """Normal form of a letter word under this object's strategy."""
+    def reduce(self, word, start=None) -> NCPoly:
+        """Normal form of a letter word under this object's strategy,
+        pushed into the normal monomial ``start`` (the unit by default):
+        ``start*word`` leftmost-first, ``word*start`` rightmost-first."""
         letters = tuple(word) if self.leftmost else tuple(reversed(word))
+        if start is None:
+            start = self.tower.unit_mono
         memo = self._memo
-        stack = [(None, self._fold(self.tower.unit_mono, letters))]
+        stack = [(None, self._fold(start, letters))]
         steps = 0
         while True:
             key, task = stack[-1]

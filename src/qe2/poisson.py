@@ -39,7 +39,7 @@ from .ncalg import (
     solve_terms,
     span_solve,
 )
-from .report import FAIL, PASS, CheckReport
+from .report import PASS, CheckReport
 from .scalars import GaussRational, ScalarContext
 
 
@@ -124,7 +124,6 @@ def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
     n = tower.nlevels
     gens = [NCPoly.generator(tower, i) for i in range(n)]
     names = [g.name for g in tower.generators]
-    ok = True
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -134,19 +133,15 @@ def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
                     + P.bracket(g, P.bracket(h, f))
                     + P.bracket(h, P.bracket(f, g))
                 )
-                good = s.is_zero()
-                ok = ok and good
-                rep.add(
+                rep.verdict(
                     f"jacobi-({names[i]},{names[j]},{names[k]})",
-                    status=PASS if good else FAIL,
+                    s.is_zero(),
                     lhs=exprio.format_canonical(s),
                     rhs="0",
-                    witness=""
-                    if good
-                    else f"cyclic sum on ({names[i]},{names[j]},{names[k]})",
+                    witness=f"cyclic sum on ({names[i]},{names[j]},{names[k]})",
                 )
     if n < 3:
-        rep.add("jacobi-(trivial: fewer than 3 generators)", status=PASS, rhs="0")
+        rep.add("jacobi-(trivial: fewer than 3 generators)", rhs="0")
     return rep
 
 
@@ -211,13 +206,12 @@ def poisson_morphism_report(
                 rhs = tensor_bracket(fi, fj, P_left, P_right)
             else:
                 rhs = P_tgt.bracket(fi, fj)
-            ok = lhs == rhs
-            rep.add(
+            rep.verdict(
                 f"poisson-morphism-({names[i]},{names[j]})",
-                status=PASS if ok else FAIL,
+                lhs == rhs,
                 lhs=exprio.format_canonical(lhs),
                 rhs=exprio.format_canonical(rhs),
-                witness="" if ok else "bracket images differ",
+                witness="bracket images differ",
             )
     return rep
 
@@ -380,14 +374,11 @@ def poisson_ideal_check(
         for j in range(tower.nlevels):
             br = P.bracket(g, NCPoly.generator(tower, j))
             img = vanish.apply(br)
-            ok = img.is_zero()
-            rep.add(
+            rep.verdict(
                 f"poisson-ideal-gen{gi}-vs-{names[j]}",
-                status=PASS if ok else FAIL,
+                img.is_zero(),
                 lhs=exprio.format_canonical(img),
                 rhs="0",
-                witness=""
-                if ok
-                else f"{{gen{gi}, {names[j]}}} restricts to a nonzero value",
+                witness=f"{{gen{gi}, {names[j]}}} restricts to a nonzero value",
             )
     return rep

@@ -49,6 +49,13 @@ class CheckReport:
         self.records.append(rec)
         return rec
 
+    def verdict(self, check_id, ok, *, anchor="", lhs="", rhs="", witness="",
+                bad=FAIL):
+        """Record ``PASS`` without a witness when ``ok`` holds, else ``bad``
+        (FAIL, or DISCREPANCY for a printed value) with the witness."""
+        return self.add(check_id, anchor=anchor, status=PASS if ok else bad,
+                        lhs=lhs, rhs=rhs, witness="" if ok else witness)
+
     def extend(self, other: "CheckReport"):
         self.records.extend(other.records)
         return self

@@ -70,30 +70,6 @@ def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport, note
     )
 
 
-def _ok(rep, check_id, anchor, condition, lhs="", rhs="", witness_fail=""):
-    rep.add(
-        check_id,
-        anchor=anchor,
-        status=PASS if condition else FAIL,
-        lhs=lhs,
-        rhs=rhs,
-        witness="" if condition else witness_fail,
-    )
-
-
-def _printed(rep, check_id, anchor, agrees, engine, printed, note):
-    """Record an engine value against the manuscript's printed one: pass
-    when they agree, else a discrepancy explained by ``note``."""
-    rep.add(
-        check_id,
-        anchor=anchor,
-        status=PASS if agrees else DISCREPANCY,
-        lhs=engine,
-        rhs=printed,
-        witness="" if agrees else note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # jacobi
 # ---------------------------------------------------------------------------
@@ -106,27 +82,27 @@ def suite_jacobi(rep: CheckReport, degree_bound: int):
     _summarize(rep, "jacobi-nonstd-poisson", "Sec. 3", jacobi_report(nonstd.poisson))
     t = std.tower
     engine = std.poisson.bracket(t.gen("n"), t.gen("nb"))
-    _printed(
-        rep,
+    rep.verdict(
         "bracket-table-std-n-nb",
-        "Sec. 2",
         engine == t.poly("n*nb"),
-        exprio.format_canonical(engine),
-        "n*nb",
-        "multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
+        anchor="Sec. 2",
+        lhs=exprio.format_canonical(engine),
+        rhs="n*nb",
+        witness="multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
         "with the displayed sign the coproduct is not a Poisson morphism",
+        bad=DISCREPANCY,
     )
     tn = nonstd.tower
     engine = nonstd.poisson.bracket(tn.gen("n"), tn.gen("nb"))
-    _printed(
-        rep,
+    rep.verdict(
         "bracket-table-nonstd-n-nb",
-        "Sec. 3",
         engine == tn.poly("omega*n - omega*nb"),
-        exprio.format_canonical(engine),
-        "omega*n - omega*nb",
-        "the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
+        anchor="Sec. 3",
+        lhs=exprio.format_canonical(engine),
+        rhs="omega*n - omega*nb",
+        witness="the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
         "leaves the cyclic sum 2*omega^2*(v-1)^2",
+        bad=DISCREPANCY,
     )
 
 
@@ -163,16 +139,16 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
         {"z": "v (x) z + n (x) 1", "zb": "vb (x) zb + nb (x) 1"},
     )
     literal_fam = covariant_family_solve(literal, cp.group_poisson, cp.ansatz)
-    _printed(
-        rep,
+    rep.verdict(
         "covariance-plane-orientation",
-        "Cor. 2.4 / Prop. 2.6",
         literal_fam.contains_bracket(space.poly("z*zb + k")),
-        "alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
-        "alpha(z) = v (x) z + n (x) 1 (z paired with n)",
-        "the displayed pairing admits no covariant bracket at all "
+        anchor="Cor. 2.4 / Prop. 2.6",
+        lhs="alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
+        rhs="alpha(z) = v (x) z + n (x) 1 (z paired with n)",
+        witness="the displayed pairing admits no covariant bracket at all "
         f"(family empty: {literal_fam.empty}); the engine pairing carries the "
         "displayed family z*zb + k",
+        bad=DISCREPANCY,
     )
 
     proj = cp.projection
@@ -180,14 +156,13 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
     rep0 = poisson_morphism_report(proj, p_m0, cp.group_poisson)
     _summarize(rep, "covariance-plane-projection-k0", "Cor. 2.4", rep0)
     rep_sym = poisson_morphism_report(proj, cp.space_poisson, cp.group_poisson)
-    _ok(
-        rep,
+    rep.verdict(
         "covariance-plane-projection-k-obstruction",
-        "Cor. 2.4",
         not rep_sym.clean,
+        anchor="Cor. 2.4",
         lhs="projection fails to be Poisson for symbolic k",
         rhs="k = 0 is the only induced member",
-        witness_fail="symbolic-k projection unexpectedly passed",
+        witness="symbolic-k projection unexpectedly passed",
     )
 
     cc = catalog.get_preset("coaction-cylinder")
@@ -199,15 +174,15 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
     nonstd = catalog.get_preset("nonstd-poisson")
     tn = nonstd.tower
     engine_bracket = nonstd.poisson.bracket(tn.gen("v"), tn.poly("vb*nb - v*n"))
-    _printed(
-        rep,
+    rep.verdict(
         "prop32-bracket-printed",
-        "Prop. 3.2",
         engine_bracket == tn.poly("-omega*(v^2 - 1)"),
-        exprio.format_canonical(engine_bracket),
-        "-omega*(v^2 - 1)",
-        "Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
+        anchor="Prop. 3.2",
+        lhs=exprio.format_canonical(engine_bracket),
+        rhs="-omega*(v^2 - 1)",
+        witness="Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
         "displayed value is not even covariant (see the families suite)",
+        bad=DISCREPANCY,
     )
 
     for pid, anchor, cid in (
@@ -237,41 +212,39 @@ def suite_families(rep: CheckReport, degree_bound: int):
         and fam.contains_bracket(space.poly("z*zb"))
         and fam.contains_bracket(space.poly("z*zb + k"))
     )
-    _ok(
-        rep,
+    rep.verdict(
         "family-plane-dimension",
-        "Prop. 2.6",
         ok,
+        anchor="Prop. 2.6",
         lhs=f"affine dimension {fam.dimension}, contains z*zb and z*zb + k",
         rhs="one-parameter family z*zb + k",
-        witness_fail="plane family does not match the displayed one",
+        witness="plane family does not match the displayed one",
     )
 
     cc = catalog.get_preset("coaction-cylinder")
     fam_c = covariant_family_solve(cc.coaction, cc.group_poisson, cc.ansatz)
     sp = cc.space_tower
-    _ok(
-        rep,
+    rep.verdict(
         "family-cylinder-dimension",
-        "Prop. 3.5",
         (not fam_c.empty)
         and fam_c.dimension == 1
         and fam_c.contains_bracket(sp.poly(cc.raw["engine_family_member"]))
         and fam_c.contains_bracket(sp.poly("omega*(v - 1)^2")),
+        anchor="Prop. 3.5",
         lhs=f"affine dimension {fam_c.dimension}; family omega*v^2 + beta*v + omega",
         rhs="one-parameter affine family",
-        witness_fail="cylinder family mismatch",
+        witness="cylinder family mismatch",
     )
-    _printed(
-        rep,
+    rep.verdict(
         "family-cylinder-printed-member",
-        "Prop. 3.5",
         fam_c.contains_bracket(sp.poly(cc.raw["printed_family"])),
-        "solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
+        anchor="Prop. 3.5",
+        lhs="solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
         "omega*(v-1)^2 + k*v",
-        cc.raw["printed_family"],
-        "the displayed family -omega*(v^2-1) + k solves the covariance "
+        rhs=cc.raw["printed_family"],
+        witness="the displayed family -omega*(v^2-1) + k solves the covariance "
         "identity for no value of the free coefficient",
+        bad=DISCREPANCY,
     )
 
 
@@ -292,22 +265,20 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         poisson_matrix_rank(std.poisson, {"v": v0, "n": zero, "nb": zero}, {})
         for v0 in pts
     ]
-    _ok(
-        rep,
+    rep.verdict(
         "rank-std-circle-points",
-        "Rem. 2.3",
         ranks == [0, 0, 0],
+        anchor="Rem. 2.3",
         lhs=f"ranks {ranks} at v0 in (1, i, (3+4i)/5), n = nb = 0",
         rhs="0-dimensional leaves along the circle subgroup",
     )
-    _ok(
-        rep,
+    rep.verdict(
         "rank-std-generic",
-        "Rem. 2.3",
         poisson_matrix_rank(
             std.poisson, {"v": one, "n": one, "nb": GaussRational(2)}, {}
         )
         == 2,
+        anchor="Rem. 2.3",
         lhs="rank 2 at a generic point",
         rhs="generic leaves are 2-dimensional",
     )
@@ -316,19 +287,17 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         poisson_matrix_rank(nonstd.poisson, {"v": one, "n": t, "nb": t}, w1)
         for t in (zero, one)
     ]
-    _ok(
-        rep,
+    rep.verdict(
         "rank-nonstd-line",
-        "Rem. 3.1",
         rline == [0, 0],
+        anchor="Rem. 3.1",
         lhs=f"ranks {rline} at v = 1, n = nb",
         rhs="0-dimensional leaves along the real line subgroup",
     )
-    _ok(
-        rep,
+    rep.verdict(
         "rank-nonstd-circle-point",
-        "Rem. 3.1",
         poisson_matrix_rank(nonstd.poisson, {"v": i, "n": zero, "nb": zero}, w1) == 2,
+        anchor="Rem. 3.1",
         lhs="rank 2 at (i, 0, 0), omega = 1",
         rhs="the circle is not a union of 0-dimensional leaves",
     )
@@ -339,34 +308,31 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         poisson_matrix_rank(cyl.poisson, {"v": pt, "m": zero}, params)
         for pt in (i, -i)
     ]
-    _ok(
-        rep,
+    rep.verdict(
         "rank-cylinder-degenerate",
-        "Rem. 3.6",
         degenerate == [0, 0],
+        anchor="Rem. 3.6",
         lhs=f"ranks {degenerate} at v = +/- i (omega = 1, k = -2)",
         rhs="omega*v^2 + omega + k = 0 locus has 0-dimensional leaves",
     )
-    _ok(
-        rep,
+    rep.verdict(
         "rank-cylinder-regular",
-        "Rem. 3.6",
         poisson_matrix_rank(cyl.poisson, {"v": one, "m": zero}, params) == 2,
+        anchor="Rem. 3.6",
         lhs="rank 2 at v = 1",
         rhs="points off the degenerate locus lie in 2-dimensional leaves",
     )
 
     plane = catalog.get_preset("plane-poisson")
     pk = {"k": GaussRational(-2)}
-    _ok(
-        rep,
+    rep.verdict(
         "rank-plane-hyperbolic",
-        "Rem. 2.7",
         poisson_matrix_rank(
             plane.poisson, {"z": GaussRational(1, 1), "zb": GaussRational(1, -1)}, pk
         )
         == 0
         and poisson_matrix_rank(plane.poisson, {"z": one, "zb": one}, pk) == 2,
+        anchor="Rem. 2.7",
         lhs="rank 0 on z*zb = -k, rank 2 off it (k = -2)",
         rhs="degenerate locus z*zb = -k",
     )
@@ -377,11 +343,10 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         std.poisson,
         {"v": ts.poly("v^-1*n*nb"), "n": ts.poly("nb"), "nb": ts.poly("-n")},
     )
-    _ok(
-        rep,
+    rep.verdict(
         "field-relation-std-engine",
-        "Rem. 2.3",
         ok_engine,
+        anchor="Rem. 2.3",
         lhs="v^-1*n*nb X_v + nb X_n - n X_nb = 0",
         rhs="a pointwise linear relation bounds the leaves by dimension 2",
     )
@@ -389,15 +354,15 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         std.poisson,
         {"v": ts.poly("v*n*nb"), "n": ts.poly("nb"), "nb": ts.poly("n")},
     )
-    _printed(
-        rep,
+    rep.verdict(
         "field-relation-std-printed",
-        "Rem. 2.3",
         printed_ok,
-        "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
-        "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
-        f"displayed combination does not vanish ({witness}); the geometric "
+        anchor="Rem. 2.3",
+        lhs="vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
+        rhs="displayed combination: v*n*nb X_v + nb X_n + n X_nb",
+        witness=f"displayed combination does not vanish ({witness}); the geometric "
         "conclusion (generic rank 2) verifies via the engine relation",
+        bad=DISCREPANCY,
     )
 
     tn = nonstd.tower
@@ -405,11 +370,10 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         nonstd.poisson,
         {"n": tn.poly("v - v^2"), "nb": tn.poly("v - 1"), "v": tn.poly("n - nb")},
     )
-    _ok(
-        rep,
+    rep.verdict(
         "field-relation-nonstd-engine",
-        "Rem. 3.1",
         ok_engine,
+        anchor="Rem. 3.1",
         lhs="(v - v^2) X_n + (v - 1) X_nb + (n - nb) X_v = 0",
         rhs="distribution at most 2-dimensional everywhere",
     )
@@ -417,15 +381,15 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         nonstd.poisson,
         {"n": tn.poly("v - v^2"), "nb": tn.poly("v - 1"), "v": tn.poly("nb - n")},
     )
-    _printed(
-        rep,
+    rep.verdict(
         "field-relation-nonstd-printed",
-        "Rem. 3.1",
         printed_ok,
-        "vanishing combination carries (n - nb) on X_v",
-        "displayed combination carries (nb - n) on X_v",
-        f"displayed combination does not vanish under the corrected bracket "
+        anchor="Rem. 3.1",
+        lhs="vanishing combination carries (n - nb) on X_v",
+        rhs="displayed combination carries (nb - n) on X_v",
+        witness=f"displayed combination does not vanish under the corrected bracket "
         f"table ({witness})",
+        bad=DISCREPANCY,
     )
 
     # Poisson subgroup loci
@@ -448,14 +412,13 @@ def suite_foliation(rep: CheckReport, degree_bound: int):
         [tn.gen("n"), tn.gen("nb")],
         catalog.quotient_on(tn, circle.raw),
     )
-    _ok(
-        rep,
+    rep.verdict(
         "circle-not-poisson-subgroup-nonstd",
-        "Rem. 3.1",
         not bad.clean,
+        anchor="Rem. 3.1",
         lhs="restriction of {v,n} to the circle is omega*(1-u) != 0",
         rhs="the circle is not a Poisson subgroup of the nonstandard structure",
-        witness_fail="circle unexpectedly closed under the nonstandard bracket",
+        witness="circle unexpectedly closed under the nonstandard bracket",
     )
 
 
@@ -474,21 +437,19 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
         for i in range(3)
         for j in range(3)
     )
-    _ok(
-        rep,
+    rep.verdict(
         "bialg-lie-constants",
-        "Sec. 2",
         same,
+        anchor="Sec. 2",
         lhs="[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
         rhs="tangent algebra of the displayed group law",
     )
 
     d_std = linearize_poisson(std.poisson, names=LIE_NAMES)
-    _ok(
-        rep,
+    rep.verdict(
         "bialg-linearize-std",
-        "Sec. 2",
         d_std == catalog.get_preset("std-bialg").cocommutator,
+        anchor="Sec. 2",
         lhs="delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
         rhs="displayed standard cocommutator",
     )
@@ -496,11 +457,10 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
     d_ns = linearize_poisson(nonstd.poisson, names=LIE_NAMES)
     ctxn = nonstd.tower.context
     w = ctxn.param("omega")
-    _ok(
-        rep,
+    rep.verdict(
         "bialg-linearize-nonstd-p1",
-        "Sec. 3",
         (d_ns.of(1) + d_ns.of(2)).is_zero(),
+        anchor="Sec. 3",
         lhs="delta(P1) = 0 with P1 = X + Y",
         rhs="displayed delta(P1) = 0",
     )
@@ -509,29 +469,29 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
     ref = catalog.get_preset("nonstd-bialg").cocommutator
     engine_txt = "delta(P2) = -omega P2^P1  (= -2*omega X^Y)"
     if dp2 == ref.of(1) - ref.of(2):
-        _printed(
-            rep,
+        rep.verdict(
             "bialg-delta-p2-printed",
-            "Sec. 3",
-            dp2 == WedgeBivector(ctxn, 3, {(1, 2): w + w}),  # +omega P2^P1
-            engine_txt,
-            "delta(P2) = +omega P2^P1",
-            "sign differs from the display under P1 = X+Y, P2 = X-Y; the "
+            dp2 == WedgeBivector(ctxn, 3, {(1, 2): w + w}),
+            anchor="Sec. 3",
+            lhs=engine_txt,
+            rhs="delta(P2) = +omega P2^P1",
+            witness="sign differs from the display under P1 = X+Y, P2 = X-Y; the "
             "engine value is the one reproduced by the displayed r-matrix",
+            bad=DISCREPANCY,
         )
     else:
         rep.add("bialg-delta-p2-printed", anchor="Sec. 3", status=FAIL,
                 lhs=dp2.text(LIE_NAMES), rhs="-omega P2^P1")
     printed_r = WedgeBivector(ctxn, 3, {(0, 1): w, (0, 2): -w})  # omega J^P2
-    _printed(
-        rep,
+    rep.verdict(
         "bialg-delta-j-printed",
-        "Sec. 3",
         d_ns.of(0) == printed_r,
-        f"delta(J) = {d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
-        "delta(J) = omega J^P2",
-        "the linearized delta(J) is proportional to J^P1, not J^P2, under "
+        anchor="Sec. 3",
+        lhs=f"delta(J) = {d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
+        rhs="delta(J) = omega J^P2",
+        witness="the linearized delta(J) is proportional to J^P1, not J^P2, under "
         "every natural identification tried",
+        bad=DISCREPANCY,
     )
 
     for pid, anchor, P in (
@@ -544,24 +504,22 @@ def suite_bialgebra(rep: CheckReport, degree_bound: int):
         _summarize(rep, f"bialg-cocycle-{pid}", anchor, sub)
 
     sol_std = coboundary_solve(g_std, d_std)
-    _ok(
-        rep,
+    rep.verdict(
         "bialg-coboundary-std-empty",
-        "Sec. 2",
         sol_std.empty,
+        anchor="Sec. 2",
         lhs="coboundary equation has no solution",
         rhs="the standard cocommutator is non-coboundary",
     )
     g_ns = lie_from_group(nonstd.tower, nonstd.hopf, names=LIE_NAMES)
     sol_ns = coboundary_solve(g_ns, d_ns)
-    _ok(
-        rep,
+    rep.verdict(
         "bialg-coboundary-nonstd-rmatrix",
-        "Sec. 3",
         (not sol_ns.empty) and sol_ns.contains(ctxn, printed_r),
+        anchor="Sec. 3",
         lhs="solution set omega*J^(X-Y) + c*X^Y",
         rhs="displayed r-matrix omega J^P2 lies in the solution set",
-        witness_fail="displayed r-matrix not recovered",
+        witness="displayed r-matrix not recovered",
     )
 
 
@@ -578,14 +536,13 @@ def suite_diamond(rep: CheckReport, degree_bound: int):
     ):
         b = catalog.get_preset(pid)
         res = diamond_check(b.tower, degree=max(3, min(degree_bound, 4)))
-        _ok(
-            rep,
+        rep.verdict(
             f"diamond-{pid}",
-            anchor,
             res.ok,
+            anchor=anchor,
             lhs="all overlap words reduce consistently",
             rhs="PBW normal forms are well defined",
-            witness_fail=res.describe(),
+            witness=res.describe(),
         )
     raw = dict(catalog.get_preset("qe2-nonstd").raw)
     printed = {
@@ -606,16 +563,16 @@ def suite_diamond(rep: CheckReport, degree_bound: int):
         rep.add("tower-printed-nonstd-sign", anchor="Sec. 3 / Sec. 4", status=FAIL,
                 witness="printed tower unexpectedly confluent")
     else:
-        _printed(
-            rep,
+        rep.verdict(
             "tower-printed-nonstd-sign",
-            "Sec. 3 / Sec. 4",
-            False,  # the printed tower is not confluent
-            "engine tower: sigma(n) = n - omega, delta(n) = omega*n "
+            False,
+            anchor="Sec. 3 / Sec. 4",
+            lhs="engine tower: sigma(n) = n - omega, delta(n) = omega*n "
             "([n,nb] = omega*(nb-n)) is confluent",
-            "displayed commutator [n,nb] = omega*(n-nb) quantizes to a "
+            rhs="displayed commutator [n,nb] = omega*(n-nb) quantizes to a "
             "non-confluent tower",
-            f"witness overlap: {res.describe()}",
+            witness=f"witness overlap: {res.describe()}",
+            bad=DISCREPANCY,
         )
 
 
@@ -647,17 +604,17 @@ def suite_relations(rep: CheckReport, degree_bound: int):
     sub = respects_relations_report(qc.tower, None, star_status_on_fail=DISCREPANCY)
     if sub.worst == DISCREPANCY:
         bad = next(r for r in sub.records if r.status == DISCREPANCY)
-        _printed(
-            rep,
+        rep.verdict(
             "relations-quantum-cylinder-star",
-            "Def. 4.1",
-            False,  # a star-on record differs
-            bad.lhs_canonical,
-            bad.rhs_canonical,
-            "the displayed star table (m* = -m) is inconsistent with the "
+            False,
+            anchor="Def. 4.1",
+            lhs=bad.lhs_canonical,
+            rhs=bad.rhs_canonical,
+            witness="the displayed star table (m* = -m) is inconsistent with the "
             "displayed relations when omega* = -omega: (v*m)* and "
             "(m*v - omega*(v^2-1))* differ by 2*omega*(v^-2 - 1); the embedded "
             "star is m* = -m + omega*(v - v^-1)",
+            bad=DISCREPANCY,
         )
     else:
         _summarize(rep, "relations-quantum-cylinder-star", "Def. 4.1", sub)
@@ -665,31 +622,31 @@ def suite_relations(rep: CheckReport, degree_bound: int):
     # Def. 4.1's second displayed relation vs the rule derived from the first
     engine_rhs = qc.tower.poly("m*vb")
     printed_rhs = qc.tower.poly("vb*m + omega*vb - omega*vb^2")
-    _printed(
-        rep,
+    rep.verdict(
         "def41-second-relation-printed",
-        "Def. 4.1",
         engine_rhs == printed_rhs,
-        f"m*vb = {exprio.format_canonical(engine_rhs)}  "
+        anchor="Def. 4.1",
+        lhs=f"m*vb = {exprio.format_canonical(engine_rhs)}  "
         "(vb*m = m*vb + omega*(1 - vb^2))",
-        "vb*m = m*vb + omega*(vb - vb^2)",
-        "the displayed second relation contradicts the one derived from "
+        rhs="vb*m = m*vb + omega*(vb - vb^2)",
+        witness="the displayed second relation contradicts the one derived from "
         "v*vb = 1 and the first relation",
+        bad=DISCREPANCY,
     )
 
     amb = catalog.get_preset("qe2-nonstd").tower
     embedded = commutator(amb.gen("v"), amb.poly("vb*nb - v*n"))
     standalone = commutator(qc.tower.gen("v"), qc.tower.gen("m"))
     embed = AlgebraMorphism.load(qc.tower, amb, qc.raw["embedding"]["images"])
-    _printed(
-        rep,
+    rep.verdict(
         "def41-first-relation-vs-embedded",
-        "Def. 4.1 / Prop. 3.2",
         embed.apply(standalone) == embedded,
-        f"embedded [v, vb*nb - v*n] = {exprio.format_canonical(embedded)}",
-        f"standalone [v, m] = {exprio.format_canonical(standalone)}",
-        "the standalone cylinder uses the displayed bracket; the embedded "
+        anchor="Def. 4.1 / Prop. 3.2",
+        lhs=f"embedded [v, vb*nb - v*n] = {exprio.format_canonical(embedded)}",
+        rhs=f"standalone [v, m] = {exprio.format_canonical(standalone)}",
+        witness="the standalone cylinder uses the displayed bracket; the embedded "
         "generator satisfies the covariant one (omega*(v-1)^2)",
+        bad=DISCREPANCY,
     )
 
 
@@ -712,11 +669,10 @@ def suite_coideal(rep: CheckReport, degree_bound: int):
         exprio.parse_expr("1 (x) (vb*nb - v*n) + vb*nb (x) vb - v*n (x) v"),
         (amb, amb),
     )
-    _ok(
-        rep,
+    rep.verdict(
         "coideal-delta-m-exact",
-        "Prop. 4.2",
         dm == expected,
+        anchor="Prop. 4.2",
         lhs=exprio.format_canonical(dm),
         rhs="1 (x) m + vb*nb (x) vb - v*n (x) v",
     )
@@ -734,11 +690,10 @@ def suite_coideal(rep: CheckReport, degree_bound: int):
         for s in range(4):
             emb.append(normal_form(amb, [("v", r)]) * m ** s)
     ok_embedded = span_solve(NCPoly.zero(amb), emb).unique
-    _ok(
-        rep,
+    rep.verdict(
         "basis-v-r-m-s-independent",
-        "Prop. 4.2",
         ok_standalone and ok_embedded,
+        anchor="Prop. 4.2",
         lhs="28 elements (|r| <= 3, s <= 3), standalone and embedded",
         rhs="v^r m^s is a vector-space basis",
     )
@@ -757,11 +712,10 @@ def suite_coideal(rep: CheckReport, degree_bound: int):
         ):
             ok_deg = False
             break
-    _ok(
-        rep,
+    rep.verdict(
         "degm-additivity",
-        "Prop. 4.2",
         ok_deg,
+        anchor="Prop. 4.2",
         lhs="deg_m(p*q) = deg_m(p) + deg_m(q) on 100 random pairs",
         rhs="the cylinder is a domain graded by deg_m",
     )
@@ -798,33 +752,31 @@ def suite_closure(rep: CheckReport, degree_bound: int):
         ("closure-coinvariance-vb", amb.poly("v^-1")),
         ("closure-coinvariance-m", m),
     ):
-        _ok(
-            rep,
+        rep.verdict(
             cid,
-            "Prop. 4.4",
             coinvariance_check(x, pi, H, "right"),
+            anchor="Prop. 4.4",
             lhs="(id (x) pi) Delta(b) = b (x) 1",
             rhs="b lies in the coinvariant subalgebra",
         )
-    _ok(
-        rep,
+    rep.verdict(
         "closure-coinvariance-n-excluded",
-        "Prop. 4.4",
         not coinvariance_check(amb.gen("n"), pi, H, "right")
         and not coinvariance_check(amb.gen("n"), pi, H, "left"),
+        anchor="Prop. 4.4",
         lhs="n fails coinvariance on both sides",
         rhs="n does not belong to the closure",
     )
     residual = coinvariance_residual(m, pi, H, "left")
-    _printed(
-        rep,
+    rep.verdict(
         "closure-coinvariance-side-printed",
-        "Prop. 4.4",
         residual.is_zero(),
-        "(id (x) pi) Delta(m) = m (x) 1 holds (right coinvariant)",
-        "(pi (x) id) Delta(m) = 1 (x) m as displayed",
-        "the displayed left-side computation regroups terms across the tensor "
+        anchor="Prop. 4.4",
+        lhs="(id (x) pi) Delta(m) = m (x) 1 holds (right coinvariant)",
+        rhs="(pi (x) id) Delta(m) = 1 (x) m as displayed",
+        witness="the displayed left-side computation regroups terms across the tensor "
         f"sign; the actual left residual is {exprio.format_canonical(residual)}",
+        bad=DISCREPANCY,
     )
 
     ok_bounded = True
@@ -836,11 +788,10 @@ def suite_closure(rep: CheckReport, degree_bound: int):
     for bad in (amb.poly("v*n"), amb.gen("nb")):
         if coinvariance_check(bad, pi, H, "right"):
             ok_bounded = False
-    _ok(
-        rep,
+    rep.verdict(
         "closure-coinvariants-bounded",
-        "Prop. 4.4",
         ok_bounded,
+        anchor="Prop. 4.4",
         lhs="every v^r m^s (|r| <= 2, s <= 2) is right coinvariant; unbalanced "
         "monomials are not",
         rhs="the cylinder matches the coinvariant subalgebra at desk scale",
@@ -849,60 +800,56 @@ def suite_closure(rep: CheckReport, degree_bound: int):
     B = qc.embedded_subalgebra
     sig = sigma_generators(B, H, max_power=2)
     all_in = all(ideal_member(val, pi) for _, val in sig)
-    _ok(
-        rep,
+    rep.verdict(
         "closure-sigma-outputs-in-ideal",
-        "Prop. 4.4",
         all_in,
+        anchor="Prop. 4.4",
         lhs="(S^p - eps)(b) in I for b in {v, vb, m}, p <= 2",
         rhs="Sigma(C) is contained in I",
     )
     sig1 = dict(sigma_generators(B, H, max_power=1))
-    _ok(
-        rep,
+    rep.verdict(
         "closure-sigma-vb-exact",
-        "Prop. 4.4",
         sig1["(S^1 - eps)(vb)"] == amb.poly("v - 1"),
+        anchor="Prop. 4.4",
         lhs=exprio.format_canonical(sig1["(S^1 - eps)(vb)"]),
         rhs="v - 1",
     )
     s_m = sig1["(S^1 - eps)(m)"]
-    _printed(
-        rep,
+    rep.verdict(
         "closure-sigma-m-printed",
-        "Prop. 4.4",
         s_m == amb.poly("n - nb"),
-        exprio.format_canonical(s_m),
-        "n - nb",
-        "difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
+        anchor="Prop. 4.4",
+        lhs=exprio.format_canonical(s_m),
+        rhs="n - nb",
+        witness="difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
         "closure conclusion is unaffected",
+        bad=DISCREPANCY,
     )
-    _ok(
-        rep,
+    rep.verdict(
         "closure-s-n-minus-nb",
-        "Prop. 4.4",
         H.antipode(amb.poly("n - nb")) == m,
+        anchor="Prop. 4.4",
         lhs=exprio.format_canonical(H.antipode(amb.poly("n - nb"))),
         rhs="vb*nb - v*n  (= m)",
     )
     engine_sv = H.antipode(amb.poly("v - 1"))
-    _printed(
-        rep,
+    rep.verdict(
         "closure-s-v-minus-1-sign",
-        "Prop. 4.4",
         engine_sv == amb.poly("-vb*(1 - v)"),
-        exprio.format_canonical(engine_sv),
-        "-vb*(1 - v)  (= 1 - vb)",
-        "overall sign differs from the display; immaterial to ideal membership",
+        anchor="Prop. 4.4",
+        lhs=exprio.format_canonical(engine_sv),
+        rhs="-vb*(1 - v)  (= 1 - vb)",
+        witness="overall sign differs from the display; immaterial to ideal membership",
+        bad=DISCREPANCY,
     )
     gens_ok = ideal_member(
         amb.poly("v - 1") - sig1["(S^1 - eps)(vb)"], pi
     ) and ideal_member(amb.poly("n - nb") - sig1["(S^1 - eps)(m)"], pi)
-    _ok(
-        rep,
+    rep.verdict(
         "closure-ideal-generators-recovered",
-        "Prop. 4.4",
         gens_ok,
+        anchor="Prop. 4.4",
         lhs="each generator of I differs from a Sigma output by a kernel element",
         rhs="I is contained in the Sigma-generated ideal",
     )

@@ -198,6 +198,12 @@ def _unknown_hopf_generator(table):
     return desc
 
 
+def _counit_naming_a_generator():
+    desc = preset_dict("fun-e2")
+    desc["hopf"]["counit"]["v"] = "v"
+    return desc
+
+
 @pytest.mark.parametrize(
     "desc, reason",
     [
@@ -205,7 +211,8 @@ def _unknown_hopf_generator(table):
         ({"name": "x", "tower": 5}, '"tower" must be a list'),
         ([1, 2], "must be a JSON object"),
     ]
-    + [(_unknown_hopf_generator(t), "'zz'") for t in ("delta", "counit", "antipode")],
+    + [(_unknown_hopf_generator(t), "'zz'") for t in ("delta", "counit", "antipode")]
+    + [(_counit_naming_a_generator(), "unknown symbol 'v'")],
     ids=[
         "printed-tower",
         "tower-not-a-list",
@@ -213,6 +220,7 @@ def _unknown_hopf_generator(table):
         "delta-unknown-generator",
         "counit-unknown-generator",
         "antipode-unknown-generator",
+        "counit-names-a-generator",
     ],
 )
 def test_bad_file_presentation_is_usage_error(capsys, tmp_path, desc, reason):

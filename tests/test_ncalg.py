@@ -200,6 +200,43 @@ def test_diamond_check_matches_stack_rewriter():
     assert failed == {(label, d) for label in ("printed", "corrupted") for d in (3, 4, 5)}
 
 
+def _monomials(tower):
+    # exponents in [-2, 2] on invertible generators, [0, 2] on the others
+    ranges = [range(-2, 3) if g.invertible else range(3) for g in tower.generators]
+    return list(itertools.product(*ranges))
+
+
+def _mono_pairs(mono):
+    return [(j, e) for j, e in enumerate(mono) if e]
+
+
+def test_engine_products_match_stack_rewriter():
+    towers = _shipped_towers() + [_printed_nonstd_tower()]
+    for tower in towers:
+        monos = _monomials(tower)
+        for m1, m2 in itertools.product(monos, repeat=2):
+            word = _mono_pairs(m1) + _mono_pairs(m2)
+            letters = [(j, 1 if e > 0 else -1) for j, e in word for _ in range(abs(e))]
+            want = stack_rewriter.word_reduce(tower, letters, leftmost=True)
+            got = tower.mul(tower.tower_mono(m1), tower.tower_mono(m2))
+            assert got == want, (tower.name, m1, m2)
+            assert tower.word_to_poly(word) == want, (tower.name, m1, m2)
+
+
+def test_engine_product_deeper_than_recursion_limit(monkeypatch):
+    # zb^N * z: the engine pushes z past every zb, one push inside the next
+    n = sys.getrecursionlimit() + 100
+    word = [(1, n), (0, 1)]
+    tower = load_tower(preset_dict("quantum-plane"))
+    assert tower.word_to_poly(word) == tower.poly(f"q^-{n}*z*zb^{n}")
+    monkeypatch.setattr(ncalg, "REWRITE_STEP_BUDGET", n // 2)
+    fresh = load_tower(preset_dict("quantum-plane"))
+    with pytest.raises(RewriteBudgetExceeded):
+        fresh.word_to_poly(word)
+    with pytest.raises(RewriteBudgetExceeded):
+        fresh.mul(fresh.tower_mono((0, n)), fresh.gen("z"))
+
+
 def test_fold_chain_deeper_than_recursion_limit(qplane_tower, monkeypatch):
     # zb^N*z: leftmost-first moves z past every zb, one push inside the next
     t = qplane_tower
@@ -513,3 +550,4 @@ def test_products_parsed_before_their_level_is_set():
     assert not tower.commutative
     assert tower.poly("b*a") == tower.poly("q*a*b")
     assert tower.gen("b") * tower.gen("a") == tower.poly("q*a*b")
+    assert tower.word_to_poly([(1, 1), (0, 1)]) == tower.poly("q*a*b")

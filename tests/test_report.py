@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from qe2.report import DISCREPANCY, FAIL, PASS, CheckReport
@@ -37,3 +38,47 @@ def test_text_table():
     assert "ok-check" in txt and "bad-check" in txt
     assert "boom" in txt
     assert "totals: 1 pass, 0 discrepancy, 1 fail" in txt
+
+
+def test_verdict_pass_drops_the_witness():
+    rep = CheckReport("s")
+    rec = rep.verdict("ok", True, anchor="A", lhs="l", rhs="r", witness="w")
+    assert rec.as_dict() == {
+        "id": "ok", "paper_anchor": "A", "status": PASS,
+        "lhs_canonical": "l", "rhs_canonical": "r", "witness": "",
+    }
+    assert rep.records == [rec]
+    assert rep.verdict("bad", False, witness="w").status == FAIL
+
+
+def test_verdict_discrepancy_keeps_the_witness():
+    rep = CheckReport("s")
+    rec = rep.verdict(
+        "printed", False, anchor="A", lhs="l", rhs="r", witness="w", bad=DISCREPANCY
+    )
+    assert rec.as_dict() == {
+        "id": "printed", "paper_anchor": "A", "status": DISCREPANCY,
+        "lhs_canonical": "l", "rhs_canonical": "r", "witness": "w",
+    }
+    assert rep.exit_code() == 2
+
+
+def test_summarized_sub_records_digest(monkeypatch):
+    """``_summarize`` keeps one sub-record of each source report in the
+    report body; this pins all of them, in run order."""
+    from qe2 import suites
+
+    seen = []
+    summarize = suites._summarize
+
+    def spy(rep_out, check_id, anchor, source, note=""):
+        seen.append([r.as_dict() for r in source.records])
+        return summarize(rep_out, check_id, anchor, source, note)
+
+    monkeypatch.setattr(suites, "_summarize", spy)
+    suites.run_suite("all")
+    assert sum(map(len, seen)) == 144
+    blob = json.dumps(seen, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5025b921ce06ab9bcdc726c95a3643b030ca83dda0f831835345be471cc6bf6f"
+    )
