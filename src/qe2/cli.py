@@ -162,7 +162,11 @@ def main(argv=None) -> int:
     p_check.add_argument("suite", choices=sorted(suites.SUITES))
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--degree-bound", type=int, default=4)
+    p_check.add_argument(
+        "--degree-bound", type=int, default=4,
+        help="size of the random elements of the degm-additivity check "
+        "(confluence is decided at load, not sampled to this degree)",
+    )
 
     for name, nargs in (
         ("bracket", 2),

@@ -39,21 +39,32 @@ push letters with it.  A product of normal forms is the bilinear kernel
 tensor products and Poisson brackets are the same kernel over their own
 tables.
 
-Confluence is certified by :func:`diamond_check` (Bergman's diamond
-lemma): every word of ``degree`` letters (3 at load time) whose levels
-never increase, inverse letters included, is reduced by a fresh leftmost
-fold and a fresh rightmost fold, and the two results are compared.  At
-degree 3 this is exactly the endomorphism / twisted-derivation
-compatibility of each level with the relations below it; when it holds,
-normal forms are unique, so the engine's leftmost one is the normal form.
-Towers failing the check are rejected at load time.
+Confluence is decided once per tower, at load, by
+:func:`decide_confluence`, and stored as ``tower.confluence``.  Bergman's
+diamond lemma (Adv. Math. 29, 1978, Thm. 1.2) makes normal forms unique
+when two conditions hold:
+
+* every ambiguity resolves.  The overlaps of the swap and cancellation
+  rules are exactly the descending three-letter words, and there are no
+  inclusion ambiguities, so :func:`diamond_check` at degree 3 decides
+  this: every word of ``degree`` letters whose levels never increase,
+  inverse letters included, is reduced by a fresh leftmost fold and a
+  fresh rightmost fold, and the two results are compared;
+* the rules are compatible with a semigroup order with the descending
+  chain condition.  :func:`order_certificate` finds one: a weighted degree
+  order, whose weights are stored in ``DiamondResult.weights``.
+
+When both hold, the engine's leftmost normal form is the normal form.
+Towers failing the degree-3 check are rejected at load time; a tower that
+passes it without an order certificate still loads and is reported as
+uncertified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import add as _add
+from itertools import chain, product
+from operator import add as _add, mul as _mul
 from typing import Optional, Sequence
 
 from . import exprio
@@ -340,6 +351,8 @@ class OreTower:
         self.sigma = [dict() for _ in range(n)]
         self.delta = [dict() for _ in range(n)]
         self.star_table: Optional[dict] = None
+        # set by load_tower(validate=True)
+        self.confluence: Optional[DiamondResult] = None
         self._sigma_inv_diag = [dict() for _ in range(n)]
         self.commutative = True
         # caches
@@ -478,33 +491,44 @@ class OreTower:
         """delta_L(g_j^e) for e = +-1, via
         delta(x^-1) = -sigma(x)^-1 delta(x) x^-1."""
         key = (L, j, e)
-        hit = self._delta_pow.get(key)
-        if hit is None:
-            out = self.delta[L][j]
-            if e < 0:
+        if key in self._delta_pow:
+            hit = self._delta_pow[key]
+            if hit is None:
+                g = self.generators
+                raise TowerError(
+                    f"delta of level {L} ({g[L].name}) on {g[j].name}^-1 needs "
+                    f"the rule {g[L].name}*{g[j].name}^-1 that it defines"
+                )
+            return hit
+        out = self.delta[L][j]
+        if e < 0:
+            self._delta_pow[key] = None  # in progress: a re-entry is a cycle
+            try:
                 ginv = NCPoly.generator(self, j, -1)
                 out = -(self._sigma_img(L, j, -1) * out * ginv)
-            hit = self._delta_pow[key] = out
-        return hit
+            finally:
+                del self._delta_pow[key]
+        self._delta_pow[key] = out
+        return out
 
     def tower_mono(self, mono) -> NCPoly:
         return NCPoly(self, {mono: self.context.one})
 
     # -- derived rewrite rules (for reports and morphism checks) -----------
-    def derived_rules(self):
-        """Yield (word, normal form) for every g_hi^s * g_lo^t swap rule the
-        tower induces, with s, t ranging over the allowed unit exponents."""
-        rules = []
-        n = self.nlevels
-        for L in range(1, n):
+    def swap_words(self):
+        """Every redex g_hi^s * g_lo^t of a swap rule, as a letter word,
+        with s, t ranging over the allowed unit exponents."""
+        words = []
+        for L in range(1, self.nlevels):
             s_opts = [1] + ([-1] if self.generators[L].invertible else [])
             for j in range(L):
                 t_opts = [1] + ([-1] if self.generators[j].invertible else [])
-                for s in s_opts:
-                    for t in t_opts:
-                        word = ((L, s), (j, t))
-                        rules.append((word, self.word_to_poly(word)))
-        return rules
+                words += [((L, s), (j, t)) for s in s_opts for t in t_opts]
+        return words
+
+    def derived_rules(self):
+        """(word, normal form) for every swap rule the tower induces."""
+        return [(word, self.word_to_poly(word)) for word in self.swap_words()]
 
     def __repr__(self):
         gens = ",".join(g.name + ("~" if g.invertible else "") for g in self.generators)
@@ -676,8 +700,14 @@ class DiamondResult:
     witness_word: Optional[tuple] = None
     left_form: Optional[str] = None
     right_form: Optional[str] = None
+    # the order certificate's letter weights, one per level; set by
+    # decide_confluence, None when no compatible order was found
+    weights: Optional[tuple] = None
 
     def describe(self):
+        if self.ok and self.weights is None:
+            return ("all overlap words reduce consistently, but no compatible "
+                    "order was found (uncertified)")
         if self.ok:
             return "all overlap words reduce consistently"
         w = "*".join(
@@ -731,6 +761,53 @@ def _descending_words(letters, degree):
             w + (x,) for w in words for x in letters if not w or x[0] <= w[-1][0]
         ]
     return words
+
+
+def order_certificate(tower: OreTower) -> Optional[tuple]:
+    """Letter weights, one per level, of a semigroup order with the
+    descending chain condition that every rewriting rule decreases; None
+    when no weight vector with entries 1 to 4 fits.
+
+    The order is weighted degree, an inverse letter weighing what its
+    generator weighs, with ties broken lexicographically: lower levels are
+    smaller, and ``(level, +1)`` comes before ``(level, -1)``.  A weight
+    vector fits when every term of every swap rule's right-hand side, as
+    the engine's fold applies it, is strictly smaller than its redex;
+    ``x x^-1 -> 1`` always decreases.  Weight vectors are tried in
+    lexicographic order and the first fit is returned, so all-ones weights
+    (plain deglex) win when they fit.
+    """
+    n = tower.nlevels
+    fold = LetterPushFold(tower, leftmost=True)
+    # one constraint per (redex, term): the letters per level of the redex
+    # minus those of the term, and whether the term wins a weight tie
+    constraints = set()
+    for word in tower.swap_words():
+        for term, _ in fold._rule(*word):
+            gap = [0] * n
+            for j, _ in word:
+                gap[j] += 1
+            for j, _ in term:
+                gap[j] -= 1
+            tie = [(j, -s) for j, s in term] < [(j, -s) for j, s in word]
+            constraints.add((tuple(gap), tie))
+    for weights in product(range(1, 5), repeat=n):
+        for gap, tie in constraints:
+            d = sum(map(_mul, weights, gap))
+            if d < 0 or (d == 0 and not tie):
+                break
+        else:
+            return weights
+    return None
+
+
+def decide_confluence(tower: OreTower) -> DiamondResult:
+    """The diamond lemma's verdict on ``tower``: the degree-3 diamond check
+    (every ambiguity resolves) with the order certificate's weights filled
+    in.  Normal forms are unique when ``ok`` holds and ``weights`` is set."""
+    res = diamond_check(tower, 3)
+    res.weights = order_certificate(tower)
+    return res
 
 
 class LetterPushFold:
@@ -863,6 +940,14 @@ class LetterPushFold:
         the letters in the order this strategy pushes them."""
         tower = self.tower
         (i, si), (j, sj) = a, b
+        if j not in tower.sigma[i]:
+            # only while load_tower parses level i's own data
+            g = tower.generators
+            word = "*".join(g[k].name + ("^-1" if s < 0 else "") for k, s in (a, b))
+            raise TowerError(
+                f"the product {word} needs the rules of level {i} "
+                f"({g[i].name}), which are not set yet"
+            )
         out = []
         if si == 1:
             # g_i g_j^sj = sigma_i(g_j^sj) g_i + delta_i(g_j^sj)
@@ -909,8 +994,9 @@ def load_tower(description: dict, context: Optional[ScalarContext] = None,
          "star": {gen: expr}}
 
     Every expr uses the exprio grammar.  Inverse-generator rules are derived
-    automatically; the diamond check runs unless ``validate`` is False and
-    non-confluent towers are rejected.
+    automatically.  Unless ``validate`` is False, :func:`decide_confluence`
+    runs once, its result is stored as ``tower.confluence``, and towers
+    failing its diamond check are rejected with :class:`NonConfluentTower`.
     """
     if context is None:
         params = [
@@ -961,7 +1047,7 @@ def load_tower(description: dict, context: Optional[ScalarContext] = None,
                 raise TowerError(f"star table misses generator {g.name}")
         tower.star_table = table
     if validate:
-        res = diamond_check(tower)
+        res = tower.confluence = decide_confluence(tower)
         if not res.ok:
             raise NonConfluentTower(
                 f"tower {tower.name!r} is not confluent: {res.describe()}",

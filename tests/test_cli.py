@@ -243,3 +243,38 @@ def test_engine_error_is_internal_error(capsys, monkeypatch):
     assert out == ""
     assert "internal error" in err and "coproduct failed" in err
     assert "usage error" not in err
+
+
+def _level_data_past_unset_rules():
+    # nb*v is multiplied while level 2 is parsed and the levels below
+    # do not commute, before level 2's own rules exist
+    desc = preset_dict("qe2-nonstd")
+    desc["tower"][2]["delta"]["v"] = "nb*v - v*nb + omega*v^2 - omega*v"
+    return desc
+
+
+# delta(v^-1) = -v^-1 * omega*v^3*m * v^-1 needs the rule m*v^-1 it defines
+DELTA_NEEDS_ITS_OWN_RULE = {
+    "parameters": [{"name": "omega"}],
+    "tower": [
+        {"gen": "v", "invertible": True},
+        {"gen": "m", "delta": {"v": "omega*v^3*m"}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "desc, reason",
+    [
+        (_level_data_past_unset_rules(), "the product nb*v needs the rules of level 2"),
+        (DELTA_NEEDS_ITS_OWN_RULE, "needs the rule m*v^-1 that it defines"),
+    ],
+    ids=["rules-used-before-set", "delta-inverse-cycle"],
+)
+def test_presentation_rule_errors_are_usage_errors(capsys, tmp_path, desc, reason):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "normal-form", "--file", str(f), "m*v")
+    assert code == 3
+    assert out == ""
+    assert "usage error" in err and reason in err

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qe2 import catalog, ncalg
+from qe2 import catalog, ncalg, suites
 from qe2.exprio import format_canonical
 from qe2.ncalg import (
     LetterPushFold,
@@ -14,10 +14,12 @@ from qe2.ncalg import (
     RewriteBudgetExceeded,
     TowerError,
     commutator,
+    decide_confluence,
     diamond_check,
     graded_degree,
     load_tower,
     normal_form,
+    order_certificate,
     solve_affine,
     solve_terms,
     span_solve,
@@ -551,3 +553,98 @@ def test_products_parsed_before_their_level_is_set():
     assert tower.poly("b*a") == tower.poly("q*a*b")
     assert tower.gen("b") * tower.gen("a") == tower.poly("q*a*b")
     assert tower.word_to_poly([(1, 1), (0, 1)]) == tower.poly("q*a*b")
+
+
+# -- confluence decided at load: degree-3 check plus an order certificate -----
+
+
+def test_order_certificate_on_shipped_and_printed_towers():
+    shipped = _shipped_towers()
+    assert len(shipped) == 14
+    for tower in shipped:
+        # all-ones weights (plain deglex) is the first fit on every tower
+        assert order_certificate(tower) == (1,) * tower.nlevels, tower.name
+        assert tower.confluence.ok
+        assert tower.confluence.weights == (1,) * tower.nlevels, tower.name
+    printed = _printed_nonstd_tower()
+    assert printed.confluence is None  # loaded with validate=False
+    assert order_certificate(printed) == (1, 1, 1)
+
+
+def test_certified_towers_agree_at_degrees_3_4_5():
+    # the diamond lemma: with an order certificate, resolving the degree-3
+    # overlaps decides confluence at every degree
+    towers = _shipped_towers() + [_printed_nonstd_tower(), _corrupted_nonstd_tower()]
+    for tower in towers:
+        assert order_certificate(tower) is not None, tower.name
+        oks = [diamond_check(tower, d).ok for d in (3, 4, 5)]
+        assert oks in ([True] * 3, [False] * 3), (tower.name, oks)
+
+
+def _plane_with_delta(img):
+    desc = preset_dict("quantum-plane")
+    desc["tower"][1]["delta"] = {"z": img}
+    del desc["star"]
+    return load_tower(desc)
+
+
+def test_rule_against_every_weighted_order_is_uncertified():
+    # zb*z -> q^-1*z*zb + z*zb^2: the term outweighs its redex for all weights
+    tower = _plane_with_delta("z*zb^2")
+    assert order_certificate(tower) is None
+    res = tower.confluence
+    assert res.ok and res.weights is None
+    assert "uncertified" in res.describe()
+    # zb*z -> ... + zb^2 decreases once z weighs more than zb
+    assert order_certificate(_plane_with_delta("zb^2")) == (2, 1)
+    assert _plane_with_delta("zb^2").confluence.weights == (2, 1)
+    # an inverse letter weighs what its generator weighs: b*a -> v^-2*a*b
+    # grows by two letters v^-1
+    desc = {
+        "tower": [
+            {"gen": "v", "invertible": True},
+            {"gen": "a"},
+            {"gen": "b", "delta": {"a": "v^-2*a*b"}},
+        ]
+    }
+    assert load_tower(desc).confluence == ncalg.DiamondResult(True)
+
+
+def test_decide_confluence_keeps_the_printed_witness():
+    res = decide_confluence(_printed_nonstd_tower())
+    assert not res.ok
+    assert res.witness_word == (("nb", 1), ("n", 1), ("v", 1))
+    assert res.weights == (1, 1, 1)
+    assert res.describe().startswith("overlap nb*n*v: ")
+
+
+def test_suite_diamond_reports_the_stored_decisions(monkeypatch):
+    for pid in catalog.PRESET_IDS:
+        catalog.get_preset(pid)
+    calls = []
+    real = ncalg.diamond_check
+
+    def counting(tower, degree=3):
+        calls.append((tower, degree))
+        return real(tower, degree)
+
+    monkeypatch.setattr(ncalg, "diamond_check", counting)
+    rep = suites.run_suite("diamond")
+    assert [(t.generators[2].name, d) for t, d in calls] == [("nb", 3)]
+    assert calls[0][0] is not catalog.get_preset("qe2-nonstd").tower
+    status = {r.check_id: r.status for r in rep.records}
+    assert status == {
+        "diamond-qe2-nonstd": "pass",
+        "diamond-quantum-cylinder": "pass",
+        "diamond-quantum-plane": "pass",
+        "tower-printed-nonstd-sign": "discrepancy",
+    }
+    # a stored decision without weights is no pass
+    plane = catalog.get_preset("quantum-plane").tower
+    monkeypatch.setattr(plane, "confluence", ncalg.DiamondResult(True))
+    rec = next(
+        r for r in suites.run_suite("diamond").records
+        if r.check_id == "diamond-quantum-plane"
+    )
+    assert rec.status == "fail"
+    assert "uncertified" in rec.witness
