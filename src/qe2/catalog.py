@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exprio
@@ -20,6 +19,7 @@ from .homspace import QuotientMap, Subalgebra
 from .liebialg import Cocommutator, LieAlgebra, WedgeBivector
 from .ncalg import OreTower, load_tower
 from .poisson import PoissonStructure
+from .record import Record
 from .scalars import Parameter, Scalar, ScalarContext
 
 PRESET_IDS = (
@@ -45,36 +45,75 @@ class UnknownPreset(KeyError):
     pass
 
 
-@dataclass
-class PresetBundle:
-    preset_id: str
-    kind: str
-    anchor: str
-    description: str
-    raw: dict
-    digest: str
-    context: ScalarContext
-    tower: Optional[OreTower] = None
-    hopf: Optional[HopfStructure] = None
-    poisson: Optional[PoissonStructure] = None
-    # quotient bundles
-    source_id: Optional[str] = None
-    quotient: Optional[QuotientMap] = None
-    # coaction bundles
-    group_tower: Optional[OreTower] = None
-    space_tower: Optional[OreTower] = None
-    group_poisson: Optional[PoissonStructure] = None
-    space_poisson: Optional[PoissonStructure] = None
-    coaction: Optional[AlgebraMorphism] = None
-    projection: Optional[AlgebraMorphism] = None
-    ansatz: list = field(default_factory=list)
-    stabilizer: Optional[dict] = None
-    # lie / bialgebra bundles
-    lie: Optional[LieAlgebra] = None
-    cocommutator: Optional[Cocommutator] = None
-    # embedded realization (quantum cylinder inside qe2-nonstd)
-    embedded_subalgebra: Optional[Subalgebra] = None
-    embedded_ambient: Optional["PresetBundle"] = None
+class PresetBundle(Record):
+    """One loaded preset.  Which of the optional parts are set depends on
+    ``kind``."""
+
+    __slots__ = _fields = (
+        "preset_id", "kind", "anchor", "description", "raw", "digest", "context",
+        "tower", "hopf", "poisson",
+        # quotient bundles
+        "source_id", "quotient",
+        # coaction bundles
+        "group_tower", "space_tower", "group_poisson", "space_poisson",
+        "coaction", "projection", "ansatz", "stabilizer",
+        # lie / bialgebra bundles
+        "lie", "cocommutator",
+        # embedded realization (quantum cylinder inside qe2-nonstd)
+        "embedded_subalgebra", "embedded_ambient",
+    )
+
+    def __init__(
+        self,
+        preset_id: str,
+        kind: str,
+        anchor: str,
+        description: str,
+        raw: dict,
+        digest: str,
+        context: ScalarContext,
+        tower: Optional[OreTower] = None,
+        hopf: Optional[HopfStructure] = None,
+        poisson: Optional[PoissonStructure] = None,
+        source_id: Optional[str] = None,
+        quotient: Optional[QuotientMap] = None,
+        group_tower: Optional[OreTower] = None,
+        space_tower: Optional[OreTower] = None,
+        group_poisson: Optional[PoissonStructure] = None,
+        space_poisson: Optional[PoissonStructure] = None,
+        coaction: Optional[AlgebraMorphism] = None,
+        projection: Optional[AlgebraMorphism] = None,
+        ansatz: Optional[list] = None,
+        stabilizer: Optional[dict] = None,
+        lie: Optional[LieAlgebra] = None,
+        cocommutator: Optional[Cocommutator] = None,
+        embedded_subalgebra: Optional[Subalgebra] = None,
+        embedded_ambient: Optional["PresetBundle"] = None,
+    ):
+        self.preset_id = preset_id
+        self.kind = kind
+        self.anchor = anchor
+        self.description = description
+        self.raw = raw
+        self.digest = digest
+        self.context = context
+        self.tower = tower
+        self.hopf = hopf
+        self.poisson = poisson
+        self.source_id = source_id
+        self.quotient = quotient
+        self.group_tower = group_tower
+        self.space_tower = space_tower
+        self.group_poisson = group_poisson
+        self.space_poisson = space_poisson
+        self.coaction = coaction
+        self.projection = projection
+        self.ansatz = [] if ansatz is None else ansatz
+        self.stabilizer = stabilizer
+        self.lie = lie
+        self.cocommutator = cocommutator
+        self.embedded_subalgebra = embedded_subalgebra
+        self.embedded_ambient = embedded_ambient
 
 
 _CACHE: dict = {}

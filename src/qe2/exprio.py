@@ -27,9 +27,9 @@ is a normal-form NCPoly, or a TensorElement when '(x)' occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .record import FrozenRecord, setfield
 from .scalars import GaussRational, _Q
 
 
@@ -44,35 +44,49 @@ class GrammarError(ValueError):
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(FrozenRecord):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: GaussRational
+class Lit(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: GaussRational):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "ExprAst"
-    exponent: int
+class Power(FrozenRecord):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: "ExprAst", exponent: int):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple  # order-preserving; multiplication is noncommutative
+class Product(FrozenRecord):
+    __slots__ = _fields = ("factors",)
+
+    def __init__(self, factors: tuple):
+        # order-preserving; multiplication is noncommutative
+        setfield(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    legs: tuple
+class Tensor(FrozenRecord):
+    __slots__ = _fields = ("legs",)
+
+    def __init__(self, legs: tuple):
+        setfield(self, "legs", legs)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign in {+1, -1}
+class Sum(FrozenRecord):
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        # of (sign, node) with sign in {+1, -1}
+        setfield(self, "terms", terms)
 
 
 ExprAst = Union[Sym, Lit, Power, Product, Tensor, Sum]

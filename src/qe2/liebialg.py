@@ -19,7 +19,6 @@ which is a theorem, and then frozen):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exprio
@@ -401,9 +400,13 @@ def cocycle_cojacobi_report(
     return rep
 
 
-@dataclass
 class CoboundarySolution(AffineSolutions):
-    pairs: list  # wedge index pairs (i, j), i < j, one per column
+    __slots__ = ("pairs",)
+    _fields = AffineSolutions._fields + __slots__
+
+    def __init__(self, particular: Optional[list], nullspace: list, pairs: list):
+        super().__init__(particular, nullspace)
+        self.pairs = pairs  # wedge index pairs (i, j), i < j, one per column
 
     def witness(self, ctx, dim) -> Optional[WedgeBivector]:
         if self.particular is None:

@@ -57,17 +57,20 @@ when two conditions hold:
 When both hold, the engine's leftmost normal form is the normal form.
 Towers failing the degree-3 check are rejected at load time; a tower that
 passes it without an order certificate still loads and is reported as
-uncertified.
+uncertified.  A commutative tower (every sigma the identity, every delta
+zero) is decided without the diamond check: its letters commute, so every
+overlap resolves, and all-ones weights (plain deglex) order its swap
+rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 from operator import add as _add, mul as _mul
 from typing import Optional, Sequence
 
 from . import exprio
+from .record import FrozenRecord, Record, setfield
 from .scalars import Parameter, Scalar, ScalarContext
 
 
@@ -96,11 +99,13 @@ class RewriteBudgetExceeded(TowerError):
 REWRITE_STEP_BUDGET = 200000
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    level: int
-    invertible: bool = False
+class Generator(FrozenRecord):
+    __slots__ = _fields = ("name", "level", "invertible")
+
+    def __init__(self, name: str, level: int, invertible: bool = False):
+        setfield(self, "name", name)
+        setfield(self, "level", level)
+        setfield(self, "invertible", invertible)
 
 
 def collect(pairs) -> dict:
@@ -639,13 +644,15 @@ def solve_affine(rows, rhs, ctx, ncols=None):
     return coeffs, null
 
 
-@dataclass
-class AffineSolutions:
+class AffineSolutions(Record):
     """The solution set ``particular + span(nullspace)`` of a linear
     system; ``particular`` is None when the system has no solution."""
 
-    particular: Optional[list]  # one Scalar per column, free variables zero
-    nullspace: list             # basis of the homogeneous solutions
+    __slots__ = _fields = ("particular", "nullspace")
+
+    def __init__(self, particular: Optional[list], nullspace: list):
+        self.particular = particular  # one Scalar per column, free variables zero
+        self.nullspace = nullspace    # basis of the homogeneous solutions
 
     @property
     def empty(self):
@@ -694,15 +701,21 @@ def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> AffineSolutions:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiamondResult:
-    ok: bool
-    witness_word: Optional[tuple] = None
-    left_form: Optional[str] = None
-    right_form: Optional[str] = None
-    # the order certificate's letter weights, one per level; set by
-    # decide_confluence, None when no compatible order was found
-    weights: Optional[tuple] = None
+class DiamondResult(Record):
+    __slots__ = _fields = (
+        "ok", "witness_word", "left_form", "right_form", "weights"
+    )
+
+    def __init__(self, ok: bool, witness_word: Optional[tuple] = None,
+                 left_form: Optional[str] = None, right_form: Optional[str] = None,
+                 weights: Optional[tuple] = None):
+        self.ok = ok
+        self.witness_word = witness_word
+        self.left_form = left_form
+        self.right_form = right_form
+        # the order certificate's letter weights, one per level; set by
+        # decide_confluence, None when no compatible order was found
+        self.weights = weights
 
     def describe(self):
         if self.ok and self.weights is None:
@@ -804,7 +817,13 @@ def order_certificate(tower: OreTower) -> Optional[tuple]:
 def decide_confluence(tower: OreTower) -> DiamondResult:
     """The diamond lemma's verdict on ``tower``: the degree-3 diamond check
     (every ambiguity resolves) with the order certificate's weights filled
-    in.  Normal forms are unique when ``ok`` holds and ``weights`` is set."""
+    in.  Normal forms are unique when ``ok`` holds and ``weights`` is set.
+
+    A commutative tower (every sigma the identity, every delta zero) is
+    decided without either: its letters commute, so every overlap
+    resolves, and plain deglex (all-ones weights) orders its swap rules."""
+    if tower.commutative:
+        return DiamondResult(True, weights=(1,) * tower.nlevels)
     res = diamond_check(tower, 3)
     res.weights = order_certificate(tower)
     return res

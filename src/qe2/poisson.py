@@ -23,9 +23,8 @@ coactions mean at the function-algebra level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import exprio
 from .hopf import AlgebraMorphism, TensorElement
@@ -221,9 +220,13 @@ def poisson_morphism_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CovariantFamily(AffineSolutions):
-    ansatz: list  # candidate bracket monomials (NCPoly), one per column
+    __slots__ = ("ansatz",)
+    _fields = AffineSolutions._fields + __slots__
+
+    def __init__(self, particular: Optional[list], nullspace: list, ansatz: list):
+        super().__init__(particular, nullspace)
+        self.ansatz = ansatz  # candidate bracket monomials (NCPoly), one per column
 
     def contains_vector(self, vec) -> bool:
         return self.contains_solution(vec, self.ansatz[0].tower.context)

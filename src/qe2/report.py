@@ -10,7 +10,9 @@ category), never silent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import Optional
+
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -19,14 +21,20 @@ DISCREPANCY = "discrepancy"
 _ORDER = {PASS: 0, DISCREPANCY: 1, FAIL: 2}
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    paper_anchor: str = ""
-    status: str = PASS
-    lhs_canonical: str = ""
-    rhs_canonical: str = ""
-    witness: str = ""
+class CheckRecord(Record):
+    __slots__ = _fields = (
+        "check_id", "paper_anchor", "status", "lhs_canonical", "rhs_canonical",
+        "witness",
+    )
+
+    def __init__(self, check_id: str, paper_anchor: str = "", status: str = PASS,
+                 lhs_canonical: str = "", rhs_canonical: str = "", witness: str = ""):
+        self.check_id = check_id
+        self.paper_anchor = paper_anchor
+        self.status = status
+        self.lhs_canonical = lhs_canonical
+        self.rhs_canonical = rhs_canonical
+        self.witness = witness
 
     def as_dict(self):
         return {
@@ -39,10 +47,12 @@ class CheckRecord:
         }
 
 
-@dataclass
-class CheckReport:
-    suite: str
-    records: list = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = _fields = ("suite", "records")
+
+    def __init__(self, suite: str, records: Optional[list] = None):
+        self.suite = suite
+        self.records = [] if records is None else records
 
     def add(self, check_id, *, anchor="", status=PASS, lhs="", rhs="", witness=""):
         rec = CheckRecord(check_id, anchor, status, lhs, rhs, witness)

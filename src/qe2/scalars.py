@@ -57,11 +57,12 @@ antihomomorphism on the quantum commutation relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as _Q
 from math import gcd as _igcd, lcm as _ilcm
 from operator import add as _iadd, sub as _isub
 from typing import Iterable, Mapping
+
+from .record import FrozenRecord, setfield
 
 
 class ScalarError(ArithmeticError):
@@ -641,19 +642,19 @@ STAR_FIXED = "fixed"
 STAR_NEGATED = "negated"
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(FrozenRecord):
     """A formal parameter of the coefficient field.
 
     star_rule 'fixed' means p* = p; 'negated' means p* = -p.
     """
 
-    name: str
-    star_rule: str = STAR_FIXED
+    __slots__ = _fields = ("name", "star_rule")
 
-    def __post_init__(self):
-        if self.star_rule not in (STAR_FIXED, STAR_NEGATED):
-            raise ValueError(f"unknown star rule {self.star_rule!r}")
+    def __init__(self, name: str, star_rule: str = STAR_FIXED):
+        if star_rule not in (STAR_FIXED, STAR_NEGATED):
+            raise ValueError(f"unknown star rule {star_rule!r}")
+        setfield(self, "name", name)
+        setfield(self, "star_rule", star_rule)
 
 
 class ScalarContext:

@@ -7,7 +7,7 @@ outcome: the engine value is asserted exactly and the displayed value is
 recorded as a discrepancy (never silently skipped, never a failure).
 """
 
-import dataclasses
+import copy
 import time
 
 from qe2 import catalog, exprio, suites
@@ -337,9 +337,8 @@ def test_discrepancy_ledger_passes_an_agreeing_printed_value(monkeypatch):
     # printed value, so the record is a pass, not a discrepancy
     std = catalog.get_preset("std-poisson")
     table = {**std.raw["poisson"], "n,nb": "n*nb"}
-    printed = dataclasses.replace(
-        std, poisson=PoissonStructure.load(std.tower, table)
-    )
+    printed = copy.copy(std)
+    printed.poisson = PoissonStructure.load(std.tower, table)
     real = catalog.get_preset
     monkeypatch.setattr(
         catalog, "get_preset", lambda pid: printed if pid == "std-poisson" else real(pid)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qe2
 from qe2 import __version__
 from qe2.cli import main
 from qe2.hopf import HopfStructure
@@ -29,6 +34,17 @@ def test_normal_form(capsys):
     code, out, _ = run(capsys, "normal-form", "qe2-nonstd", "n*v")
     assert code == 0
     assert out.strip() == "-omega + omega*v + v*n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    want = run(capsys, "normal-form", "qe2-nonstd", "n*v")
+    src = Path(qe2.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "qe2", "normal-form", "qe2-nonstd", "n*v"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stdout) == want[:2]
 
 
 def test_bracket(capsys):

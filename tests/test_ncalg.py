@@ -581,6 +581,49 @@ def test_certified_towers_agree_at_degrees_3_4_5():
         assert oks in ([True] * 3, [False] * 3), (tower.name, oks)
 
 
+def test_commutative_towers_get_the_long_way_decision():
+    # the load-time shortcut gives what the degree-3 check plus the order
+    # certificate give, on every commutative tower: the fun-e2, plane and
+    # cylinder presentations, coaction group and space towers, quotient
+    # targets
+    commutative = [t for t in _shipped_towers() if t.commutative]
+    assert len(commutative) == 11
+    for tower in commutative:
+        long_way = diamond_check(tower, 3)
+        long_way.weights = order_certificate(tower)
+        assert tower.confluence == long_way, tower.name
+        assert decide_confluence(tower) == long_way, tower.name
+
+
+def test_cold_load_checks_only_the_noncommutative_towers(monkeypatch):
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    calls = []
+    real = ncalg.diamond_check
+
+    def counting(tower, degree=3):
+        calls.append(tower.name)
+        return real(tower, degree)
+
+    monkeypatch.setattr(ncalg, "diamond_check", counting)
+    for pid in catalog.PRESET_IDS:
+        catalog.get_preset(pid)
+    assert sorted(calls) == ["qe2-nonstd", "quantum-cylinder", "quantum-plane"]
+
+
+def test_commutative_tower_with_invertible_generators_gets_all_ones():
+    desc = {
+        "tower": [
+            {"gen": "v", "invertible": True},
+            {"gen": "a"},
+            {"gen": "w", "invertible": True},
+        ]
+    }
+    tower = load_tower(desc)
+    assert tower.commutative
+    assert tower.confluence == ncalg.DiamondResult(True, weights=(1, 1, 1))
+    assert tower.poly("w^-1*a*v") == tower.poly("v*a*w^-1")
+
+
 def _plane_with_delta(img):
     desc = preset_dict("quantum-plane")
     desc["tower"][1]["delta"] = {"z": img}
