@@ -2,25 +2,36 @@
 ``qe2/presets/`` and loads into a typed bundle.
 
 Bundles are cached, so repeated ``get_preset`` calls return the identical
-object graph; the digest field is the sha256 of the canonicalized file
-content, which the report emitter embeds for reproducibility.
+object graph.  ``preset_digests`` gives the sha256 of each canonicalized
+file, which the report emitter embeds for reproducibility.
+
+Importing the catalog loads the tower, Hopf and Poisson layers, which
+every algebra, Hopf-algebra, Poisson and coaction preset builds.  The
+analysis layers load with the first preset that needs them: ``homspace``
+with a quotient preset and with quantum-cylinder's embedding,
+``liebialg`` with a coaction stabilizer and with the lie and bialgebra
+presets.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib.resources
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import exprio
+
+# hopf and poisson stay eager: the benchmark's tracer wraps only modules
+# already imported when it installs
 from .hopf import AlgebraMorphism, HopfStructure, load_hopf
-from .homspace import QuotientMap, Subalgebra
-from .liebialg import Cocommutator, LieAlgebra, WedgeBivector
 from .ncalg import OreTower, load_tower
 from .poisson import PoissonStructure
 from .record import Record
 from .scalars import Parameter, Scalar, ScalarContext
+
+if TYPE_CHECKING:
+    from .homspace import QuotientMap, Subalgebra
+    from .liebialg import Cocommutator, LieAlgebra
 
 PRESET_IDS = (
     "fun-e2",
@@ -50,7 +61,7 @@ class PresetBundle(Record):
     ``kind``."""
 
     __slots__ = _fields = (
-        "preset_id", "kind", "anchor", "description", "raw", "digest", "context",
+        "preset_id", "kind", "anchor", "description", "raw", "context",
         "tower", "hopf", "poisson",
         # quotient bundles
         "source_id", "quotient",
@@ -70,7 +81,6 @@ class PresetBundle(Record):
         anchor: str,
         description: str,
         raw: dict,
-        digest: str,
         context: ScalarContext,
         tower: Optional[OreTower] = None,
         hopf: Optional[HopfStructure] = None,
@@ -95,7 +105,6 @@ class PresetBundle(Record):
         self.anchor = anchor
         self.description = description
         self.raw = raw
-        self.digest = digest
         self.context = context
         self.tower = tower
         self.hopf = hopf
@@ -119,16 +128,13 @@ class PresetBundle(Record):
 _CACHE: dict = {}
 
 
-def _read(preset_id: str) -> tuple:
+def _read(preset_id: str) -> dict:
     try:
         ref = importlib.resources.files("qe2") / "presets" / f"{preset_id}.json"
         text = ref.read_text()
     except FileNotFoundError:
         raise UnknownPreset(preset_id) from None
-    raw = json.loads(text)
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return raw, digest
+    return json.loads(text)
 
 
 def _context_of(raw: dict) -> ScalarContext:
@@ -141,6 +147,8 @@ def quotient_on(source: OreTower, raw: dict) -> QuotientMap:
     """The quotient preset ``raw`` as a map on the tower ``source``: the
     target tower is built over the source's scalar context, the images are
     parsed in the target and the kernel generators in ``source``."""
+    from .homspace import QuotientMap
+
     target = load_tower(
         {**raw["target"], "parameters": raw.get("parameters", [])},
         context=source.context,
@@ -160,7 +168,7 @@ def get_preset(preset_id: str) -> PresetBundle:
         return _CACHE[preset_id]
     if preset_id not in PRESET_IDS:
         raise UnknownPreset(preset_id)
-    raw, digest = _read(preset_id)
+    raw = _read(preset_id)
     kind = raw.get("kind", "algebra")
     ctx = _context_of(raw)
     bundle = PresetBundle(
@@ -169,7 +177,6 @@ def get_preset(preset_id: str) -> PresetBundle:
         anchor=raw.get("anchor", ""),
         description=raw.get("description", ""),
         raw=raw,
-        digest=digest,
         context=ctx,
     )
     if kind in ("hopf-algebra", "algebra", "poisson"):
@@ -180,6 +187,8 @@ def get_preset(preset_id: str) -> PresetBundle:
         if "poisson" in raw:
             bundle.poisson = PoissonStructure.load(tower, raw["poisson"])
         if "embedding" in raw:
+            from .homspace import Subalgebra
+
             amb = get_preset(raw["embedding"]["ambient"])
             images = raw["embedding"]["images"]
             gens = {name: amb.tower.poly(expr) for name, expr in images.items()}
@@ -210,6 +219,8 @@ def get_preset(preset_id: str) -> PresetBundle:
             )
         bundle.ansatz = [space.poly(t) for t in raw.get("ansatz", ())]
         if "stabilizer" in raw:
+            from .liebialg import WedgeBivector
+
             st = raw["stabilizer"]
             dim = len(st["pushforward"])
             # delta_image ships as an (i, j) upper-triangular matrix of
@@ -226,11 +237,12 @@ def get_preset(preset_id: str) -> PresetBundle:
                 "pushforward": _matrix(ctx, st["pushforward"]),
                 "rho": exprio.parse_scalar(ctx, st["rho"]),
             }
-    elif kind == "lie":
+    elif kind in ("lie", "bialgebra"):
+        from .liebialg import Cocommutator, LieAlgebra
+
         bundle.lie = LieAlgebra.load(ctx, raw)
-    elif kind == "bialgebra":
-        bundle.lie = LieAlgebra.load(ctx, raw)
-        bundle.cocommutator = Cocommutator.load(ctx, raw["basis"], raw["cocommutator"])
+        if kind == "bialgebra":
+            bundle.cocommutator = Cocommutator.load(ctx, raw["basis"], raw["cocommutator"])
     else:
         raise UnknownPreset(f"{preset_id}: unknown kind {kind!r}")
     _CACHE[preset_id] = bundle
@@ -241,10 +253,18 @@ def list_presets():
     """Stable-order (id, anchor, one-line description) triples."""
     out = []
     for pid in PRESET_IDS:
-        raw, _ = _read(pid)
+        raw = _read(pid)
         out.append((pid, raw.get("anchor", ""), raw.get("description", "")))
     return out
 
 
 def preset_digests():
-    return {pid: _read(pid)[1] for pid in PRESET_IDS}
+    """sha256 of each preset's canonicalized JSON, by id."""
+    import hashlib
+
+    return {
+        pid: hashlib.sha256(
+            json.dumps(_read(pid), sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        for pid in PRESET_IDS
+    }

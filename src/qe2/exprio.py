@@ -401,7 +401,6 @@ def format_canonical(x) -> str:
     output parses back to the same normal form whenever every coefficient
     has a monomial denominator.
     """
-    from .hopf import TensorElement
     from .ncalg import NCPoly
 
     if isinstance(x, NCPoly):
@@ -412,6 +411,9 @@ def format_canonical(x) -> str:
         return _join_terms(
             (coeff, _mono_text(mono, names)) for mono, coeff in items
         )
+    # imported only here, so that printing an NCPoly never loads the tensor layer
+    from .hopf import TensorElement
+
     if isinstance(x, TensorElement):
         if x.is_zero():
             return "0"

@@ -721,13 +721,13 @@ def suite_coideal(rep: CheckReport, degree_bound: int):
 
 
 def _random_cyl(t, rng, degree_bound):
-    out = NCPoly.zero(t)
+    # v^r m^s is already a normal monomial of the cylinder tower (v, m)
+    terms = []
     for _ in range(rng.randint(1, 3)):
         r = rng.randint(-degree_bound // 2, degree_bound // 2)
         s = rng.randint(0, max(1, degree_bound // 2))
-        c = t.context.from_int(rng.randint(-4, 4))
-        out = out + normal_form(t, [("v", r), ("m", s)]).scale(c)
-    return out
+        terms.append(((r, s), t.context.from_int(rng.randint(-4, 4))))
+    return NCPoly.from_terms(t, terms)
 
 
 def suite_hopf_ideal(rep: CheckReport, degree_bound: int):

@@ -288,6 +288,31 @@ def test_criterion_10_prop42_suite():
               f"Delta(m) ({c.elapsed:.2f}s)")
 
 
+def _random_cyl_via_normal_form(t, rng, degree_bound):
+    # the suite's former construction: each term through the rewriting engine
+    out = NCPoly.zero(t)
+    for _ in range(rng.randint(1, 3)):
+        r = rng.randint(-degree_bound // 2, degree_bound // 2)
+        s = rng.randint(0, max(1, degree_bound // 2))
+        c = t.context.from_int(rng.randint(-4, 4))
+        out = out + normal_form(t, [("v", r), ("m", s)]).scale(c)
+    return out
+
+
+def test_random_cylinder_elements_match_the_normal_form_construction():
+    import random
+
+    t = catalog.get_preset("quantum-cylinder").tower
+    for degree_bound in range(2, 7):
+        fast, slow = random.Random(degree_bound), random.Random(degree_bound)
+        for _ in range(100):
+            assert suites._random_cyl(t, fast, degree_bound) == (
+                _random_cyl_via_normal_form(t, slow, degree_bound)
+            )
+        # both draw the same numbers, so the streams stay in step
+        assert fast.random() == slow.random()
+
+
 def test_criterion_11_prop44_suite():
     with _Clock(5.0) as c:
         qe2 = catalog.get_preset("qe2-nonstd")

@@ -1,0 +1,80 @@
+"""Which layers a fresh process loads.  Loading a preset imports the
+analysis layers (``homspace``, ``liebialg``) only when that preset builds
+objects from them, and printing or diamond-checking a tower never imports
+the tensor layer.  Each check runs in a subprocess, because the test
+session itself has imported every module."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qe2
+
+SRC = Path(qe2.__file__).resolve().parents[1]
+
+LIGHT_PRESETS = (
+    "fun-e2", "std-poisson", "nonstd-poisson", "plane-poisson",
+    "cylinder-poisson", "qe2-nonstd", "quantum-plane",
+)
+WATCHED = ("qe2.homspace", "qe2.liebialg", "qe2.suites", "qe2.cli", "_hashlib")
+
+
+def _run(code: str):
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "preset,brings",
+    [
+        ("quotient-I", "qe2.homspace"),
+        ("quantum-cylinder", "qe2.homspace"),
+        ("e2-lie", "qe2.liebialg"),
+        ("coaction-plane", "qe2.liebialg"),
+    ],
+)
+def test_preset_loads_import_only_the_layers_they_use(preset, brings):
+    code = (
+        "import json, sys\n"
+        "from qe2 import catalog\n"
+        f"watched = {WATCHED!r}\n"
+        "loaded = lambda: [m for m in watched if m in sys.modules]\n"
+        f"for pid in {LIGHT_PRESETS!r}:\n"
+        "    catalog.get_preset(pid)\n"
+        "light = loaded()\n"
+        f"catalog.get_preset({preset!r})\n"
+        "print(json.dumps([light, loaded()]))\n"
+    )
+    light, heavy = _run(code)
+    assert light == []
+    assert heavy == [brings]
+
+
+def test_printing_and_a_failing_diamond_check_leave_the_tensor_layer_unloaded():
+    # the manuscript's printed (n, nb) rule: not confluent, so the check
+    # formats both reductions of its witness word
+    code = (
+        "import importlib.resources, json, sys\n"
+        "import qe2\n"
+        "ref = importlib.resources.files('qe2') / 'presets' / 'qe2-nonstd.json'\n"
+        "raw = json.loads(ref.read_text())\n"
+        "nb = {'gen': 'nb', 'sigma': {'v': 'v', 'n': 'n + omega'},\n"
+        "      'delta': {'v': 'omega*v^2 - omega*v', 'n': '-omega*n'}}\n"
+        "tower = qe2.load_tower({**raw, 'tower': raw['tower'][:2] + [nb]}, validate=False)\n"
+        "res = qe2.diamond_check(tower, 3)\n"
+        "text = qe2.format_canonical(tower.poly('nb*n'))\n"
+        "print(json.dumps([res.ok, res.left_form, text, 'qe2.hopf' in sys.modules]))\n"
+    )
+    ok, left_form, text, hopf_loaded = _run(code)
+    assert not ok and left_form
+    # nb*n = sigma(n)*nb + delta(n) = (n + omega)*nb - omega*n
+    assert text == "omega*nb - omega*n + n*nb"
+    assert not hopf_loaded
