@@ -2,13 +2,14 @@
 
 :class:`AlgebraMorphism` is the one extension of generator values to the
 whole algebra: the image of a monomial is the product of the generator
-images (in reverse order for an antihomomorphism), cached per monomial,
-and an element's image is the sum of its terms' images (with conjugated
-coefficients for an antilinear map).  The coproduct and antipode of a
-:class:`HopfStructure`, the star of a tower (:func:`star_map`; kept on
-the tower, since non-Hopf presets also carry one) and the coactions,
-projections and quotient maps of the presets are all such maps.  Only
-the counit, whose target is the scalars, keeps a table of its own.
+images (in reverse order for an antihomomorphism), cached per monomial and
+built from the cached image of a shorter monomial, and an element's image
+is the sum of its terms' images (with conjugated coefficients for an
+antilinear map).  The coproduct, counit and antipode of a
+:class:`HopfStructure` (the counit's target is the tower without
+generators), the star of a tower (:func:`star_map`; kept on the tower,
+since non-Hopf presets also carry one) and the coactions, projections and
+quotient maps of the presets are all such maps.
 
 :class:`TensorElement` implements A (x) B (and triple) tensors whose legs
 may live in different towers; this is what the quotient and coinvariance
@@ -21,7 +22,9 @@ from itertools import chain, product
 from typing import Callable, Optional, Sequence
 
 from . import exprio
-from .ncalg import NCPoly, OreTower, TowerError, bilinear, collect, pin_unit
+from .ncalg import (
+    NCPoly, OreTower, TowerError, _top_level, bilinear, collect, pin_unit,
+)
 from .report import FAIL, CheckReport
 from .scalars import Scalar
 
@@ -245,7 +248,19 @@ class AlgebraMorphism:
     """Map determined by generator images and extended over each monomial;
     the target is a tower or a tuple of towers (tensor legs).  ``reverse``
     makes it an antihomomorphism and ``antilinear`` conjugates the
-    coefficients of its argument.  Monomial images are cached."""
+    coefficients of its argument.
+
+    Images of normal monomials are cached and built by one-letter
+    extension: the image of a monomial is the cached image of the monomial
+    without one power of its top generator, times that letter's image
+    (the letter first when ``reverse``).  A letter image is a generator
+    image or, for a negative power, its ``unit_inverse``, which is cached
+    too, so each inverse and its verification product run once per
+    generator.
+    The target is associative, so this is the same element as the product
+    of the powers of the generator images that :meth:`word_image` multiplies
+    out; ``word_image`` stays for words that are not normal monomials (the
+    left-hand sides of rewrite rules)."""
 
     def __init__(self, source: OreTower, target, images: dict,
                  reverse: bool = False, antilinear: bool = False):
@@ -268,7 +283,8 @@ class AlgebraMorphism:
         if len(imgs) != source.nlevels:
             raise TowerError("morphism must give an image for every generator")
         self.images = imgs
-        self._mono_cache = {}
+        self._mono_cache = {source.unit_mono: self.one}
+        self._inverses = {}
 
     @classmethod
     def load(cls, source: OreTower, target, images_spec: dict,
@@ -300,13 +316,33 @@ class AlgebraMorphism:
         for mono, c in items:
             img = cache.get(mono)
             if img is None:
-                img = cache[mono] = self.word_image(
-                    [(j, e) for j, e in enumerate(mono) if e]
-                )
+                img = self._mono_image(mono)
             pairs += [(m, c * c2) for m, c2 in img.terms.items()]
         if self.tensor:
             return TensorElement(self.target, collect(pairs))
         return NCPoly(self.target, collect(pairs))
+
+    def _mono_image(self, mono):
+        """Image of a normal monomial, by one-letter extensions of the
+        longest cached monomial below it.  The images are built from the
+        bottom up, so a TowerError of a lower letter comes first, as in
+        :meth:`word_image`."""
+        cache = self._mono_cache
+        steps = []
+        while mono not in cache:
+            top = _top_level(mono)
+            sign = 1 if mono[top] > 0 else -1
+            steps.append((mono, top, sign))
+            mono = mono[:top] + (mono[top] - sign,) + mono[top + 1 :]
+        img = cache[mono]
+        for mono, top, sign in reversed(steps):
+            letter = self.images[top]
+            if sign < 0:
+                letter = self._inverses.get(top)
+                if letter is None:
+                    letter = self._inverses[top] = self.images[top].unit_inverse()
+            img = cache[mono] = letter * img if self.reverse else img * letter
+        return img
 
     def validate(self, suite="morphism") -> CheckReport:
         """Images must satisfy every derived relation of the source."""

@@ -37,8 +37,11 @@ gcd of the denominators and then that of the new numerator with it, and
 conjugation is a ring automorphism, so it needs no gcd.  These cofactor gcds
 are exponent minima when a side is a monomial, a dense Euclid in one
 parameter, and otherwise the multivariate primitive PRS.  What is left is
-fixing the constant factor (``_canon``).  ``_reduce``, the full gcd of an
-arbitrary num/den, is only the constructor path ``Scalar(ctx, num, den)``.
+fixing the constant factor (``_canon``), and a product often skips even
+that: when one factor is a polynomial c, the other is a/b and gcd(c, b) is
+constant, (a*c)/b keeps the other factor's canonical b as it stands.
+``_reduce``, the full gcd of an arbitrary num/den, is only the constructor
+path ``Scalar(ctx, num, den)``.
 
 The unit.  Each context has one Scalar ``ctx.one`` that stands for 1:
 ``from_gauss`` and ``from_int`` return it for 1, the engine stores every
@@ -832,8 +835,21 @@ class Scalar:
                     f = tuple(map(_isub, f, m))
                 den = {f: _ONE} if any(f) else ctx._den_one
             return _scalar(ctx, {e: _cmul(c1, c2)}, den)
-        if _is_constant(sd, ctx) and _is_constant(od, ctx):
+        one_sd, one_od = _is_constant(sd, ctx), _is_constant(od, ctx)
+        if one_sd and one_od:
             return _scalar(ctx, _pmul(sn, on), ctx._den_one)
+        if one_sd or one_od:
+            # a polynomial c times a/b: cancel gcd(c, b), and when nothing
+            # cancels, (a*c)/b keeps the canonical b as it stands
+            if one_od:
+                b = sd
+                on, den = _cancel(on, b, ctx)
+            else:
+                b = od
+                sn, den = _cancel(sn, b, ctx)
+            if den is b:
+                return _scalar(ctx, _pmul(sn, on), b)
+            return _scalar(ctx, *_canon(_pmul(sn, on), den))
         return _mul_reduced(ctx, sn, sd, on, od)
 
     __rmul__ = __mul__

@@ -47,6 +47,12 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (out.returncode, out.stdout) == want[:2]
 
 
+def test_suite_names_match_the_registry():
+    from qe2 import cli, suites
+
+    assert list(cli.SUITE_NAMES) == sorted(suites.SUITES)
+
+
 def test_bracket(capsys):
     code, out, _ = run(capsys, "bracket", "nonstd-poisson", "v", "vb*nb - v*n")
     assert code == 0

@@ -1,18 +1,23 @@
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qe2 import catalog, exprio
 from qe2.hopf import (
+    AlgebraMorphism,
     TensorElement,
     _outer,
     hopf_axioms_report,
     load_hopf,
     respects_relations_report,
     star_apply,
+    star_map,
 )
 from qe2.ncalg import NCPoly, TowerError, collect, load_tower, normal_form
+from qe2.poisson import PoissonStructure
 from qe2.report import DISCREPANCY, FAIL
 from qe2.scalars import GaussRational
 
@@ -376,3 +381,107 @@ def test_tensor_mul_matches_term_by_term(data):
         want = _tensor_product_reference(s, t)
         assert s * t == want
         assert s * t == want  # now from the table
+
+
+# -- monomial images by one-letter extension -----------------------------------
+
+
+def _shipped_morphisms():
+    """(id, morphism) for every structure map the shipped presets build:
+    coproducts, counits and antipodes, the star of every tower, the
+    coactions and projections, and the quotient maps."""
+    out, towers = [], {}
+    for pid in catalog.PRESET_IDS:
+        b = catalog.get_preset(pid)
+        if b.hopf is not None:
+            out += [
+                (f"{pid}.coproduct", b.hopf.coproduct_map),
+                (f"{pid}.counit", b.hopf.counit_map),
+                (f"{pid}.antipode", b.hopf.antipode_map),
+            ]
+        for name in ("coaction", "projection", "quotient"):
+            if getattr(b, name) is not None:
+                out.append((f"{pid}.{name}", getattr(b, name)))
+        for t in (b.tower, b.group_tower, b.space_tower):
+            if t is not None and t.star_table is not None:
+                towers.setdefault(id(t), (f"{pid}.star[{t.name}]", t))
+    out += [(name, star_map(t)) for name, t in towers.values()]
+    return out
+
+
+def _letter_word(mono):
+    """The normal monomial as single letters (generator index, +-1)."""
+    return [(j, 1 if e > 0 else -1) for j, e in enumerate(mono) for _ in range(abs(e))]
+
+
+def _image_or_error(f):
+    try:
+        return f()
+    except TowerError as e:
+        return f"TowerError: {e}"
+
+
+@pytest.mark.parametrize(
+    "name,m", [pytest.param(name, m, id=name) for name, m in _shipped_morphisms()]
+)
+def test_monomial_images_match_letter_word_products(name, m):
+    # invertible generators in [-2, 2], the others in [0, 2]; a fresh copy
+    # with empty caches takes the monomials from the largest down, so each
+    # image extends a chain of uncached ones, and the shipped map takes them
+    # with whatever its caches hold
+    src = m.source
+    box = sorted(product(*[
+        range(-2, 3) if g.invertible else range(0, 3) for g in src.generators
+    ]), reverse=True)
+    fresh = AlgebraMorphism(
+        src, m.target, {g.name: m.images[j] for j, g in enumerate(src.generators)},
+        reverse=m.reverse, antilinear=m.antilinear,
+    )
+    one = src.context.one
+    for f in (fresh, m):
+        for mono in box:
+            want = _image_or_error(lambda: m.word_image(_letter_word(mono)))
+            got = _image_or_error(lambda: f.apply(NCPoly(src, {mono: one})))
+            assert got == want, (name, mono)
+
+
+def _bench_workloads():
+    """bench/workloads.py, executed from its source (not imported)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    namespace = {"__name__": "bench_workloads"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def test_unit_inverse_runs_once_per_generator_over_an_identity_chunk(monkeypatch):
+    # a random-identities chunk on fresh structures: each (morphism,
+    # generator) inverts its image at most once, however many monomials
+    # carry a negative power of the generator
+    wl = _bench_workloads()
+    desc = preset_dict("qe2-nonstd")
+    H = load_hopf(load_tower(desc, validate=False), desc["hopf"])
+    desc = preset_dict("nonstd-poisson")
+    P = PoissonStructure.load(load_tower(desc, validate=False), desc["poisson"])
+    receivers = []
+    for cls in (NCPoly, TensorElement):
+        def counted(self, _inv=cls.unit_inverse):
+            receivers.append(self)
+            return _inv(self)
+        monkeypatch.setattr(cls, "unit_inverse", counted)
+    negative = 0
+    for ident in wl["identity_chunk"](1, 0):
+        tower = P.tower if ident["law"] in ("leibniz", "jacobi") else H.tower
+        els = [wl["build_element"](tower, terms) for terms in ident["elements"]]
+        negative += ident["law"] in ("coproduct", "antipode") and any(
+            mono[0] < 0 for terms in ident["elements"] for mono, _ in terms
+        )
+        lhs, rhs = wl["law_sides"](ident["law"], H, P, els)
+        assert lhs == rhs
+    assert negative > 1
+    maps = (H.coproduct_map, H.counit_map, H.antipode_map)
+    calls = {
+        (k, j): sum(r is f.images[j] for r in receivers)
+        for k, f in enumerate(maps) for j in f.images
+    }
+    assert max(calls.values()) == 1
+    assert calls[0, 0] == calls[2, 0] == 1  # v^-1 under the coproduct and antipode

@@ -1,7 +1,7 @@
 """Which layers a fresh process loads.  Loading a preset imports the
 analysis layers (``homspace``, ``liebialg``) only when that preset builds
-objects from them, and printing or diamond-checking a tower never imports
-the tensor layer.  Each check runs in a subprocess, because the test
+objects from them, printing or diamond-checking a tower never imports
+the tensor layer, and only ``qe2 check`` imports the suites.  Each check runs in a subprocess, because the test
 session itself has imported every module."""
 
 import json
@@ -78,3 +78,17 @@ def test_printing_and_a_failing_diamond_check_leave_the_tensor_layer_unloaded():
     # nb*n = sigma(n)*nb + delta(n) = (n + omega)*nb - omega*n
     assert text == "omega*nb - omega*n + n*nb"
     assert not hopf_loaded
+
+
+def test_a_one_shot_command_leaves_the_suites_and_analysis_layers_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qe2", "normal-form", "qe2-nonstd", "n*v"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stdout) == (0, "-omega + omega*v + v*n\n")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in out.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert {"qe2.cli", "qe2.catalog", "qe2.hopf"} <= imported
+    assert not imported & {"qe2.suites", "qe2.homspace", "qe2.liebialg"}

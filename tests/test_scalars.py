@@ -431,6 +431,32 @@ def test_field_ops_named_cancellations(x, op, y, want):
     _assert_same(got, want)
 
 
+_G = CTX.from_gauss(GaussRational(2, 1))  # the non-unit constant 2+i
+POLY_TIMES_FRACTION = [
+    # x over a non-constant canonical denominator, y a polynomial, and
+    # whether a gcd of y with x's denominator cancels
+    pytest.param(_frac(W + 3, W + 1), W + 2, False, id="1+omega-coprime"),
+    pytest.param(_frac(W + 3, W + 1), (W + 1) * (W - K), True, id="1+omega-divides"),
+    pytest.param(_frac(W + 3, (W + 1) ** 2), 3 * K * (W + 1), True, id="1+omega-partly"),
+    pytest.param(_frac(K + 2, Q), K + 1, False, id="q-coprime"),
+    pytest.param(_frac(K + 2, Q), Q * K + Q, True, id="q-divides"),
+    pytest.param(_frac(W + 3, W + 1) / _G, _G, False, id="2+i-constant"),
+    pytest.param(_frac(W + 3, W + 1) / _G, _G * W + _G, True, id="2+i-content"),
+    pytest.param(_frac(W + 3, W + 1), (W + 2) / _G, False, id="over-2+i"),
+]
+
+
+@pytest.mark.parametrize("x, y, cancels", POLY_TIMES_FRACTION)
+def test_polynomial_times_fraction_matches_full_reduce(x, y, cancels):
+    assert y.is_polynomial() and not x.is_polynomial()
+    want = Scalar(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
+    for got in (x * y, y * x):
+        _assert_same(got, want)
+        # when nothing cancels, the product keeps x's canonical denominator
+        assert (got.den is x.den) == (not cancels)
+    _assert_same(x / _G, Scalar(CTX, x.num, _pmul(x.den, _G.num)))
+
+
 def test_rtruediv_unsupported_operand():
     assert CTX.one.__rtruediv__(1.5) is NotImplemented
     with pytest.raises(TypeError):
