@@ -256,11 +256,10 @@ class AlgebraMorphism:
     (the letter first when ``reverse``).  A letter image is a generator
     image or, for a negative power, its ``unit_inverse``, which is cached
     too, so each inverse and its verification product run once per
-    generator.
-    The target is associative, so this is the same element as the product
-    of the powers of the generator images that :meth:`word_image` multiplies
-    out; ``word_image`` stays for words that are not normal monomials (the
-    left-hand sides of rewrite rules)."""
+    generator.  :meth:`word_image`, for words that are not normal monomials
+    (the left-hand sides of rewrite rules), multiplies out powers of the
+    same letter images; the target is associative, so on a normal monomial
+    both give the same element."""
 
     def __init__(self, source: OreTower, target, images: dict,
                  reverse: bool = False, antilinear: bool = False):
@@ -297,7 +296,7 @@ class AlgebraMorphism:
 
     def word_image(self, word):
         """Image of the product of a word of (generator index, exponent)."""
-        factors = [self.images[j] ** e for j, e in word]
+        factors = [self._letter(j, e) ** abs(e) for j, e in word]
         if self.reverse:
             factors.reverse()
         out = self.one
@@ -336,13 +335,19 @@ class AlgebraMorphism:
             mono = mono[:top] + (mono[top] - sign,) + mono[top + 1 :]
         img = cache[mono]
         for mono, top, sign in reversed(steps):
-            letter = self.images[top]
-            if sign < 0:
-                letter = self._inverses.get(top)
-                if letter is None:
-                    letter = self._inverses[top] = self.images[top].unit_inverse()
+            letter = self._letter(top, sign)
             img = cache[mono] = letter * img if self.reverse else img * letter
         return img
+
+    def _letter(self, j, e):
+        """The image of generator j for e >= 0, else the inverse of that
+        image, computed (with its verification product) once."""
+        if e >= 0:
+            return self.images[j]
+        inv = self._inverses.get(j)
+        if inv is None:
+            inv = self._inverses[j] = self.images[j].unit_inverse()
+        return inv
 
     def validate(self, suite="morphism") -> CheckReport:
         """Images must satisfy every derived relation of the source."""

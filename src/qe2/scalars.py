@@ -37,9 +37,9 @@ gcd of the denominators and then that of the new numerator with it, and
 conjugation is a ring automorphism, so it needs no gcd.  These cofactor gcds
 are exponent minima when a side is a monomial, a dense Euclid in one
 parameter, and otherwise the multivariate primitive PRS.  What is left is
-fixing the constant factor (``_canon``), and a product often skips even
-that: when one factor is a polynomial c, the other is a/b and gcd(c, b) is
-constant, (a*c)/b keeps the other factor's canonical b as it stands.
+fixing the constant factor (``_canon``).  A product of a polynomial c with
+a/b skips even that when gcd(c, b) is constant: (a*c)/b keeps the other
+factor's canonical b as it stands.
 ``_reduce``, the full gcd of an arbitrary num/den, is only the constructor
 path ``Scalar(ctx, num, den)``.
 
