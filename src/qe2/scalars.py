@@ -3,11 +3,23 @@
 A :class:`Scalar` is a rational function in a declared tuple of formal
 parameters (``omega``, ``k``, ``q``, ...) with Gaussian-rational
 coefficients.  Everything is exact.  A Scalar holds two sparse polynomials,
-``num`` and ``den``, each a dict {exponent tuple -> coefficient}, and every
+``num`` and ``den``, each a dict {exponent key -> coefficient}, and every
 coefficient is a canonical triple of Python ints ``(a, b, d)`` standing for
 ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``.  No zero
 coefficient is ever stored, and fractions of polynomials are kept in a
 canonical reduced form, so equality of scalars is plain structural equality.
+
+An exponent key is one non-negative int that packs a monomial's exponent
+vector (Johnson, SIGSAM Bull. 8(3), 1974; Monagan and Pearce, CASC 2007).
+With n parameters, the exponent of parameter j sits in field n-1-j, 32
+bits wide, so the first declared parameter is the most significant field
+and int order is the lex order of exponent tuples; the monomial 1 is the
+key 0.  A context has at most 64 parameters.  An exponent stays below
+2**31: the top bit of each field is a guard, so a product of monomials that
+reaches the bound raises a :class:`ScalarError` and a monomial quotient that
+would go negative is detected, and neither ever carries into the next
+field.  ``_pack`` and ``_unpack`` convert between a key and its exponent
+tuple.
 
 The kernel works on the triples themselves: the ``_c*`` helpers do Q(i)
 arithmetic on one triple and the ``_p*`` helpers on polynomials, and each
@@ -62,7 +74,6 @@ from __future__ import annotations
 
 from fractions import Fraction as _Q
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _iadd, sub as _isub
 from typing import Iterable, Mapping
 
 from .record import FrozenRecord, setfield
@@ -292,9 +303,94 @@ GAUSS_I = _gauss(_I)
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials: {exponent tuple -> canonical triple}.
-# Exponents are >= 0; fractions of these make up Scalar.  Plain dicts keep
-# the inner loops cheap.
+# Exponent keys (the layout is in the module docs).  A helper that reads or
+# replaces one parameter's exponent names its field by the bit offset ``s``
+# of the field, so it needs no parameter count.  _GUARD holds the guard bit
+# of every field a context may have; a key's guard bits are always clear.
+# ---------------------------------------------------------------------------
+
+_EBITS = 32
+_EMASK = (1 << _EBITS) - 1  # one field
+_EBOUND = 1 << (_EBITS - 1)  # exponents stay below it; the field's guard bit
+_MAX_PARAMS = 64
+_GUARD = sum(_EBOUND << (_EBITS * j) for j in range(_MAX_PARAMS))
+
+
+def _overflow():
+    raise ScalarError(f"a parameter's exponent reached the bound {_EBOUND}")
+
+
+def _pack(exps) -> int:
+    """The key of an exponent tuple, first entry in the most significant
+    field."""
+    e = 0
+    for x in exps:
+        if not 0 <= x < _EBOUND:
+            raise ScalarError(f"exponent {x} outside [0, {_EBOUND})")
+        e = (e << _EBITS) | x
+    return e
+
+
+def _unpack(e, nvars) -> tuple:
+    """The exponent tuple of a key with nvars fields."""
+    return tuple(
+        (e >> (_EBITS * (nvars - 1 - j))) & _EMASK for j in range(nvars)
+    )
+
+
+def _eadd(a, b):
+    """The key of the product of two monomials; ScalarError when an
+    exponent reaches the bound."""
+    e = a + b
+    if e & _GUARD:
+        _overflow()
+    return e
+
+
+def _esub(a, b):
+    """The key of a/b for monomials, or None when b does not divide a.
+
+    A field that goes negative borrows from its own guard bit (the top
+    field makes the difference negative), so no borrow crosses a field
+    unseen."""
+    d = a - b
+    return None if d < 0 or d & _GUARD else d
+
+
+def _emin(a, b, guard):
+    """The key of gcd(a, b) for monomials: the fieldwise minimum.  guard
+    holds the guard bits of every field of a and b."""
+    t = ((a | guard) - b) & guard  # field j keeps its guard iff a_j >= b_j
+    pick_b = t - (t >> (_EBITS - 1))  # the exponent bits of those fields
+    return a ^ ((a ^ b) & pick_b)
+
+
+def _emins(keys, guard):
+    """The fieldwise minimum of a nonempty iterable of keys."""
+    it = iter(keys)
+    m = next(it)
+    for e in it:
+        if not m:
+            break
+        m = _emin(m, e, guard)
+    return m
+
+
+def _field(e, s):
+    """The exponent in the field at bit offset s."""
+    return (e >> s) & _EMASK
+
+
+def _with_field(e, s, x):
+    """e with the exponent x < 2**31 in the field at bit offset s."""
+    return e + ((x - ((e >> s) & _EMASK)) << s)
+
+
+# ---------------------------------------------------------------------------
+# Sparse multivariate polynomials: {exponent key -> canonical triple}.
+# Fractions of these make up Scalar.  Plain dicts with int keys keep the
+# inner loops cheap: a product's key is one int sum, checked against the
+# guard bits, and a dict lookup hashes one int.
 # ---------------------------------------------------------------------------
 
 
@@ -328,21 +424,24 @@ def _pmul(p, q):
     if len(p) == 1:
         # a monomial times a polynomial: no two terms land on one key
         ((e1, c1),) = p.items()
-        shift = any(e1)
         if c1 == _ONE:
-            return {tuple(map(_iadd, e1, e)): c for e, c in q.items()} if shift else dict(q)
-        a1, b1, d1 = c1
-        return {
-            tuple(map(_iadd, e1, e)) if shift else e: _cnorm(
-                a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-            )
-            for e, (a2, b2, d2) in q.items()
-        }
+            r = {e1 + e: c for e, c in q.items()} if e1 else dict(q)
+        else:
+            a1, b1, d1 = c1
+            r = {
+                e1 + e: _cnorm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+                for e, (a2, b2, d2) in q.items()
+            }
+        if e1:
+            for e in r:
+                if e & _GUARD:
+                    _overflow()
+        return r
     # sum raw products per key, then normalise each coefficient once
     acc = {}
     for e1, (a1, b1, d1) in p.items():
         for e2, (a2, b2, d2) in q.items():
-            e = tuple(map(_iadd, e1, e2))
+            e = e1 + e2
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
             d = d1 * d2
@@ -357,23 +456,26 @@ def _pmul(p, q):
                     acc[e] = (oa * d + a * od, ob * d + b * od, od * d)
     r = {}
     for e, (a, b, d) in acc.items():
+        if e & _GUARD:
+            _overflow()
         if a or b:
             r[e] = _cnorm(a, b, d)
     return r
 
 
-def _pshift(p, shift):
+def _pshift(p, m):
+    """p / x^m for a monomial key m that divides every term of p."""
     r = {}
     for e, c in p.items():
-        ne = tuple(a + b for a, b in zip(e, shift))
-        if any(x < 0 for x in ne):
+        ne = _esub(e, m)
+        if ne is None:
             raise ValueError("negative exponent in polynomial shift")
         r[ne] = c
     return r
 
 
 def _plead(p):
-    return max(p)  # tuple comparison = lex in the declared variable order
+    return max(p)  # int order = lex in the declared variable order
 
 
 def _pdivexact(f, g):
@@ -388,13 +490,17 @@ def _pdivexact(f, g):
     r = dict(f)
     while r:
         rl = _plead(r)
-        diff = tuple(a - b for a, b in zip(rl, gl))
-        if any(x < 0 for x in diff):
+        diff = _esub(rl, gl)
+        if diff is None:
             return None
         c = _cmul(r[rl], ginv)
         q[diff] = c
         for e, cc in g.items():
-            ne = tuple(a + b for a, b in zip(e, diff))
+            # a key past the bound means g does not divide f: the keys of an
+            # exact quotient times g stay within f's degrees
+            ne = e + diff
+            if ne & _GUARD:
+                return None
             nc = _csub(r.get(ne, _ZERO), _cmul(cc, c))
             if nc[0] or nc[1]:
                 r[ne] = nc
@@ -404,30 +510,37 @@ def _pdivexact(f, g):
 
 
 def _pvars(p):
-    out = set()
+    """The bit offsets of the fields that are nonzero in some key of p."""
+    o = 0
     for e in p:
-        for j, x in enumerate(e):
-            if x:
-                out.add(j)
+        o |= e
+    out = set()
+    s = 0
+    while o:
+        if o & _EMASK:
+            out.add(s)
+        o >>= _EBITS
+        s += _EBITS
     return out
 
 
-def _by_var(p, v):
-    """View p as univariate in variable v with polynomial coefficients
-    (coefficient keys keep the full exponent tuple with the v slot zeroed)."""
+def _by_var(p, s):
+    """View p as univariate in the parameter of the field at bit offset s:
+    {degree: coefficient polynomial}, whose keys are p's keys with that
+    field set to 0."""
     coeffs = {}
     for e, c in p.items():
-        d = e[v]
-        e0 = e[:v] + (0,) + e[v + 1 :]
-        coeffs.setdefault(d, {})[e0] = c
+        coeffs.setdefault(_field(e, s), {})[_with_field(e, s, 0)] = c
     return coeffs
 
 
-def _from_var(coeffs, v):
+def _from_var(coeffs, s):
+    # in bounds: the degrees and coefficient keys of a gcd's views are those
+    # of its in-bound inputs or smaller
     p = {}
     for d, sub in coeffs.items():
         for e, c in sub.items():
-            p[e[:v] + (d,) + e[v + 1 :]] = c
+            p[_with_field(e, s, d)] = c
     return p
 
 
@@ -466,16 +579,16 @@ def _uni_prem(a, b):
 
 def _pgcd(f, g):
     """Multivariate gcd over Q(i) via a primitive PRS, unit-normalized for
-    determinism (gcds are only defined up to units)."""
+    determinism (gcds are only defined up to units).  It recurses on the
+    first declared parameter that occurs, the most significant field."""
     if not f:
         return _pnormal_unit(g)
     if not g:
         return _pnormal_unit(f)
     vs = _pvars(f) | _pvars(g)
     if not vs:
-        n = len(next(iter(f)))
-        return {(0,) * n: _ONE}
-    v = min(vs)
+        return {0: _ONE}
+    v = max(vs)
     fc = _by_var(f, v)
     gc = _by_var(g, v)
     cont_f = _coeff_gcd(fc.values())
@@ -496,10 +609,10 @@ def _pgcd(f, g):
     return _pnormal_unit(_pmul(cont, gg))
 
 
-def _ugcd(f, g, v):
-    """Monic gcd of polynomials f and g in the single variable v, by dense
-    Euclid over Q(i)."""
-    a, b = _dense(f, v), _dense(g, v)
+def _ugcd(f, g, s):
+    """Monic gcd of polynomials f and g in the single parameter of the field
+    at bit offset s, by dense Euclid over Q(i)."""
+    a, b = _dense(f, s), _dense(g, s)
     while b:
         inv = _cinv(b[-1])
         b = [_cmul(c, inv) for c in b]  # monic, so the remainder needs no division
@@ -515,35 +628,32 @@ def _ugcd(f, g, v):
         a, b = b, a
     if not a:
         return {}
-    e0 = (0,) * len(next(iter(f or g)))
     inv = _cinv(a[-1])
-    return {
-        e0[:v] + (j,) + e0[v + 1 :]: _cmul(c, inv)
-        for j, c in enumerate(a)
-        if c[0] or c[1]
-    }
+    # in bounds: the gcd's degree is at most that of f or g
+    return {j << s: _cmul(c, inv) for j, c in enumerate(a) if c[0] or c[1]}
 
 
-def _dense(p, v):
-    """Coefficient list of a polynomial in the variable v, lowest degree
-    first, with no trailing zeros."""
+def _dense(p, s):
+    """Coefficient list of a polynomial in the parameter of the field at bit
+    offset s alone (every other field 0), lowest degree first, with no
+    trailing zeros."""
     if not p:
         return []
-    out = [_ZERO] * (max(e[v] for e in p) + 1)
+    out = [_ZERO] * ((max(p) >> s) + 1)
     for e, c in p.items():
-        out[e[v]] = c
+        out[e >> s] = c
     return out
 
 
-def _gcd(p, q):
+def _gcd(p, q, ctx):
     """A gcd of the nonzero polynomials p and q, up to a constant factor.
 
     A monomial's divisors are monomials, so with a monomial on either side
-    the gcd is the exponent-wise minimum over both supports.  Otherwise a
-    pair in one parameter takes the dense Euclid of :func:`_ugcd`, and the
-    rest the primitive PRS of :func:`_pgcd`."""
+    the gcd is the fieldwise minimum over both supports.  Otherwise a pair
+    in one parameter takes the dense Euclid of :func:`_ugcd`, and the rest
+    the primitive PRS of :func:`_pgcd`."""
     if len(p) == 1 or len(q) == 1:
-        return {tuple(map(min, *p, *q)): _ONE}
+        return {_emins((*p, *q), ctx._guard): _ONE}
     vs = _pvars(p) | _pvars(q)
     if len(vs) == 1:
         return _ugcd(p, q, vs.pop())
@@ -555,14 +665,14 @@ def _pdiv(p, g):
     if len(g) == 1:
         ((e, c),) = g.items()
         if c == _ONE:
-            return _pshift(p, tuple(-x for x in e))
+            return _pshift(p, e)
     return _pdivexact(p, g)
 
 
 def _cancel(p, q, ctx):
     """(p/g, q/g) for g a gcd of the nonzero polynomials p and q."""
-    g = _gcd(p, q)
-    if _is_constant(g, ctx):
+    g = _gcd(p, q, ctx)
+    if _is_constant(g):
         return p, q
     return _pdiv(p, g), _pdiv(q, g)
 
@@ -669,14 +779,21 @@ class ScalarContext:
         names = [p.name for p in self.parameters]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
+        if len(names) > _MAX_PARAMS:
+            raise ValueError(f"more than {_MAX_PARAMS} parameters")
         self.names = tuple(names)
         self._index = {n: j for j, n in enumerate(names)}
-        self.nvars = len(names)
-        self._zero_exp = (0,) * self.nvars
-        self._den_one = {self._zero_exp: _ONE}
-        self._negated = tuple(
-            j for j, p in enumerate(self.parameters) if p.star_rule == STAR_NEGATED
+        self.nvars = n = len(names)
+        # the bit offset of parameter j's field, and the guard bits of them all
+        self._shifts = tuple(_EBITS * (n - 1 - j) for j in range(n))
+        self._guard = _GUARD & ((1 << (_EBITS * n)) - 1)
+        # the lowest bit of each negated parameter's field
+        self._negated = sum(
+            1 << s
+            for s, p in zip(self._shifts, self.parameters)
+            if p.star_rule == STAR_NEGATED
         )
+        self._den_one = {0: _ONE}
         self.zero = _scalar(self, {}, self._den_one)
         self.one = _scalar(self, self._den_one, self._den_one)
         self.i = self.from_gauss(GAUSS_I)
@@ -686,7 +803,7 @@ class ScalarContext:
             return self.zero
         if g.is_one():
             return self.one
-        return _scalar(self, {self._zero_exp: g.triple}, self._den_one)
+        return _scalar(self, {0: g.triple}, self._den_one)
 
     def from_int(self, n: int) -> "Scalar":
         return self.from_gauss(GaussRational(n))
@@ -695,8 +812,7 @@ class ScalarContext:
         j = self._index.get(name)
         if j is None:
             raise UnboundParameter(f"parameter {name!r} not declared in this context")
-        e = tuple(1 if jj == j else 0 for jj in range(self.nvars))
-        return _scalar(self, {e: _ONE}, self._den_one)
+        return _scalar(self, {1 << self._shifts[j]: _ONE}, self._den_one)
 
     def has_param(self, name: str) -> bool:
         return name in self._index
@@ -722,7 +838,7 @@ class Scalar:
 
     def __init__(self, ctx: ScalarContext, num, den):
         self.ctx = ctx
-        self.num, self.den = _reduce(num, den, ctx.nvars)
+        self.num, self.den = _reduce(num, den, ctx)
         self._h = None
 
     def is_zero(self):
@@ -757,7 +873,7 @@ class Scalar:
             return NotImplemented
         ctx = self.ctx
         a, b, c, d = self.num, self.den, o.num, o.den
-        one_b, one_d = _is_constant(b, ctx), _is_constant(d, ctx)
+        one_b, one_d = _is_constant(b), _is_constant(d)
         if one_b and one_d:
             # a sum over the unit denominator is already canonical
             return _scalar(ctx, _padd(a, c), ctx._den_one)
@@ -770,21 +886,21 @@ class Scalar:
             n = _padd(a, c)
             if not n:
                 return ctx.zero
-            g = _gcd(n, b)
-            if _is_constant(g, ctx):
+            g = _gcd(n, b, ctx)
+            if _is_constant(g):
                 return _scalar(ctx, n, b)
             return _scalar(ctx, *_canon(_pdiv(n, g), _pdiv(b, g)))
         # Henrici: with g = gcd(b, d) and t = a*(d/g) + c*(b/g), the sum is
         # (t/g2) / ((b/g)*(d/g2)) for g2 = gcd(t, g).  Distinct canonical
         # denominators mean a/b != -c/d, so t is nonzero.
-        g = _gcd(b, d)
-        if _is_constant(g, ctx):
+        g = _gcd(b, d, ctx)
+        if _is_constant(g):
             t = _padd(_pmul(a, d), _pmul(c, b))
             return _scalar(ctx, *_canon(t, _pmul(b, d)))
         bg, dg = _pdiv(b, g), _pdiv(d, g)
         t = _padd(_pmul(a, dg), _pmul(c, bg))
-        g2 = _gcd(t, g)
-        if not _is_constant(g2, ctx):
+        g2 = _gcd(t, g, ctx)
+        if not _is_constant(g2):
             t, d = _pdiv(t, g2), _pdiv(d, g2)
         return _scalar(ctx, *_canon(t, _pmul(bg, d)))
 
@@ -824,18 +940,19 @@ class Scalar:
             ((e2, c2),) = on.items()
             (f1,) = sd
             (f2,) = od
-            e = tuple(map(_iadd, e1, e2))
-            if f1 == f2 == ctx._zero_exp:
+            e = _eadd(e1, e2)
+            if not (f1 or f2):
                 den = ctx._den_one
             else:
-                f = tuple(map(_iadd, f1, f2))
-                m = tuple(map(min, e, f))
-                if any(m):
-                    e = tuple(map(_isub, e, m))
-                    f = tuple(map(_isub, f, m))
-                den = {f: _ONE} if any(f) else ctx._den_one
+                f = _eadd(f1, f2)
+                m = _emin(e, f, ctx._guard)
+                if m:
+                    # m is at most e and f in every field: no borrow
+                    e -= m
+                    f -= m
+                den = {f: _ONE} if f else ctx._den_one
             return _scalar(ctx, {e: _cmul(c1, c2)}, den)
-        one_sd, one_od = _is_constant(sd, ctx), _is_constant(od, ctx)
+        one_sd, one_od = _is_constant(sd), _is_constant(od)
         if one_sd and one_od:
             return _scalar(ctx, _pmul(sn, on), ctx._den_one)
         if one_sd or one_od:
@@ -896,8 +1013,9 @@ class Scalar:
         neg = self.ctx._negated
         out = {}
         for e, (a, b, d) in p.items():
-            # an odd total degree in the negated parameters flips the sign
-            out[e] = (-a, b, d) if sum(e[j] for j in neg) % 2 else (a, -b, d)
+            # an odd total degree in the negated parameters flips the sign;
+            # its parity is that of the number of odd negated exponents
+            out[e] = (-a, b, d) if (e & neg).bit_count() & 1 else (a, -b, d)
         return out
 
     def evaluate(self, assignment: Mapping[str, GaussRational]) -> GaussRational:
@@ -906,18 +1024,21 @@ class Scalar:
         Raises UnboundParameter for a parameter occurring in the scalar
         without a value, PoleAtPoint when the denominator vanishes.
         """
-        vals = {}
-        for j, name in enumerate(self.ctx.names):
+        ctx = self.ctx
+        vals = {}  # {field bit offset: value triple}
+        free = 0  # the fields of the parameters without a value
+        for name, s in zip(ctx.names, ctx._shifts):
             if name in assignment:
                 v = assignment[name]
-                vals[j] = (v if isinstance(v, GaussRational) else GaussRational(v)).triple
+                vals[s] = (v if isinstance(v, GaussRational) else GaussRational(v)).triple
+            else:
+                free |= _EMASK << s
         for p in (self.num, self.den):
             for e in p:
-                for j, x in enumerate(e):
-                    if x and j not in vals:
-                        raise UnboundParameter(
-                            f"parameter {self.ctx.names[j]!r} has no value"
-                        )
+                if e & free:
+                    for name, s, x in zip(ctx.names, ctx._shifts, _unpack(e, ctx.nvars)):
+                        if x and s not in vals:
+                            raise UnboundParameter(f"parameter {name!r} has no value")
         den = _peval(self.den, vals)
         if not (den[0] or den[1]):
             raise PoleAtPoint("denominator vanishes at the point")
@@ -961,8 +1082,9 @@ class Scalar:
         if self.is_polynomial():
             return num
         if len(self.den) == 1:
+            names = self.ctx.names
             e = next(iter(self.den))
-            inv = [f"{self.ctx.names[j]}^-{x}" for j, x in enumerate(e) if x]
+            inv = [f"{n}^-{x}" for n, x in zip(names, _unpack(e, len(names))) if x]
             numt = num if len(self.num) == 1 and not num.startswith("-") else f"({num})"
             return "*".join([numt] + inv)
         dent = _poly_text(self.den, self.ctx.names)
@@ -979,9 +1101,9 @@ def _scalar(ctx, num, den) -> Scalar:
     return s
 
 
-def _is_constant(p, ctx):
+def _is_constant(p):
     # (a canonical denominator that is constant is the unit one)
-    return len(p) == 1 and ctx._zero_exp in p
+    return len(p) == 1 and 0 in p
 
 
 def _mul_reduced(ctx, a, b, c, d):
@@ -990,41 +1112,39 @@ def _mul_reduced(ctx, a, b, c, d):
     With g1 = gcd(a, d) and g2 = gcd(c, b) the product in lowest terms is
     (a/g1 * c/g2) / (b/g2 * d/g1) (Knuth, TAOCP vol. 2, 4.5.1); a gcd with a
     constant is skipped."""
-    if not _is_constant(d, ctx):
+    if not _is_constant(d):
         a, d = _cancel(a, d, ctx)
-    if not _is_constant(b, ctx):
+    if not _is_constant(b):
         c, b = _cancel(c, b, ctx)
     return _scalar(ctx, *_canon(_pmul(a, c), _pmul(b, d)))
 
 
 def _peval(p, vals):
-    """The triple value of p with parameter j set to the triple vals[j]."""
+    """The triple value of p with the parameter of the field at bit offset s
+    set to the triple vals[s]; p has no other parameter."""
     total = _ZERO
     for e, c in p.items():
-        for j, x in enumerate(e):
-            for _ in range(x):
-                c = _cmul(c, vals[j])
+        for s, v in vals.items():
+            for _ in range(_field(e, s)):
+                c = _cmul(c, v)
         total = _cadd(total, c)
     return total
 
 
-def _reduce(num, den, nvars):
+def _reduce(num, den, ctx):
     """Bring num/den to the canonical form described in the module docs."""
     if not den:
         raise DegenerateScalar("zero denominator")
     if not num:
-        return {}, {(0,) * nvars: _ONE}
+        return {}, {0: _ONE}
     # strip the common monomial factor
-    mins = [
-        min(min(e[j] for e in num), min(e[j] for e in den)) for j in range(nvars)
-    ]
-    if any(mins):
-        shift = tuple(-m for m in mins)
-        num = _pshift(num, shift)
-        den = _pshift(den, shift)
+    m = _emins((*num, *den), ctx._guard)
+    if m:
+        num = _pshift(num, m)
+        den = _pshift(den, m)
     if len(den) > 1:
         g = _pgcd(num, den)
-        if len(g) > 1 or any(next(iter(g))):
+        if len(g) > 1 or next(iter(g)):
             num = _pdivexact(num, g)
             den = _pdivexact(den, g)
     return _canon(num, den)
@@ -1062,7 +1182,7 @@ def _poly_text(p, names) -> str:
     for e in sorted(p, reverse=True):
         a, b, d = p[e]
         factors = [
-            f"{names[j]}^{x}" if x > 1 else names[j] for j, x in enumerate(e) if x
+            f"{n}^{x}" if x > 1 else n for n, x in zip(names, _unpack(e, len(names))) if x
         ]
         neg = a < 0 or (a == 0 and b < 0)
         if neg:

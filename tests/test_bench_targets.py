@@ -83,3 +83,28 @@ def test_worker_reads_the_scalar_backend():
 @pytest.mark.parametrize("module,attr", _worker_reads())
 def test_worker_attribute_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_tracer_counts_only_non_monomial_denominators_as_general():
+    """``scalars.general_den_share`` counts a result as general when
+    ``len(r.den) > 1``: with packed exponent keys, a (1+omega) denominator
+    still has two keys and a monomial one a single key."""
+    from qe2.scalars import Parameter, ScalarContext
+
+    namespace = {"__name__": "bench_tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
+    ctx = ScalarContext([Parameter("omega", "negated"), Parameter("k")])
+    w, k = ctx.param("omega"), ctx.param("k")
+    one_plus_w = w + 1
+    tracer = namespace["Tracer"]()
+    tracer.install()
+    try:
+        general = k / one_plus_w
+        monomial = k / (w * w)
+        polynomial = k * w
+    finally:
+        tracer.uninstall()
+    assert namespace["leaks"]() == []
+    assert [len(r.den) for r in (general, monomial, polynomial)] == [2, 1, 1]
+    counts = tracer.raw()["scalars"]
+    assert (counts["results"], counts["general"]) == (4, 1)

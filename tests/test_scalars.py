@@ -157,13 +157,14 @@ def test_pow():
 from fractions import Fraction  # noqa: E402
 from operator import add, mul, truediv  # noqa: E402
 
-from qe2.scalars import Scalar, _pmul  # noqa: E402
+from qe2.scalars import Scalar, _pack, _pmul, _unpack  # noqa: E402
 
 
 def _triples(p):
-    """A {exponent: GaussRational} polynomial in the kernel's form: canonical
-    int triples (a, b, d), zero coefficients dropped."""
-    return {e: c.triple for e, c in p.items() if c}
+    """An {exponent tuple: GaussRational} polynomial in the kernel's form:
+    packed exponent keys and canonical int triples (a, b, d), zero
+    coefficients dropped."""
+    return {_pack(e): c.triple for e, c in p.items() if c}
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -277,8 +278,8 @@ def test_scalar_ops_match_sympy_cancel(x, y, op):
     def expr(p):
         return sum(
             (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d))
-            * sympy.Mul(*(s**e for s, e in zip(syms, exp)))
-            for exp, (a, b, d) in p.items()
+            * sympy.Mul(*(s**e for s, e in zip(syms, _unpack(key, 3))))
+            for key, (a, b, d) in p.items()
         )
 
     def qqi(e):
@@ -486,7 +487,7 @@ def _same_up_to_unit(f, g):
     if not f or not g:
         return not f and not g
     u = _pdivexact(f, g)
-    return u is not None and len(u) == 1 and not any(next(iter(u)))
+    return u is not None and len(u) == 1 and 0 in u
 
 
 @pytest.mark.parametrize("ctx, v", [(CTX1, 0), (CTX, 1)], ids=["omega", "k"])
@@ -495,7 +496,7 @@ def _same_up_to_unit(f, g):
 def test_ugcd_matches_pgcd(ctx, v, h, a, b):
     h, a, b = (_upoly(ctx, v, c) for c in (h, a, b))
     f, g = _pmul(h, a), _pmul(h, b)  # planted common factor h
-    got = _ugcd(f, g, v)
+    got = _ugcd(f, g, ctx._shifts[v])
     assert _same_up_to_unit(got, _pgcd(f, g))
     if got:
         assert got[max(got)] == GAUSS_ONE.triple  # monic
@@ -525,7 +526,7 @@ def test_ugcd_matches_sympy(h, a, b):
 
     def poly(p):
         expr = sum(
-            (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)) * x ** e[0]
+            (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)) * x ** _unpack(e, 1)[0]
             for e, (a, b, d) in p.items()
         )
         return sympy.Poly(expr, x, domain=sympy.QQ_I)
@@ -597,9 +598,10 @@ def _gauss_coeff(c):
     return GaussRational(Fraction(a, d), Fraction(b, d))
 
 
-def _gauss_poly(p):
-    """The {exponent: GaussRational} polynomial of a triple polynomial."""
-    return {e: _gauss_coeff(c) for e, c in p.items()}
+def _gauss_poly(p, nvars=2):
+    """The {exponent tuple: GaussRational} polynomial of a kernel polynomial
+    in nvars parameters."""
+    return {_unpack(e, nvars): _gauss_coeff(c) for e, c in p.items()}
 
 
 def _ref_add(p, q):
@@ -690,7 +692,7 @@ _tri_coeffs = st.one_of(
     ),
     nonzero_gauss,
 ).map(lambda g: g.triple)
-_tri_polys = st.dictionaries(_tri_exps, _tri_coeffs, max_size=4)
+_tri_polys = st.dictionaries(_tri_exps.map(_pack), _tri_coeffs, max_size=4)
 
 
 @given(data=st.data())
@@ -710,8 +712,8 @@ def test_triple_kernel_matches_gauss_arithmetic(data):
         (_pmul(p, q), _ref_mul(G(p), G(q))),
         # (p + q)(p - q): the cross terms cancel
         (_pmul(pq, pmq), _ref_mul(_ref_add(G(p), G(q)), _ref_add(G(p), G(_pneg(q))))),
-        (_pmul(p, {(1, 0): c}), _ref_mul(G(p), G({(1, 0): c}))),
-        (_pmul({(0, 0): c}, p), _ref_mul(G({(0, 0): c}), G(p))),
+        (_pmul(p, {_pack((1, 0)): c}), _ref_mul(G(p), {(1, 0): _gauss_coeff(c)})),
+        (_pmul({_pack((0, 0)): c}, p), _ref_mul({(0, 0): _gauss_coeff(c)}, G(p))),
         (_pscale(p, c), {e: x * _gauss_coeff(c) for e, x in G(p).items()}),
     ]
     if h:
@@ -725,9 +727,9 @@ def test_triple_kernel_matches_gauss_arithmetic(data):
         assert _is_canonical(got)
         assert G(got) == want
     # _ugcd on the parts of p, q and h in the second parameter alone
-    f, g, k = ({e: x for e, x in s.items() if e[0] == 0} for s in (p, q, h))
+    f, g, k = ({e: x for e, x in s.items() if _unpack(e, 2)[0] == 0} for s in (p, q, h))
     f, g = _pmul(f, k), _pmul(g, k)
-    got = _ugcd(f, g, 1)
+    got = _ugcd(f, g, 0)  # the second of two parameters is the low field
     assert _is_canonical(got)
     assert G(got) == _ref_ugcd(G(f), G(g), 1)
     if p and h:
@@ -768,6 +770,8 @@ wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10*
 
 
 def _ref_poly_text(p, names):
+    """The text of p, read through exponent tuples."""
+    p = {_unpack(e, len(names)): c for e, c in p.items()}
     terms = []
     for e in sorted(p, reverse=True):
         a, b, d = p[e]
@@ -793,3 +797,121 @@ def _ref_poly_text(p, names):
 def test_text_matches_fraction_reference(g, p):
     assert g.text() == _ref_text(g.re, g.im)
     assert _poly_text(p, ("omega", "k")) == _ref_poly_text(p, ("omega", "k"))
+
+
+# -- packed exponent keys against exponent tuples ------------------------------
+
+from qe2.scalars import (  # noqa: E402
+    ScalarError,
+    _eadd,
+    _emin,
+    _esub,
+    _field,
+    _with_field,
+)
+
+_BOUND = 2**31
+# exponents near 0, around half the bound and just below the bound, so sums
+# and differences cross the bound and zero in single fields
+_exponents = st.one_of(
+    st.integers(0, 3),
+    st.integers(_BOUND // 2 - 2, _BOUND // 2 + 1),
+    st.integers(_BOUND - 3, _BOUND - 1),
+)
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX], ids=["omega", "omega-k-q"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_match_exponent_tuples(ctx, data):
+    n = ctx.nvars
+    x, y = (data.draw(st.tuples(*[_exponents] * n)) for _ in range(2))
+    a, b = _pack(x), _pack(y)
+    assert _unpack(a, n) == x
+    assert (a < b) == (x < y) and (a == b) == (x == y)
+    total = tuple(map(add, x, y))
+    if max(total) < _BOUND:
+        assert _unpack(_eadd(a, b), n) == total
+    else:
+        with pytest.raises(ScalarError):
+            _eadd(a, b)
+    diff = tuple(map(sub, x, y))
+    got = _esub(a, b)
+    if min(diff) < 0:
+        assert got is None
+    else:
+        assert _unpack(got, n) == diff
+    assert _unpack(_emin(a, b, ctx._guard), n) == tuple(map(min, x, y))
+    j = data.draw(st.integers(0, n - 1))
+    v = data.draw(_exponents)
+    s = ctx._shifts[j]
+    assert _field(a, s) == x[j]
+    assert _unpack(_with_field(a, s, v), n) == x[:j] + (v,) + x[j + 1 :]
+
+
+def test_pack_rejects_exponents_outside_the_field():
+    for exps in [(_BOUND,), (0, -1), (1, _BOUND, 0)]:
+        with pytest.raises(ScalarError):
+            _pack(exps)
+
+
+def test_guard_bits_cover_64_parameters():
+    params = [Parameter(f"p{j}") for j in range(65)]
+    with pytest.raises(ValueError):
+        ScalarContext(params)
+    ctx = ScalarContext(params[:64])
+    tops = []
+    for name in ("p0", "p63"):
+        top = ctx.param(name)
+        for _ in range(30):
+            top = top * top
+        tops.append(top)  # p^(2^30)
+        # an overflow in the highest or the lowest field raises
+        with pytest.raises(ScalarError):
+            top * top
+    x = tops[0] * tops[1]
+    assert _unpack(next(iter(x.num)), 64) == (2**30,) + (0,) * 62 + (2**30,)
+
+
+@pytest.mark.parametrize(
+    "ctx, name", [(CTX1, "omega"), (CTX, "omega"), (CTX, "q")], ids=["omega", "omega-of-3", "q-of-3"]
+)
+def test_exponent_overflow_raises_and_the_bound_is_exact(ctx, name):
+    p = ctx.param(name)
+    powers = [p]  # powers[k] = p^(2^k)
+    for _ in range(30):
+        powers.append(powers[-1] * powers[-1])
+    below = powers[30]
+    for pk in powers[:30]:
+        below = below * pk  # p^(2^31 - 1), the largest exponent
+    # the neighbouring fields keep their exponents
+    for other in ctx.names:
+        x = below * ctx.param(other) if other != name else below
+        (key,) = x.num
+        want = tuple(
+            _BOUND - 1 if m == name else int(m == other) for m in ctx.names
+        )
+        assert _unpack(key, ctx.nvars) == want
+    assert below.text() == f"{name}^{_BOUND - 1}"
+    assert (below + 1).text() == f"{name}^{_BOUND - 1} + 1"
+    assert (1 / below).text() == f"1*{name}^-{_BOUND - 1}"
+    assert (below / p).text() == f"{name}^{_BOUND - 2}"
+    assert below / below == ctx.one
+    # squaring p 31 times, and every other product past the bound, raises;
+    # no exponent carries into the next parameter's field
+    for make in [
+        lambda: powers[30] * powers[30],
+        lambda: below * p,
+        lambda: (1 / below) * (1 / p),
+        lambda: below * (p + 1),
+        lambda: (below + 1) * (p + 1),
+    ]:
+        with pytest.raises(ScalarError):
+            make()
+
+
+def test_exact_division_rejects_quotients_past_the_bound():
+    # x^3 / (x + y^(2^30)) runs into y^(2^31) before the division fails
+    x3 = {_pack((3, 0)): GAUSS_ONE.triple}
+    g = {_pack((1, 0)): GAUSS_ONE.triple, _pack((0, 2**30)): GAUSS_ONE.triple}
+    assert _pdivexact(x3, g) is None
