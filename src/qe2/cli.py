@@ -29,7 +29,7 @@ from .hopf import load_hopf
 from .ncalg import NCPoly, load_tower
 from .poisson import PoissonStructure, covariant_family_solve, poisson_matrix_rank
 from .report import CheckReport
-from .scalars import GaussRational, ScalarContext
+from .scalars import GaussRational, ScalarContext, ScalarError
 
 
 class UsageError(Exception):
@@ -139,7 +139,8 @@ def _load_bundle_or_file(preset, file_path):
 def _expr_in(tower, text) -> NCPoly:
     try:
         return tower.poly(text)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ScalarError) as e:
+        # ScalarError: a product of the literals passes the exponent bound
         raise UsageError(f"bad expression {text!r}: {e}")
 
 

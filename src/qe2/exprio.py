@@ -18,6 +18,10 @@ the preset files; also reproduced in docs/expression-grammar.md):
 * '^' takes an optional sign and digits.  A negative exponent is only
   accepted on a bare symbol (invertibility is checked at elaboration).
 * 'i' is the imaginary unit; rational literals look like '2' or '3/4'.
+* Input limits: an exponent's magnitude stays below 2^31 (the packed
+  exponent bound of the scalars), and parentheses nest at most
+  MAX_NESTING levels deep.  Either excess is a GrammarError at the
+  offending token, before any arithmetic.
 
 Elaboration resolves symbols against a tower: generator names, the
 barred aliases of invertible generators (``vb`` for v^-1 when v is an
@@ -30,7 +34,7 @@ from __future__ import annotations
 from typing import Union
 
 from .record import FrozenRecord, setfield
-from .scalars import GaussRational, _Q
+from .scalars import _EBOUND, GaussRational, _cnorm, _gauss
 
 
 class GrammarError(ValueError):
@@ -143,12 +147,15 @@ def _tokenize(text: str):
 
 # -- parser ------------------------------------------------------------------
 
+MAX_NESTING = 100  # parenthesis levels; the parser recurses a few frames per level
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -214,6 +221,11 @@ class _Parser:
             t = self.next()
             if t[0] != "RAT" or "/" in t[1]:
                 raise GrammarError("integer exponent expected", t[2])
+            # the length test keeps int() off a huge digit string
+            if len(t[1]) > 10 or int(t[1]) >= _EBOUND:
+                raise GrammarError(
+                    f"exponent magnitude must stay below 2^31 = {_EBOUND}", t[2]
+                )
             exp = sign * int(t[1])
             if exp < 0 and not isinstance(a, Sym):
                 raise GrammarError(
@@ -234,11 +246,17 @@ class _Parser:
                 p, q = value.split("/")
                 if not int(q):
                     raise GrammarError(f"zero denominator in {value!r}", pos)
-                return Lit(GaussRational(_Q(int(p), int(q))))
+                return Lit(_gauss(_cnorm(int(p), 0, int(q))))
             return Lit(GaussRational(int(value)))
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise GrammarError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise GrammarError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 

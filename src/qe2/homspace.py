@@ -120,7 +120,7 @@ def quotient_check(pi: QuotientMap, suite="quotient") -> CheckReport:
     for idx, g in enumerate(pi.kernel_gens):
         img = pi.apply(g)
         rep.verdict(f"kernel-gen-{idx}", img.is_zero(),
-                    lhs=exprio.format_canonical(img), rhs="0")
+                    lhs=img, rhs="0")
     return rep
 
 
@@ -159,7 +159,7 @@ def coideal_report(B: Subalgebra, H: HopfStructure, suite="coideal") -> CheckRep
             rep.verdict(
                 f"coideal-{name}-leftleg[{label}]",
                 subalgebra_membership(right, B) is not None,
-                lhs=exprio.format_canonical(right),
+                lhs=right,
                 rhs="<element of the subalgebra>",
                 witness=f"right leg of Delta({name}) grouped at {label} is outside B",
             )
@@ -167,7 +167,7 @@ def coideal_report(B: Subalgebra, H: HopfStructure, suite="coideal") -> CheckRep
         rep.verdict(
             f"coideal-{name}-star",
             subalgebra_membership(bstar, B) is not None,
-            lhs=exprio.format_canonical(bstar),
+            lhs=bstar,
             rhs="<element of the subalgebra>",
             witness=f"{name}* is outside B",
         )
@@ -202,7 +202,7 @@ def hopf_star_ideal_report(
             rep.verdict(
                 check_id,
                 residual.is_zero(),
-                lhs=exprio.format_canonical(residual),
+                lhs=residual,
                 rhs="0",
                 witness="nonzero residual",
             )

@@ -60,9 +60,6 @@ class TensorElement:
                 raise TowerError("tensor legs must share one scalar context")
         return cls(legs, collect(_outer(ctx.one, [p.terms.items() for p in polys])))
 
-    def arity(self):
-        return len(self.legs)
-
     # -- linear structure --------------------------------------------------
     def _check(self, other):
         if self.legs != other.legs:
@@ -360,12 +357,7 @@ class AlgebraMorphism:
             except TowerError as e:
                 rep.add(check_id, status=FAIL, witness=str(e))
                 continue
-            rep.verdict(
-                check_id,
-                lhs_img == rhs_img,
-                lhs=exprio.format_canonical(lhs_img),
-                rhs=exprio.format_canonical(rhs_img),
-            )
+            rep.verdict(check_id, lhs_img == rhs_img, lhs=lhs_img, rhs=rhs_img)
         return rep
 
 
@@ -492,8 +484,7 @@ def hopf_axioms_report(H: HopfStructure, suite="hopf-axioms") -> CheckReport:
             ]
     rep = CheckReport(suite)
     for check_id, lhs, rhs in sides:
-        rep.verdict(check_id, lhs == rhs, lhs=exprio.format_canonical(lhs),
-                    rhs=exprio.format_canonical(rhs), witness=_DIFFER)
+        rep.verdict(check_id, lhs == rhs, lhs=lhs, rhs=rhs, witness=_DIFFER)
     return rep
 
 
@@ -528,7 +519,6 @@ def respects_relations_report(
         wname = _word_name(tower, word)
         for name, f, bad in maps:
             left, right = f.word_image(word), f.apply(rhs)
-            rep.verdict(f"{name}-on[{wname}]", left == right,
-                        lhs=exprio.format_canonical(left),
-                        rhs=exprio.format_canonical(right), witness=_DIFFER, bad=bad)
+            rep.verdict(f"{name}-on[{wname}]", left == right, lhs=left, rhs=right,
+                        witness=_DIFFER, bad=bad)
     return rep

@@ -19,6 +19,7 @@ which is a theorem, and then frozen):
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 from . import exprio
@@ -69,14 +70,6 @@ class LieAlgebra:
             return self._c.get((i, j), {})
         return {k: -c for k, c in self._c.get((j, i), {}).items()}
 
-    def bracket(self, x: dict, y: dict) -> dict:
-        return collect(
-            (k, cx * cy * c)
-            for i, cx in x.items()
-            for j, cy in y.items()
-            for k, c in self.bracket_basis(i, j).items()
-        )
-
     def check_jacobi(self):
         n = self.dim
         for i in range(n):
@@ -93,13 +86,6 @@ class LieAlgebra:
                             f"Jacobi fails on basis triple "
                             f"({self.names[i]},{self.names[j]},{self.names[k]})"
                         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieAlgebra)
-            and self.names == other.names
-            and self._c == other._c
-        )
 
     def __repr__(self):
         return f"LieAlgebra({', '.join(self.names)})"
@@ -188,7 +174,8 @@ class Cocommutator:
         return cls(len(names), ctx, values)
 
     def of(self, k: int) -> WedgeBivector:
-        return self.values.get(k, WedgeBivector(self.ctx, self.dim))
+        w = self.values.get(k)
+        return WedgeBivector(self.ctx, self.dim) if w is None else w
 
     def __eq__(self, other):
         return (
@@ -364,30 +351,26 @@ def cocycle_cojacobi_report(
                 rhs=rhs.text(g.names),
                 witness="cocycle condition violated",
             )
-    # co-Jacobi via antisymmetric matrices D_k
-    def D(k, i, j):
-        w = delta.of(k)
-        if i == j:
-            return ctx.zero
-        if i < j:
-            return w.coeffs.get((i, j), ctx.zero)
-        return -w.coeffs.get((j, i), ctx.zero)
-
+    # co-Jacobi via the antisymmetric matrices D_k of delta(e_k), built
+    # once; a product with a zero entry adds nothing and is skipped
+    D = []
     for k in range(n):
+        Dk = [[None] * n for _ in range(n)]
+        for (i, j), c in delta.of(k).coeffs.items():
+            Dk[i][j], Dk[j][i] = c, -c
+        D.append(Dk)
+    for k in range(n):
+        Dk = D[k]
         bad = None
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    total = ctx.zero
-                    for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                        for i in range(n):
-                            total = total + D(k, i, z) * D(i, x, y)
-                    if total:
-                        bad = (a, b, c, total)
-                        break
-                if bad:
-                    break
-            if bad:
+        for a, b, c in product(range(n), repeat=3):
+            total = ctx.zero
+            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                for i in range(n):
+                    u, w = Dk[i][z], D[i][x][y]
+                    if u is not None and w is not None:
+                        total = total + u * w
+            if total:
+                bad = (a, b, c, total)
                 break
         a, b, c, total = bad or (0, 0, 0, ctx.zero)
         rep.verdict(

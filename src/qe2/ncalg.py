@@ -265,17 +265,20 @@ class NCPoly:
             return self.scale(self.tower.context.from_int(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def __pow__(self, n: int):
+        """A power of a monomial on at most one generator, or of any
+        monomial on a commutative tower, by exponent arithmetic (scalars
+        are central).  Other elements are multiplied up: on the shipped
+        towers, repeated squaring of a short sum measured no faster."""
         if n == 0:
             return NCPoly.one(self.tower)
         if n < 0:
             inv = self.unit_inverse()
             return inv ** (-n)
+        if len(self.terms) == 1:
+            ((mono, c),) = self.terms.items()
+            if self.tower.commutative or len(mono) - mono.count(0) <= 1:
+                return NCPoly(self.tower, {tuple([e * n for e in mono]): c ** n})
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -320,9 +323,6 @@ class NCPoly:
             e == 0 or self.tower.generators[j].invertible
             for j, e in enumerate(mono)
         )
-
-    def coefficient(self, mono) -> Scalar:
-        return self.terms.get(mono, self.tower.context.zero)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

@@ -135,7 +135,7 @@ def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
                 rep.verdict(
                     f"jacobi-({names[i]},{names[j]},{names[k]})",
                     s.is_zero(),
-                    lhs=exprio.format_canonical(s),
+                    lhs=s,
                     rhs="0",
                     witness=f"cyclic sum on ({names[i]},{names[j]},{names[k]})",
                 )
@@ -208,8 +208,8 @@ def poisson_morphism_report(
             rep.verdict(
                 f"poisson-morphism-({names[i]},{names[j]})",
                 lhs == rhs,
-                lhs=exprio.format_canonical(lhs),
-                rhs=exprio.format_canonical(rhs),
+                lhs=lhs,
+                rhs=rhs,
                 witness="bracket images differ",
             )
     return rep
@@ -380,7 +380,7 @@ def poisson_ideal_check(
             rep.verdict(
                 f"poisson-ideal-gen{gi}-vs-{names[j]}",
                 img.is_zero(),
-                lhs=exprio.format_canonical(img),
+                lhs=img,
                 rhs="0",
                 witness=f"{{gen{gi}, {names[j]}}} restricts to a nonzero value",
             )

@@ -5,6 +5,14 @@ the engine-derived value disagrees with the value printed in the source
 manuscript while the surrounding statement's conclusion still verifies.
 Discrepancies are first-class results (the artifact's headline finding
 category), never silent.
+
+A record keeps what its check compared: a text, or an ``NCPoly`` or
+``TensorElement`` value.  Its canonical text is made when it is first read
+(``lhs_canonical``, ``rhs_canonical``, and so the JSON and text bodies) and
+then kept.  Most records are sub-checks that a suite summarizes into one
+record of the body, so most values are never printed, and formatting them
+would be wasted work.  A value of any other type is refused when the
+verdict is recorded, inside the check that made it.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from . import exprio
+from .ncalg import NCPoly
 from .record import Record
 
 PASS = "pass"
@@ -21,20 +31,53 @@ DISCREPANCY = "discrepancy"
 _ORDER = {PASS: 0, DISCREPANCY: 1, FAIL: 2}
 
 
+def _compared(x):
+    """A compared value as a record keeps it: a str, or an NCPoly or
+    TensorElement to format when its text is read."""
+    if x.__class__ is str or isinstance(x, NCPoly):
+        return x
+    # a TensorElement exists only once the tensor layer is loaded
+    from .hopf import TensorElement
+
+    if isinstance(x, TensorElement):
+        return x
+    raise TypeError(f"a check compares texts or algebra elements, not {type(x).__name__}")
+
+
 class CheckRecord(Record):
-    __slots__ = _fields = (
+    """One check's outcome.  ``lhs`` and ``rhs`` are what the check
+    compared; ``lhs_canonical`` and ``rhs_canonical`` are their texts."""
+
+    __slots__ = (
+        "check_id", "paper_anchor", "status", "lhs", "rhs", "witness",
+        "_lhs_text", "_rhs_text",
+    )
+    _fields = (
         "check_id", "paper_anchor", "status", "lhs_canonical", "rhs_canonical",
         "witness",
     )
 
     def __init__(self, check_id: str, paper_anchor: str = "", status: str = PASS,
-                 lhs_canonical: str = "", rhs_canonical: str = "", witness: str = ""):
+                 lhs_canonical="", rhs_canonical="", witness: str = ""):
         self.check_id = check_id
         self.paper_anchor = paper_anchor
         self.status = status
-        self.lhs_canonical = lhs_canonical
-        self.rhs_canonical = rhs_canonical
+        self.lhs = _compared(lhs_canonical)
+        self.rhs = _compared(rhs_canonical)
         self.witness = witness
+        self._lhs_text = self._rhs_text = None
+
+    @property
+    def lhs_canonical(self) -> str:
+        if self._lhs_text is None:
+            self._lhs_text = _text(self.lhs)
+        return self._lhs_text
+
+    @property
+    def rhs_canonical(self) -> str:
+        if self._rhs_text is None:
+            self._rhs_text = _text(self.rhs)
+        return self._rhs_text
 
     def as_dict(self):
         return {
@@ -45,6 +88,10 @@ class CheckRecord(Record):
             "rhs_canonical": self.rhs_canonical,
             "witness": self.witness,
         }
+
+
+def _text(x) -> str:
+    return x if x.__class__ is str else exprio.format_canonical(x)
 
 
 class CheckReport(Record):
@@ -65,10 +112,6 @@ class CheckReport(Record):
         (FAIL, or DISCREPANCY for a printed value) with the witness."""
         return self.add(check_id, anchor=anchor, status=PASS if ok else bad,
                         lhs=lhs, rhs=rhs, witness="" if ok else witness)
-
-    def extend(self, other: "CheckReport"):
-        self.records.extend(other.records)
-        return self
 
     # -- summaries -----------------------------------------------------------
     @property

@@ -72,11 +72,21 @@ antihomomorphism on the quantum commutation relations.
 
 from __future__ import annotations
 
-from fractions import Fraction as _Q
 from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Mapping
 
 from .record import FrozenRecord, setfield
+
+
+def __getattr__(name):
+    # ``_Q``, the rational type of GaussRational.re and .im, read by
+    # benchmark tooling; ``fractions`` (with ``decimal`` and ``numbers``) is
+    # imported only where a Fraction is made, not on the import path
+    if name == "_Q":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ScalarError(ArithmeticError):
@@ -157,6 +167,18 @@ def _cinv(x):
     return _cdiv(_ONE, x)
 
 
+def _cpow(x, n):
+    """x**n for n >= 0, by repeated squaring."""
+    out = _ONE
+    while n:
+        if n & 1:
+            out = _cmul(out, x)
+        n >>= 1
+        if n:
+            x = _cmul(x, x)
+    return out
+
+
 def _qtext(n, d):
     """``str(Fraction(n, d))`` for ints with d > 0."""
     g = _igcd(n, d)
@@ -185,8 +207,10 @@ class GaussRational:
         if type(re) is int and type(im) is int:
             t = (re, im, 1)
         else:
+            from fractions import Fraction
+
             # two reduced fractions over their lcm already have gcd(a, b, d) 1
-            re, im = _Q(re), _Q(im)
+            re, im = Fraction(re), Fraction(im)
             rd, md = re.denominator, im.denominator
             d = rd * md // _igcd(rd, md)
             t = (re.numerator * (d // rd), im.numerator * (d // md), d)
@@ -201,11 +225,15 @@ class GaussRational:
 
     @property
     def re(self):
-        return _Q(self.triple[0], self.triple[2])
+        from fractions import Fraction
+
+        return Fraction(self.triple[0], self.triple[2])
 
     @property
     def im(self):
-        return _Q(self.triple[1], self.triple[2])
+        from fractions import Fraction
+
+        return Fraction(self.triple[1], self.triple[2])
 
     def __bool__(self):
         a, b, _ = self.triple
@@ -248,11 +276,8 @@ class GaussRational:
         return _gauss((a, -b, d))
 
     def __pow__(self, n: int):
-        out = GAUSS_ONE
         base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _gauss(_cpow(base.triple, abs(n)))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -266,7 +291,9 @@ class GaussRational:
         a, b, d = self.triple
         if d == 1:
             return hash((a, b))
-        return hash((_Q(a, d), _Q(b, d)))
+        from fractions import Fraction
+
+        return hash((Fraction(a, d), Fraction(b, d)))
 
     def __repr__(self):
         return f"GaussRational({self.re!s}, {self.im!s})"
@@ -841,9 +868,6 @@ class Scalar:
         self.num, self.den = _reduce(num, den, ctx)
         self._h = None
 
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -992,12 +1016,16 @@ class Scalar:
         return self.ctx.one / self
 
     def __pow__(self, n: int):
-        if n == 0:
-            return self.ctx.one
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
+        """By repeated squaring: O(log |n|) products."""
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        out = self.ctx.one
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self):
@@ -1125,8 +1153,9 @@ def _peval(p, vals):
     total = _ZERO
     for e, c in p.items():
         for s, v in vals.items():
-            for _ in range(_field(e, s)):
-                c = _cmul(c, v)
+            k = _field(e, s)
+            if k:
+                c = _cmul(c, _cpow(v, k))
         total = _cadd(total, c)
     return total
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,14 @@ def test_file_presentation(capsys, tmp_path):
     code, out, _ = run(capsys, "normal-form", "--file", str(f), "b*a")
     assert code == 0
     assert out.strip() == "q*a*b"
+
+
+def test_a_huge_power_of_a_monomial_answers_at_once(capsys):
+    t0 = time.perf_counter()
+    assert run(capsys, "normal-form", "qe2-nonstd", "v^1000000") == (0, "v^1000000\n", "")
+    code, out, _ = run(capsys, "normal-form", "qe2-nonstd", "omega^2147483647*nb^1000000")
+    assert (code, out) == (0, "omega^2147483647*nb^1000000\n")
+    assert time.perf_counter() - t0 < 1
 
 
 def test_bad_expression(capsys):

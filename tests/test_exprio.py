@@ -155,3 +155,65 @@ def test_parse_scalar():
         parse_scalar(ctx, "2 omega")
     with pytest.raises(ValueError):
         parse_scalar(ctx, "1 (x) 1")
+
+
+# -- input limits ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("omega^2147483648", 6),
+        ("omega^-2147483648", 7),
+        ("v*omega^99999999999999999999999999", 8),
+        ("(v + 1)^4294967296", 8),
+    ],
+)
+def test_an_exponent_past_the_bound_is_a_grammar_error(text, offset):
+    with pytest.raises(GrammarError) as e:
+        parse_expr(text)
+    assert e.value.position == offset
+    assert "2147483648" in str(e.value)
+
+
+def test_the_largest_exponent_parses():
+    assert parse_expr("omega^2147483647") == exprio.Power(Sym("omega"), 2**31 - 1)
+    assert parse_expr("v^-2147483647") == exprio.Power(Sym("v"), -(2**31 - 1))
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = exprio.MAX_NESTING
+    assert parse_expr("(" * depth + "v" + ")" * depth) == Sym("v")
+    with pytest.raises(GrammarError) as e:
+        parse_expr("(" * (depth + 1) + "v" + ")" * (depth + 1))
+    assert e.value.position == depth
+    assert f"{depth} levels" in str(e.value)
+
+
+@pytest.mark.parametrize("depth", [200, 5000])
+def test_deep_nesting_is_a_usage_error(capsys, depth):
+    from qe2.cli import main
+
+    text = "(" * depth + "v" + ")" * depth
+    assert main(["normal-form", "qe2-nonstd", text]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"offset {exprio.MAX_NESTING}: parentheses nested deeper" in out.err
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("omega^2147483648", "offset 6"),
+        # each literal is in range; their product passes the bound
+        ("omega^2147483647*omega", "exponent reached the bound"),
+    ],
+)
+def test_an_exponent_past_the_bound_is_a_usage_error(capsys, text, where):
+    from qe2.cli import main
+
+    assert main(["normal-form", "qe2-nonstd", text]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert where in out.err and "2147483648" in out.err

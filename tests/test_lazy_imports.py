@@ -1,7 +1,8 @@
 """Which layers a fresh process loads.  Loading a preset imports the
 analysis layers (``homspace``, ``liebialg``) only when that preset builds
 objects from them, printing or diamond-checking a tower never imports
-the tensor layer, and only ``qe2 check`` imports the suites.  Each check runs in a subprocess, because the test
+the tensor layer, only ``qe2 check`` imports the suites, and no qe2 run
+imports ``fractions``.  Each check runs in a subprocess, because the test
 session itself has imported every module."""
 
 import json
@@ -92,3 +93,28 @@ def test_a_one_shot_command_leaves_the_suites_and_analysis_layers_unloaded():
     }
     assert {"qe2.cli", "qe2.catalog", "qe2.hopf"} <= imported
     assert not imported & {"qe2.suites", "qe2.homspace", "qe2.liebialg"}
+
+
+def test_fractions_stays_off_the_import_path():
+    # a rational literal, a non-integral point and a whole check run make
+    # no Fraction; scalars._Q still names the type of GaussRational.re
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import qe2, qe2.catalog, qe2.cli\n"
+        "from qe2 import catalog\n"
+        "for pid in catalog.PRESET_IDS:\n"
+        "    catalog.get_preset(pid)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        qe2.cli.main(['normal-form', 'qe2-nonstd', '3/4*v - 1/2*omega^-1']),\n"
+        "        qe2.cli.main(['rank', 'nonstd-poisson', '--at', 'v=3/5,n=1/2,nb=0', '--param', 'omega=1']),\n"
+        "        qe2.cli.main(['check', 'all', '--format', 'json']),\n"
+        "    ]\n"
+        "loaded = [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
+        "half = qe2.GaussRational(1) / 2\n"
+        "print(json.dumps([codes, loaded, str(half.re), repr(qe2.scalars._Q)]))\n"
+    )
+    codes, loaded, re, q = _run(code)
+    assert codes == [0, 0, 2]
+    assert loaded == []
+    assert re == "1/2" and q == "<class 'fractions.Fraction'>"

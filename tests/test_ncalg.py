@@ -691,3 +691,33 @@ def test_suite_diamond_reports_the_stored_decisions(monkeypatch):
     )
     assert rec.status == "fail"
     assert "uncertified" in rec.witness
+
+
+# -- powers ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "preset, expr",
+    [
+        ("qe2-nonstd", "v"),
+        ("qe2-nonstd", "-3*omega*n"),
+        ("qe2-nonstd", "omega^-1*vb^2"),
+        ("qe2-nonstd", "2/3"),
+        ("qe2-nonstd", "v*n"),  # two generators: multiplied up
+        ("qe2-nonstd", "v + n"),
+        ("quantum-plane", "z*zb"),
+        ("fun-e2", "3/2*v^-1*n*nb^2"),  # commutative tower
+    ],
+)
+def test_powers_equal_multiplied_out_ones(preset, expr):
+    t = catalog.get_preset(preset).tower
+    x = t.poly(expr)
+    exponents = list(range(7))
+    if x.is_invertible_monomial():
+        exponents += [-1, -2, -5]
+    for n in exponents:
+        base = x if n >= 0 else x.unit_inverse()
+        want = NCPoly.one(t)
+        for _ in range(abs(n)):
+            want = want * base
+        assert x ** n == want

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from qe2.report import DISCREPANCY, FAIL, PASS, CheckReport
 
 
@@ -82,3 +84,78 @@ def test_summarized_sub_records_digest(monkeypatch):
     assert hashlib.sha256(blob).hexdigest() == (
         "5025b921ce06ab9bcdc726c95a3643b030ca83dda0f831835345be471cc6bf6f"
     )
+
+
+# -- lazy texts: a record keeps what its check compared ------------------------
+
+
+def test_a_value_reads_as_its_canonical_text(qe2_tower):
+    from qe2.exprio import format_canonical
+    from qe2.hopf import TensorElement
+
+    t = qe2_tower
+    x = t.poly("n*v")
+    d = TensorElement.from_legs((t, t), [t.gen("v"), t.poly("n - 1")])
+    rec = CheckReport("s").add("c", status=FAIL, lhs=x, rhs=d)
+    assert rec.lhs is x and rec.rhs is d
+    assert rec.lhs_canonical == format_canonical(x) == "-omega + omega*v + v*n"
+    assert rec.rhs_canonical == format_canonical(d)
+    assert rec.as_dict()["rhs_canonical"] == "-v (x) 1 + v (x) n"
+
+
+def test_a_value_is_formatted_once(monkeypatch, qe2_tower):
+    from qe2 import exprio
+
+    calls = []
+    plain = exprio.format_canonical
+    monkeypatch.setattr(exprio, "format_canonical", lambda x: calls.append(x) or plain(x))
+    x = qe2_tower.poly("n*v")
+    rep = CheckReport("s")
+    rec = rep.add("c", status=FAIL, lhs=x, rhs="0")
+    assert calls == []
+    texts = {rec.lhs_canonical, rec.as_dict()["lhs_canonical"]}
+    rep.to_json()
+    rep.to_text()
+    assert texts == {"-omega + omega*v + v*n"}
+    assert calls == [x]
+
+
+def test_an_unsupported_value_is_refused_when_the_verdict_is_recorded(monkeypatch):
+    from qe2 import suites
+
+    rep = CheckReport("s")
+    for value in (None, 3, [1]):
+        with pytest.raises(TypeError):
+            rep.verdict("c", True, lhs=value)
+    assert rep.records == []
+
+    # inside a suite, the suite's own try records it; emission never raises
+    def suite_bad_value(rep, degree_bound):
+        rep.verdict("bad-value", True, rhs=None)
+
+    monkeypatch.setitem(suites.SUITES, "jacobi", (suite_bad_value,))
+    out = suites.run_suite("jacobi")
+    (rec,) = out.records
+    assert (rec.check_id, rec.status) == ("internal-error[suite_bad_value]", FAIL)
+    assert rec.witness.startswith("TypeError: ")
+    assert json.loads(out.to_json())["counts"][FAIL] == 1
+
+
+def test_summarized_sub_records_are_never_formatted(monkeypatch):
+    from qe2 import suites
+
+    sources = []
+    summarize = suites._summarize
+
+    def spy(rep_out, check_id, anchor, source, note=""):
+        sources.append(source)
+        return summarize(rep_out, check_id, anchor, source, note)
+
+    monkeypatch.setattr(suites, "_summarize", spy)
+    rep = suites.run_suite("all")
+    rep.to_json()
+    rep.to_text()
+    subs = [r for source in sources for r in source.records]
+    assert len(subs) == 144
+    assert sum(not isinstance(r.lhs, str) for r in subs) > 100
+    assert all(r._lhs_text is None and r._rhs_text is None for r in subs)

@@ -915,3 +915,31 @@ def test_exact_division_rejects_quotients_past_the_bound():
     x3 = {_pack((3, 0)): GAUSS_ONE.triple}
     g = {_pack((1, 0)): GAUSS_ONE.triple, _pack((0, 2**30)): GAUSS_ONE.triple}
     assert _pdivexact(x3, g) is None
+
+
+# -- powers by repeated squaring ------------------------------------------------
+
+
+def _multiplied_out(x, n, one):
+    base = x if n >= 0 else one / x
+    out = one
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, -1, -4, -7])
+def test_squared_powers_equal_multiplied_out_ones(n):
+    for x in (W, W * K / 3, (W + 1) / (K - Q), W + K * Q + GaussRational(2, 1) / 3):
+        assert x ** n == _multiplied_out(x, n, CTX.one)
+    for g in (GaussRational(2), GaussRational(2, 1) / 3, GaussRational(0, -1)):
+        assert g ** n == _multiplied_out(g, n, GAUSS_ONE)
+
+
+def test_evaluation_raises_each_value_to_its_power():
+    g, h = GaussRational(1, 1), GaussRational(-2, 3) / 5
+    x = (W ** 13 * K ** 3 + W) / (Q ** 5 + 1)
+    want = (g ** 13 * h ** 3 + g) / (GaussRational(3) ** 5 + 1)
+    assert x.evaluate({"omega": g, "k": h, "q": GaussRational(3)}) == want
+    # a large exponent costs O(log n) products
+    assert (W ** 1000000).evaluate({"omega": GAUSS_I}) == GAUSS_ONE
