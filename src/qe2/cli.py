@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ScalarError) as e:
         # every input stage raises UsageError, so this is the engine's fault
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
@@ -288,6 +288,8 @@ def _dispatch(args) -> int:
     # expression commands
     b = _load_bundle_or_file(args.preset, args.file)
     tower = b.tower
+    if tower is None:
+        raise UsageError("this preset carries no algebra")
     if cmd == "bracket":
         if b.poisson is None:
             raise UsageError("this preset carries no Poisson structure")

@@ -106,8 +106,8 @@ class CheckReport(Record):
         self.records.append(rec)
         return rec
 
-    def verdict(self, check_id, ok, *, anchor="", lhs="", rhs="", witness="",
-                bad=FAIL):
+    def verdict(self, check_id, ok, lhs="", rhs="", witness="", bad=FAIL, *,
+                anchor=""):
         """Record ``PASS`` without a witness when ``ok`` holds, else ``bad``
         (FAIL, or DISCREPANCY for a printed value) with the witness."""
         return self.add(check_id, anchor=anchor, status=PASS if ok else bad,

@@ -3,13 +3,26 @@
 Each check compares engine-derived values against the claims and displayed
 values of the source manuscript and yields pass/fail/discrepancy records;
 ``discrepancy`` marks an engine value that contradicts a displayed value
-while the enclosing statement's conclusion still verifies.  Suites never
-abort on a failing check.
+while the enclosing statement's conclusion still verifies.
+
+A check is one entry ``(check id, paper anchor, run)``.  ``run`` takes the
+inputs that the checks of one suite call share (``_Inputs``) and returns
+either a verdict, the tuple ``(ok, lhs, rhs[, witness[, bad]])`` of
+``CheckReport.verdict`` with the engine value as ``lhs`` and the displayed
+one as ``rhs``, or a sub-report, which ``_summarize`` collapses into one
+record.  ``_record`` runs a suite's entries in order, each in its own
+``try``: a check that raises becomes the fail record
+``internal-error[<check id>]``, and the checks after it still run.
+
+Entries reach the engine through this module's globals when they run, never
+through a stored function object, so a wrapper bound in a function's place
+(a test's patch, the benchmark tracer) sees every call.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from . import catalog, exprio
 from .hopf import AlgebraMorphism, hopf_axioms_report, respects_relations_report
@@ -49,9 +62,68 @@ from .poisson import (
     poisson_morphism_report,
 )
 from .report import DISCREPANCY, FAIL, PASS, CheckReport
-from .scalars import GaussRational
+from .scalars import ScalarContext
 
 LIE_NAMES = ("J", "X", "Y")
+
+
+class _Inputs(dict):
+    """What the checks of one suite call share, each made at most once:
+    ``s[preset_id]`` is a preset, and the properties are values that
+    several checks use.  Each call makes a new one, so nothing carries over
+    from one run to the next."""
+
+    def __init__(self, degree_bound: int):
+        self.degree_bound = degree_bound
+
+    def __missing__(self, preset_id):
+        self[preset_id] = preset = catalog.get_preset(preset_id)
+        return preset
+
+    def qe2(self, text):
+        """An element of the ambient algebra qe2-nonstd."""
+        return self["qe2-nonstd"].tower.poly(text)
+
+    @cached_property
+    def m(self):
+        """The generator of the embedded quantum cylinder."""
+        return self.qe2("vb*nb - v*n")
+
+    @cached_property
+    def g_std(self):
+        return lie_from_group(self["std-poisson"].tower, self["std-poisson"].hopf,
+                              names=LIE_NAMES)
+
+    @cached_property
+    def g_ns(self):
+        return lie_from_group(self["nonstd-poisson"].tower, self["nonstd-poisson"].hopf,
+                              names=LIE_NAMES)
+
+    @cached_property
+    def d_std(self):
+        return linearize_poisson(self["std-poisson"].poisson, names=LIE_NAMES)
+
+    @cached_property
+    def d_ns(self):
+        return linearize_poisson(self["nonstd-poisson"].poisson, names=LIE_NAMES)
+
+    @cached_property
+    def printed_r(self):
+        """The displayed r-matrix omega J^P2, with P2 = X - Y."""
+        ctx = self["nonstd-poisson"].tower.context
+        w = ctx.param("omega")
+        return WedgeBivector(ctx, 3, {(0, 1): w, (0, 2): -w})
+
+    @cached_property
+    def cylinder_family(self):
+        cc = self["coaction-cylinder"]
+        return covariant_family_solve(cc.coaction, cc.group_poisson, cc.ansatz)
+
+    @cached_property
+    def sigma1(self):
+        """(S - eps)(b) for b in {v, vb, m}, by label."""
+        B = self["quantum-cylinder"].embedded_subalgebra
+        return dict(sigma_generators(B, self["qe2-nonstd"].hopf, max_power=1))
 
 
 def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport, note=""):
@@ -70,68 +142,79 @@ def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport, note
     )
 
 
-# ---------------------------------------------------------------------------
-# jacobi
-# ---------------------------------------------------------------------------
+def _internal_error(rep: CheckReport, name, e: Exception):
+    rep.add(f"internal-error[{name}]", status=FAIL, witness=f"{type(e).__name__}: {e}")
+
+
+def _record(rep: CheckReport, degree_bound: int, checks):
+    """Run and record each entry of ``checks`` in order, each on its own."""
+    s = _Inputs(degree_bound)
+    for check_id, anchor, run in checks:
+        try:
+            out = run(s)
+            if isinstance(out, CheckReport):
+                _summarize(rep, check_id, anchor, out)
+            else:
+                rep.verdict(check_id, *out, anchor=anchor)
+        except Exception as e:  # confined to its own check
+            _internal_error(rep, check_id, e)
+
+
+def _equal(engine, expected, rhs, *displayed):
+    """The verdict that an engine value equals ``expected``, shown as ``rhs``."""
+    return (engine == expected, engine, rhs, *displayed)
+
+
+def _printed_bracket(b, f, g, printed, witness):
+    """The bracket {f, g} of the Poisson preset ``b`` against its displayed
+    value."""
+    t = b.tower
+    engine = b.poisson.bracket(t.poly(f), t.poly(g))
+    return _equal(engine, t.poly(printed), printed, witness, DISCREPANCY)
 
 
 def suite_jacobi(rep: CheckReport, degree_bound: int):
-    std = catalog.get_preset("std-poisson")
-    nonstd = catalog.get_preset("nonstd-poisson")
-    _summarize(rep, "jacobi-std-poisson", "Prop. 2.2", jacobi_report(std.poisson))
-    _summarize(rep, "jacobi-nonstd-poisson", "Sec. 3", jacobi_report(nonstd.poisson))
-    t = std.tower
-    engine = std.poisson.bracket(t.gen("n"), t.gen("nb"))
-    rep.verdict(
-        "bracket-table-std-n-nb",
-        engine == t.poly("n*nb"),
-        anchor="Sec. 2",
-        lhs=engine,
-        rhs="n*nb",
-        witness="multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
-        "with the displayed sign the coproduct is not a Poisson morphism",
-        bad=DISCREPANCY,
-    )
-    tn = nonstd.tower
-    engine = nonstd.poisson.bracket(tn.gen("n"), tn.gen("nb"))
-    rep.verdict(
-        "bracket-table-nonstd-n-nb",
-        engine == tn.poly("omega*n - omega*nb"),
-        anchor="Sec. 3",
-        lhs=engine,
-        rhs="omega*n - omega*nb",
-        witness="the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
-        "leaves the cyclic sum 2*omega^2*(v-1)^2",
-        bad=DISCREPANCY,
-    )
+    _record(rep, degree_bound, (
+        ("jacobi-std-poisson", "Prop. 2.2", lambda s: jacobi_report(s["std-poisson"].poisson)),
+        ("jacobi-nonstd-poisson", "Sec. 3",
+         lambda s: jacobi_report(s["nonstd-poisson"].poisson)),
+        ("bracket-table-std-n-nb", "Sec. 2", lambda s: _printed_bracket(
+            s["std-poisson"], "n", "nb", "n*nb",
+            "multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
+            "with the displayed sign the coproduct is not a Poisson morphism")),
+        ("bracket-table-nonstd-n-nb", "Sec. 3", lambda s: _printed_bracket(
+            s["nonstd-poisson"], "n", "nb", "omega*n - omega*nb",
+            "the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
+            "leaves the cyclic sum 2*omega^2*(v-1)^2")),
+    ))
 
 
-# ---------------------------------------------------------------------------
-# multiplicativity
-# ---------------------------------------------------------------------------
+def _coproduct_is_poisson(b):
+    return poisson_morphism_report(b.hopf.coproduct_map, b.poisson, (b.poisson, b.poisson))
 
 
 def suite_multiplicativity(rep: CheckReport, degree_bound: int):
-    for pid, anchor in (("std-poisson", "Prop. 2.2"), ("nonstd-poisson", "Sec. 3")):
-        b = catalog.get_preset(pid)
-        sub = poisson_morphism_report(
-            b.hopf.coproduct_map, b.poisson, (b.poisson, b.poisson)
-        )
-        _summarize(rep, f"multiplicativity-{pid}", anchor, sub)
+    _record(rep, degree_bound, (
+        ("multiplicativity-std-poisson", "Prop. 2.2",
+         lambda s: _coproduct_is_poisson(s["std-poisson"])),
+        ("multiplicativity-nonstd-poisson", "Sec. 3",
+         lambda s: _coproduct_is_poisson(s["nonstd-poisson"])),
+    ))
 
 
-# ---------------------------------------------------------------------------
-# covariance
-# ---------------------------------------------------------------------------
+def _coaction_is_poisson(b, bracket=None):
+    """Whether the coaction of preset ``b`` is a Poisson map, with the
+    space's own bracket or with {z1, z2} = ``bracket``."""
+    space = b.space_poisson if bracket is None else _space_bracket(b, bracket)
+    return poisson_morphism_report(b.coaction, space, (b.group_poisson, space))
 
 
-def suite_covariance(rep: CheckReport, degree_bound: int):
-    cp = catalog.get_preset("coaction-plane")
-    sub = poisson_morphism_report(
-        cp.coaction, cp.space_poisson, (cp.group_poisson, cp.space_poisson)
-    )
-    _summarize(rep, "covariance-plane-coaction-k-symbolic", "Prop. 2.6", sub)
+def _space_bracket(b, text):
+    return PoissonStructure(b.space_tower, {(0, 1): b.space_tower.poly(text)})
 
+
+def _plane_orientation(s):
+    cp = s["coaction-plane"]
     space, group = cp.space_tower, cp.group_tower
     literal = AlgebraMorphism.load(
         space,
@@ -139,581 +222,426 @@ def suite_covariance(rep: CheckReport, degree_bound: int):
         {"z": "v (x) z + n (x) 1", "zb": "vb (x) zb + nb (x) 1"},
     )
     literal_fam = covariant_family_solve(literal, cp.group_poisson, cp.ansatz)
-    rep.verdict(
-        "covariance-plane-orientation",
+    return (
         literal_fam.contains_bracket(space.poly("z*zb + k")),
-        anchor="Cor. 2.4 / Prop. 2.6",
-        lhs="alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
-        rhs="alpha(z) = v (x) z + n (x) 1 (z paired with n)",
-        witness="the displayed pairing admits no covariant bracket at all "
+        "alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
+        "alpha(z) = v (x) z + n (x) 1 (z paired with n)",
+        "the displayed pairing admits no covariant bracket at all "
         f"(family empty: {literal_fam.empty}); the engine pairing carries the "
         "displayed family z*zb + k",
-        bad=DISCREPANCY,
+        DISCREPANCY,
     )
 
-    proj = cp.projection
-    p_m0 = PoissonStructure(space, {(0, 1): space.poly("z*zb")})
-    rep0 = poisson_morphism_report(proj, p_m0, cp.group_poisson)
-    _summarize(rep, "covariance-plane-projection-k0", "Cor. 2.4", rep0)
-    rep_sym = poisson_morphism_report(proj, cp.space_poisson, cp.group_poisson)
-    rep.verdict(
-        "covariance-plane-projection-k-obstruction",
-        not rep_sym.clean,
-        anchor="Cor. 2.4",
-        lhs="projection fails to be Poisson for symbolic k",
-        rhs="k = 0 is the only induced member",
-        witness="symbolic-k projection unexpectedly passed",
+
+def _projection_obstructed(s):
+    cp = s["coaction-plane"]
+    return (
+        not poisson_morphism_report(cp.projection, cp.space_poisson, cp.group_poisson).clean,
+        "projection fails to be Poisson for symbolic k",
+        "k = 0 is the only induced member",
+        "symbolic-k projection unexpectedly passed",
     )
 
-    cc = catalog.get_preset("coaction-cylinder")
-    engine_member = cc.space_tower.poly(cc.raw["engine_family_member"])
-    p_m = PoissonStructure(cc.space_tower, {(0, 1): engine_member})
-    sub = poisson_morphism_report(cc.coaction, p_m, (cc.group_poisson, p_m))
-    _summarize(rep, "covariance-cylinder-engine-member", "Prop. 3.2", sub)
 
-    nonstd = catalog.get_preset("nonstd-poisson")
-    tn = nonstd.tower
-    engine_bracket = nonstd.poisson.bracket(tn.gen("v"), tn.poly("vb*nb - v*n"))
-    rep.verdict(
-        "prop32-bracket-printed",
-        engine_bracket == tn.poly("-omega*(v^2 - 1)"),
-        anchor="Prop. 3.2",
-        lhs=engine_bracket,
-        rhs="-omega*(v^2 - 1)",
-        witness="Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
-        "displayed value is not even covariant (see the families suite)",
-        bad=DISCREPANCY,
+def _stabilizer(b):
+    st = b.stabilizer
+    return stabilizer_invariance_check(
+        b.context, st["pushforward"], st["action"], st["delta_image"], st["rho"]
     )
 
-    for pid, anchor, cid in (
-        ("coaction-plane", "Sec. 2", "stabilizer-plane"),
-        ("coaction-cylinder", "Rem. 3.4", "stabilizer-cylinder"),
-    ):
-        b = catalog.get_preset(pid)
-        st = b.stabilizer
-        sub = stabilizer_invariance_check(
-            b.context, st["pushforward"], st["action"], st["delta_image"], st["rho"]
-        )
-        _summarize(rep, cid, anchor, sub)
+
+def suite_covariance(rep: CheckReport, degree_bound: int):
+    _record(rep, degree_bound, (
+        ("covariance-plane-coaction-k-symbolic", "Prop. 2.6",
+         lambda s: _coaction_is_poisson(s["coaction-plane"])),
+        ("covariance-plane-orientation", "Cor. 2.4 / Prop. 2.6", _plane_orientation),
+        ("covariance-plane-projection-k0", "Cor. 2.4", lambda s: poisson_morphism_report(
+            s["coaction-plane"].projection,
+            _space_bracket(s["coaction-plane"], "z*zb"),
+            s["coaction-plane"].group_poisson,
+        )),
+        ("covariance-plane-projection-k-obstruction", "Cor. 2.4", _projection_obstructed),
+        ("covariance-cylinder-engine-member", "Prop. 3.2", lambda s: _coaction_is_poisson(
+            s["coaction-cylinder"], s["coaction-cylinder"].raw["engine_family_member"])),
+        ("prop32-bracket-printed", "Prop. 3.2", lambda s: _printed_bracket(
+            s["nonstd-poisson"], "v", "vb*nb - v*n", "-omega*(v^2 - 1)",
+            "Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
+            "displayed value is not even covariant (see the families suite)")),
+        ("stabilizer-plane", "Sec. 2", lambda s: _stabilizer(s["coaction-plane"])),
+        ("stabilizer-cylinder", "Rem. 3.4", lambda s: _stabilizer(s["coaction-cylinder"])),
+    ))
 
 
-# ---------------------------------------------------------------------------
-# families
-# ---------------------------------------------------------------------------
+def _one_parameter(fam, tower, *members):
+    """Whether the family is one affine line through the given brackets."""
+    return (
+        not fam.empty
+        and fam.dimension == 1
+        and all(fam.contains_bracket(tower.poly(x)) for x in members)
+    )
+
+
+def _plane_family(s):
+    cp = s["coaction-plane"]
+    fam = covariant_family_solve(cp.coaction, cp.group_poisson, cp.ansatz)
+    return (
+        _one_parameter(fam, cp.space_tower, "z*zb", "z*zb + k"),
+        f"affine dimension {fam.dimension}, contains z*zb and z*zb + k",
+        "one-parameter family z*zb + k",
+        "plane family does not match the displayed one",
+    )
+
+
+def _cylinder_family(s):
+    cc = s["coaction-cylinder"]
+    return (
+        _one_parameter(s.cylinder_family, cc.space_tower,
+                       cc.raw["engine_family_member"], "omega*(v - 1)^2"),
+        f"affine dimension {s.cylinder_family.dimension}; "
+        "family omega*v^2 + beta*v + omega",
+        "one-parameter affine family",
+        "cylinder family mismatch",
+    )
+
+
+def _cylinder_printed_member(s):
+    cc = s["coaction-cylinder"]
+    printed = cc.raw["printed_family"]
+    return (
+        s.cylinder_family.contains_bracket(cc.space_tower.poly(printed)),
+        "solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
+        "omega*(v-1)^2 + k*v",
+        printed,
+        "the displayed family -omega*(v^2-1) + k solves the covariance "
+        "identity for no value of the free coefficient",
+        DISCREPANCY,
+    )
 
 
 def suite_families(rep: CheckReport, degree_bound: int):
-    cp = catalog.get_preset("coaction-plane")
-    fam = covariant_family_solve(cp.coaction, cp.group_poisson, cp.ansatz)
-    space = cp.space_tower
-    ok = (
-        not fam.empty
-        and fam.dimension == 1
-        and fam.contains_bracket(space.poly("z*zb"))
-        and fam.contains_bracket(space.poly("z*zb + k"))
-    )
-    rep.verdict(
-        "family-plane-dimension",
-        ok,
-        anchor="Prop. 2.6",
-        lhs=f"affine dimension {fam.dimension}, contains z*zb and z*zb + k",
-        rhs="one-parameter family z*zb + k",
-        witness="plane family does not match the displayed one",
-    )
-
-    cc = catalog.get_preset("coaction-cylinder")
-    fam_c = covariant_family_solve(cc.coaction, cc.group_poisson, cc.ansatz)
-    sp = cc.space_tower
-    rep.verdict(
-        "family-cylinder-dimension",
-        (not fam_c.empty)
-        and fam_c.dimension == 1
-        and fam_c.contains_bracket(sp.poly(cc.raw["engine_family_member"]))
-        and fam_c.contains_bracket(sp.poly("omega*(v - 1)^2")),
-        anchor="Prop. 3.5",
-        lhs=f"affine dimension {fam_c.dimension}; family omega*v^2 + beta*v + omega",
-        rhs="one-parameter affine family",
-        witness="cylinder family mismatch",
-    )
-    rep.verdict(
-        "family-cylinder-printed-member",
-        fam_c.contains_bracket(sp.poly(cc.raw["printed_family"])),
-        anchor="Prop. 3.5",
-        lhs="solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
-        "omega*(v-1)^2 + k*v",
-        rhs=cc.raw["printed_family"],
-        witness="the displayed family -omega*(v^2-1) + k solves the covariance "
-        "identity for no value of the free coefficient",
-        bad=DISCREPANCY,
-    )
+    _record(rep, degree_bound, (
+        ("family-plane-dimension", "Prop. 2.6", _plane_family),
+        ("family-cylinder-dimension", "Prop. 3.5", _cylinder_family),
+        ("family-cylinder-printed-member", "Prop. 3.5", _cylinder_printed_member),
+    ))
 
 
-# ---------------------------------------------------------------------------
-# foliation
-# ---------------------------------------------------------------------------
+def _at(text):
+    """The point ``"v=i, n=0"``: each name mapped to its value in Q(i)."""
+    ctx = ScalarContext([])
+    pairs = (pair.split("=") for pair in text.split(",") if pair)
+    return {name.strip(): exprio.parse_scalar(ctx, value).evaluate({}) for name, value in pairs}
+
+
+def _ranks(b, params, points, expected, lhs, rhs):
+    """The verdict that the bracket matrix of ``b`` has the expected rank at
+    each point, with the parameters at ``params``; ``{ranks}`` in ``lhs``
+    shows the ranks found."""
+    params = _at(params)
+    ranks = [poisson_matrix_rank(b.poisson, _at(pt), params) for pt in points]
+    return ranks == expected, lhs.format(ranks=ranks), rhs
+
+
+def _field_relation(b, coeffs, lhs, rhs, witness="", bad=FAIL):
+    """The verdict that the combination of Hamiltonian fields vanishes;
+    ``{where}`` in ``witness`` shows the first nonzero component."""
+    ok, where = field_relation(b.poisson, {g: b.tower.poly(c) for g, c in coeffs.items()})
+    return ok, lhs, rhs, witness.format(where=where), bad
+
+
+def _poisson_ideal(b, gens, quotient):
+    """Whether the ideal of ``gens`` is closed under the bracket of ``b``,
+    i.e. the locus of the quotient preset is a Poisson subgroup."""
+    t = b.tower
+    return poisson_ideal_check(
+        b.poisson, [t.poly(g) for g in gens], catalog.quotient_on(t, quotient.raw)
+    )
 
 
 def suite_foliation(rep: CheckReport, degree_bound: int):
-    std = catalog.get_preset("std-poisson")
-    nonstd = catalog.get_preset("nonstd-poisson")
-    one = GaussRational(1)
-    zero = GaussRational(0)
-    i = GaussRational(0, 1)
+    _record(rep, degree_bound, (
+        ("rank-std-circle-points", "Rem. 2.3", lambda s: _ranks(
+            s["std-poisson"], "",
+            ["v=1, n=0, nb=0", "v=i, n=0, nb=0", "v=3/5 + 4/5*i, n=0, nb=0"], [0, 0, 0],
+            "ranks {ranks} at v0 in (1, i, (3+4i)/5), n = nb = 0",
+            "0-dimensional leaves along the circle subgroup")),
+        ("rank-std-generic", "Rem. 2.3", lambda s: _ranks(
+            s["std-poisson"], "", ["v=1, n=1, nb=2"], [2],
+            "rank 2 at a generic point", "generic leaves are 2-dimensional")),
+        ("rank-nonstd-line", "Rem. 3.1", lambda s: _ranks(
+            s["nonstd-poisson"], "omega=1", ["v=1, n=0, nb=0", "v=1, n=1, nb=1"], [0, 0],
+            "ranks {ranks} at v = 1, n = nb",
+            "0-dimensional leaves along the real line subgroup")),
+        ("rank-nonstd-circle-point", "Rem. 3.1", lambda s: _ranks(
+            s["nonstd-poisson"], "omega=1", ["v=i, n=0, nb=0"], [2],
+            "rank 2 at (i, 0, 0), omega = 1",
+            "the circle is not a union of 0-dimensional leaves")),
+        ("rank-cylinder-degenerate", "Rem. 3.6", lambda s: _ranks(
+            s["cylinder-poisson"], "omega=1, k=-2", ["v=i, m=0", "v=-i, m=0"], [0, 0],
+            "ranks {ranks} at v = +/- i (omega = 1, k = -2)",
+            "omega*v^2 + omega + k = 0 locus has 0-dimensional leaves")),
+        ("rank-cylinder-regular", "Rem. 3.6", lambda s: _ranks(
+            s["cylinder-poisson"], "omega=1, k=-2", ["v=1, m=0"], [2],
+            "rank 2 at v = 1",
+            "points off the degenerate locus lie in 2-dimensional leaves")),
+        ("rank-plane-hyperbolic", "Rem. 2.7", lambda s: _ranks(
+            s["plane-poisson"], "k=-2", ["z=1 + i, zb=1 - i", "z=1, zb=1"], [0, 2],
+            "rank 0 on z*zb = -k, rank 2 off it (k = -2)",
+            "degenerate locus z*zb = -k")),
+        # Hamiltonian field relations
+        ("field-relation-std-engine", "Rem. 2.3", lambda s: _field_relation(
+            s["std-poisson"], {"v": "v^-1*n*nb", "n": "nb", "nb": "-n"},
+            "v^-1*n*nb X_v + nb X_n - n X_nb = 0",
+            "a pointwise linear relation bounds the leaves by dimension 2")),
+        ("field-relation-std-printed", "Rem. 2.3", lambda s: _field_relation(
+            s["std-poisson"], {"v": "v*n*nb", "n": "nb", "nb": "n"},
+            "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
+            "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
+            "displayed combination does not vanish ({where}); the geometric "
+            "conclusion (generic rank 2) verifies via the engine relation",
+            DISCREPANCY)),
+        ("field-relation-nonstd-engine", "Rem. 3.1", lambda s: _field_relation(
+            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "n - nb"},
+            "(v - v^2) X_n + (v - 1) X_nb + (n - nb) X_v = 0",
+            "distribution at most 2-dimensional everywhere")),
+        ("field-relation-nonstd-printed", "Rem. 3.1", lambda s: _field_relation(
+            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "nb - n"},
+            "vanishing combination carries (n - nb) on X_v",
+            "displayed combination carries (nb - n) on X_v",
+            "displayed combination does not vanish under the corrected bracket "
+            "table ({where})",
+            DISCREPANCY)),
+        # Poisson subgroup loci
+        ("poisson-subgroup-circle-std", "Rem. 2.3", lambda s: _poisson_ideal(
+            s["std-poisson"], ["n", "nb"], s["quotient-circle"])),
+        ("poisson-subgroup-line-nonstd", "Rem. 3.1", lambda s: _poisson_ideal(
+            s["nonstd-poisson"], ["v - 1", "n - nb"], s["quotient-I"])),
+        ("circle-not-poisson-subgroup-nonstd", "Rem. 3.1", lambda s: (
+            not _poisson_ideal(s["nonstd-poisson"], ["n", "nb"], s["quotient-circle"]).clean,
+            "restriction of {v,n} to the circle is omega*(1-u) != 0",
+            "the circle is not a Poisson subgroup of the nonstandard structure",
+            "circle unexpectedly closed under the nonstandard bracket")),
+    ))
 
-    pts = [one, i, GaussRational(3) / 5 + (GaussRational(4) / 5) * i]
-    ranks = [
-        poisson_matrix_rank(std.poisson, {"v": v0, "n": zero, "nb": zero}, {})
-        for v0 in pts
-    ]
-    rep.verdict(
-        "rank-std-circle-points",
-        ranks == [0, 0, 0],
-        anchor="Rem. 2.3",
-        lhs=f"ranks {ranks} at v0 in (1, i, (3+4i)/5), n = nb = 0",
-        rhs="0-dimensional leaves along the circle subgroup",
-    )
-    rep.verdict(
-        "rank-std-generic",
-        poisson_matrix_rank(
-            std.poisson, {"v": one, "n": one, "nb": GaussRational(2)}, {}
-        )
-        == 2,
-        anchor="Rem. 2.3",
-        lhs="rank 2 at a generic point",
-        rhs="generic leaves are 2-dimensional",
-    )
-    w1 = {"omega": one}
-    rline = [
-        poisson_matrix_rank(nonstd.poisson, {"v": one, "n": t, "nb": t}, w1)
-        for t in (zero, one)
-    ]
-    rep.verdict(
-        "rank-nonstd-line",
-        rline == [0, 0],
-        anchor="Rem. 3.1",
-        lhs=f"ranks {rline} at v = 1, n = nb",
-        rhs="0-dimensional leaves along the real line subgroup",
-    )
-    rep.verdict(
-        "rank-nonstd-circle-point",
-        poisson_matrix_rank(nonstd.poisson, {"v": i, "n": zero, "nb": zero}, w1) == 2,
-        anchor="Rem. 3.1",
-        lhs="rank 2 at (i, 0, 0), omega = 1",
-        rhs="the circle is not a union of 0-dimensional leaves",
-    )
 
-    cyl = catalog.get_preset("cylinder-poisson")
-    params = {"omega": one, "k": GaussRational(-2)}
-    degenerate = [
-        poisson_matrix_rank(cyl.poisson, {"v": pt, "m": zero}, params)
-        for pt in (i, -i)
-    ]
-    rep.verdict(
-        "rank-cylinder-degenerate",
-        degenerate == [0, 0],
-        anchor="Rem. 3.6",
-        lhs=f"ranks {degenerate} at v = +/- i (omega = 1, k = -2)",
-        rhs="omega*v^2 + omega + k = 0 locus has 0-dimensional leaves",
-    )
-    rep.verdict(
-        "rank-cylinder-regular",
-        poisson_matrix_rank(cyl.poisson, {"v": one, "m": zero}, params) == 2,
-        anchor="Rem. 3.6",
-        lhs="rank 2 at v = 1",
-        rhs="points off the degenerate locus lie in 2-dimensional leaves",
-    )
-
-    plane = catalog.get_preset("plane-poisson")
-    pk = {"k": GaussRational(-2)}
-    rep.verdict(
-        "rank-plane-hyperbolic",
-        poisson_matrix_rank(
-            plane.poisson, {"z": GaussRational(1, 1), "zb": GaussRational(1, -1)}, pk
-        )
-        == 0
-        and poisson_matrix_rank(plane.poisson, {"z": one, "zb": one}, pk) == 2,
-        anchor="Rem. 2.7",
-        lhs="rank 0 on z*zb = -k, rank 2 off it (k = -2)",
-        rhs="degenerate locus z*zb = -k",
-    )
-
-    # Hamiltonian field relations
-    ts = std.tower
-    ok_engine, _ = field_relation(
-        std.poisson,
-        {"v": ts.poly("v^-1*n*nb"), "n": ts.poly("nb"), "nb": ts.poly("-n")},
-    )
-    rep.verdict(
-        "field-relation-std-engine",
-        ok_engine,
-        anchor="Rem. 2.3",
-        lhs="v^-1*n*nb X_v + nb X_n - n X_nb = 0",
-        rhs="a pointwise linear relation bounds the leaves by dimension 2",
-    )
-    printed_ok, witness = field_relation(
-        std.poisson,
-        {"v": ts.poly("v*n*nb"), "n": ts.poly("nb"), "nb": ts.poly("n")},
-    )
-    rep.verdict(
-        "field-relation-std-printed",
-        printed_ok,
-        anchor="Rem. 2.3",
-        lhs="vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
-        rhs="displayed combination: v*n*nb X_v + nb X_n + n X_nb",
-        witness=f"displayed combination does not vanish ({witness}); the geometric "
-        "conclusion (generic rank 2) verifies via the engine relation",
-        bad=DISCREPANCY,
-    )
-
-    tn = nonstd.tower
-    ok_engine, _ = field_relation(
-        nonstd.poisson,
-        {"n": tn.poly("v - v^2"), "nb": tn.poly("v - 1"), "v": tn.poly("n - nb")},
-    )
-    rep.verdict(
-        "field-relation-nonstd-engine",
-        ok_engine,
-        anchor="Rem. 3.1",
-        lhs="(v - v^2) X_n + (v - 1) X_nb + (n - nb) X_v = 0",
-        rhs="distribution at most 2-dimensional everywhere",
-    )
-    printed_ok, witness = field_relation(
-        nonstd.poisson,
-        {"n": tn.poly("v - v^2"), "nb": tn.poly("v - 1"), "v": tn.poly("nb - n")},
-    )
-    rep.verdict(
-        "field-relation-nonstd-printed",
-        printed_ok,
-        anchor="Rem. 3.1",
-        lhs="vanishing combination carries (n - nb) on X_v",
-        rhs="displayed combination carries (nb - n) on X_v",
-        witness=f"displayed combination does not vanish under the corrected bracket "
-        f"table ({witness})",
-        bad=DISCREPANCY,
-    )
-
-    # Poisson subgroup loci
-    circle = catalog.get_preset("quotient-circle")
-    sub = poisson_ideal_check(
-        std.poisson,
-        [std.tower.gen("n"), std.tower.gen("nb")],
-        catalog.quotient_on(std.tower, circle.raw),
-    )
-    _summarize(rep, "poisson-subgroup-circle-std", "Rem. 2.3", sub)
-    qi = catalog.get_preset("quotient-I")
-    sub = poisson_ideal_check(
-        nonstd.poisson,
-        [tn.poly("v - 1"), tn.poly("n - nb")],
-        catalog.quotient_on(tn, qi.raw),
-    )
-    _summarize(rep, "poisson-subgroup-line-nonstd", "Rem. 3.1", sub)
-    bad = poisson_ideal_check(
-        nonstd.poisson,
-        [tn.gen("n"), tn.gen("nb")],
-        catalog.quotient_on(tn, circle.raw),
-    )
-    rep.verdict(
-        "circle-not-poisson-subgroup-nonstd",
-        not bad.clean,
-        anchor="Rem. 3.1",
-        lhs="restriction of {v,n} to the circle is omega*(1-u) != 0",
-        rhs="the circle is not a Poisson subgroup of the nonstandard structure",
-        witness="circle unexpectedly closed under the nonstandard bracket",
+def _delta_p2(s):
+    # delta(P2) = delta(X) - delta(Y) = -2 omega X^Y = -omega P2^P1
+    dp2 = s.d_ns.of(1) - s.d_ns.of(2)
+    ref = s["nonstd-bialg"].cocommutator
+    if not dp2 == ref.of(1) - ref.of(2):
+        return False, dp2.text(LIE_NAMES), "-omega P2^P1"
+    ctx = s["nonstd-poisson"].tower.context
+    w = ctx.param("omega")
+    return (
+        dp2 == WedgeBivector(ctx, 3, {(1, 2): w + w}),
+        "delta(P2) = -omega P2^P1  (= -2*omega X^Y)",
+        "delta(P2) = +omega P2^P1",
+        "sign differs from the display under P1 = X+Y, P2 = X-Y; the "
+        "engine value is the one reproduced by the displayed r-matrix",
+        DISCREPANCY,
     )
 
 
-# ---------------------------------------------------------------------------
-# bialgebra
-# ---------------------------------------------------------------------------
+def _rmatrix(s):
+    sol = coboundary_solve(s.g_ns, s.d_ns)
+    return (
+        (not sol.empty) and sol.contains(s.printed_r.ctx, s.printed_r),
+        "solution set omega*J^(X-Y) + c*X^Y",
+        "displayed r-matrix omega J^P2 lies in the solution set",
+        "displayed r-matrix not recovered",
+    )
 
 
 def suite_bialgebra(rep: CheckReport, degree_bound: int):
-    std = catalog.get_preset("std-poisson")
-    nonstd = catalog.get_preset("nonstd-poisson")
-    lie_preset = catalog.get_preset("e2-lie")
-    g_std = lie_from_group(std.tower, std.hopf, names=LIE_NAMES)
-    same = all(
-        g_std.bracket_basis(i, j) == lie_preset.lie.bracket_basis(i, j)
-        for i in range(3)
-        for j in range(3)
-    )
-    rep.verdict(
-        "bialg-lie-constants",
-        same,
-        anchor="Sec. 2",
-        lhs="[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
-        rhs="tangent algebra of the displayed group law",
-    )
+    _record(rep, degree_bound, (
+        ("bialg-lie-constants", "Sec. 2", lambda s: (
+            all(
+                s.g_std.bracket_basis(i, j) == s["e2-lie"].lie.bracket_basis(i, j)
+                for i in range(3)
+                for j in range(3)
+            ),
+            "[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
+            "tangent algebra of the displayed group law")),
+        ("bialg-linearize-std", "Sec. 2", lambda s: (
+            s.d_std == s["std-bialg"].cocommutator,
+            "delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
+            "displayed standard cocommutator")),
+        ("bialg-linearize-nonstd-p1", "Sec. 3", lambda s: (
+            (s.d_ns.of(1) + s.d_ns.of(2)).is_zero(),
+            "delta(P1) = 0 with P1 = X + Y",
+            "displayed delta(P1) = 0")),
+        ("bialg-delta-p2-printed", "Sec. 3", _delta_p2),
+        ("bialg-delta-j-printed", "Sec. 3", lambda s: (
+            s.d_ns.of(0) == s.printed_r,
+            f"delta(J) = {s.d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
+            "delta(J) = omega J^P2",
+            "the linearized delta(J) is proportional to J^P1, not J^P2, under "
+            "every natural identification tried",
+            DISCREPANCY)),
+        ("bialg-cocycle-std", "Sec. 2", lambda s: cocycle_cojacobi_report(s.g_std, s.d_std)),
+        ("bialg-cocycle-nonstd", "Sec. 3", lambda s: cocycle_cojacobi_report(s.g_ns, s.d_ns)),
+        ("bialg-coboundary-std-empty", "Sec. 2", lambda s: (
+            coboundary_solve(s.g_std, s.d_std).empty,
+            "coboundary equation has no solution",
+            "the standard cocommutator is non-coboundary")),
+        ("bialg-coboundary-nonstd-rmatrix", "Sec. 3", _rmatrix),
+    ))
 
-    d_std = linearize_poisson(std.poisson, names=LIE_NAMES)
-    rep.verdict(
-        "bialg-linearize-std",
-        d_std == catalog.get_preset("std-bialg").cocommutator,
-        anchor="Sec. 2",
-        lhs="delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
-        rhs="displayed standard cocommutator",
-    )
 
-    d_ns = linearize_poisson(nonstd.poisson, names=LIE_NAMES)
-    ctxn = nonstd.tower.context
-    w = ctxn.param("omega")
-    rep.verdict(
-        "bialg-linearize-nonstd-p1",
-        (d_ns.of(1) + d_ns.of(2)).is_zero(),
-        anchor="Sec. 3",
-        lhs="delta(P1) = 0 with P1 = X + Y",
-        rhs="displayed delta(P1) = 0",
-    )
-    # delta(P2) = delta(X) - delta(Y) = -2 omega X^Y = -omega P2^P1
-    dp2 = d_ns.of(1) - d_ns.of(2)
-    ref = catalog.get_preset("nonstd-bialg").cocommutator
-    engine_txt = "delta(P2) = -omega P2^P1  (= -2*omega X^Y)"
-    if dp2 == ref.of(1) - ref.of(2):
-        rep.verdict(
-            "bialg-delta-p2-printed",
-            dp2 == WedgeBivector(ctxn, 3, {(1, 2): w + w}),
-            anchor="Sec. 3",
-            lhs=engine_txt,
-            rhs="delta(P2) = +omega P2^P1",
-            witness="sign differs from the display under P1 = X+Y, P2 = X-Y; the "
-            "engine value is the one reproduced by the displayed r-matrix",
-            bad=DISCREPANCY,
-        )
-    else:
-        rep.add("bialg-delta-p2-printed", anchor="Sec. 3", status=FAIL,
-                lhs=dp2.text(LIE_NAMES), rhs="-omega P2^P1")
-    printed_r = WedgeBivector(ctxn, 3, {(0, 1): w, (0, 2): -w})  # omega J^P2
-    rep.verdict(
-        "bialg-delta-j-printed",
-        d_ns.of(0) == printed_r,
-        anchor="Sec. 3",
-        lhs=f"delta(J) = {d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
-        rhs="delta(J) = omega J^P2",
-        witness="the linearized delta(J) is proportional to J^P1, not J^P2, under "
-        "every natural identification tried",
-        bad=DISCREPANCY,
-    )
-
-    g_ns = lie_from_group(nonstd.tower, nonstd.hopf, names=LIE_NAMES)
-    for pid, anchor, g, d in (
-        ("std", "Sec. 2", g_std, d_std),
-        ("nonstd", "Sec. 3", g_ns, d_ns),
-    ):
-        _summarize(rep, f"bialg-cocycle-{pid}", anchor, cocycle_cojacobi_report(g, d))
-
-    sol_std = coboundary_solve(g_std, d_std)
-    rep.verdict(
-        "bialg-coboundary-std-empty",
-        sol_std.empty,
-        anchor="Sec. 2",
-        lhs="coboundary equation has no solution",
-        rhs="the standard cocommutator is non-coboundary",
-    )
-    sol_ns = coboundary_solve(g_ns, d_ns)
-    rep.verdict(
-        "bialg-coboundary-nonstd-rmatrix",
-        (not sol_ns.empty) and sol_ns.contains(ctxn, printed_r),
-        anchor="Sec. 3",
-        lhs="solution set omega*J^(X-Y) + c*X^Y",
-        rhs="displayed r-matrix omega J^P2 lies in the solution set",
-        witness="displayed r-matrix not recovered",
+def _confluent(b):
+    res = b.tower.confluence
+    return (
+        res.ok and res.weights is not None,
+        "all overlap words reduce consistently",
+        "PBW normal forms are well defined",
+        res.describe(),
     )
 
 
-# ---------------------------------------------------------------------------
-# diamond
-# ---------------------------------------------------------------------------
+def _printed_tower(s):
+    raw = s["qe2-nonstd"].raw
+    nb = {
+        "gen": "nb",
+        "sigma": {"v": "v", "n": "n + omega"},
+        "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
+    }
+    printed = {**raw, "tower": raw["tower"][:2] + [nb]}
+    res = decide_confluence(load_tower(printed, validate=False))
+    if res.ok:
+        return False, "", "", "printed tower unexpectedly confluent"
+    return (
+        False,
+        "engine tower: sigma(n) = n - omega, delta(n) = omega*n "
+        "([n,nb] = omega*(nb-n)) is confluent",
+        "displayed commutator [n,nb] = omega*(n-nb) quantizes to a "
+        "non-confluent tower",
+        f"witness overlap: {res.describe()}",
+        DISCREPANCY,
+    )
 
 
 def suite_diamond(rep: CheckReport, degree_bound: int):
-    for pid, anchor in (
-        ("qe2-nonstd", "Sec. 4"),
-        ("quantum-cylinder", "Def. 4.1"),
-        ("quantum-plane", "Rem. 2.5"),
-    ):
-        res = catalog.get_preset(pid).tower.confluence
-        rep.verdict(
-            f"diamond-{pid}",
-            res.ok and res.weights is not None,
-            anchor=anchor,
-            lhs="all overlap words reduce consistently",
-            rhs="PBW normal forms are well defined",
-            witness=res.describe(),
-        )
-    raw = dict(catalog.get_preset("qe2-nonstd").raw)
-    printed = {
-        **raw,
-        "tower": [
-            raw["tower"][0],
-            raw["tower"][1],
-            {
-                "gen": "nb",
-                "sigma": {"v": "v", "n": "n + omega"},
-                "delta": {"v": "omega*v^2 - omega*v", "n": "-omega*n"},
-            },
-        ],
-    }
-    res = decide_confluence(load_tower(printed, validate=False))
-    if res.ok:
-        rep.add("tower-printed-nonstd-sign", anchor="Sec. 3 / Sec. 4", status=FAIL,
-                witness="printed tower unexpectedly confluent")
-    else:
-        rep.verdict(
-            "tower-printed-nonstd-sign",
-            False,
-            anchor="Sec. 3 / Sec. 4",
-            lhs="engine tower: sigma(n) = n - omega, delta(n) = omega*n "
-            "([n,nb] = omega*(nb-n)) is confluent",
-            rhs="displayed commutator [n,nb] = omega*(n-nb) quantizes to a "
-            "non-confluent tower",
-            witness=f"witness overlap: {res.describe()}",
-            bad=DISCREPANCY,
-        )
-
-
-# ---------------------------------------------------------------------------
-# hopf-axioms / relations
-# ---------------------------------------------------------------------------
+    _record(rep, degree_bound, (
+        ("diamond-qe2-nonstd", "Sec. 4", lambda s: _confluent(s["qe2-nonstd"])),
+        ("diamond-quantum-cylinder", "Def. 4.1", lambda s: _confluent(s["quantum-cylinder"])),
+        ("diamond-quantum-plane", "Rem. 2.5", lambda s: _confluent(s["quantum-plane"])),
+        ("tower-printed-nonstd-sign", "Sec. 3 / Sec. 4", _printed_tower),
+    ))
 
 
 def suite_hopf_axioms(rep: CheckReport, degree_bound: int):
-    for pid, anchor in (("fun-e2", "Sec. 2"), ("qe2-nonstd", "Sec. 4")):
-        b = catalog.get_preset(pid)
-        sub = hopf_axioms_report(b.hopf)
-        _summarize(rep, f"hopf-axioms-{pid}", anchor, sub)
+    _record(rep, degree_bound, (
+        ("hopf-axioms-fun-e2", "Sec. 2", lambda s: hopf_axioms_report(s["fun-e2"].hopf)),
+        ("hopf-axioms-qe2-nonstd", "Sec. 4",
+         lambda s: hopf_axioms_report(s["qe2-nonstd"].hopf)),
+    ))
+
+
+def _cylinder_star(s):
+    sub = respects_relations_report(
+        s["quantum-cylinder"].tower, None, star_status_on_fail=DISCREPANCY
+    )
+    if sub.worst != DISCREPANCY:
+        return sub
+    bad = next(r for r in sub.records if r.status == DISCREPANCY)
+    return (
+        False,
+        bad.lhs,
+        bad.rhs,
+        "the displayed star table (m* = -m) is inconsistent with the "
+        "displayed relations when omega* = -omega: (v*m)* and "
+        "(m*v - omega*(v^2-1))* differ by 2*omega*(v^-2 - 1); the embedded "
+        "star is m* = -m + omega*(v - v^-1)",
+        DISCREPANCY,
+    )
+
+
+def _second_relation(s):
+    # Def. 4.1's second displayed relation vs the rule derived from the first
+    t = s["quantum-cylinder"].tower
+    engine_rhs = t.poly("m*vb")
+    return (
+        engine_rhs == t.poly("vb*m + omega*vb - omega*vb^2"),
+        f"m*vb = {exprio.format_canonical(engine_rhs)}  "
+        "(vb*m = m*vb + omega*(1 - vb^2))",
+        "vb*m = m*vb + omega*(vb - vb^2)",
+        "the displayed second relation contradicts the one derived from "
+        "v*vb = 1 and the first relation",
+        DISCREPANCY,
+    )
+
+
+def _first_relation(s):
+    qc, amb = s["quantum-cylinder"], s["qe2-nonstd"].tower
+    embedded = commutator(amb.gen("v"), s.m)
+    standalone = commutator(qc.tower.gen("v"), qc.tower.gen("m"))
+    embed = AlgebraMorphism.load(qc.tower, amb, qc.raw["embedding"]["images"])
+    return (
+        embed.apply(standalone) == embedded,
+        f"embedded [v, vb*nb - v*n] = {exprio.format_canonical(embedded)}",
+        f"standalone [v, m] = {exprio.format_canonical(standalone)}",
+        "the standalone cylinder uses the displayed bracket; the embedded "
+        "generator satisfies the covariant one (omega*(v-1)^2)",
+        DISCREPANCY,
+    )
 
 
 def suite_relations(rep: CheckReport, degree_bound: int):
-    for pid, anchor in (("fun-e2", "Sec. 2"), ("qe2-nonstd", "Sec. 4")):
-        b = catalog.get_preset(pid)
-        sub = respects_relations_report(b.tower, b.hopf)
-        _summarize(rep, f"relations-{pid}", anchor, sub)
-    qp = catalog.get_preset("quantum-plane")
-    _summarize(
-        rep,
-        "relations-quantum-plane-star",
-        "Rem. 2.5",
-        respects_relations_report(qp.tower, None),
-    )
-    qc = catalog.get_preset("quantum-cylinder")
-    sub = respects_relations_report(qc.tower, None, star_status_on_fail=DISCREPANCY)
-    if sub.worst == DISCREPANCY:
-        bad = next(r for r in sub.records if r.status == DISCREPANCY)
-        rep.verdict(
-            "relations-quantum-cylinder-star",
-            False,
-            anchor="Def. 4.1",
-            lhs=bad.lhs,
-            rhs=bad.rhs,
-            witness="the displayed star table (m* = -m) is inconsistent with the "
-            "displayed relations when omega* = -omega: (v*m)* and "
-            "(m*v - omega*(v^2-1))* differ by 2*omega*(v^-2 - 1); the embedded "
-            "star is m* = -m + omega*(v - v^-1)",
-            bad=DISCREPANCY,
-        )
-    else:
-        _summarize(rep, "relations-quantum-cylinder-star", "Def. 4.1", sub)
-
-    # Def. 4.1's second displayed relation vs the rule derived from the first
-    engine_rhs = qc.tower.poly("m*vb")
-    printed_rhs = qc.tower.poly("vb*m + omega*vb - omega*vb^2")
-    rep.verdict(
-        "def41-second-relation-printed",
-        engine_rhs == printed_rhs,
-        anchor="Def. 4.1",
-        lhs=f"m*vb = {exprio.format_canonical(engine_rhs)}  "
-        "(vb*m = m*vb + omega*(1 - vb^2))",
-        rhs="vb*m = m*vb + omega*(vb - vb^2)",
-        witness="the displayed second relation contradicts the one derived from "
-        "v*vb = 1 and the first relation",
-        bad=DISCREPANCY,
-    )
-
-    amb = catalog.get_preset("qe2-nonstd").tower
-    embedded = commutator(amb.gen("v"), amb.poly("vb*nb - v*n"))
-    standalone = commutator(qc.tower.gen("v"), qc.tower.gen("m"))
-    embed = AlgebraMorphism.load(qc.tower, amb, qc.raw["embedding"]["images"])
-    rep.verdict(
-        "def41-first-relation-vs-embedded",
-        embed.apply(standalone) == embedded,
-        anchor="Def. 4.1 / Prop. 3.2",
-        lhs=f"embedded [v, vb*nb - v*n] = {exprio.format_canonical(embedded)}",
-        rhs=f"standalone [v, m] = {exprio.format_canonical(standalone)}",
-        witness="the standalone cylinder uses the displayed bracket; the embedded "
-        "generator satisfies the covariant one (omega*(v-1)^2)",
-        bad=DISCREPANCY,
-    )
+    _record(rep, degree_bound, (
+        ("relations-fun-e2", "Sec. 2",
+         lambda s: respects_relations_report(s["fun-e2"].tower, s["fun-e2"].hopf)),
+        ("relations-qe2-nonstd", "Sec. 4",
+         lambda s: respects_relations_report(s["qe2-nonstd"].tower, s["qe2-nonstd"].hopf)),
+        ("relations-quantum-plane-star", "Rem. 2.5",
+         lambda s: respects_relations_report(s["quantum-plane"].tower, None)),
+        ("relations-quantum-cylinder-star", "Def. 4.1", _cylinder_star),
+        ("def41-second-relation-printed", "Def. 4.1", _second_relation),
+        ("def41-first-relation-vs-embedded", "Def. 4.1 / Prop. 3.2", _first_relation),
+    ))
 
 
-# ---------------------------------------------------------------------------
-# coideal / hopf-ideal / closure
-# ---------------------------------------------------------------------------
-
-
-def suite_coideal(rep: CheckReport, degree_bound: int):
-    qc = catalog.get_preset("quantum-cylinder")
-    qe2 = catalog.get_preset("qe2-nonstd")
-    B = qc.embedded_subalgebra
-    sub = coideal_report(B, qe2.hopf)
-    _summarize(rep, "coideal-cylinder", "Prop. 4.2", sub)
-
-    amb = qe2.tower
-    m = amb.poly("vb*nb - v*n")
-    dm = qe2.hopf.coproduct(m)
+def _delta_m(s):
+    amb = s["qe2-nonstd"].tower
     expected = exprio.elaborate_expr(
         exprio.parse_expr("1 (x) (vb*nb - v*n) + vb*nb (x) vb - v*n (x) v"),
         (amb, amb),
     )
-    rep.verdict(
-        "coideal-delta-m-exact",
-        dm == expected,
-        anchor="Prop. 4.2",
-        lhs=dm,
-        rhs="1 (x) m + vb*nb (x) vb - v*n (x) v",
-    )
+    return _equal(s["qe2-nonstd"].hopf.coproduct(s.m), expected,
+                  "1 (x) m + vb*nb (x) vb - v*n (x) v")
 
-    # PBW basis: v^r m^s independent, standalone and embedded
-    t = qc.tower
-    basis = []
-    for r in range(-3, 4):
-        for s in range(4):
-            basis.append(normal_form(t, [("v", r), ("m", s)]))
+
+def _pbw_basis(s):
+    # v^r m^s independent, standalone and embedded
+    t, amb = s["quantum-cylinder"].tower, s["qe2-nonstd"].tower
+    basis = [normal_form(t, [("v", r), ("m", k)]) for r in range(-3, 4) for k in range(4)]
     sol = span_solve(NCPoly.zero(t), basis)
-    ok_standalone = sol.unique and all(not c for c in sol.particular)
-    m_pows = [m ** s for s in range(4)]
-    emb = []
-    for r in range(-3, 4):
-        for ms in m_pows:
-            emb.append(normal_form(amb, [("v", r)]) * ms)
-    ok_embedded = span_solve(NCPoly.zero(amb), emb).unique
-    rep.verdict(
-        "basis-v-r-m-s-independent",
-        ok_standalone and ok_embedded,
-        anchor="Prop. 4.2",
-        lhs="28 elements (|r| <= 3, s <= 3), standalone and embedded",
-        rhs="v^r m^s is a vector-space basis",
+    m_pows = [s.m ** k for k in range(4)]
+    emb = [normal_form(amb, [("v", r)]) * mk for r in range(-3, 4) for mk in m_pows]
+    return (
+        sol.unique
+        and all(not c for c in sol.particular)
+        and span_solve(NCPoly.zero(amb), emb).unique,
+        "28 elements (|r| <= 3, s <= 3), standalone and embedded",
+        "v^r m^s is a vector-space basis",
     )
 
+
+def _degm_additivity(s):
+    t = s["quantum-cylinder"].tower
     rng = random.Random(20240)
-    ok_deg = True
     for _ in range(100):
-        p = NCPoly.zero(t)
-        q = NCPoly.zero(t)
+        p = q = NCPoly.zero(t)
         while p.is_zero():
-            p = _random_cyl(t, rng, degree_bound)
+            p = _random_cyl(t, rng, s.degree_bound)
         while q.is_zero():
-            q = _random_cyl(t, rng, degree_bound)
-        if graded_degree(p * q, "m") != graded_degree(p, "m") + graded_degree(
-            q, "m"
-        ):
-            ok_deg = False
+            q = _random_cyl(t, rng, s.degree_bound)
+        ok = graded_degree(p * q, "m") == graded_degree(p, "m") + graded_degree(q, "m")
+        if not ok:
             break
-    rep.verdict(
-        "degm-additivity",
-        ok_deg,
-        anchor="Prop. 4.2",
-        lhs="deg_m(p*q) = deg_m(p) + deg_m(q) on 100 random pairs",
-        rhs="the cylinder is a domain graded by deg_m",
+    return (
+        ok,
+        "deg_m(p*q) = deg_m(p) + deg_m(q) on 100 random pairs",
+        "the cylinder is a domain graded by deg_m",
     )
 
 
@@ -727,135 +655,115 @@ def _random_cyl(t, rng, degree_bound):
     return NCPoly.from_terms(t, terms)
 
 
+def suite_coideal(rep: CheckReport, degree_bound: int):
+    _record(rep, degree_bound, (
+        ("coideal-cylinder", "Prop. 4.2", lambda s: coideal_report(
+            s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf)),
+        ("coideal-delta-m-exact", "Prop. 4.2", _delta_m),
+        ("basis-v-r-m-s-independent", "Prop. 4.2", _pbw_basis),
+        ("degm-additivity", "Prop. 4.2", _degm_additivity),
+    ))
+
+
 def suite_hopf_ideal(rep: CheckReport, degree_bound: int):
-    qi = catalog.get_preset("quotient-I")
-    qe2 = catalog.get_preset("qe2-nonstd")
-    _summarize(rep, "quotient-I-well-defined", "Prop. 4.4", quotient_check(qi.quotient))
-    gens = [qe2.tower.poly("v - 1"), qe2.tower.poly("n - nb")]
-    sub = hopf_star_ideal_report(gens, qi.quotient, qe2.hopf)
-    _summarize(rep, "hopf-star-ideal-I", "Prop. 4.4", sub)
+    _record(rep, degree_bound, (
+        ("quotient-I-well-defined", "Prop. 4.4",
+         lambda s: quotient_check(s["quotient-I"].quotient)),
+        ("hopf-star-ideal-I", "Prop. 4.4", lambda s: hopf_star_ideal_report(
+            [s.qe2("v - 1"), s.qe2("n - nb")], s["quotient-I"].quotient, s["qe2-nonstd"].hopf)),
+    ))
+
+
+def _coinvariant(s, x, side="right"):
+    """Whether x in qe2-nonstd is coinvariant, on that side, for the
+    quotient by I."""
+    return coinvariance_check(x, s["quotient-I"].quotient, s["qe2-nonstd"].hopf, side)
+
+
+def _in_closure(s, x):
+    return (
+        _coinvariant(s, x),
+        "(id (x) pi) Delta(b) = b (x) 1",
+        "b lies in the coinvariant subalgebra",
+    )
+
+
+def _left_side(s):
+    residual = coinvariance_residual(
+        s.m, s["quotient-I"].quotient, s["qe2-nonstd"].hopf, "left"
+    )
+    return (
+        residual.is_zero(),
+        "(id (x) pi) Delta(m) = m (x) 1 holds (right coinvariant)",
+        "(pi (x) id) Delta(m) = 1 (x) m as displayed",
+        "the displayed left-side computation regroups terms across the tensor "
+        f"sign; the actual left residual is {exprio.format_canonical(residual)}",
+        DISCREPANCY,
+    )
+
+
+def _bounded_coinvariants(s):
+    amb = s["qe2-nonstd"].tower
+    m_pows = [s.m ** k for k in range(3)]
+    balanced = [normal_form(amb, [("v", r)]) * mk for r in range(-2, 3) for mk in m_pows]
+    return (
+        all(_coinvariant(s, x) for x in balanced)
+        and not any(_coinvariant(s, s.qe2(x)) for x in ("v*n", "nb")),
+        "every v^r m^s (|r| <= 2, s <= 2) is right coinvariant; unbalanced "
+        "monomials are not",
+        "the cylinder matches the coinvariant subalgebra at desk scale",
+    )
+
+
+def _sigma_in_ideal(s):
+    sig = sigma_generators(
+        s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf, max_power=2
+    )
+    return (
+        all(ideal_member(val, s["quotient-I"].quotient) for _, val in sig),
+        "(S^p - eps)(b) in I for b in {v, vb, m}, p <= 2",
+        "Sigma(C) is contained in I",
+    )
+
+
+def _generators_recovered(s):
+    pi, sig1 = s["quotient-I"].quotient, s.sigma1
+    return (
+        ideal_member(s.qe2("v - 1") - sig1["(S^1 - eps)(vb)"], pi)
+        and ideal_member(s.qe2("n - nb") - sig1["(S^1 - eps)(m)"], pi),
+        "each generator of I differs from a Sigma output by a kernel element",
+        "I is contained in the Sigma-generated ideal",
+    )
 
 
 def suite_closure(rep: CheckReport, degree_bound: int):
-    qe2 = catalog.get_preset("qe2-nonstd")
-    qi = catalog.get_preset("quotient-I")
-    qc = catalog.get_preset("quantum-cylinder")
-    amb, H, pi = qe2.tower, qe2.hopf, qi.quotient
-    m = amb.poly("vb*nb - v*n")
-
-    for cid, x in (
-        ("closure-coinvariance-v", amb.gen("v")),
-        ("closure-coinvariance-vb", amb.poly("v^-1")),
-        ("closure-coinvariance-m", m),
-    ):
-        rep.verdict(
-            cid,
-            coinvariance_check(x, pi, H, "right"),
-            anchor="Prop. 4.4",
-            lhs="(id (x) pi) Delta(b) = b (x) 1",
-            rhs="b lies in the coinvariant subalgebra",
-        )
-    rep.verdict(
-        "closure-coinvariance-n-excluded",
-        not coinvariance_check(amb.gen("n"), pi, H, "right")
-        and not coinvariance_check(amb.gen("n"), pi, H, "left"),
-        anchor="Prop. 4.4",
-        lhs="n fails coinvariance on both sides",
-        rhs="n does not belong to the closure",
-    )
-    residual = coinvariance_residual(m, pi, H, "left")
-    rep.verdict(
-        "closure-coinvariance-side-printed",
-        residual.is_zero(),
-        anchor="Prop. 4.4",
-        lhs="(id (x) pi) Delta(m) = m (x) 1 holds (right coinvariant)",
-        rhs="(pi (x) id) Delta(m) = 1 (x) m as displayed",
-        witness="the displayed left-side computation regroups terms across the tensor "
-        f"sign; the actual left residual is {exprio.format_canonical(residual)}",
-        bad=DISCREPANCY,
-    )
-
-    ok_bounded = True
-    m_pows = [m ** s for s in range(3)]
-    for r in range(-2, 3):
-        for ms in m_pows:
-            x = normal_form(amb, [("v", r)]) * ms
-            if not coinvariance_check(x, pi, H, "right"):
-                ok_bounded = False
-    for bad in (amb.poly("v*n"), amb.gen("nb")):
-        if coinvariance_check(bad, pi, H, "right"):
-            ok_bounded = False
-    rep.verdict(
-        "closure-coinvariants-bounded",
-        ok_bounded,
-        anchor="Prop. 4.4",
-        lhs="every v^r m^s (|r| <= 2, s <= 2) is right coinvariant; unbalanced "
-        "monomials are not",
-        rhs="the cylinder matches the coinvariant subalgebra at desk scale",
-    )
-
-    B = qc.embedded_subalgebra
-    sig = sigma_generators(B, H, max_power=2)
-    all_in = all(ideal_member(val, pi) for _, val in sig)
-    rep.verdict(
-        "closure-sigma-outputs-in-ideal",
-        all_in,
-        anchor="Prop. 4.4",
-        lhs="(S^p - eps)(b) in I for b in {v, vb, m}, p <= 2",
-        rhs="Sigma(C) is contained in I",
-    )
-    sig1 = dict(sigma_generators(B, H, max_power=1))
-    rep.verdict(
-        "closure-sigma-vb-exact",
-        sig1["(S^1 - eps)(vb)"] == amb.poly("v - 1"),
-        anchor="Prop. 4.4",
-        lhs=sig1["(S^1 - eps)(vb)"],
-        rhs="v - 1",
-    )
-    s_m = sig1["(S^1 - eps)(m)"]
-    rep.verdict(
-        "closure-sigma-m-printed",
-        s_m == amb.poly("n - nb"),
-        anchor="Prop. 4.4",
-        lhs=s_m,
-        rhs="n - nb",
-        witness="difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
-        "closure conclusion is unaffected",
-        bad=DISCREPANCY,
-    )
-    engine_snnb = H.antipode(amb.poly("n - nb"))
-    rep.verdict(
-        "closure-s-n-minus-nb",
-        engine_snnb == m,
-        anchor="Prop. 4.4",
-        lhs=engine_snnb,
-        rhs="vb*nb - v*n  (= m)",
-    )
-    engine_sv = H.antipode(amb.poly("v - 1"))
-    rep.verdict(
-        "closure-s-v-minus-1-sign",
-        engine_sv == amb.poly("-vb*(1 - v)"),
-        anchor="Prop. 4.4",
-        lhs=engine_sv,
-        rhs="-vb*(1 - v)  (= 1 - vb)",
-        witness="overall sign differs from the display; immaterial to ideal membership",
-        bad=DISCREPANCY,
-    )
-    gens_ok = ideal_member(
-        amb.poly("v - 1") - sig1["(S^1 - eps)(vb)"], pi
-    ) and ideal_member(amb.poly("n - nb") - sig1["(S^1 - eps)(m)"], pi)
-    rep.verdict(
-        "closure-ideal-generators-recovered",
-        gens_ok,
-        anchor="Prop. 4.4",
-        lhs="each generator of I differs from a Sigma output by a kernel element",
-        rhs="I is contained in the Sigma-generated ideal",
-    )
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
+    _record(rep, degree_bound, (
+        ("closure-coinvariance-v", "Prop. 4.4", lambda s: _in_closure(s, s.qe2("v"))),
+        ("closure-coinvariance-vb", "Prop. 4.4", lambda s: _in_closure(s, s.qe2("v^-1"))),
+        ("closure-coinvariance-m", "Prop. 4.4", lambda s: _in_closure(s, s.m)),
+        ("closure-coinvariance-n-excluded", "Prop. 4.4", lambda s: (
+            not _coinvariant(s, s.qe2("n")) and not _coinvariant(s, s.qe2("n"), "left"),
+            "n fails coinvariance on both sides",
+            "n does not belong to the closure")),
+        ("closure-coinvariance-side-printed", "Prop. 4.4", _left_side),
+        ("closure-coinvariants-bounded", "Prop. 4.4", _bounded_coinvariants),
+        ("closure-sigma-outputs-in-ideal", "Prop. 4.4", _sigma_in_ideal),
+        ("closure-sigma-vb-exact", "Prop. 4.4", lambda s: _equal(
+            s.sigma1["(S^1 - eps)(vb)"], s.qe2("v - 1"), "v - 1")),
+        ("closure-sigma-m-printed", "Prop. 4.4", lambda s: _equal(
+            s.sigma1["(S^1 - eps)(m)"], s.qe2("n - nb"), "n - nb",
+            "difference omega*(v^-1 - v) lies in I (ideal_member true), so the "
+            "closure conclusion is unaffected",
+            DISCREPANCY)),
+        ("closure-s-n-minus-nb", "Prop. 4.4", lambda s: _equal(
+            s["qe2-nonstd"].hopf.antipode(s.qe2("n - nb")), s.m, "vb*nb - v*n  (= m)")),
+        ("closure-s-v-minus-1-sign", "Prop. 4.4", lambda s: _equal(
+            s["qe2-nonstd"].hopf.antipode(s.qe2("v - 1")), s.qe2("-vb*(1 - v)"),
+            "-vb*(1 - v)  (= 1 - vb)",
+            "overall sign differs from the display; immaterial to ideal membership",
+            DISCREPANCY)),
+        ("closure-ideal-generators-recovered", "Prop. 4.4", _generators_recovered),
+    ))
 
 
 SUITES = {
@@ -872,20 +780,7 @@ SUITES = {
     "hopf-ideal": (suite_hopf_ideal,),
     "closure": (suite_closure,),
 }
-SUITES["all"] = tuple(fn for name in (
-    "jacobi",
-    "multiplicativity",
-    "covariance",
-    "families",
-    "foliation",
-    "bialgebra",
-    "diamond",
-    "hopf-axioms",
-    "relations",
-    "coideal",
-    "hopf-ideal",
-    "closure",
-) for fn in SUITES[name])
+SUITES["all"] = tuple(fn for fns in SUITES.values() for fn in fns)
 
 
 def run_suite(suite: str, degree_bound: int = 4) -> CheckReport:
@@ -900,10 +795,6 @@ def run_suite(suite: str, degree_bound: int = 4) -> CheckReport:
     for fn in SUITES[suite]:
         try:
             fn(rep, degree_bound)
-        except Exception as e:  # register, never abort
-            rep.add(
-                f"internal-error[{fn.__name__}]",
-                status=FAIL,
-                witness=f"{type(e).__name__}: {e}",
-            )
+        except Exception as e:  # a suite function that raises outside its checks
+            _internal_error(rep, fn.__name__, e)
     return rep

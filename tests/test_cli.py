@@ -1,15 +1,19 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qe2
-from qe2 import __version__
+from qe2 import __version__, catalog
 from qe2.cli import main
 from qe2.hopf import HopfStructure
 from qe2.ncalg import TowerError
@@ -274,6 +278,78 @@ def test_engine_error_is_internal_error(capsys, monkeypatch):
     assert out == ""
     assert "internal error" in err and "coproduct failed" in err
     assert "usage error" not in err
+
+
+def test_a_scalar_error_while_computing_is_an_internal_error(capsys):
+    # the literal is in bounds; the bracket's product passes the exponent bound
+    code, out, err = run(capsys, "bracket", "nonstd-poisson", "omega^2147483647*v", "n")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ScalarError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("normal-form", "coaction-plane", "v"),
+    ("delta", "e2-lie", "X"),
+    ("bracket", "std-bialg", "X", "Y"),
+])
+def test_a_preset_without_an_algebra_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (3, "", "usage error: this preset carries no algebra\n")
+
+
+def _symbols(pid):
+    """The generators, barred inverses and parameters of a preset's
+    algebra; for a preset without one, those of every shipped algebra."""
+    ids = [pid] if getattr(catalog.get_preset(pid), "tower", None) else catalog.PRESET_IDS
+    names = set()
+    for t in filter(None, (getattr(catalog.get_preset(p), "tower", None) for p in ids)):
+        names.update(g.name for g in t.generators)
+        names.update(f"{g.name}b" for g in t.generators if g.invertible)
+        names.update(t.context.names)
+    return sorted(names)
+
+
+def _expression(draw, symbols, depth=3):
+    """A grammar string: an optional leading minus and one or two terms; a
+    term is one or two factors; a factor is a symbol, i, an integer in
+    [0, 9] or, ``depth`` levels deep at most, a parenthesized expression,
+    with an optional exponent in [-6, 6]."""
+
+    def factor():
+        if depth and draw(st.booleans()):
+            base = f"({_expression(draw, symbols, depth - 1)})"
+        else:
+            base = draw(st.sampled_from([*symbols, "i"]) | st.integers(0, 9).map(str))
+        e = draw(st.none() | st.integers(-6, 6))
+        return base if e is None else f"{base}^{e}"
+
+    def term():
+        return "*".join(factor() for _ in range(draw(st.integers(1, 2))))
+
+    text = draw(st.sampled_from(["", "-"])) + term()
+    if draw(st.booleans()):
+        text += draw(st.sampled_from([" + ", " - "])) + term()
+    return text
+
+
+@st.composite
+def _invocations(draw):
+    cmd, arity = draw(st.sampled_from([("normal-form", 1), ("delta", 1), ("bracket", 2)]))
+    pid = draw(st.sampled_from(catalog.PRESET_IDS))
+    symbols = _symbols(pid)
+    return [cmd, pid, *(_expression(draw, symbols) for _ in range(arity))]
+
+
+# derandomized: every run draws the same examples, so a pass repeats
+@given(_invocations())
+@settings(max_examples=60, deadline=timedelta(seconds=2), derandomize=True)
+def test_generated_expressions_keep_the_exit_code_contract(argv):
+    # exit 0 or a usage error (3), never an uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def _level_data_past_unset_rules():

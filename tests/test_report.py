@@ -159,3 +159,115 @@ def test_summarized_sub_records_are_never_formatted(monkeypatch):
     assert len(subs) == 144
     assert sum(not isinstance(r.lhs, str) for r in subs) > 100
     assert all(r._lhs_text is None and r._rhs_text is None for r in subs)
+
+
+# -- checks as entries: each check is recorded on its own ----------------------
+
+
+def _engine_down(*args, **kwargs):
+    raise RuntimeError("engine down")
+
+
+@pytest.mark.parametrize(
+    "name, suite, failing",
+    [
+        (
+            "sigma_generators",
+            "closure",
+            [
+                "closure-sigma-outputs-in-ideal",
+                "closure-sigma-vb-exact",
+                "closure-sigma-m-printed",
+                "closure-ideal-generators-recovered",
+            ],
+        ),
+        (
+            "poisson_matrix_rank",
+            "foliation",
+            [
+                "rank-std-circle-points",
+                "rank-std-generic",
+                "rank-nonstd-line",
+                "rank-nonstd-circle-point",
+                "rank-cylinder-degenerate",
+                "rank-cylinder-regular",
+                "rank-plane-hyperbolic",
+            ],
+        ),
+        (
+            "coinvariance_check",
+            "closure",
+            [
+                "closure-coinvariance-v",
+                "closure-coinvariance-vb",
+                "closure-coinvariance-m",
+                "closure-coinvariance-n-excluded",
+                "closure-coinvariants-bounded",
+            ],
+        ),
+    ],
+)
+def test_a_raising_engine_call_fails_only_the_checks_that_make_it(
+    monkeypatch, name, suite, failing
+):
+    from qe2 import suites
+
+    plain = [r.as_dict() for r in suites.run_suite(suite).records]
+    monkeypatch.setattr(suites, name, _engine_down)
+    broken = [r.as_dict() for r in suites.run_suite(suite).records]
+    assert len(broken) == len(plain)
+    errors = [after["id"] for after in broken if after["id"].startswith("internal-error[")]
+    assert errors == [f"internal-error[{c}]" for c in failing]
+    for before, after in zip(plain, broken):
+        if before["id"] in failing:
+            assert after == {
+                "id": f"internal-error[{before['id']}]", "paper_anchor": "",
+                "status": FAIL, "lhs_canonical": "", "rhs_canonical": "",
+                "witness": "RuntimeError: engine down",
+            }
+        else:
+            assert after == before
+
+
+# the record count of each suite; the 12 suites together make the 70 records
+SUITE_RECORDS = {
+    "jacobi": 4,
+    "multiplicativity": 2,
+    "covariance": 8,
+    "families": 3,
+    "foliation": 14,
+    "bialgebra": 9,
+    "diamond": 4,
+    "hopf-axioms": 2,
+    "relations": 6,
+    "coideal": 4,
+    "hopf-ideal": 2,
+    "closure": 12,
+}
+
+
+@pytest.fixture(scope="module")
+def all_records():
+    from qe2 import suites
+
+    return {r.check_id: r.as_dict() for r in suites.run_suite("all").records}
+
+
+def test_the_suites_partition_the_report(all_records):
+    from qe2 import suites
+
+    assert list(suites.SUITES) == [*SUITE_RECORDS, "all"]
+    assert sum(SUITE_RECORDS.values()) == len(all_records) == 70
+    # the run order of the records
+    assert hashlib.sha256(" ".join(all_records).encode()).hexdigest() == (
+        "e042001aae649a9aa7e29656c447c35372be7e24be20891b593d6b222a588cc4"
+    )
+
+
+@pytest.mark.parametrize("suite, count", SUITE_RECORDS.items())
+def test_a_suite_alone_records_what_the_full_run_records(all_records, suite, count):
+    from qe2 import suites
+
+    records = [r.as_dict() for r in suites.run_suite(suite).records]
+    assert len(records) == count
+    assert records == [all_records[r["id"]] for r in records]
