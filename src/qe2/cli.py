@@ -14,8 +14,8 @@ Subcommands:
 Exit codes: 0 all pass, 1 any fail or an internal error, 2 discrepancies
 but no fails, 3 usage error.  Errors while reading the command line, a
 ``--file`` presentation, an expression or an ``--at`` value are usage
-errors; the same exception classes raised later, while computing, are
-internal errors.
+errors, and so is a result with a coefficient too long to print; the same
+exception classes raised later, while computing, are internal errors.
 """
 
 from __future__ import annotations
@@ -29,16 +29,16 @@ from .hopf import load_hopf
 from .ncalg import NCPoly, load_tower
 from .poisson import PoissonStructure, covariant_family_solve, poisson_matrix_rank
 from .report import CheckReport
-from .scalars import GaussRational, ScalarContext, ScalarError
+from .scalars import QI, DigitLimit, Scalar, ScalarError
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_gauss(text: str) -> GaussRational:
+def _parse_constant(text: str) -> Scalar:
     try:
-        return exprio.parse_scalar(ScalarContext([]), text).evaluate({})
+        return exprio.parse_scalar(QI, text)
     except (ValueError, KeyError) as e:
         raise UsageError(f"bad value {text!r}: {e}")
 
@@ -53,7 +53,7 @@ def _parse_assignments(specs) -> dict:
             if "=" not in piece:
                 raise UsageError(f"expected name=value, got {piece!r}")
             name, val = piece.split("=", 1)
-            out[name.strip()] = _parse_gauss(val.strip())
+            out[name.strip()] = _parse_constant(val.strip())
     return out
 
 
@@ -204,14 +204,27 @@ def main(argv=None) -> int:
     sub.add_parser("presets", help="list shipped presets")
 
     try:
-        return _dispatch(ap.parse_args(argv))
-    except UsageError as e:
+        return _dispatch(_parse_args(ap, argv))
+    except (UsageError, DigitLimit) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, ScalarError) as e:
         # every input stage raises UsageError, so this is the engine's fault
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+
+
+def _parse_args(ap, argv):
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        return ap.parse_args(argv)
+    except UsageError as e:
+        # argparse reads an expression such as "-v*n" as an unknown option
+        if "--" in argv or not any(a[:1] == "-" and a[1:2] != "-" for a in argv):
+            raise
+        hint = ('an expression that starts with "-" goes after "--": '
+                'qe2 normal-form PRESET -- "-v*n"')
+        raise UsageError(f"{e} ({hint})") from None
 
 
 def _dispatch(args) -> int:

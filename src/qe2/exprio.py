@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Union
 
 from .record import FrozenRecord, setfield
-from .scalars import _EBOUND, GaussRational, _cnorm, _gauss
+from .scalars import _EBOUND, QI, Scalar
 
 
 class GrammarError(ValueError):
@@ -58,7 +58,7 @@ class Sym(FrozenRecord):
 class Lit(FrozenRecord):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: GaussRational):
+    def __init__(self, value: Scalar):
         setfield(self, "value", value)
 
 
@@ -239,15 +239,15 @@ class _Parser:
         kind, value, pos = t
         if kind == "IDENT":
             if value == "i":
-                return Lit(GaussRational(0, 1))
+                return Lit(QI.i)
             return Sym(value)
         if kind == "RAT":
             if "/" in value:
                 p, q = value.split("/")
                 if not int(q):
                     raise GrammarError(f"zero denominator in {value!r}", pos)
-                return Lit(_gauss(_cnorm(int(p), 0, int(q))))
-            return Lit(GaussRational(int(value)))
+                return Lit(QI.from_int(int(p)) / int(q))
+            return Lit(QI.from_int(int(value)))
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise GrammarError(

@@ -39,7 +39,7 @@ from .ncalg import (
     span_solve,
 )
 from .report import PASS, CheckReport
-from .scalars import GaussRational, ScalarContext
+from .scalars import QI, Scalar
 
 
 class PoissonError(ValueError):
@@ -297,31 +297,30 @@ def covariant_family_solve(
 
 def evaluate_poly(
     x: NCPoly, gen_values: dict, param_values: dict
-) -> GaussRational:
-    """Evaluate a commutative element at exact generator/parameter values."""
-    tower = x.tower
+) -> Scalar:
+    """Evaluate a commutative element at exact generator/parameter values
+    (ints or Scalars with no parameter in them), as a constant of QI."""
     vals = []
-    for j, g in enumerate(tower.generators):
+    for g in x.tower.generators:
         if g.name not in gen_values:
             raise PoissonError(f"no value assigned to generator {g.name}")
-        v = gen_values[g.name]
-        v = v if isinstance(v, GaussRational) else GaussRational(v)
+        v = QI.from_gauss(gen_values[g.name])
         if g.invertible and not v:
             raise PoissonError(f"zero assigned to invertible generator {g.name}")
         vals.append(v)
-    total = GaussRational(0)
+    total = QI.zero
     for mono, c in x.terms.items():
         term = c.evaluate(param_values)
-        for j, e in enumerate(mono):
+        for v, e in zip(vals, mono):
             if e:
-                term = term * vals[j] ** e
+                term = term * v ** e
         total = total + term
     return total
 
 
 def poisson_matrix_at(P: PoissonStructure, gen_values, param_values):
     n = P.tower.nlevels
-    mat = [[GaussRational(0)] * n for _ in range(n)]
+    mat = [[QI.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             mat[i][j] = evaluate_poly(P.bracket_gens(i, j), gen_values, param_values)
@@ -333,12 +332,8 @@ def poisson_matrix_rank(P: PoissonStructure, gen_values, param_values) -> int:
     """Exact rank of the evaluated bracket matrix (= the symplectic leaf
     dimension at the point): n minus the dimension of its kernel."""
     mat = poisson_matrix_at(P, gen_values, param_values)
-    ctx = ScalarContext()
-    cols = [
-        {i: ctx.from_gauss(row[j]) for i, row in enumerate(mat) if row[j]}
-        for j in range(len(mat))
-    ]
-    return len(mat) - solve_terms({}, cols, ctx).dimension
+    cols = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))]
+    return len(mat) - solve_terms({}, cols, QI).dimension
 
 
 def field_relation(P: PoissonStructure, coeffs: dict):

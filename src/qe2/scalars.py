@@ -25,10 +25,14 @@ The kernel works on the triples themselves: the ``_c*`` helpers do Q(i)
 arithmetic on one triple and the ``_p*`` helpers on polynomials, and each
 result coefficient takes at most one gcd, only when its denominator is not 1
 (the canonical-fraction discipline of Knuth, TAOCP vol. 2, 4.5.1, on bare
-integers).  :class:`GaussRational` wraps one triple and is only the value
-type at the API boundary: parser literals, ``from_gauss``, the values and
-points of ``evaluate``, ``--at`` points and the Poisson point matrices.  Its
-operators call the same triple helpers, so Q(i) arithmetic is written once.
+integers).
+
+An exact constant of Q(i) is a Scalar of :data:`QI`, the one context
+without parameters, built straight from its triple: parser literals, the
+values and points of ``evaluate``, ``--at`` points and the Poisson point
+matrices are all such Scalars, so Q(i) has one type.  ``from_gauss``
+embeds a constant in any context, and :func:`GaussRational` builds one
+from its real and imaginary parts.
 
 Canonical form of a fraction num/den:
 
@@ -72,16 +76,19 @@ antihomomorphism on the quantum commutation relations.
 
 from __future__ import annotations
 
+import sys
 from math import gcd as _igcd, lcm as _ilcm
+from operator import index
 from typing import Iterable, Mapping
 
 from .record import FrozenRecord, setfield
 
 
 def __getattr__(name):
-    # ``_Q``, the rational type of GaussRational.re and .im, read by
-    # benchmark tooling; ``fractions`` (with ``decimal`` and ``numbers``) is
-    # imported only where a Fraction is made, not on the import path
+    # ``_Q``, the rational type that the scalars once stored, stays because
+    # benchmark tooling stamps its runs with it as the scalar backend; no
+    # coefficient is a Fraction now, so ``fractions`` (with ``decimal`` and
+    # ``numbers``) is imported only when ``_Q`` is read
     if name == "_Q":
         from fractions import Fraction
 
@@ -103,6 +110,11 @@ class UnboundParameter(ScalarError):
 
 class PoleAtPoint(ScalarError):
     """The denominator vanishes at the evaluation point."""
+
+
+class DigitLimit(ValueError):
+    """A coefficient has more decimal digits than Python converts an int to
+    text (``sys.get_int_max_str_digits()``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,13 @@ def _cpow(x, n):
 def _qtext(n, d):
     """``str(Fraction(n, d))`` for ints with d > 0."""
     g = _igcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # only str(int) raises here, past the digit limit
+        raise DigitLimit(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, the most that Python prints (sys.get_int_max_str_digits())"
+        ) from None
 
 
 def _ctext(c):
@@ -194,139 +212,6 @@ def _ctext(c):
     if a == 0:
         return imt
     return f"{_qtext(a, d)}{'' if b < 0 else '+'}{imt}"
-
-
-class GaussRational:
-    """An element of Q(i): one canonical triple ``(a, b, d)`` with value
-    ``(a + b*i)/d``.  The form is unique, so equality is equality of the
-    triples."""
-
-    __slots__ = ("triple",)
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            t = (re, im, 1)
-        else:
-            from fractions import Fraction
-
-            # two reduced fractions over their lcm already have gcd(a, b, d) 1
-            re, im = Fraction(re), Fraction(im)
-            rd, md = re.denominator, im.denominator
-            d = rd * md // _igcd(rd, md)
-            t = (re.numerator * (d // rd), im.numerator * (d // md), d)
-        _set_triple(self, t)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("GaussRational is immutable")
-
-    a = property(lambda self: self.triple[0])
-    b = property(lambda self: self.triple[1])
-    d = property(lambda self: self.triple[2])
-
-    @property
-    def re(self):
-        from fractions import Fraction
-
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def im(self):
-        from fractions import Fraction
-
-        return Fraction(self.triple[1], self.triple[2])
-
-    def __bool__(self):
-        a, b, _ = self.triple
-        return a != 0 or b != 0
-
-    def is_one(self):
-        return self.triple == _ONE
-
-    def __add__(self, other):
-        return _gauss(_cadd(self.triple, _as_gauss(other).triple))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _gauss(_csub(self.triple, _as_gauss(other).triple))
-
-    def __rsub__(self, other):
-        return _gauss(_csub(_as_gauss(other).triple, self.triple))
-
-    def __neg__(self):
-        a, b, d = self.triple
-        return _gauss((-a, -b, d))
-
-    def __mul__(self, other):
-        return _gauss(_cmul(self.triple, _as_gauss(other).triple))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _gauss(_cdiv(self.triple, _as_gauss(other).triple))
-
-    def __rtruediv__(self, other):
-        return _gauss(_cdiv(_as_gauss(other).triple, self.triple))
-
-    def inverse(self):
-        return _gauss(_cinv(self.triple))
-
-    def conjugate(self):
-        a, b, d = self.triple
-        return _gauss((a, -b, d))
-
-    def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        return _gauss(_cpow(base.triple, abs(n)))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.triple == (other, 0, 1)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.triple == other.triple
-
-    def __hash__(self):
-        # equal to hash((re, im)), as for the Fraction pairs it replaced
-        a, b, d = self.triple
-        if d == 1:
-            return hash((a, b))
-        from fractions import Fraction
-
-        return hash((Fraction(a, d), Fraction(b, d)))
-
-    def __repr__(self):
-        return f"GaussRational({self.re!s}, {self.im!s})"
-
-    def __str__(self):
-        return self.text()
-
-    def text(self):
-        """Readable form: ``2``, ``i``, ``-3/2*i``, ``1+2*i``."""
-        return _ctext(self.triple)
-
-
-_set_triple = GaussRational.triple.__set__
-_new = object.__new__
-
-
-def _gauss(t) -> GaussRational:
-    """The GaussRational of a canonical triple."""
-    g = _new(GaussRational)
-    _set_triple(g, t)
-    return g
-
-
-def _as_gauss(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, int):
-        return GaussRational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
-
-
-GAUSS_ONE = _gauss(_ONE)
-GAUSS_I = _gauss(_I)
 
 
 # ---------------------------------------------------------------------------
@@ -823,17 +708,22 @@ class ScalarContext:
         self._den_one = {0: _ONE}
         self.zero = _scalar(self, {}, self._den_one)
         self.one = _scalar(self, self._den_one, self._den_one)
-        self.i = self.from_gauss(GAUSS_I)
+        self.i = self._const(_I)
 
-    def from_gauss(self, g: GaussRational) -> "Scalar":
-        if not g:
+    def _const(self, t) -> "Scalar":
+        """The constant of a canonical triple."""
+        if not (t[0] or t[1]):
             return self.zero
-        if g.is_one():
+        if t == _ONE:
             return self.one
-        return _scalar(self, {0: g.triple}, self._den_one)
+        return _scalar(self, {0: t}, self._den_one)
+
+    def from_gauss(self, c) -> "Scalar":
+        """The constant c, an int or a Scalar with no parameter in it."""
+        return self._const(_triple(c))
 
     def from_int(self, n: int) -> "Scalar":
-        return self.from_gauss(GaussRational(n))
+        return self._const((n, 0, 1))
 
     def param(self, name: str) -> "Scalar":
         j = self._index.get(name)
@@ -879,13 +769,13 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ScalarError("mixing scalars from different contexts")
-            return other
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other
+            if not other.ctx.nvars:  # a constant, which every context holds
+                return self.ctx.from_gauss(other)
+            raise ScalarError("mixing scalars from different contexts")
         if isinstance(other, int):
             return self.ctx.from_int(other)
-        if isinstance(other, GaussRational):
-            return self.ctx.from_gauss(other)
         return None
 
     def __add__(self, other):
@@ -1046,35 +936,31 @@ class Scalar:
             out[e] = (-a, b, d) if (e & neg).bit_count() & 1 else (a, -b, d)
         return out
 
-    def evaluate(self, assignment: Mapping[str, GaussRational]) -> GaussRational:
-        """Evaluate at a point {parameter name: GaussRational}.
+    def evaluate(self, assignment: Mapping) -> "Scalar":
+        """The constant of :data:`QI` that this takes at a point {parameter
+        name: constant}, each constant an int or a Scalar with no parameter
+        in it.
 
-        Raises UnboundParameter for a parameter occurring in the scalar
-        without a value, PoleAtPoint when the denominator vanishes.
+        Raises UnboundParameter for the first declared parameter occurring
+        in the scalar without a value, PoleAtPoint when the denominator
+        vanishes.
         """
         ctx = self.ctx
+        used = _pvars(self.num) | _pvars(self.den)
         vals = {}  # {field bit offset: value triple}
-        free = 0  # the fields of the parameters without a value
         for name, s in zip(ctx.names, ctx._shifts):
             if name in assignment:
-                v = assignment[name]
-                vals[s] = (v if isinstance(v, GaussRational) else GaussRational(v)).triple
-            else:
-                free |= _EMASK << s
-        for p in (self.num, self.den):
-            for e in p:
-                if e & free:
-                    for name, s, x in zip(ctx.names, ctx._shifts, _unpack(e, ctx.nvars)):
-                        if x and s not in vals:
-                            raise UnboundParameter(f"parameter {name!r} has no value")
+                vals[s] = _triple(assignment[name])
+            elif s in used:
+                raise UnboundParameter(f"parameter {name!r} has no value")
         den = _peval(self.den, vals)
         if not (den[0] or den[1]):
             raise PoleAtPoint("denominator vanishes at the point")
-        return _gauss(_cdiv(_peval(self.num, vals), den))
+        return QI._const(_cdiv(_peval(self.num, vals), den))
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussRational)):
-            other = self._coerce(other)
+        if isinstance(other, int):
+            other = self.ctx.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -1119,6 +1005,9 @@ class Scalar:
         return f"({num})/({dent})"
 
 
+_new = object.__new__
+
+
 def _scalar(ctx, num, den) -> Scalar:
     """The Scalar num/den of a context, for num and den already canonical."""
     s = _new(Scalar)
@@ -1132,6 +1021,25 @@ def _scalar(ctx, num, den) -> Scalar:
 def _is_constant(p):
     # (a canonical denominator that is constant is the unit one)
     return len(p) == 1 and 0 in p
+
+
+QI = ScalarContext()
+
+
+def GaussRational(re: int = 0, im: int = 0) -> Scalar:
+    """The constant re + im*i, a Scalar of :data:`QI`.  (The name is that of
+    the class that held constants before they became Scalars.)"""
+    return QI._const((index(re), index(im), 1))
+
+
+def _triple(c):
+    """The triple of a constant: an int, or a Scalar with no parameter in
+    it."""
+    if isinstance(c, int):
+        return (c, 0, 1)
+    if isinstance(c, Scalar) and _is_constant(c.den) and not any(c.num):
+        return c.num.get(0, _ZERO)
+    raise ScalarError(f"{c!r} is not a constant of Q(i)")
 
 
 def _mul_reduced(ctx, a, b, c, d):

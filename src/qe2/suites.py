@@ -62,7 +62,7 @@ from .poisson import (
     poisson_morphism_report,
 )
 from .report import DISCREPANCY, FAIL, PASS, CheckReport
-from .scalars import ScalarContext
+from .scalars import QI
 
 LIE_NAMES = ("J", "X", "Y")
 
@@ -328,9 +328,8 @@ def suite_families(rep: CheckReport, degree_bound: int):
 
 def _at(text):
     """The point ``"v=i, n=0"``: each name mapped to its value in Q(i)."""
-    ctx = ScalarContext([])
     pairs = (pair.split("=") for pair in text.split(",") if pair)
-    return {name.strip(): exprio.parse_scalar(ctx, value).evaluate({}) for name, value in pairs}
+    return {name.strip(): exprio.parse_scalar(QI, value) for name, value in pairs}
 
 
 def _ranks(b, params, points, expected, lhs, rhs):

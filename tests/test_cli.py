@@ -190,6 +190,51 @@ def test_a_huge_power_of_a_monomial_answers_at_once(capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_a_coefficient_past_the_digit_limit_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "normal-form", "qe2-nonstd", "3^1000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+    assert "Traceback" not in err
+    assert run(capsys, "normal-form", "qe2-nonstd", "3^1000") == (0, f"{3**1000}\n", "")
+
+
+def test_a_leading_minus_goes_after_the_double_dash(capsys):
+    code, out, err = run(capsys, "normal-form", "qe2-nonstd", "-v*n")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        'usage error: unrecognized arguments: -v*n (an expression that starts with "-" '
+        'goes after "--": qe2 normal-form PRESET -- "-v*n")'
+    )
+    assert run(capsys, "normal-form", "qe2-nonstd", "--", "-v*n") == (0, "-v*n\n", "")
+
+
+def _readme_examples():
+    """The commented examples of README's CLI section, as (argv, the
+    comment: what the example prints)."""
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    examples = []
+    for line in section.splitlines():
+        cmd, sep, shown = line.partition(" # ")
+        if line.startswith("qe2 ") and sep:
+            argv = shlex.split(cmd)[1:]
+            examples.append(pytest.param(argv, shown.strip(), id=f"{len(examples)}-{argv[0]}"))
+    return examples
+
+
+@pytest.mark.parametrize("argv, shown", _readme_examples())
+def test_readme_cli_examples_print_what_their_comments_say(capsys, argv, shown):
+    assert run(capsys, *argv) == (0, shown + "\n", "")
+
+
+def test_the_readme_shows_the_outputs_of_the_expression_commands():
+    commands = {argv[0] for argv, _ in (p.values for p in _readme_examples())}
+    assert {"normal-form", "bracket", "delta", "antipode", "rank"} <= commands
+
+
 def test_bad_expression(capsys):
     code, _, err = run(capsys, "normal-form", "qe2-nonstd", "v*(n")
     assert code == 3

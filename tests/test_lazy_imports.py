@@ -97,7 +97,8 @@ def test_a_one_shot_command_leaves_the_suites_and_analysis_layers_unloaded():
 
 def test_fractions_stays_off_the_import_path():
     # a rational literal, a non-integral point and a whole check run make
-    # no Fraction; scalars._Q still names the type of GaussRational.re
+    # no Fraction; scalars._Q still names Fraction, the backend that the
+    # benchmark worker stamps its runs with
     code = (
         "import contextlib, io, json, sys\n"
         "import qe2, qe2.catalog, qe2.cli\n"
@@ -112,7 +113,7 @@ def test_fractions_stays_off_the_import_path():
         "    ]\n"
         "loaded = [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
         "half = qe2.GaussRational(1) / 2\n"
-        "print(json.dumps([codes, loaded, str(half.re), repr(qe2.scalars._Q)]))\n"
+        "print(json.dumps([codes, loaded, str(half), repr(qe2.scalars._Q)]))\n"
     )
     codes, loaded, re, q = _run(code)
     assert codes == [0, 0, 2]

@@ -25,7 +25,7 @@ from qe2.ncalg import (
     span_solve,
 )
 
-from qe2.scalars import GaussRational, Parameter, ScalarContext
+from qe2.scalars import GaussRational, Parameter, ScalarContext, _triple
 
 from conftest import preset_dict
 import stack_rewriter
@@ -361,7 +361,8 @@ def test_solve_terms_matches_sympy(data):
     assert solve_terms(*system(shuffled), ctx) == sol
 
     def to_sympy(g):
-        return sympy.Rational(g.a, g.d) + sympy.I * sympy.Rational(g.b, g.d)
+        a, b, d = _triple(g)
+        return sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)
 
     A = sympy.Matrix(nrows, ncols, [to_sympy(g) for row in dense for g in row])
     Ab = A.row_join(sympy.Matrix(nrows, 1, [to_sympy(b) for b in rhs]))

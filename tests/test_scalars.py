@@ -1,15 +1,15 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qe2.scalars import (
+    QI,
     GaussRational,
-    GAUSS_I,
-    GAUSS_ONE,
     Parameter,
     PoleAtPoint,
     ScalarContext,
+    ScalarError,
     DegenerateScalar,
     UnboundParameter,
 )
@@ -25,8 +25,8 @@ Q = CTX.param("q")
 
 def test_gauss_norm():
     assert GaussRational(1, 1) * GaussRational(1, -1) == GaussRational(2)
-    assert GAUSS_I * GAUSS_I == GaussRational(-1)
-    assert GaussRational(3, 4) / GaussRational(3, 4) == GAUSS_ONE
+    assert QI.i * QI.i == GaussRational(-1)
+    assert GaussRational(3, 4) / GaussRational(3, 4) == QI.one
 
 
 def test_div_identity():
@@ -57,7 +57,7 @@ def test_conjugation():
 
 def test_eval():
     s = W * (CTX.one)
-    assert s.evaluate({"omega": GAUSS_I}) == GAUSS_I
+    assert s.evaluate({"omega": QI.i}) == QI.i
     t = CTX.one + K / W
     assert t.evaluate({"omega": GaussRational(1), "k": GaussRational(-2)}) == GaussRational(-1)
     with pytest.raises(PoleAtPoint):
@@ -157,18 +157,65 @@ def test_pow():
 from fractions import Fraction  # noqa: E402
 from operator import add, mul, truediv  # noqa: E402
 
-from qe2.scalars import Scalar, _pack, _pmul, _unpack  # noqa: E402
+from qe2.scalars import Scalar, _ctext, _pack, _pmul, _triple, _unpack  # noqa: E402
+
+
+class FQ:
+    """Reference Q(i): a pair of Fractions with the textbook operations,
+    sharing no code with the kernel's triple helpers."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FQ(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FQ(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return FQ(-self.re, -self.im)
+
+    def __mul__(self, o):
+        return FQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return FQ((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, o):
+        return (self.re, self.im) == (o.re, o.im)
+
+    def __repr__(self):
+        return f"FQ({self.re}, {self.im})"
+
+    @property
+    def triple(self):
+        """(a, b, d) with value (a + b*i)/d over the lcm d of the two
+        reduced denominators, which makes gcd(a, b, d) 1."""
+        d = lcm(self.re.denominator, self.im.denominator)
+        return int(self.re * d), int(self.im * d), d
+
+
+def _const(c, ctx=QI):
+    """The constant Scalar of ctx with the value of the FQ c."""
+    return ctx._const(c.triple)
 
 
 def _triples(p):
-    """An {exponent tuple: GaussRational} polynomial in the kernel's form:
-    packed exponent keys and canonical int triples (a, b, d), zero
-    coefficients dropped."""
+    """An {exponent tuple: FQ} polynomial in the kernel's form: packed
+    exponent keys and canonical int triples (a, b, d), zero coefficients
+    dropped."""
     return {_pack(e): c.triple for e, c in p.items() if c}
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-gauss_q = st.builds(GaussRational, fracs, fracs)
+gauss_q = st.builds(FQ, fracs, fracs)
 
 
 def _ref_text(re, im):
@@ -182,16 +229,18 @@ def _ref_text(re, im):
 
 
 def _check_against(g, re, im):
-    assert (g.re, g.im) == (re, im)
-    assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
-    assert hash(g) == hash((Fraction(re), Fraction(im)))
-    assert g.text() == _ref_text(re, im)
+    """g is a constant of QI with the value re + im*i, in canonical form."""
+    a, b, d = _triple(g)
+    assert g.ctx is QI and (Fraction(a, d), Fraction(b, d)) == (re, im)
+    assert d > 0 and gcd(a, b, d) == 1
+    assert _ctext((a, b, d)) == _ref_text(re, im)
 
 
 @given(gauss_q, gauss_q)
 @settings(max_examples=200, deadline=None)
 def test_gauss_matches_fraction_pairs(x, y):
     (xr, xi), (yr, yi) = (x.re, x.im), (y.re, y.im)
+    x, y = _const(x), _const(y)
     _check_against(x, xr, xi)
     _check_against(x + y, xr + yr, xi + yi)
     _check_against(x - y, xr - yr, xi - yi)
@@ -210,19 +259,21 @@ def test_gauss_matches_fraction_pairs(x, y):
 
 
 def test_gauss_constructor_inputs():
-    assert GaussRational(Fraction(6, 4), Fraction(-1, 6)) == GaussRational(
-        Fraction(3, 2), Fraction(-1, 6)
-    )
-    g = GaussRational(Fraction(3, 2), Fraction(-1, 6))
-    assert (g.a, g.b, g.d) == (9, -1, 6)
-    assert GaussRational(True) == GAUSS_ONE
-    assert repr(g) == "GaussRational(3/2, -1/6)"
-    with pytest.raises(AttributeError):
-        g.a = 1
+    # GaussRational builds the constant Scalar of QI from two ints
+    g = GaussRational(3, -1)
+    assert g.ctx is QI and (g.num, g.den) == ({0: (3, -1, 1)}, {0: (1, 0, 1)})
+    assert GaussRational(True) is QI.one and GaussRational() is QI.zero
+    assert GaussRational(0, 1) == QI.i and g.text() == "(3-i)"
+    assert CTX.from_gauss(g) == g and CTX.from_gauss(g).ctx is CTX
+    assert (W * g).evaluate({"omega": 2}) == GaussRational(6, -2)
+    with pytest.raises(TypeError):
+        GaussRational(Fraction(3, 2))
+    with pytest.raises(ScalarError):
+        CTX.from_gauss(W)
 
 
 def _monomial(c, num_exp, den_exp):
-    m = CTX.from_gauss(c)
+    m = _const(c, CTX)
     for p, x in zip((W, K, Q), num_exp):
         m = m * p**x
     for p, x in zip((W, K, Q), den_exp):
@@ -338,7 +389,7 @@ def _poly(ctx, terms):
     p = {}
     for exp, re, im in terms:
         e = exp[: ctx.nvars]
-        c = p.get(e, GaussRational(0)) + GaussRational(re, im)
+        c = p.get(e, FQ()) + FQ(re, im)
         if c:
             p[e] = c
         else:
@@ -475,7 +526,7 @@ def _upoly(ctx, v, coeffs):
     """The polynomial sum c_j * x_v^j of a coefficient list."""
     p = {}
     for j, (re, im) in enumerate(coeffs):
-        c = GaussRational(re, im)
+        c = FQ(re, im)
         if c:
             e = [0] * ctx.nvars
             e[v] = j
@@ -499,7 +550,7 @@ def test_ugcd_matches_pgcd(ctx, v, h, a, b):
     got = _ugcd(f, g, ctx._shifts[v])
     assert _same_up_to_unit(got, _pgcd(f, g))
     if got:
-        assert got[max(got)] == GAUSS_ONE.triple  # monic
+        assert got[max(got)] == (1, 0, 1)  # monic
         assert _pdivexact(f, got) is not None and _pdivexact(g, got) is not None
         if h:
             assert _pdivexact(got, h) is not None
@@ -508,13 +559,13 @@ def test_ugcd_matches_pgcd(ctx, v, h, a, b):
 
 
 def test_ugcd_edge_cases():
-    one = _triples({(0,): GAUSS_ONE})
-    w1 = _triples({(1,): GAUSS_ONE, (0,): GAUSS_ONE})  # omega + 1
+    one = _triples({(0,): FQ(1)})
+    w1 = _triples({(1,): FQ(1), (0,): FQ(1)})  # omega + 1
     assert _ugcd({}, {}, 0) == {}
-    assert _ugcd({}, _pmul(w1, _triples({(0,): GaussRational(3)})), 0) == w1
-    assert _ugcd(_triples({(0,): GaussRational(5)}), w1, 0) == one
-    assert _ugcd(w1, _triples({(1,): GAUSS_ONE, (0,): GaussRational(-1)}), 0) == one  # coprime
-    assert _ugcd(_pmul(w1, w1), _pmul(w1, _triples({(1,): GAUSS_I})), 0) == w1
+    assert _ugcd({}, _pmul(w1, _triples({(0,): FQ(3)})), 0) == w1
+    assert _ugcd(_triples({(0,): FQ(5)}), w1, 0) == one
+    assert _ugcd(w1, _triples({(1,): FQ(1), (0,): FQ(-1)}), 0) == one  # coprime
+    assert _ugcd(_pmul(w1, w1), _pmul(w1, _triples({(1,): FQ(0, 1)})), 0) == w1
 
 
 @given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
@@ -545,7 +596,7 @@ def test_ugcd_matches_sympy(h, a, b):
 def test_unit_is_the_contexts_one(ctx):
     assert ctx.from_int(1) is ctx.one
     assert ctx.from_gauss(GaussRational(1)) is ctx.one
-    assert ctx.from_gauss(GaussRational(Fraction(2, 2), 0)) is ctx.one
+    assert ctx.from_gauss(GaussRational(2) / 2) is ctx.one
     assert ctx.from_int(-1) is not ctx.one and not ctx.from_int(-1).is_one()
     assert ctx.one * ctx.one is ctx.one
 
@@ -559,7 +610,7 @@ def test_mul_by_unit_returns_the_operand(x):
     # a Scalar equal to 1 that is another object takes the general path and
     # gives an equal result: identity only skips work
     other_one = Scalar(
-        CTX, _triples({(0, 0, 0): GAUSS_ONE}), _triples({(0, 0, 0): GAUSS_ONE})
+        CTX, _triples({(0, 0, 0): FQ(1)}), _triples({(0, 0, 0): FQ(1)})
     )
     assert other_one is not one and other_one == one
     assert x * other_one == x and other_one * x == x
@@ -569,15 +620,13 @@ def test_mul_by_unit_returns_the_operand(x):
     assert x * twin.one == x
 
 
-# -- the triple kernel against GaussRational arithmetic -----------------------
-
-from math import lcm  # noqa: E402
+# -- the triple kernel against Fraction-pair arithmetic -----------------------
 
 from qe2.scalars import _canon, _pscale  # noqa: E402
 
-GAUSS_ZERO = GaussRational(0)
+GAUSS_ZERO = FQ()
 
-_UNITS = (GAUSS_ONE, GAUSS_I, GaussRational(-1), GaussRational(0, -1))
+_UNITS = (FQ(1), FQ(0, 1), FQ(-1), FQ(0, -1))
 
 
 def _is_canonical(p):
@@ -595,11 +644,11 @@ def _is_canonical(p):
 
 def _gauss_coeff(c):
     a, b, d = c
-    return GaussRational(Fraction(a, d), Fraction(b, d))
+    return FQ(Fraction(a, d), Fraction(b, d))
 
 
 def _gauss_poly(p, nvars=2):
-    """The {exponent tuple: GaussRational} polynomial of a kernel polynomial
+    """The {exponent tuple: FQ} polynomial of a kernel polynomial
     in nvars parameters."""
     return {_unpack(e, nvars): _gauss_coeff(c) for e, c in p.items()}
 
@@ -636,7 +685,7 @@ def _ref_divexact(f, g):
 
 
 def _ref_ugcd(f, g, v):
-    """Monic gcd in the variable v by Euclid on dense GaussRational lists."""
+    """Monic gcd in the variable v by Euclid on dense FQ lists."""
 
     def dense(p):
         out = [GAUSS_ZERO] * (max((e[v] for e in p), default=-1) + 1)
@@ -661,22 +710,22 @@ def _ref_ugcd(f, g, v):
 
 
 def _ref_canon(num, den):
-    """The constant-factor normalisation of the module docs, on GaussRationals:
+    """The constant-factor normalisation of the module docs, on FQs:
     a monomial den gets coefficient 1; otherwise den is made integral with
     coprime rational parts, divided by its Z[i] gcd and rotated by the unit
     that puts its lex-leading coefficient in the quadrant re > 0, im >= 0."""
     if len(den) == 1:
         ((e, c),) = den.items()
-        return {k: v / c for k, v in num.items()}, {e: GAUSS_ONE}
+        return {k: v / c for k, v in num.items()}, {e: FQ(1)}
     cs = [x for c in den.values() for x in (c.re, c.im)]
     m = lcm(*(x.denominator for x in cs))
-    r = GaussRational(Fraction(m, gcd(*(int(x * m) for x in cs))))
+    r = FQ(Fraction(m, gcd(*(int(x * m) for x in cs))))
     z = GAUSS_ZERO
     for c in den.values():
         x, y = z, c * r
         while y:
             qq = x / y
-            x, y = y, x - GaussRational(round(qq.re), round(qq.im)) * y
+            x, y = y, x - FQ(round(qq.re), round(qq.im)) * y
         z = x
     lead = den[max(den)] * r / z
     u = next(u for u in _UNITS if (lead * u).re > 0 and (lead * u).im >= 0)
@@ -688,7 +737,7 @@ def _ref_canon(num, den):
 _tri_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _tri_coeffs = st.one_of(
     st.sampled_from([1, -1, 2, Fraction(1, 2)]).flatmap(
-        lambda x: st.sampled_from([GaussRational(x), GaussRational(0, x)])
+        lambda x: st.sampled_from([FQ(x), FQ(0, x)])
     ),
     nonzero_gauss,
 ).map(lambda g: g.triple)
@@ -759,7 +808,6 @@ def test_equal_scalars_share_hash_and_text(ctx, data):
     assert back == x and hash(back) == hash(x) and back.text() == x.text()
     for s in computed + [back]:
         assert _is_canonical(s.num) and _is_canonical(s.den)
-        assert not any(isinstance(c, GaussRational) for c in (*s.num.values(), *s.den.values()))
 
 
 # -- the printers against Fraction-based references ---------------------------
@@ -792,17 +840,16 @@ def _ref_poly_text(p, names):
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-@given(st.builds(GaussRational, wide_fracs, wide_fracs), _tri_polys.filter(bool))
+@given(st.builds(FQ, wide_fracs, wide_fracs), _tri_polys.filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_text_matches_fraction_reference(g, p):
-    assert g.text() == _ref_text(g.re, g.im)
+    assert _ctext(g.triple) == _ref_text(g.re, g.im)
     assert _poly_text(p, ("omega", "k")) == _ref_poly_text(p, ("omega", "k"))
 
 
 # -- packed exponent keys against exponent tuples ------------------------------
 
 from qe2.scalars import (  # noqa: E402
-    ScalarError,
     _eadd,
     _emin,
     _esub,
@@ -912,8 +959,8 @@ def test_exponent_overflow_raises_and_the_bound_is_exact(ctx, name):
 
 def test_exact_division_rejects_quotients_past_the_bound():
     # x^3 / (x + y^(2^30)) runs into y^(2^31) before the division fails
-    x3 = {_pack((3, 0)): GAUSS_ONE.triple}
-    g = {_pack((1, 0)): GAUSS_ONE.triple, _pack((0, 2**30)): GAUSS_ONE.triple}
+    x3 = {_pack((3, 0)): (1, 0, 1)}
+    g = {_pack((1, 0)): (1, 0, 1), _pack((0, 2**30)): (1, 0, 1)}
     assert _pdivexact(x3, g) is None
 
 
@@ -933,7 +980,7 @@ def test_squared_powers_equal_multiplied_out_ones(n):
     for x in (W, W * K / 3, (W + 1) / (K - Q), W + K * Q + GaussRational(2, 1) / 3):
         assert x ** n == _multiplied_out(x, n, CTX.one)
     for g in (GaussRational(2), GaussRational(2, 1) / 3, GaussRational(0, -1)):
-        assert g ** n == _multiplied_out(g, n, GAUSS_ONE)
+        assert g ** n == _multiplied_out(g, n, QI.one)
 
 
 def test_evaluation_raises_each_value_to_its_power():
@@ -942,4 +989,4 @@ def test_evaluation_raises_each_value_to_its_power():
     want = (g ** 13 * h ** 3 + g) / (GaussRational(3) ** 5 + 1)
     assert x.evaluate({"omega": g, "k": h, "q": GaussRational(3)}) == want
     # a large exponent costs O(log n) products
-    assert (W ** 1000000).evaluate({"omega": GAUSS_I}) == GAUSS_ONE
+    assert (W ** 1000000).evaluate({"omega": QI.i}) == QI.one
