@@ -299,6 +299,9 @@ def _dispatch(args) -> int:
         return 0
 
     # expression commands
+    if not (args.preset or args.file) and args.expr[0] in catalog.PRESET_IDS:
+        # argparse fills the expression before the optional preset
+        raise UsageError(f"an expression argument after the preset {args.expr[0]!r} is missing")
     b = _load_bundle_or_file(args.preset, args.file)
     tower = b.tower
     if tower is None:

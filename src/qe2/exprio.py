@@ -27,6 +27,12 @@ Elaboration resolves symbols against a tower: generator names, the
 barred aliases of invertible generators (``vb`` for v^-1 when v is an
 invertible generator named ``v``), and declared parameters.  The result
 is a normal-form NCPoly, or a TensorElement when '(x)' occurs.
+
+Tensor expressions (docs/expression-grammar.md): tensors combine only as
+sums of one arity, products and powers of tensors with the same legs,
+and scalar factors, which scale a tensor.  A tensor as a leg, an algebra
+element plus a tensor, a non-scalar factor times a tensor and a wrong
+arity are each a ValueError, so the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -275,24 +281,12 @@ def elaborate_expr(ast: ExprAst, tower_or_legs):
 
     ``tower_or_legs`` is a single OreTower, or a tuple of towers naming the
     legs of a tensor expression.  Returns an NCPoly, or a TensorElement
-    when the AST contains '(x)'.
+    when the AST contains '(x)'; a combination that the module docstring's
+    "Tensor expressions" refuses raises ValueError.
     """
     if isinstance(tower_or_legs, tuple):
-        legs = tower_or_legs
-        tower = legs[0]
-    else:
-        legs = None
-        tower = tower_or_legs
-    if _contains_tensor(ast):
-        from .hopf import TensorElement
-
-        arity = _tensor_arity(ast)
-        if legs is None:
-            legs = (tower,) * arity
-        if len(legs) != arity:
-            raise ValueError(f"tensor arity {arity} does not match {len(legs)} legs")
-        return _elab_tensor(ast, legs)
-    return _elab_poly(ast, tower)
+        return _elab(ast, tower_or_legs[0], tower_or_legs)
+    return _elab(ast, tower_or_legs, None)
 
 
 def parse_scalar(ctx, text: str):
@@ -309,53 +303,57 @@ def parse_scalar(ctx, text: str):
     return p.as_scalar()
 
 
-def _contains_tensor(ast) -> bool:
-    if isinstance(ast, Tensor):
-        return True
-    if isinstance(ast, Sum):
-        return any(_contains_tensor(t) for _, t in ast.terms)
-    if isinstance(ast, Product):
-        return any(_contains_tensor(f) for f in ast.factors)
-    if isinstance(ast, Power):
-        return _contains_tensor(ast.base)
-    return False
-
-
-def _tensor_arity(ast) -> int:
-    if isinstance(ast, Tensor):
-        return len(ast.legs)
-    if isinstance(ast, Sum):
-        arities = {_tensor_arity(t) for _, t in ast.terms}
-        arities.discard(0)
-        if len(arities) > 1:
-            raise ValueError("mixed tensor arities in one expression")
-        return arities.pop() if arities else 0
-    return 0
-
-
-def _elab_poly(ast, tower):
+def _elab(ast, tower, legs):
+    """The NCPoly of ``ast`` in ``tower``, or its TensorElement when it
+    holds '(x)'; a tensor has the legs ``legs``, or copies of ``tower``
+    when ``legs`` is None."""
     from .ncalg import NCPoly
 
-    if isinstance(ast, Lit):
-        return NCPoly.constant(tower, tower.context.from_gauss(ast.value))
     if isinstance(ast, Sym):
         return _resolve_symbol(ast.name, tower)
+    if isinstance(ast, Lit):
+        return NCPoly.constant(tower, tower.context.from_gauss(ast.value))
     if isinstance(ast, Power):
-        base = _elab_poly(ast.base, tower)
-        return base ** ast.exponent
+        return _elab(ast.base, tower, legs) ** ast.exponent
     if isinstance(ast, Product):
         out = None
         for f in ast.factors:
-            p = _elab_poly(f, tower)
-            out = p if out is None else out * p
+            x = _elab(f, tower, legs)
+            if out is None:
+                out = x
+            elif x.__class__ is out.__class__:
+                out = out * x
+            else:
+                # scalars are central, so a scalar factor scales the tensor
+                p, out = (x, out) if isinstance(x, NCPoly) else (out, x)
+                s = p.as_scalar()
+                if s is None:
+                    raise ValueError("a non-scalar factor cannot multiply a tensor term")
+                out = out.scale(s)
         return out
     if isinstance(ast, Sum):
-        out = NCPoly.zero(tower)
+        out = None
         for sign, t in ast.terms:
-            p = _elab_poly(t, tower)
-            out = out + p if sign > 0 else out - p
+            x = _elab(t, tower, legs)
+            if sign < 0:
+                x = -x
+            if out is None:
+                out = x
+            elif x.__class__ is out.__class__:
+                out = out + x
+            else:
+                raise ValueError("an algebra element cannot be added to a tensor")
         return out
-    raise TypeError(f"cannot elaborate {type(ast).__name__} as an algebra element")
+    from .hopf import TensorElement
+
+    if legs is None:
+        legs = (tower,) * len(ast.legs)
+    elif len(legs) != len(ast.legs):
+        raise ValueError(f"tensor arity {len(ast.legs)} does not match {len(legs)} legs")
+    polys = [_elab(leg, t, None) for leg, t in zip(ast.legs, legs)]
+    if not all(isinstance(p, NCPoly) for p in polys):
+        raise ValueError("a tensor cannot be a leg of a tensor")
+    return TensorElement.from_legs(legs, polys)
 
 
 def _resolve_symbol(name, tower):
@@ -373,80 +371,35 @@ def _resolve_symbol(name, tower):
     raise KeyError(f"unknown symbol {name!r}")
 
 
-def _elab_tensor(ast, legs):
-    from .hopf import TensorElement
-
-    if isinstance(ast, Tensor):
-        polys = [_elab_poly(leg, legs[j]) for j, leg in enumerate(ast.legs)]
-        return TensorElement.from_legs(legs, polys)
-    if isinstance(ast, Sum):
-        out = None
-        for sign, t in ast.terms:
-            e = _elab_tensor(t, legs)
-            if out is None:
-                out = e if sign > 0 else -e
-            else:
-                out = out + e if sign > 0 else out - e
-        return out
-    if isinstance(ast, Product):
-        scale = None
-        out = None
-        for f in ast.factors:
-            if _contains_tensor(f):
-                e = _elab_tensor(f, legs)
-                out = e if out is None else out * e
-            else:
-                p = _elab_poly(f, legs[0])
-                s = p.as_scalar()
-                if s is None:
-                    raise ValueError(
-                        "a non-scalar factor cannot multiply a tensor term"
-                    )
-                scale = s if scale is None else scale * s
-        if out is None:
-            raise ValueError("tensor product expected")
-        return out.scale(scale) if scale is not None else out
-    raise TypeError(f"cannot elaborate {type(ast).__name__} as a tensor")
-
-
 # -- canonical printing ----------------------------------------------------------
 
 
 def format_canonical(x) -> str:
-    """Deterministic text for NCPoly and TensorElement values.
+    """Deterministic text for NCPoly and TensorElement values; an NCPoly
+    prints as a tensor with one leg.
 
-    Monomials are ordered by (total signed degree, exponent tuple); the
-    output parses back to the same normal form whenever every coefficient
-    has a monomial denominator.
+    Terms are ordered leg by leg by (total signed degree, exponent tuple);
+    the output parses back to the same normal form whenever every
+    coefficient has a monomial denominator.
     """
     from .ncalg import NCPoly
 
     if isinstance(x, NCPoly):
-        if x.is_zero():
-            return "0"
-        names = [g.name for g in x.tower.generators]
-        items = sorted(x.terms.items(), key=lambda kv: _mono_key(kv[0]))
-        return _join_terms(
-            (coeff, _mono_text(mono, names)) for mono, coeff in items
-        )
-    # imported only here, so that printing an NCPoly never loads the tensor layer
-    from .hopf import TensorElement
+        legs, items = (x.tower,), [((m,), c) for m, c in x.terms.items()]
+    else:
+        # imported only here, so that printing an NCPoly never loads the tensor layer
+        from .hopf import TensorElement
 
-    if isinstance(x, TensorElement):
-        if x.is_zero():
-            return "0"
-        names_per_leg = [[g.name for g in t.generators] for t in x.legs]
-        items = sorted(
-            x.terms.items(), key=lambda kv: tuple(_mono_key(m) for m in kv[0])
-        )
-        rendered = []
-        for monos, coeff in items:
-            legtexts = [
-                _mono_text(m, names_per_leg[j]) for j, m in enumerate(monos)
-            ]
-            rendered.append((coeff, " (x) ".join(legtexts)))
-        return _join_terms(rendered)
-    raise TypeError(f"cannot format {type(x).__name__}")
+        if not isinstance(x, TensorElement):
+            raise TypeError(f"cannot format {type(x).__name__}")
+        legs, items = x.legs, x.terms.items()
+    if not items:
+        return "0"
+    names = [[g.name for g in t.generators] for t in legs]
+    return _join_terms(
+        (c, " (x) ".join([_mono_text(m, names[j]) for j, m in enumerate(monos)]))
+        for monos, c in sorted(items, key=lambda kv: tuple(map(_mono_key, kv[0])))
+    )
 
 
 def _mono_key(mono):

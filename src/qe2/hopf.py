@@ -18,25 +18,36 @@ machinery needs for maps like (pi (x) id) o Delta.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import exprio
 from .ncalg import (
-    NCPoly, OreTower, TowerError, _top_level, bilinear, collect, pin_unit,
+    NCPoly, OreTower, TermVector, TowerError, _top_level, bilinear, collect,
+    pin_unit,
 )
 from .report import FAIL, CheckReport
 from .scalars import Scalar
 
 
-class TensorElement:
+class TensorElement(TermVector):
     """Finite map {(monomial per leg) -> Scalar} with normal-formed legs."""
 
-    __slots__ = ("legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, legs: Sequence[OreTower], terms: dict):
         self.legs = tuple(legs)
         self.terms = terms
+
+    @property
+    def space(self):
+        return self.legs
+
+    def _vector(self, terms):
+        return TensorElement(self.legs, terms)
+
+    def _unit(self):
+        return TensorElement.unit(self.legs)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -60,28 +71,7 @@ class TensorElement:
                 raise TowerError("tensor legs must share one scalar context")
         return cls(legs, collect(_outer(ctx.one, [p.terms.items() for p in polys])))
 
-    # -- linear structure --------------------------------------------------
-    def _check(self, other):
-        if self.legs != other.legs:
-            raise TowerError("mixing tensors with different legs")
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorElement(
-            self.legs, collect(chain(self.terms.items(), other.terms.items()))
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.legs, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s: Scalar):
-        if not s:
-            return TensorElement.zero(self.legs)
-        return TensorElement(self.legs, {m: c * s for m, c in self.terms.items()})
-
+    # -- products ------------------------------------------------------------
     def __mul__(self, other):
         """Componentwise product: (a (x) b)(c (x) d) = ac (x) bd, by the
         bilinear kernel over a table of monomial-tuple products that the
@@ -103,16 +93,6 @@ class TensorElement:
 
         return TensorElement(legs, bilinear(self.terms, other.terms, table, build, one))
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return TensorElement.unit(self.legs)
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def unit_inverse(self):
         """Inverse of a single-term tensor with invertible monomial legs."""
         if len(self.terms) != 1:
@@ -122,35 +102,9 @@ class TensorElement:
         for j, t in enumerate(self.legs):
             inv_legs.append(t.tower_mono(monos[j]).unit_inverse())
         out = TensorElement.from_legs(self.legs, inv_legs).scale(c.inverse())
-        if not (self * out).is_unit():
+        if not (self * out).is_one():
             raise TowerError("tensor inverse verification failed")
         return out
-
-    # -- predicates ------------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def is_unit(self):
-        if len(self.terms) != 1:
-            return False
-        monos, c = next(iter(self.terms.items()))
-        return c.is_one() and all(
-            m == t.unit_mono for m, t in zip(monos, self.legs)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.legs == other.legs and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.legs, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"TensorElement({exprio.format_canonical(self)})"
-
-    def __str__(self):
-        return exprio.format_canonical(self)
 
     # -- leg surgery -------------------------------------------------------
     def _splice(self, j, new_legs, image, conjugate_coeff=False):
@@ -314,9 +268,7 @@ class AlgebraMorphism:
             if img is None:
                 img = self._mono_image(mono)
             pairs += [(m, c * c2) for m, c2 in img.terms.items()]
-        if self.tensor:
-            return TensorElement(self.target, collect(pairs))
-        return NCPoly(self.target, collect(pairs))
+        return self.one._vector(collect(pairs))
 
     def _mono_image(self, mono):
         """Image of a normal monomial, by one-letter extensions of the

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import exprio
-from .ncalg import AffineSolutions, OreTower, collect, solve_terms
+from .ncalg import AffineSolutions, OreTower, TermVector, collect, solve_terms
 from .poisson import PoissonStructure
 from .report import CheckReport
 from .scalars import Scalar, ScalarContext
@@ -98,57 +98,43 @@ def _scalar_expr(ctx: ScalarContext, text: str) -> Scalar:
         raise LieError(f"bad scalar expression {text!r}: {e}")
 
 
-class WedgeBivector:
+class WedgeBivector(TermVector):
     """Element of the wedge square, stored on i < j with Scalar entries.
 
-    ``coeffs`` is a map or a sequence of ((i, j), c) pairs meaning
+    ``terms`` is a map or a sequence of ((i, j), c) pairs meaning
     c * e_i^e_j; each pair is oriented to i < j and the pairs are summed."""
 
-    def __init__(self, ctx: ScalarContext, dim: int, coeffs=None):
+    __slots__ = ("ctx", "dim")
+
+    def __init__(self, ctx: ScalarContext, dim: int, terms=None):
         self.ctx = ctx
         self.dim = dim
-        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
         oriented = []
         for (i, j), c in pairs:
             if i == j and c:
                 raise LieError("diagonal wedge coefficient")
             oriented.append(((i, j), c) if i < j else ((j, i), -c))
-        self.coeffs = collect(oriented)
+        self.terms = collect(oriented)
 
-    def __add__(self, other):
-        return WedgeBivector(
-            self.ctx, self.dim, [*self.coeffs.items(), *other.coeffs.items()]
-        )
+    @property
+    def space(self):
+        return self.dim
 
-    def __sub__(self, other):
-        return self + other.scale(-self.ctx.one)
-
-    def scale(self, s: Scalar):
-        return WedgeBivector(
-            self.ctx, self.dim, {k: c * s for k, c in self.coeffs.items()}
-        )
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WedgeBivector)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
+    def _vector(self, terms):
+        return WedgeBivector(self.ctx, self.dim, terms)
 
     def text(self, names) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
+        for (i, j) in sorted(self.terms):
+            c = self.terms[(i, j)]
             parts.append(f"({c}) {names[i]}^{names[j]}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"WedgeBivector({self.coeffs})"
+    def __str__(self):
+        return str(self.terms)
 
 
 class Cocommutator:
@@ -189,7 +175,7 @@ def ad_wedge(g: LieAlgebra, k: int, w: WedgeBivector) -> WedgeBivector:
     """ad_{e_k} acting on a wedge as a derivation:
     ad_k (e_i ^ e_j) = [e_k, e_i] ^ e_j + e_i ^ [e_k, e_j]."""
     pairs = []
-    for (i, j), c in w.coeffs.items():
+    for (i, j), c in w.terms.items():
         pairs += [((t, j), ct * c) for t, ct in g.bracket_basis(k, i).items() if t != j]
         pairs += [((i, t), ct * c) for t, ct in g.bracket_basis(k, j).items() if t != i]
     return WedgeBivector(g.ctx, g.dim, pairs)
@@ -341,7 +327,7 @@ def cocycle_cojacobi_report(
             lhs = WedgeBivector(ctx, n, [
                 (key, c * cw)
                 for k, c in g.bracket_basis(a, b).items()
-                for key, cw in delta.of(k).coeffs.items()
+                for key, cw in delta.of(k).terms.items()
             ])
             rhs = ad_wedge(g, a, delta.of(b)) - ad_wedge(g, b, delta.of(a))
             rep.verdict(
@@ -356,7 +342,7 @@ def cocycle_cojacobi_report(
     D = []
     for k in range(n):
         Dk = [[None] * n for _ in range(n)]
-        for (i, j), c in delta.of(k).coeffs.items():
+        for (i, j), c in delta.of(k).terms.items():
             Dk[i][j], Dk[j][i] = c, -c
         D.append(Dk)
     for k in range(n):
@@ -399,7 +385,7 @@ class CoboundarySolution(AffineSolutions):
         )
 
     def contains(self, ctx, candidate: WedgeBivector) -> bool:
-        vec = [candidate.coeffs.get(p, ctx.zero) for p in self.pairs]
+        vec = [candidate.terms.get(p, ctx.zero) for p in self.pairs]
         return self.contains_solution(vec, ctx)
 
 
@@ -412,7 +398,7 @@ def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def terms(wedges):
-        return {(k, p): c for k, w in enumerate(wedges) for p, c in w.coeffs.items()}
+        return {(k, p): c for k, w in enumerate(wedges) for p, c in w.terms.items()}
 
     cols = [
         terms(ad_wedge(g, k, WedgeBivector(ctx, n, {p: ctx.one})) for k in range(n))
@@ -454,7 +440,7 @@ def stabilizer_invariance_check(
         raise LieError("tangent space dimension must be 2")
     # Lambda^2 of the pushforward applied to delta_stab
     pushed = ctx.zero
-    for (i, j), c in delta_stab.coeffs.items():
+    for (i, j), c in delta_stab.terms.items():
         minor = (
             pushforward[i][0] * pushforward[j][1]
             - pushforward[i][1] * pushforward[j][0]

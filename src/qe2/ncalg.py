@@ -128,6 +128,76 @@ def collect(pairs) -> dict:
     return terms
 
 
+class TermVector:
+    """A vector given by its term map ``terms`` {basis key -> Scalar},
+    which stores no zero coefficient.  A subclass names its space
+    (``space``), builds a vector of that space from a term map
+    (``_vector``) and, when it has a product, gives its unit (``_unit``).
+    The linear algebra is shared here: vectors of different spaces never
+    mix (a TowerError), and vectors of different classes neither add nor
+    compare equal (``+`` between them is a TypeError)."""
+
+    __slots__ = ("terms",)
+
+    def _check(self, other):
+        if other.space != self.space:
+            raise TowerError(f"mixing {type(self).__name__} values of different spaces")
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._check(other)
+        return self._vector(collect(chain(self.terms.items(), other.terms.items())))
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self._vector({k: -c for k, c in self.terms.items()})
+
+    def scale(self, s: Scalar):
+        if not s:
+            return self._vector({})
+        return self._vector({k: c * s for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_one(self):
+        return self == self._unit()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __pow__(self, n: int):
+        """The product of ``n`` factors of the vector, or of its
+        ``unit_inverse`` when ``n`` is negative; the unit when ``n`` is 0."""
+        if n < 0:
+            return self.unit_inverse() ** -n
+        if n == 0:
+            return self._unit()
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        return exprio.format_canonical(self)
+
+
 def bilinear(p: dict, q: dict, table: dict, build, one) -> dict:
     """The term map of the sum of ``c1*c2*s`` at key ``m`` over the terms
     ``(m1, c1)`` of ``p``, ``(m2, c2)`` of ``q`` and ``(m, s)`` of the
@@ -168,18 +238,28 @@ def pin_unit(terms, one) -> tuple:
     return tuple((m, one if c.is_one() else c) for m, c in terms)
 
 
-class NCPoly:
+class NCPoly(TermVector):
     """Normal-form element: a finite map {monomial -> Scalar} over a tower.
 
     Monomials are exponent tuples indexed by level.  No zero coefficients
     are stored; equality is map equality.
     """
 
-    __slots__ = ("tower", "terms")
+    __slots__ = ("tower",)
 
     def __init__(self, tower: "OreTower", terms: dict):
         self.tower = tower
         self.terms = terms
+
+    @property
+    def space(self):
+        return self.tower
+
+    def _vector(self, terms):
+        return NCPoly(self.tower, terms)
+
+    def _unit(self):
+        return NCPoly.one(self.tower)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -211,15 +291,6 @@ class NCPoly:
         return cls(tower, collect(items))
 
     # -- predicates ----------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_one(self):
-        return self.as_scalar() is not None and self.as_scalar().is_one()
-
     def as_scalar(self) -> Optional[Scalar]:
         """The coefficient when the support is at most the unit monomial."""
         if not self.terms:
@@ -231,30 +302,6 @@ class NCPoly:
         return None
 
     # -- ring operations --------------------------------------------------
-    def _check(self, other):
-        if other.tower is not self.tower:
-            raise TowerError("mixing elements of different towers")
-
-    def __add__(self, other):
-        if isinstance(other, NCPoly):
-            self._check(other)
-            terms = collect(chain(self.terms.items(), other.terms.items()))
-            return NCPoly(self.tower, terms)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, NCPoly):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        return NCPoly(self.tower, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s: Scalar) -> "NCPoly":
-        if not s:
-            return NCPoly.zero(self.tower)
-        return NCPoly(self.tower, {m: c * s for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             self._check(other)
@@ -266,23 +313,16 @@ class NCPoly:
         return NotImplemented
 
     def __pow__(self, n: int):
-        """A power of a monomial on at most one generator, or of any
-        monomial on a commutative tower, by exponent arithmetic (scalars
-        are central).  Other elements are multiplied up: on the shipped
-        towers, repeated squaring of a short sum measured no faster."""
-        if n == 0:
-            return NCPoly.one(self.tower)
-        if n < 0:
-            inv = self.unit_inverse()
-            return inv ** (-n)
-        if len(self.terms) == 1:
+        """A positive power of a monomial on at most one generator, or of
+        any monomial on a commutative tower, by exponent arithmetic
+        (scalars are central).  Other powers are multiplied up: on the
+        shipped towers, repeated squaring of a short sum measured no
+        faster."""
+        if n > 0 and len(self.terms) == 1:
             ((mono, c),) = self.terms.items()
             if self.tower.commutative or len(mono) - mono.count(0) <= 1:
                 return NCPoly(self.tower, {tuple([e * n for e in mono]): c ** n})
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return TermVector.__pow__(self, n)
 
     def unit_inverse(self) -> "NCPoly":
         """Inverse of a single-term element supported on invertible
@@ -323,20 +363,6 @@ class NCPoly:
             e == 0 or self.tower.generators[j].invertible
             for j, e in enumerate(mono)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.tower is other.tower and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"NCPoly({exprio.format_canonical(self)})"
-
-    def __str__(self):
-        return exprio.format_canonical(self)
 
 
 class OreTower:

@@ -342,6 +342,41 @@ def test_a_preset_without_an_algebra_is_a_usage_error(capsys, argv):
     assert run(capsys, *argv) == (3, "", "usage error: this preset carries no algebra\n")
 
 
+@pytest.mark.parametrize("argv, preset", [
+    (("normal-form", "qe2-nonstd"), "qe2-nonstd"),
+    (("bracket", "nonstd-poisson", "v"), "nonstd-poisson"),
+])
+def test_a_missing_expression_is_named(capsys, argv, preset):
+    # argparse fills the expression before the optional preset
+    assert run(capsys, *argv) == (
+        3, "", f"usage error: an expression argument after the preset {preset!r} is missing\n"
+    )
+
+
+def _delta_image_adding_a_scalar(tmp_path):
+    desc = preset_dict("fun-e2")
+    desc["hopf"]["delta"]["n"] = "vb (x) n + n (x) 1 + 1"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(desc))
+    return ["normal-form", "--file", str(f), "v"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["normal-form", "qe2-nonstd", "v (x) v + 1"], "cannot be added to a tensor"),
+    (["normal-form", "qe2-nonstd", "2*(v (x) v)"], "expected an algebra element"),
+    (["normal-form", "qe2-nonstd", "(v (x) n)^2"], "expected an algebra element"),
+    (["normal-form", "qe2-nonstd", "v (x) (n (x) v)"], "cannot be a leg of a tensor"),
+    (_delta_image_adding_a_scalar, "cannot be added to a tensor"),
+], ids=["tensor-plus-scalar", "scalar-times-tensor", "tensor-power", "tensor-leg", "file-delta"])
+def test_tensor_input_is_a_usage_error(capsys, tmp_path, argv, reason):
+    if callable(argv):
+        argv = argv(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def _symbols(pid):
     """The generators, barred inverses and parameters of a preset's
     algebra; for a preset without one, those of every shipped algebra."""
@@ -355,10 +390,11 @@ def _symbols(pid):
 
 
 def _expression(draw, symbols, depth=3):
-    """A grammar string: an optional leading minus and one or two terms; a
-    term is one or two factors; a factor is a symbol, i, an integer in
-    [0, 9] or, ``depth`` levels deep at most, a parenthesized expression,
-    with an optional exponent in [-6, 6]."""
+    """A grammar string: an optional leading minus and one or two tensor
+    terms; a tensor term is one or two terms joined by ' (x) '; a term is
+    one or two factors; a factor is a symbol, i, an integer in [0, 9] or,
+    ``depth`` levels deep at most, a parenthesized expression, with an
+    optional exponent in [-6, 6]."""
 
     def factor():
         if depth and draw(st.booleans()):
@@ -371,9 +407,12 @@ def _expression(draw, symbols, depth=3):
     def term():
         return "*".join(factor() for _ in range(draw(st.integers(1, 2))))
 
-    text = draw(st.sampled_from(["", "-"])) + term()
+    def tterm():
+        return " (x) ".join(term() for _ in range(draw(st.integers(1, 2))))
+
+    text = draw(st.sampled_from(["", "-"])) + tterm()
     if draw(st.booleans()):
-        text += draw(st.sampled_from([" + ", " - "])) + term()
+        text += draw(st.sampled_from([" + ", " - "])) + tterm()
     return text
 
 

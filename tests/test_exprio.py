@@ -141,6 +141,32 @@ def test_round_trip_tensor(fun_e2_tower):
     assert again == e
 
 
+def _tensor(text, tower):
+    return exprio.elaborate_expr(parse_expr(text), tower)
+
+
+def test_scalar_factors_and_powers_of_tensors(qe2_tower):
+    t = qe2_tower
+    vv, vn = _tensor("v (x) v", t), _tensor("v (x) n", t)
+    assert _tensor("2*(v (x) v)", t) == vv.scale(t.context.from_int(2))
+    assert _tensor("(v (x) v)*omega", t) == vv.scale(t.context.param("omega"))
+    assert _tensor("(v (x) n)^2", t) == vn * vn
+    assert _tensor("v (x) v - 2*(v (x) v)", t) == -vv
+
+
+@pytest.mark.parametrize("text, legs, reason", [
+    ("v (x) (n (x) v)", 1, "a tensor cannot be a leg"),
+    ("v (x) v + 1", 1, "an algebra element cannot be added to a tensor"),
+    ("n*(v (x) v)", 1, "a non-scalar factor cannot multiply a tensor"),
+    ("v (x) v (x) v", 2, "tensor arity 3 does not match 2 legs"),
+    ("v (x) v + v (x) v (x) v", 1, "different spaces"),
+])
+def test_refused_tensor_combinations_are_value_errors(qe2_tower, text, legs, reason):
+    target = qe2_tower if legs == 1 else (qe2_tower,) * legs
+    with pytest.raises(ValueError, match=reason):
+        _tensor(text, target)
+
+
 def test_parse_scalar():
     ctx = ScalarContext([Parameter("omega", "negated")])
     w = ctx.param("omega")

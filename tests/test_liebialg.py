@@ -128,7 +128,7 @@ def test_wedge_pairs_are_oriented_and_summed():
     one = ctx.one
     assert WedgeBivector(ctx, 3, [((1, 0), one), ((0, 1), one)]).is_zero()
     w = WedgeBivector(ctx, 3, [((2, 0), one), ((0, 2), one + one), ((1, 2), one)])
-    assert w.coeffs == {(0, 2): one, (1, 2): one}
+    assert w.terms == {(0, 2): one, (1, 2): one}
     with pytest.raises(LieError):
         WedgeBivector(ctx, 3, {(1, 1): one})
 
