@@ -50,14 +50,25 @@ operations keep the form without a gcd of their whole result (Henrici,
 JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1).  A product of reduced fractions
 only cancels the gcds of numerator and opposite denominator, a sum only the
 gcd of the denominators and then that of the new numerator with it, and
-conjugation is a ring automorphism, so it needs no gcd.  These cofactor gcds
-are exponent minima when a side is a monomial, a dense Euclid in one
-parameter, and otherwise the multivariate primitive PRS.  What is left is
+conjugation is a ring automorphism, so it needs no gcd.  What is left is
 fixing the constant factor (``_canon``).  A product of a polynomial c with
 a/b skips even that when gcd(c, b) is constant: (a*c)/b keeps the other
 factor's canonical b as it stands.
-``_reduce``, the full gcd of an arbitrary num/den, is only the constructor
-path ``Scalar(ctx, num, den)``.
+
+Every gcd goes through ``_gcd``, which also returns the two cofactors.  With
+a monomial on either side the gcd is an exponent minimum.  Otherwise images
+over a prime field usually prove the pair coprime (``_coprime``): with i
+mapped to a square root of -1 mod a word-size prime p = 1 (mod 4), and all
+parameters but one, y, at fixed points, a common factor of positive degree
+in y keeps that degree in any images that keep both operands' y-degrees,
+so a constant gcd of such images rules it out.  When no image proves it, a
+pair in one parameter takes a dense Euclid over Q(i) (``_ugcd``) and a pair
+in several takes Brown's dense modular gcd (``modgcd.brown``).  Brown's candidate
+is accepted only when it divides both operands exactly in Q(i), so every
+gcd is exact, and an unlucky prime or point only costs another.  The primes
+and points come from fixed tables, so every run takes the same steps.
+``_reduce``, the full gcd of an arbitrary num/den through ``_gcd``, serves
+only the constructor ``Scalar(ctx, num, den)``.
 
 The unit.  Each context has one Scalar ``ctx.one`` that stands for 1:
 ``from_gauss`` and ``from_int`` return it for 1, the engine stores every
@@ -293,11 +304,6 @@ def _field(e, s):
     return (e >> s) & _EMASK
 
 
-def _with_field(e, s, x):
-    """e with the exponent x < 2**31 in the field at bit offset s."""
-    return e + ((x - ((e >> s) & _EMASK)) << s)
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials: {exponent key -> canonical triple}.
 # Fractions of these make up Scalar.  Plain dicts with int keys keep the
@@ -436,91 +442,6 @@ def _pvars(p):
     return out
 
 
-def _by_var(p, s):
-    """View p as univariate in the parameter of the field at bit offset s:
-    {degree: coefficient polynomial}, whose keys are p's keys with that
-    field set to 0."""
-    coeffs = {}
-    for e, c in p.items():
-        coeffs.setdefault(_field(e, s), {})[_with_field(e, s, 0)] = c
-    return coeffs
-
-
-def _from_var(coeffs, s):
-    # in bounds: the degrees and coefficient keys of a gcd's views are those
-    # of its in-bound inputs or smaller
-    p = {}
-    for d, sub in coeffs.items():
-        for e, c in sub.items():
-            p[_with_field(e, s, d)] = c
-    return p
-
-
-def _uni_prem(a, b):
-    """Sparse pseudo-remainder loop on {deg: coeff-poly} views.  The result
-    is the remainder up to factors of lead(b) in the content, which the
-    primitive PRS strips anyway."""
-    db = max(b)
-    lb = b[db]
-    r = {d: dict(s) for d, s in a.items()}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r.pop(dr)
-        nr = {}
-        for dd, sub in r.items():
-            m = _pmul(sub, lb)
-            if m:
-                nr[dd] = m
-        for dd, sub in b.items():
-            if dd == db:
-                continue
-            m = _pmul(sub, lr)
-            if not m:
-                continue
-            tgt = dd + dr - db
-            merged = _padd(nr.get(tgt, {}), _pneg(m))
-            if merged:
-                nr[tgt] = merged
-            else:
-                nr.pop(tgt, None)
-        r = nr
-    return r
-
-
-def _pgcd(f, g):
-    """Multivariate gcd over Q(i) via a primitive PRS, unit-normalized for
-    determinism (gcds are only defined up to units).  It recurses on the
-    first declared parameter that occurs, the most significant field."""
-    if not f:
-        return _pnormal_unit(g)
-    if not g:
-        return _pnormal_unit(f)
-    vs = _pvars(f) | _pvars(g)
-    if not vs:
-        return {0: _ONE}
-    v = max(vs)
-    fc = _by_var(f, v)
-    gc = _by_var(g, v)
-    cont_f = _coeff_gcd(fc.values())
-    cont_g = _coeff_gcd(gc.values())
-    cont = _pgcd(cont_f, cont_g)
-    a = {d: _pdivexact(sub, cont_f) for d, sub in fc.items()}
-    b = {d: _pdivexact(sub, cont_g) for d, sub in gc.items()}
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _uni_prem(a, b)
-        if r:
-            rc = _coeff_gcd(r.values())
-            r = {d: _pdivexact(sub, rc) for d, sub in r.items()}
-        a, b = b, r
-    gg = _from_var(a, v)
-    gg = _pdivexact(gg, _coeff_gcd(_by_var(gg, v).values()))
-    return _pnormal_unit(_pmul(cont, gg))
-
-
 def _ugcd(f, g, s):
     """Monic gcd of polynomials f and g in the single parameter of the field
     at bit offset s, by dense Euclid over Q(i)."""
@@ -555,56 +476,6 @@ def _dense(p, s):
     for e, c in p.items():
         out[e >> s] = c
     return out
-
-
-def _gcd(p, q, ctx):
-    """A gcd of the nonzero polynomials p and q, up to a constant factor.
-
-    A monomial's divisors are monomials, so with a monomial on either side
-    the gcd is the fieldwise minimum over both supports.  Otherwise a pair
-    in one parameter takes the dense Euclid of :func:`_ugcd`, and the rest
-    the primitive PRS of :func:`_pgcd`."""
-    if len(p) == 1 or len(q) == 1:
-        return {_emins((*p, *q), ctx._guard): _ONE}
-    vs = _pvars(p) | _pvars(q)
-    if len(vs) == 1:
-        return _ugcd(p, q, vs.pop())
-    return _pgcd(p, q)
-
-
-def _pdiv(p, g):
-    """p / g for a divisor g of p."""
-    if len(g) == 1:
-        ((e, c),) = g.items()
-        if c == _ONE:
-            return _pshift(p, e)
-    return _pdivexact(p, g)
-
-
-def _cancel(p, q, ctx):
-    """(p/g, q/g) for g a gcd of the nonzero polynomials p and q."""
-    g = _gcd(p, q, ctx)
-    if _is_constant(g):
-        return p, q
-    return _pdiv(p, g), _pdiv(q, g)
-
-
-def _coeff_gcd(subs):
-    g = {}
-    for s in subs:
-        g = _pgcd(g, s)
-    return g
-
-
-def _pnormal_unit(p):
-    """Rotate by a unit of Z[i] so the lex-leading coefficient sits in the
-    half-open quadrant re > 0, im >= 0."""
-    if not p:
-        return dict(p)
-    u = _canonical_unit(p[_plead(p)])
-    if u == _ONE:
-        return dict(p)
-    return _pscale(p, u)
 
 
 def _canonical_unit(c):
@@ -647,16 +518,155 @@ def _zmod(a, b):
     return (ax - (qx * bx - qy * by), ay - (qx * by + qy * bx))
 
 
+def _zgcd(x, y):
+    """A gcd in Z[i] of two (re, im) pairs."""
+    while y != (0, 0):
+        x, y = y, _zmod(x, y)
+    return x
+
+
 def _zgauss_content(p):
     """Gcd over Z[i] of the (integral) coefficients of p, as a triple."""
     g = (0, 0)
     for a, b, _ in p.values():
-        y = (a, b)
-        while y != (0, 0):
-            g, y = y, _zmod(g, y)
+        g = _zgcd((a, b), g)
         if g == (1, 0):
             break
     return (g[0], g[1], 1)
+
+
+# ---------------------------------------------------------------------------
+# Gcds through images over F_p, for primes p = 1 (mod 4) below 2**30, where i
+# maps to a square root r of -1: the prime ideal (p, i - r) of Z[i], and with
+# -r its conjugate.  A dense polynomial over F_p is a list of residues from
+# degree 0 with no trailing zero.  Brown's algorithm, for the pairs in several
+# parameters that the certificate leaves, is in :mod:`qe2.modgcd`, which loads
+# only then.  The tables are fixed, so every run takes the same steps: (p, r)
+# for the primes from the top (``modgcd`` goes on below them), and the
+# certificate's points.
+# ---------------------------------------------------------------------------
+
+_PRIMES = (
+    (1073741789, 933053945),
+    (1073741741, 784215820),
+    (1073741717, 33787048),
+    (1073741689, 867640711),
+)
+_POINTS = (40961, 65537, 99989, 131071)
+
+
+def _udivmod(a, b, p):
+    """(quotient, remainder) of dense a by nonzero dense b."""
+    r, n, q = list(a), len(b) - 1, []
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r.pop() * inv % p
+        q.append(c)
+        if c:
+            for j in range(n):
+                r[k + j] = (r[k + j] - c * b[j]) % p
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
+
+
+def _ugcdp(a, b, p):
+    """The monic gcd of dense a and b, not both 0."""
+    while len(b) > 1:
+        if len(b) == 2:  # the remainder by b1*y + b0 is the value at -b0/b1
+            v = _ueval(a, -b[0] * (1 if b[1] == 1 else pow(b[1], -1, p)) % p, p)
+            a, b = b, [v] if v else []
+        else:
+            a, b = b, _udivmod(a, b, p)[1]
+    if b:
+        return [1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _ueval(a, x, p):
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
+def _coprime(f, g, both, ss):
+    """True when images prove the nonzero f and g coprime: for each parameter
+    y of ``both``, their images mod (p, i - r) in y alone, with the other
+    parameters of ``ss`` at points, keep both y-degrees and have a constant
+    gcd.  A common factor of positive degree in y would keep that degree in
+    such images, because its leading coefficient in y divides theirs.  A
+    table entry at which a denominator or a degree vanishes is passed over."""
+    for t, (p, r) in enumerate(_PRIMES):
+        for s in both:
+            pts = [
+                (u, _POINTS[(t + j) % len(_POINTS)]) for j, u in enumerate(ss) if u != s
+            ]
+            a, b = _uimage(f, s, pts, p, r), _uimage(g, s, pts, p, r)
+            if a is None or b is None:
+                break
+            if len(_ugcdp(a, b, p)) > 1:
+                return False
+        else:
+            return True
+    return False
+
+
+def _uimage(f, s, pts, p, r):
+    """The dense image of f mod (p, i - r) in the parameter at offset s, the
+    parameters of pts [(offset, point)] at their points; None when p divides
+    a denominator or the image loses f's degree in that parameter."""
+    # with no other parameter, a key is its degree in this one, shifted
+    out = [0] * ((max((e >> s) & _EMASK for e in f) if pts else max(f) >> s) + 1)
+    for e, (a, b, d) in f.items():
+        c = a + b * r
+        if d != 1:
+            if not d % p:
+                return None
+            c *= pow(d, -1, p)
+        for u, x in pts:
+            c *= pow(x, (e >> u) & _EMASK, p)
+        k = (e >> s) & _EMASK
+        out[k] = (out[k] + c) % p
+    return out if out[-1] else None
+
+
+def _gcd(p, q, ctx):
+    """(g, p/g, q/g) for a gcd g of the nonzero polynomials p and q, up to a
+    constant factor; when g is constant it is ``ctx._den_one`` and the
+    cofactors are p and q themselves.
+
+    A monomial's divisors are monomials, so with a monomial on either side
+    the gcd is the fieldwise minimum over both supports.  Otherwise
+    :func:`_coprime` tries to prove the pair coprime from one image mod p
+    per shared parameter, which is sound because a common factor keeps its
+    degree in images that keep the operands' degrees.  When it cannot, a
+    pair in one parameter takes the dense Euclid over Q(i) of :func:`_ugcd`
+    and a pair in several Brown's algorithm (:func:`qe2.modgcd.brown`),
+    whose result is exact because it is checked by trial division in
+    Q(i)."""
+    if len(p) == 1 or len(q) == 1:
+        m = _emins((*p, *q), ctx._guard)
+        if not m:
+            return ctx._den_one, p, q
+        return {m: _ONE}, _pshift(p, m), _pshift(q, m)
+    if ctx.nvars == 1:
+        ss = both = ctx._shifts
+    else:
+        vp, vq = _pvars(p), _pvars(q)
+        ss = sorted(vp | vq, reverse=True)
+        both = [s for s in ss if s in vp and s in vq]
+    if _coprime(p, q, both, ss):
+        return ctx._den_one, p, q
+    if len(ss) > 1:
+        from .modgcd import brown
+
+        return brown(p, q, ss) or (ctx._den_one, p, q)
+    g = _ugcd(p, q, ss[0])
+    if _is_constant(g):
+        return ctx._den_one, p, q
+    return g, _pdivexact(p, g), _pdivexact(q, g)
 
 
 # ---------------------------------------------------------------------------
@@ -800,22 +810,22 @@ class Scalar:
             n = _padd(a, c)
             if not n:
                 return ctx.zero
-            g = _gcd(n, b, ctx)
+            g, ng, bg = _gcd(n, b, ctx)
             if _is_constant(g):
                 return _scalar(ctx, n, b)
-            return _scalar(ctx, *_canon(_pdiv(n, g), _pdiv(b, g)))
+            return _scalar(ctx, *_canon(ng, bg))
         # Henrici: with g = gcd(b, d) and t = a*(d/g) + c*(b/g), the sum is
-        # (t/g2) / ((b/g)*(d/g2)) for g2 = gcd(t, g).  Distinct canonical
-        # denominators mean a/b != -c/d, so t is nonzero.
-        g = _gcd(b, d, ctx)
+        # (t/g2) / ((b/g)*(d/g2)) for g2 = gcd(t, g), where d/g2 is
+        # (d/g)*(g/g2).  Distinct canonical denominators mean a/b != -c/d,
+        # so t is nonzero.
+        g, bg, dg = _gcd(b, d, ctx)
         if _is_constant(g):
             t = _padd(_pmul(a, d), _pmul(c, b))
             return _scalar(ctx, *_canon(t, _pmul(b, d)))
-        bg, dg = _pdiv(b, g), _pdiv(d, g)
         t = _padd(_pmul(a, dg), _pmul(c, bg))
-        g2 = _gcd(t, g, ctx)
+        g2, tg, gg = _gcd(t, g, ctx)
         if not _is_constant(g2):
-            t, d = _pdiv(t, g2), _pdiv(d, g2)
+            t, d = tg, _pmul(dg, gg)
         return _scalar(ctx, *_canon(t, _pmul(bg, d)))
 
     __radd__ = __add__
@@ -874,10 +884,10 @@ class Scalar:
             # cancels, (a*c)/b keeps the canonical b as it stands
             if one_od:
                 b = sd
-                on, den = _cancel(on, b, ctx)
+                _, on, den = _gcd(on, b, ctx)
             else:
                 b = od
-                sn, den = _cancel(sn, b, ctx)
+                _, sn, den = _gcd(sn, b, ctx)
             if den is b:
                 return _scalar(ctx, _pmul(sn, on), b)
             return _scalar(ctx, *_canon(_pmul(sn, on), den))
@@ -1049,9 +1059,9 @@ def _mul_reduced(ctx, a, b, c, d):
     (a/g1 * c/g2) / (b/g2 * d/g1) (Knuth, TAOCP vol. 2, 4.5.1); a gcd with a
     constant is skipped."""
     if not _is_constant(d):
-        a, d = _cancel(a, d, ctx)
+        _, a, d = _gcd(a, d, ctx)
     if not _is_constant(b):
-        c, b = _cancel(c, b, ctx)
+        _, c, b = _gcd(c, b, ctx)
     return _scalar(ctx, *_canon(_pmul(a, c), _pmul(b, d)))
 
 
@@ -1074,16 +1084,7 @@ def _reduce(num, den, ctx):
         raise DegenerateScalar("zero denominator")
     if not num:
         return {}, {0: _ONE}
-    # strip the common monomial factor
-    m = _emins((*num, *den), ctx._guard)
-    if m:
-        num = _pshift(num, m)
-        den = _pshift(den, m)
-    if len(den) > 1:
-        g = _pgcd(num, den)
-        if len(g) > 1 or next(iter(g)):
-            num = _pdivexact(num, g)
-            den = _pdivexact(den, g)
+    _, num, den = _gcd(num, den, ctx)
     return _canon(num, den)
 
 

@@ -1,9 +1,10 @@
 """Which layers a fresh process loads.  Loading a preset imports the
 analysis layers (``homspace``, ``liebialg``) only when that preset builds
 objects from them, printing or diamond-checking a tower never imports
-the tensor layer, only ``qe2 check`` imports the suites, and no qe2 run
-imports ``fractions``.  Each check runs in a subprocess, because the test
-session itself has imported every module."""
+the tensor layer, only ``qe2 check`` imports the suites, no qe2 run
+imports ``fractions``, and a gcd loads Brown's algorithm (``modgcd``) only
+when images leave it undecided.  Each check runs in a subprocess, because
+the test session itself has imported every module."""
 
 import json
 import os
@@ -24,9 +25,9 @@ LIGHT_PRESETS = (
 WATCHED = ("qe2.homspace", "qe2.liebialg", "qe2.suites", "qe2.cli", "_hashlib")
 
 
-def _run(code: str):
+def _run(code: str, *flags):
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
@@ -119,3 +120,31 @@ def test_fractions_stays_off_the_import_path():
     assert codes == [0, 0, 2]
     assert loaded == []
     assert re == "1/2" and q == "<class 'fractions.Fraction'>"
+
+
+def test_a_multivariate_gcd_imports_neither_random_nor_fractions():
+    # x / y needs gcd(num x, num y) = 1 in three parameters, which the
+    # primitive PRS took minutes to find.  The gcd uses fixed tables of
+    # primes and points, so it needs no random source, and images prove this
+    # pair coprime, so Brown's algorithm (qe2.modgcd) is not even loaded.
+    # -S leaves out site, whose .pth files may import random themselves.
+    code = (
+        "import json, sys\n"
+        "from qe2.scalars import GaussRational as G, Parameter, ScalarContext\n"
+        "ctx = ScalarContext([Parameter('omega', 'negated'), Parameter('k'), Parameter('q')])\n"
+        "w, k, q = (ctx.param(n) for n in ('omega', 'k', 'q'))\n"
+        "c = lambda re, im, d=1: ctx.from_gauss(G(re, im)) / d\n"
+        "x = -c(1, -13, 17)*w**5 - c(1, 4, 17)*w**4*k - c(14, 5, 17)\n"
+        "y = (c(1, 1)*w**6*k*q - c(3, 1)*w**5 - c(1, 3)*q) / (c(2, 3)*w*k - c(3, -3)*k*q)\n"
+        "text = (x / y).text()\n"
+        "watched = ('random', 'fractions', 'qe2.modgcd')\n"
+        "print(json.dumps([text, [m for m in watched if m in sys.modules]]))\n"
+    )
+    text, loaded = _run(code, "-S")
+    assert loaded == []
+    assert text == (
+        "(-(9/17-32/17*i)*omega^6*k - (1/34+21/34*i)*omega^5*k^2"
+        " - (39/17+3/17*i)*omega^5*k*q + (12/17-3/17*i)*omega^4*k^2*q"
+        " - (65/34+39/34*i)*omega*k + (15/17-42/17*i)*k*q)"
+        "/(omega^6*k*q - (2-i)*omega^5 - (2+i)*q)"
+    )

@@ -351,7 +351,8 @@ def test_scalar_ops_match_sympy_cancel(x, y, op):
 
 from operator import sub  # noqa: E402
 
-from qe2.scalars import _padd, _pgcd, _pdivexact, _pneg, _ugcd  # noqa: E402
+from qe2.scalars import _padd, _pdivexact, _pneg, _ugcd  # noqa: E402
+from scalar_reference import _pgcd  # noqa: E402
 
 CTX1 = ScalarContext([Parameter("omega", "negated")])
 
@@ -372,16 +373,14 @@ def _den_menu(ctx):
 
 _MENUS = {1: _den_menu(CTX1), 3: _den_menu(CTX)}
 coeff_parts = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
-# The reference's multivariate primitive PRS can take seconds to minutes on
-# moderate inputs (a product of two of these fractions with degree-6 and
-# three-parameter parts took 6 s), so the three-parameter operands are kept
-# smaller: lower degrees in omega and smaller numerators.
+# Numerator terms: exponents up to the given degree per parameter (the one
+# parameter of CTX1 reads the first), at most size terms.
 _POLY_TERMS = {
     nvars: st.lists(
-        st.tuples(st.tuples(*[st.integers(0, top)] * 3), coeff_parts, coeff_parts),
+        st.tuples(st.tuples(*(st.integers(0, t) for t in tops)), coeff_parts, coeff_parts),
         max_size=size,
     )
-    for nvars, top, size in ((1, 2, 3), (3, 1, 2))
+    for nvars, tops, size in ((1, (2, 2, 2), 3), (3, (6, 2, 2), 3))
 }
 
 
@@ -587,6 +586,181 @@ def test_ugcd_matches_sympy(h, a, b):
         assert got.is_zero
     else:
         assert (got - want.monic()).is_zero
+
+
+# -- the modular gcd against sympy and the primitive PRS ----------------------
+
+from qe2 import modgcd, scalars  # noqa: E402
+from qe2.scalars import _gcd, _is_constant  # noqa: E402
+
+
+def _sym(p, nvars=3):
+    """The sympy expression of a polynomial in omega, k, q (the first nvars
+    of them)."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("omega k q")[:nvars]
+    return sum(
+        (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d))
+        * sympy.Mul(*(s**e for s, e in zip(syms, _unpack(key, nvars))))
+        for key, (a, b, d) in p.items()
+    )
+
+
+def _qqi(p, nvars=3):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(_sym(p, nvars), *sympy.symbols("omega k q")[:nvars], domain=sympy.QQ_I)
+
+
+def _check_gcd(ctx, f, g, want=None):
+    """_gcd(f, g) returns exact cofactors of a gcd, which is equal up to a
+    constant to want (by default sympy's gcd over QQ_I)."""
+    got, qf, qg = _gcd(f, g, ctx)
+    assert _pmul(got, qf) == f and _pmul(got, qg) == g
+    if _is_constant(got):
+        assert got is ctx._den_one and qf is f and qg is g
+    if want is None:
+        w = _qqi(f, ctx.nvars).gcd(_qqi(g, ctx.nvars))
+        assert (_qqi(got, ctx.nvars).monic() - w.monic()).is_zero, (f, g, got)
+    else:
+        assert _same_up_to_unit(got, want), (f, g, got, want)
+    return got
+
+
+# Factors up to degree 3 in omega (and 1 in k and q), so that the operands,
+# products of two, reach degree 6.
+_GCD_TERMS = {
+    nvars: st.lists(
+        st.tuples(st.tuples(*(st.integers(0, t) for t in tops)), coeff_parts, coeff_parts),
+        min_size=1,
+        max_size=size,
+    )
+    for nvars, tops, size in ((1, (3,), 4), (3, (3, 1, 1), 3))
+}
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX], ids=["omega", "omega-k-q"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gcd_matches_sympy(ctx, data):
+    h, a, b = (_poly(ctx, data.draw(_GCD_TERMS[ctx.nvars])) for _ in range(3))
+    f, g = _pmul(h, a), _pmul(h, b)  # planted common factor h
+    if not (f and g):
+        return
+    got = _check_gcd(ctx, f, g)
+    if h:
+        assert _pdivexact(got, h) is not None
+    # the primitive PRS takes seconds past small inputs
+    if ctx.nvars == 1 or max(_unpack(max(f), 3)[0], _unpack(max(g), 3)[0]) <= 2:
+        assert _same_up_to_unit(got, _pgcd(f, g))
+
+
+def _spy(monkeypatch, module, name, seen, budget=2000):
+    """Record the prime p, the fourth argument, of every call to a function;
+    fail past budget calls, where a wrong image would make the gcd retry
+    without end."""
+    f = getattr(module, name)
+
+    def spy(*args):
+        seen.append(args[3])
+        assert len(seen) <= budget, f"{name} called {budget} times"
+        return f(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_prime_table_holds_primes_1_mod_4_with_square_roots_of_minus_1():
+    for p, r in scalars._PRIMES:
+        assert p % 4 == 1 and all(p % d for d in range(3, 2**15 + 1, 2))
+        assert r * r % p == p - 1
+
+
+def test_gcd_passes_over_a_prime_that_divides_a_leading_coefficient(monkeypatch):
+    # 13 divides the lex-leading coefficient of both operands and a
+    # denominator of g: the certificate and Brown's algorithm both pass it over
+    monkeypatch.setattr(scalars, "_PRIMES", ((13, 5),) + scalars._PRIMES)
+    certified, brown = [], []
+    _spy(monkeypatch, scalars, "_uimage", certified)
+    _spy(monkeypatch, modgcd, "_mgcd", brown)
+    h = W * K + 1
+    f, g = ((13 * W**2 + K) * h).num, ((13 * W + Q / 13) * h).num
+    _check_gcd(CTX, f, g, want=h.num)
+    assert certified[0] == 13 and brown and 13 not in brown
+
+
+def test_certificate_passes_over_a_prime_that_drops_a_degree(monkeypatch):
+    # mod 5 the common factor 5*omega + 1 is the constant 1 and the images
+    # omega + 2 and omega + 3 are coprime, but their omega-degree fell
+    monkeypatch.setattr(scalars, "_PRIMES", ((5, 2),) + scalars._PRIMES)
+    h = 5 * W + 1
+    _check_gcd(CTX, (h * (W + 2)).num, (h * (W + 3)).num, want=h.num)
+
+
+@pytest.mark.parametrize(
+    "table, entry, f, g, h",
+    [
+        # mod 5, omega*k + 6 is omega*k + 1
+        ("_PRIMES", ((5, 2),), W * K + 6, W * K + 1, W + Q),
+        # at k = q = 1, omega + k is omega + 1 and omega*q + 1 is omega + 1
+        ("_POINTS", (1, 1, 1, 1), W + K, W * Q + 1, W + Q),
+    ],
+    ids=["prime", "point"],
+)
+def test_gcd_survives_images_with_a_common_factor_the_operands_lack(
+    monkeypatch, table, entry, f, g, h
+):
+    # the certificate sees a common factor, so Brown's algorithm runs; at
+    # the unlucky prime its candidate fails the trial division
+    monkeypatch.setattr(scalars, table, entry + getattr(scalars, table)[len(entry) :])
+    _check_gcd(CTX, f.num, g.num, want=CTX._den_one)
+    _check_gcd(CTX, (f * h).num, (g * h).num, want=h.num)
+
+
+def test_gcd_combines_primes_past_the_table_and_drops_an_unlucky_one(monkeypatch):
+    # h needs more primes than the table holds; mod 10009, put second, the
+    # cofactors omega*k + 10010 and omega*k + 1 agree, so that image has a
+    # larger leading key than the first prime's and is dropped
+    primes = scalars._PRIMES
+    monkeypatch.setattr(scalars, "_PRIMES", primes[:1] + ((10009, 3303),) + primes[1:])
+    tried = []
+    _spy(monkeypatch, modgcd, "_mgcd", tried)
+    big = CTX.from_int(10**40 + 7)
+    h = big * W * K + CTX.from_gauss(GaussRational(3, 10**35)) * Q + 1
+    _check_gcd(CTX, (h * (W * K + 10010)).num, (h * (W * K + 1)).num, want=h.num)
+    assert 10009 in tried and len(set(tried)) > len(scalars._PRIMES)
+
+
+def test_brown_drops_an_unlucky_point_after_a_lucky_one(monkeypatch):
+    # with the points q = 1, 2, 3, ..., the images at q = 2 share the factor
+    # omega + 2 that the cofactors lack, after q = 1 gave the true degree
+    monkeypatch.setattr(modgcd, "_STEP", 1)
+    _spy(monkeypatch, modgcd, "_mgcd", [])
+    h = W * Q + 3
+    _check_gcd(CTX, (h * (W + Q)).num, (h * (W + 2)).num, want=h.num)
+
+
+def test_the_slow_inputs_of_the_primitive_prs_match_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+
+    def c(re, im, d=1):
+        return CTX.from_gauss(GaussRational(re, im)) / d
+
+    def same(got, want):
+        num, den = sympy.fraction(sympy.cancel(want, extension=True))
+        assert sympy.expand(_sym(got.num) * den - num * _sym(got.den)) == 0
+        # (over QQ<I>: sympy's QQ_I gcd takes seconds on these two)
+        assert sympy.gcd(_sym(got.num), _sym(got.den), extension=True).is_number
+
+    x = -c(1, -13, 17) * W**5 - c(1, 4, 17) * W**4 * K - c(14, 5, 17)
+    y = (c(1, 1) * W**6 * K * Q - c(3, 1) * W**5 - c(1, 3) * Q) / (
+        c(2, 3) * W * K - c(3, -3) * K * Q
+    )
+    same(x / y, _sym(x.num) * _sym(y.den) / _sym(y.num))
+    # the full reduce of the unreduced x + y
+    x = (-c(2, 0, 3) * W * Q + c(1, 4, 2) * Q) / (W + 1) ** 3
+    y = (c(1, 2, 2) * K * Q + c(0, 1, 2) * K) / (W**3 + W**2)
+    s = Scalar(CTX, *_unreduced(add, x, y))
+    _assert_same(s, x + y)
+    same(s, _sym(x.num) / _sym(x.den) + _sym(y.num) / _sym(y.den))
 
 
 # -- the unit --------------------------------------------------------------
@@ -849,13 +1023,8 @@ def test_text_matches_fraction_reference(g, p):
 
 # -- packed exponent keys against exponent tuples ------------------------------
 
-from qe2.scalars import (  # noqa: E402
-    _eadd,
-    _emin,
-    _esub,
-    _field,
-    _with_field,
-)
+from qe2.scalars import _eadd, _emin, _esub, _field  # noqa: E402
+from scalar_reference import _with_field  # noqa: E402
 
 _BOUND = 2**31
 # exponents near 0, around half the bound and just below the bound, so sums
