@@ -51,10 +51,6 @@ class TensorElement(TermVector):
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, legs):
-        return cls(legs, {})
-
-    @classmethod
     def unit(cls, legs):
         ctx = legs[0].context
         mono = tuple(t.unit_mono for t in legs)
@@ -298,9 +294,9 @@ class AlgebraMorphism:
             inv = self._inverses[j] = self.images[j].unit_inverse()
         return inv
 
-    def validate(self, suite="morphism") -> CheckReport:
+    def validate(self) -> CheckReport:
         """Images must satisfy every derived relation of the source."""
-        rep = CheckReport(suite)
+        rep = CheckReport("morphism")
         for word, rhs in self.source.derived_rules():
             check_id = f"respects[{_word_name(self.source, word)}]"
             try:
@@ -407,7 +403,7 @@ def load_hopf(tower: OreTower, spec: dict) -> HopfStructure:
 _DIFFER = "left and right canonical forms differ"
 
 
-def hopf_axioms_report(H: HopfStructure, suite="hopf-axioms") -> CheckReport:
+def hopf_axioms_report(H: HopfStructure) -> CheckReport:
     """Coassociativity, counit, antipode, star-coproduct compatibility and
     the star involution, on every generator (which suffices: all maps are
     determined by their generator values and their (anti)multiplicativity,
@@ -434,7 +430,7 @@ def hopf_axioms_report(H: HopfStructure, suite="hopf-axioms") -> CheckReport:
                 (f"star-coproduct-{g.name}", H.coproduct(H.star(x)), dx_star),
                 (f"star-involution-{g.name}", H.star(H.star(x)), x),
             ]
-    rep = CheckReport(suite)
+    rep = CheckReport("hopf-axioms")
     for check_id, lhs, rhs in sides:
         rep.verdict(check_id, lhs == rhs, lhs=lhs, rhs=rhs, witness=_DIFFER)
     return rep
@@ -443,7 +439,6 @@ def hopf_axioms_report(H: HopfStructure, suite="hopf-axioms") -> CheckReport:
 def respects_relations_report(
     tower: OreTower,
     H: Optional[HopfStructure] = None,
-    suite="respects-relations",
     star_status_on_fail=FAIL,
 ) -> CheckReport:
     """Check that the structure maps are well defined on the presented
@@ -466,7 +461,7 @@ def respects_relations_report(
         ]
     if tower.star_table is not None:
         maps.append(("star", star_map(tower), star_status_on_fail))
-    rep = CheckReport(suite)
+    rep = CheckReport("respects-relations")
     for word, rhs in tower.derived_rules():
         wname = _word_name(tower, word)
         for name, f, bad in maps:

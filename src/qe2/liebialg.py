@@ -314,12 +314,10 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
 # ---------------------------------------------------------------------------
 
 
-def cocycle_cojacobi_report(
-    g: LieAlgebra, delta: Cocommutator, suite="bialgebra"
-) -> CheckReport:
+def cocycle_cojacobi_report(g: LieAlgebra, delta: Cocommutator) -> CheckReport:
     """delta([a,b]) = ad_a delta(b) - ad_b delta(a) on all basis pairs, and
     the co-Jacobi identity (cyclic sum of (delta x id) delta = 0)."""
-    rep = CheckReport(suite)
+    rep = CheckReport("bialgebra")
     ctx = g.ctx
     n = g.dim
     for a in range(n):
@@ -429,12 +427,11 @@ def stabilizer_invariance_check(
     stab_action,        # 2 x 2 matrix of Scalars
     delta_stab: WedgeBivector,  # cocommutator image of the stabilizer generator
     rho: Scalar,        # coefficient of e1^e2 in the candidate bivector
-    suite="stabilizer",
 ) -> CheckReport:
     """Evaluates (phi_0)_* delta(X) + X . rho = 0 exactly, the action of a
     generator on a bivector being the derivation extension
     (A.rho)^{ij} = A^i_k rho^{kj} + A^j_k rho^{ik}."""
-    rep = CheckReport(suite)
+    rep = CheckReport("stabilizer")
     dim = len(pushforward)
     if any(len(row) != 2 for row in pushforward) or len(stab_action) != 2:
         raise LieError("tangent space dimension must be 2")

@@ -1,10 +1,10 @@
 """Brown's dense modular gcd of two :class:`~qe2.scalars.Scalar`
-polynomials in several parameters (Brown, J. ACM 18(4), 1971; Geddes,
+polynomials in one parameter or several (Brown, J. ACM 18(4), 1971; Geddes,
 Czapor and Labahn, *Algorithms for Computer Algebra*, ch. 7).
 
-``scalars._gcd`` calls :func:`brown` only for a pair in two or more
-parameters that its images did not prove coprime, so this module loads only
-then.  It works with the images of ``scalars``: i maps to a square root r
+``scalars._gcd`` calls :func:`brown` for every pair that neither its
+images prove coprime nor an operand of total degree 1 settles, so this
+module loads only then.  It works with the images of ``scalars``: i maps to a square root r
 of -1 mod a prime p = 1 (mod 4).  Over F_p a sparse polynomial is {key:
 residue} and a dense one, in one parameter, a list of residues from degree
 0 with no trailing zero.  The evaluation points are fixed: the j-th is

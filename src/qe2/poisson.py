@@ -114,11 +114,11 @@ class PoissonStructure:
         return pin_unit(collect(pairs).items(), ctx.one)
 
 
-def jacobi_report(P: PoissonStructure, suite="jacobi") -> CheckReport:
+def jacobi_report(P: PoissonStructure) -> CheckReport:
     """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} on all generator
     triples; by the derivation property this certifies Jacobi on the
     whole algebra."""
-    rep = CheckReport(suite)
+    rep = CheckReport("jacobi")
     tower = P.tower
     n = tower.nlevels
     gens = [NCPoly.generator(tower, i) for i in range(n)]
@@ -183,14 +183,13 @@ def poisson_morphism_report(
     phi: AlgebraMorphism,
     P_src: PoissonStructure,
     P_tgt,
-    suite="poisson-morphism",
 ) -> CheckReport:
     """phi({x,y}) = {phi x, phi y} on all generator pairs (suffices by
     Leibniz).  For tensor targets pass a pair (P_left, P_right)."""
-    rep = CheckReport(suite)
+    rep = CheckReport("poisson-morphism")
     src = phi.source
     names = [g.name for g in src.generators]
-    val = phi.validate(suite)
+    val = phi.validate()
     bad = [r for r in val.records if r.status != PASS]
     if bad:
         rep.records.extend(bad)
@@ -354,12 +353,11 @@ def poisson_ideal_check(
     P: PoissonStructure,
     ideal_gens: Sequence[NCPoly],
     vanish: AlgebraMorphism,
-    suite="poisson-ideal",
 ) -> CheckReport:
     """Pass iff vanish({g, a}) = 0 for every ideal generator g and algebra
     generator a; ``vanish`` is the restriction morphism onto the subgroup
     (its kernel is the subgroup ideal)."""
-    rep = CheckReport(suite)
+    rep = CheckReport("poisson-ideal")
     tower = P.tower
     for g in ideal_gens:
         img = vanish.apply(g)

@@ -130,11 +130,6 @@ class CheckReport(Record):
         return worst
 
     @property
-    def passed(self):
-        """No failing record (discrepancies allowed)."""
-        return self.counts[FAIL] == 0
-
-    @property
     def clean(self):
         """Every record is a plain pass."""
         return self.worst == PASS

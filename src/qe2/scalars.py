@@ -61,14 +61,14 @@ over a prime field usually prove the pair coprime (``_coprime``): with i
 mapped to a square root of -1 mod a word-size prime p = 1 (mod 4), and all
 parameters but one, y, at fixed points, a common factor of positive degree
 in y keeps that degree in any images that keep both operands' y-degrees,
-so a constant gcd of such images rules it out.  When no image proves it, a
-pair in one parameter takes a dense Euclid over Q(i) (``_ugcd``) and a pair
-in several takes Brown's dense modular gcd (``modgcd.brown``).  Brown's candidate
-is accepted only when it divides both operands exactly in Q(i), so every
-gcd is exact, and an unlucky prime or point only costs another.  The primes
+so a constant gcd of such images rules it out.  When no image proves it, an
+operand of total degree 1, such as the 1 + omega of the nonstandard
+presets, is irreducible: the gcd is that operand when it divides the other
+exactly, and 1 otherwise.  Every other pair, in one parameter or several,
+takes Brown's dense modular gcd (``modgcd.brown``), whose candidate is
+accepted only when it divides both operands exactly in Q(i), so every gcd
+is exact, and an unlucky prime or point only costs another.  The primes
 and points come from fixed tables, so every run takes the same steps.
-``_reduce``, the full gcd of an arbitrary num/den through ``_gcd``, serves
-only the constructor ``Scalar(ctx, num, den)``.
 
 The unit.  Each context has one Scalar ``ctx.one`` that stands for 1:
 ``from_gauss`` and ``from_int`` return it for 1, the engine stores every
@@ -442,42 +442,6 @@ def _pvars(p):
     return out
 
 
-def _ugcd(f, g, s):
-    """Monic gcd of polynomials f and g in the single parameter of the field
-    at bit offset s, by dense Euclid over Q(i)."""
-    a, b = _dense(f, s), _dense(g, s)
-    while b:
-        inv = _cinv(b[-1])
-        b = [_cmul(c, inv) for c in b]  # monic, so the remainder needs no division
-        db = len(b) - 1
-        while len(a) > db:
-            q = a.pop()
-            if q[0] or q[1]:
-                shift = len(a) - db
-                for j in range(db):
-                    a[shift + j] = _csub(a[shift + j], _cmul(q, b[j]))
-        while a and not (a[-1][0] or a[-1][1]):
-            a.pop()
-        a, b = b, a
-    if not a:
-        return {}
-    inv = _cinv(a[-1])
-    # in bounds: the gcd's degree is at most that of f or g
-    return {j << s: _cmul(c, inv) for j, c in enumerate(a) if c[0] or c[1]}
-
-
-def _dense(p, s):
-    """Coefficient list of a polynomial in the parameter of the field at bit
-    offset s alone (every other field 0), lowest degree first, with no
-    trailing zeros."""
-    if not p:
-        return []
-    out = [_ZERO] * ((max(p) >> s) + 1)
-    for e, c in p.items():
-        out[e >> s] = c
-    return out
-
-
 def _canonical_unit(c):
     """The unit u of Z[i] that puts c*u in the quadrant re > 0, im >= 0."""
     a, b, _ = c
@@ -539,11 +503,11 @@ def _zgauss_content(p):
 # Gcds through images over F_p, for primes p = 1 (mod 4) below 2**30, where i
 # maps to a square root r of -1: the prime ideal (p, i - r) of Z[i], and with
 # -r its conjugate.  A dense polynomial over F_p is a list of residues from
-# degree 0 with no trailing zero.  Brown's algorithm, for the pairs in several
-# parameters that the certificate leaves, is in :mod:`qe2.modgcd`, which loads
-# only then.  The tables are fixed, so every run takes the same steps: (p, r)
-# for the primes from the top (``modgcd`` goes on below them), and the
-# certificate's points.
+# degree 0 with no trailing zero.  Brown's algorithm, for the pairs that
+# neither the certificate nor a linear operand settles, is in
+# :mod:`qe2.modgcd`, which loads only then.  The tables are fixed, so every
+# run takes the same steps: (p, r) for the primes from the top (``modgcd``
+# goes on below them), and the certificate's points.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (
@@ -641,11 +605,11 @@ def _gcd(p, q, ctx):
     the gcd is the fieldwise minimum over both supports.  Otherwise
     :func:`_coprime` tries to prove the pair coprime from one image mod p
     per shared parameter, which is sound because a common factor keeps its
-    degree in images that keep the operands' degrees.  When it cannot, a
-    pair in one parameter takes the dense Euclid over Q(i) of :func:`_ugcd`
-    and a pair in several Brown's algorithm (:func:`qe2.modgcd.brown`),
-    whose result is exact because it is checked by trial division in
-    Q(i)."""
+    degree in images that keep the operands' degrees.  When it cannot, an
+    operand of total degree 1 is irreducible, so the gcd is that operand if
+    it divides the other and 1 if not.  Every other pair takes Brown's
+    algorithm (:func:`qe2.modgcd.brown`), whose result is exact because it
+    is checked by trial division in Q(i)."""
     if len(p) == 1 or len(q) == 1:
         m = _emins((*p, *q), ctx._guard)
         if not m:
@@ -659,14 +623,15 @@ def _gcd(p, q, ctx):
         both = [s for s in ss if s in vp and s in vq]
     if _coprime(p, q, both, ss):
         return ctx._den_one, p, q
-    if len(ss) > 1:
-        from .modgcd import brown
+    if p.keys() <= ctx._linear:
+        c = _pdivexact(q, p)
+        return (ctx._den_one, p, q) if c is None else (p, ctx._den_one, c)
+    if q.keys() <= ctx._linear:
+        c = _pdivexact(p, q)
+        return (ctx._den_one, p, q) if c is None else (q, c, ctx._den_one)
+    from .modgcd import brown
 
-        return brown(p, q, ss) or (ctx._den_one, p, q)
-    g = _ugcd(p, q, ss[0])
-    if _is_constant(g):
-        return ctx._den_one, p, q
-    return g, _pdivexact(p, g), _pdivexact(q, g)
+    return brown(p, q, ss) or (ctx._den_one, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +674,8 @@ class ScalarContext:
         # the bit offset of parameter j's field, and the guard bits of them all
         self._shifts = tuple(_EBITS * (n - 1 - j) for j in range(n))
         self._guard = _GUARD & ((1 << (_EBITS * n)) - 1)
+        # the keys of total degree at most 1: 1 and each parameter
+        self._linear = frozenset((0, *(1 << s for s in self._shifts)))
         # the lowest bit of each negated parameter's field
         self._negated = sum(
             1 << s
@@ -757,16 +724,12 @@ class ScalarContext:
 class Scalar:
     """A canonical-form rational function over a :class:`ScalarContext`.
 
-    ``Scalar(ctx, num, den)`` reduces an arbitrary fraction of triple
-    polynomials; the field operations build their canonical results with
-    :func:`_scalar` instead."""
+    A Scalar is built only in this module, by :func:`_scalar` from a num and
+    den that are already canonical: the contexts make the constants and
+    parameters, and the field operations keep the form.  So there is no
+    public constructor, and ``Scalar(ctx, num, den)`` raises TypeError."""
 
     __slots__ = ("ctx", "num", "den", "_h")
-
-    def __init__(self, ctx: ScalarContext, num, den):
-        self.ctx = ctx
-        self.num, self.den = _reduce(num, den, ctx)
-        self._h = None
 
     def __bool__(self):
         return bool(self.num)
@@ -859,7 +822,7 @@ class Scalar:
             return ctx.zero
         if len(sn) == 1 and len(on) == 1 and len(sd) == 1 and len(od) == 1:
             # monomial times monomial: a canonical monomial denominator has
-            # coefficient 1, so stripping the common monomial is all of _reduce
+            # coefficient 1, so cancelling the common monomial is all there is
             ((e1, c1),) = sn.items()
             ((e2, c2),) = on.items()
             (f1,) = sd
@@ -1076,16 +1039,6 @@ def _peval(p, vals):
                 c = _cmul(c, _cpow(v, k))
         total = _cadd(total, c)
     return total
-
-
-def _reduce(num, den, ctx):
-    """Bring num/den to the canonical form described in the module docs."""
-    if not den:
-        raise DegenerateScalar("zero denominator")
-    if not num:
-        return {}, {0: _ONE}
-    _, num, den = _gcd(num, den, ctx)
-    return _canon(num, den)
 
 
 def _canon(num, den):

@@ -126,7 +126,7 @@ class _Inputs(dict):
         return dict(sigma_generators(B, self["qe2-nonstd"].hopf, max_power=1))
 
 
-def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport, note=""):
+def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport):
     worst = source.worst
     bad = next((r for r in source.records if r.status != PASS), None)
     c = source.counts
@@ -137,8 +137,7 @@ def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport, note
         status=worst,
         lhs=bad.lhs if bad else "",
         rhs=bad.rhs if bad else "",
-        witness=(f"{bad.check_id}: {bad.witness}" if bad else detail)
-        + (f"; {note}" if note else ""),
+        witness=f"{bad.check_id}: {bad.witness}" if bad else detail,
     )
 
 

@@ -1,18 +1,26 @@
-"""Reference for ``scalars._gcd``: the multivariate primitive PRS.
+"""References for ``scalars``: the full-reduce constructor and the
+multivariate primitive PRS.
 
-It recurses on the first declared parameter that occurs, takes contents by
-gcds of the coefficients and pseudo-remainders with no control of
-coefficient growth, so it is slow past small inputs (seconds on three
-parameters at degree 6 in omega).  It shares only the polynomial kernel
-(``_pmul``, ``_padd``, ``_pdivexact``) with ``scalars``, so it is an
-independent second implementation of the gcd.
+:func:`full_reduce` builds the canonical Scalar of an arbitrary fraction by
+one gcd of its whole numerator and denominator, the result that the field
+operations must reach with their cofactor gcds.
+
+:func:`_pgcd`, the reference for ``scalars._gcd``, recurses on the first
+declared parameter that occurs, takes contents by gcds of the coefficients
+and pseudo-remainders with no control of coefficient growth, so it is slow
+past small inputs (seconds on three parameters at degree 6 in omega).  It
+shares only the polynomial kernel (``_pmul``, ``_padd``, ``_pdivexact``)
+with ``scalars``, so it is an independent second implementation of the gcd.
 """
 
 from qe2.scalars import (
     _EMASK,
     _ONE,
+    DegenerateScalar,
+    _canon,
     _canonical_unit,
     _field,
+    _gcd,
     _padd,
     _pdivexact,
     _plead,
@@ -20,7 +28,18 @@ from qe2.scalars import (
     _pneg,
     _pscale,
     _pvars,
+    _scalar,
 )
+
+
+def full_reduce(ctx, num, den):
+    """The canonical Scalar num/den of ctx for polynomials num and den."""
+    if not den:
+        raise DegenerateScalar("zero denominator")
+    if not num:
+        return ctx.zero
+    _, num, den = _gcd(num, den, ctx)
+    return _scalar(ctx, *_canon(num, den))
 
 
 def _with_field(e, s, x):

@@ -257,7 +257,7 @@ def test_tensor_componentwise_product(fun_e2):
 def _random_tensor(tower, rng, arity):
     ctx = tower.context
     gens = tower.generators
-    out = TensorElement.zero((tower,) * arity)
+    out = TensorElement((tower,) * arity, {})
     for _ in range(rng.randint(1, 3)):
         polys = []
         for _ in range(arity):
@@ -295,7 +295,7 @@ def test_leg_surgery_matches_term_by_term(seed, arity):
             (pi.apply, pi.target, False),
         ):
             legs = t.legs[:j] + (new_tower or tower,) + t.legs[j + 1 :]
-            want = TensorElement.zero(legs)
+            want = TensorElement(legs, {})
             for monos, c in t.terms.items():
                 polys = _leg_polys(t, monos)
                 polys[j] = f(polys[j])
@@ -306,7 +306,7 @@ def test_leg_surgery_matches_term_by_term(seed, arity):
             assert got.legs == legs and got == want
 
         legs = t.legs[:j] + (tower, tower) + t.legs[j + 1 :]
-        want = TensorElement.zero(legs)
+        want = TensorElement(legs, {})
         for monos, c in t.terms.items():
             polys = _leg_polys(t, monos)
             for m2, c2 in H.coproduct(polys[j]).terms.items():
@@ -318,7 +318,7 @@ def test_leg_surgery_matches_term_by_term(seed, arity):
         assert got.legs == legs and got == want
 
         legs = t.legs[:j] + t.legs[j + 1 :]
-        want = TensorElement.zero(legs)
+        want = TensorElement(legs, {})
         for monos, c in t.terms.items():
             polys = _leg_polys(t, monos)
             want = want + TensorElement.from_legs(

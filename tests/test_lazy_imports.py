@@ -3,8 +3,8 @@ analysis layers (``homspace``, ``liebialg``) only when that preset builds
 objects from them, printing or diamond-checking a tower never imports
 the tensor layer, only ``qe2 check`` imports the suites, no qe2 run
 imports ``fractions``, and a gcd loads Brown's algorithm (``modgcd``) only
-when images leave it undecided.  Each check runs in a subprocess, because
-the test session itself has imported every module."""
+when neither the images nor a linear operand settle it.  Each check runs in
+a subprocess, because the test session itself has imported every module."""
 
 import json
 import os
@@ -148,3 +148,19 @@ def test_a_multivariate_gcd_imports_neither_random_nor_fractions():
         " - (65/34+39/34*i)*omega*k + (15/17-42/17*i)*k*q)"
         "/(omega^6*k*q - (2-i)*omega^5 - (2+i)*q)"
     )
+
+
+def test_gcds_with_one_plus_omega_leave_brown_unloaded():
+    # the gcds that the benchmark's random identities take: 1 + omega
+    # against a multiple of it, which images cannot prove coprime, so a
+    # linear operand settles them without Brown's algorithm (qe2.modgcd)
+    code = (
+        "import json, sys\n"
+        "from qe2.scalars import Parameter, ScalarContext\n"
+        "w = ScalarContext([Parameter('omega', 'negated')]).param('omega')\n"
+        "texts = [((w**2 - 1) / (w + 1)).text(), (1 / (1 + w)**3 + w / (1 + w)**3).text()]\n"
+        "print(json.dumps([texts, 'qe2.modgcd' in sys.modules]))\n"
+    )
+    texts, loaded = _run(code)
+    assert texts == ["omega - 1", "(1)/(omega^2 + 2*omega + 1)"]
+    assert not loaded

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qe2 import catalog
 from qe2.ncalg import NCPoly
 from qe2.poisson import PoissonStructure
-from qe2.scalars import GaussRational, Scalar, _pack, _unpack
+from qe2.scalars import GaussRational, _pack, _scalar, _unpack
 
 
 def _lift(c, ctx):
@@ -22,7 +22,7 @@ def _lift(c, ctx):
     assert c.is_polynomial(), c
     pad = (0,) * (ctx.nvars - c.ctx.nvars)
     num = {_pack(_unpack(e, c.ctx.nvars) + pad): t for e, t in c.num.items()}
-    return Scalar(ctx, num, {0: (1, 0, 1)})
+    return _scalar(ctx, num, ctx._den_one)
 
 
 def _first_order_defect(P, f, g):

@@ -9,11 +9,11 @@ from qe2.report import DISCREPANCY, FAIL, PASS, CheckReport
 def test_exit_codes():
     rep = CheckReport("s")
     rep.add("a")
-    assert rep.exit_code() == 0 and rep.clean and rep.passed
+    assert rep.exit_code() == 0 and rep.clean
     rep.add("b", status=DISCREPANCY)
-    assert rep.exit_code() == 2 and not rep.clean and rep.passed
+    assert rep.exit_code() == 2 and not rep.clean
     rep.add("c", status=FAIL)
-    assert rep.exit_code() == 1 and not rep.passed
+    assert rep.exit_code() == 1
     assert rep.worst == FAIL
     assert rep.counts == {PASS: 1, FAIL: 1, DISCREPANCY: 1}
 
@@ -73,9 +73,9 @@ def test_summarized_sub_records_digest(monkeypatch):
     seen = []
     summarize = suites._summarize
 
-    def spy(rep_out, check_id, anchor, source, note=""):
+    def spy(rep_out, check_id, anchor, source):
         seen.append([r.as_dict() for r in source.records])
-        return summarize(rep_out, check_id, anchor, source, note)
+        return summarize(rep_out, check_id, anchor, source)
 
     monkeypatch.setattr(suites, "_summarize", spy)
     suites.run_suite("all")
@@ -147,9 +147,9 @@ def test_summarized_sub_records_are_never_formatted(monkeypatch):
     sources = []
     summarize = suites._summarize
 
-    def spy(rep_out, check_id, anchor, source, note=""):
+    def spy(rep_out, check_id, anchor, source):
         sources.append(source)
-        return summarize(rep_out, check_id, anchor, source, note)
+        return summarize(rep_out, check_id, anchor, source)
 
     monkeypatch.setattr(suites, "_summarize", spy)
     rep = suites.run_suite("all")

@@ -8,6 +8,7 @@ from qe2.scalars import (
     GaussRational,
     Parameter,
     PoleAtPoint,
+    Scalar,
     ScalarContext,
     ScalarError,
     DegenerateScalar,
@@ -157,7 +158,8 @@ def test_pow():
 from fractions import Fraction  # noqa: E402
 from operator import add, mul, truediv  # noqa: E402
 
-from qe2.scalars import Scalar, _ctext, _pack, _pmul, _triple, _unpack  # noqa: E402
+from qe2.scalars import _ctext, _pack, _pmul, _triple, _unpack  # noqa: E402
+from scalar_reference import full_reduce  # noqa: E402
 
 
 class FQ:
@@ -291,7 +293,7 @@ monomials = st.builds(_monomial, nonzero_gauss, exps, exps)
 def test_monomial_mul_fast_path_matches_general(x, y):
     assert len(x.num) == len(x.den) == len(y.num) == len(y.den) == 1
     fast = x * y
-    slow = Scalar(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
+    slow = full_reduce(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
     assert fast.num == slow.num and fast.den == slow.den
 
 
@@ -351,7 +353,7 @@ def test_scalar_ops_match_sympy_cancel(x, y, op):
 
 from operator import sub  # noqa: E402
 
-from qe2.scalars import _padd, _pdivexact, _pneg, _ugcd  # noqa: E402
+from qe2.scalars import _padd, _pdivexact, _pneg  # noqa: E402
 from scalar_reference import _pgcd  # noqa: E402
 
 CTX1 = ScalarContext([Parameter("omega", "negated")])
@@ -399,7 +401,7 @@ def _poly(ctx, terms):
 def _operands(ctx):
     menu = _MENUS[ctx.nvars]
     return st.builds(
-        lambda terms, j: Scalar(ctx, _poly(ctx, terms), menu[j]),
+        lambda terms, j: full_reduce(ctx, _poly(ctx, terms), menu[j]),
         _POLY_TERMS[ctx.nvars],
         st.integers(0, len(menu) - 1),
     )
@@ -429,7 +431,7 @@ def test_field_ops_match_full_reduce(ctx, data):
 
     def check(op, a, b):
         got = op(a, b)
-        _assert_same(got, Scalar(ctx, *_unreduced(op, a, b)))
+        _assert_same(got, full_reduce(ctx, *_unreduced(op, a, b)))
         return got
 
     for op in (add, sub, mul, truediv):
@@ -438,23 +440,23 @@ def test_field_ops_match_full_reduce(ctx, data):
     # partners of x that make the result z: the sum cancels to 0 when z is
     # 0, to the unit denominator when z is a polynomial, and a/b + c/b has
     # gcd(a + c, b) != 1 when z's denominator is a proper divisor of x's
-    _assert_same(check(add, x, Scalar(ctx, *_unreduced(sub, z, x))), z)
-    _assert_same(check(sub, x, Scalar(ctx, *_unreduced(sub, x, z))), z)
+    _assert_same(check(add, x, full_reduce(ctx, *_unreduced(sub, z, x))), z)
+    _assert_same(check(sub, x, full_reduce(ctx, *_unreduced(sub, x, z))), z)
     if x:
-        _assert_same(check(mul, x, Scalar(ctx, *_unreduced(truediv, z, x))), z)
+        _assert_same(check(mul, x, full_reduce(ctx, *_unreduced(truediv, z, x))), z)
         if z:
-            _assert_same(check(truediv, x, Scalar(ctx, *_unreduced(truediv, x, z))), z)
-    _assert_same(x.conjugate(), Scalar(ctx, x._conj_poly(x.num), x._conj_poly(x.den)))
+            _assert_same(check(truediv, x, full_reduce(ctx, *_unreduced(truediv, x, z))), z)
+    _assert_same(x.conjugate(), full_reduce(ctx, x._conj_poly(x.num), x._conj_poly(x.den)))
     n = ctx.from_int(3)
-    _assert_same(3 - x, Scalar(ctx, *_unreduced(sub, n, x)))
-    _assert_same(x + 3, Scalar(ctx, *_unreduced(add, x, n)))
+    _assert_same(3 - x, full_reduce(ctx, *_unreduced(sub, n, x)))
+    _assert_same(x + 3, full_reduce(ctx, *_unreduced(add, x, n)))
     if x:
-        _assert_same(3 / x, Scalar(ctx, *_unreduced(truediv, n, x)))
+        _assert_same(3 / x, full_reduce(ctx, *_unreduced(truediv, n, x)))
 
 
 def _frac(n, d):
     """n/d for polynomial scalars n and d, reduced by the constructor."""
-    return Scalar(CTX, n.num, d.num)
+    return full_reduce(CTX, n.num, d.num)
 
 
 _ONE = CTX.one
@@ -478,7 +480,7 @@ NAMED_CASES = [
 @pytest.mark.parametrize("x, op, y, want", NAMED_CASES)
 def test_field_ops_named_cancellations(x, op, y, want):
     got = op(x, y)
-    _assert_same(got, Scalar(CTX, *_unreduced(op, x, y)))
+    _assert_same(got, full_reduce(CTX, *_unreduced(op, x, y)))
     _assert_same(got, want)
 
 
@@ -500,12 +502,12 @@ POLY_TIMES_FRACTION = [
 @pytest.mark.parametrize("x, y, cancels", POLY_TIMES_FRACTION)
 def test_polynomial_times_fraction_matches_full_reduce(x, y, cancels):
     assert y.is_polynomial() and not x.is_polynomial()
-    want = Scalar(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
+    want = full_reduce(CTX, _pmul(x.num, y.num), _pmul(x.den, y.den))
     for got in (x * y, y * x):
         _assert_same(got, want)
         # when nothing cancels, the product keeps x's canonical denominator
         assert (got.den is x.den) == (not cancels)
-    _assert_same(x / _G, Scalar(CTX, x.num, _pmul(x.den, _G.num)))
+    _assert_same(x / _G, full_reduce(CTX, x.num, _pmul(x.den, _G.num)))
 
 
 def test_rtruediv_unsupported_operand():
@@ -516,7 +518,10 @@ def test_rtruediv_unsupported_operand():
         1.5 - CTX.one
 
 
-# -- univariate Euclid against the primitive PRS and sympy --------------------
+# -- gcds in one parameter against the primitive PRS and sympy ----------------
+
+from qe2 import modgcd, scalars  # noqa: E402
+from qe2.scalars import _gcd, _is_constant  # noqa: E402
 
 dense_coeffs = st.lists(st.tuples(coeff_parts, coeff_parts), max_size=4)
 
@@ -538,60 +543,6 @@ def _same_up_to_unit(f, g):
         return not f and not g
     u = _pdivexact(f, g)
     return u is not None and len(u) == 1 and 0 in u
-
-
-@pytest.mark.parametrize("ctx, v", [(CTX1, 0), (CTX, 1)], ids=["omega", "k"])
-@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
-@settings(max_examples=120, deadline=None)
-def test_ugcd_matches_pgcd(ctx, v, h, a, b):
-    h, a, b = (_upoly(ctx, v, c) for c in (h, a, b))
-    f, g = _pmul(h, a), _pmul(h, b)  # planted common factor h
-    got = _ugcd(f, g, ctx._shifts[v])
-    assert _same_up_to_unit(got, _pgcd(f, g))
-    if got:
-        assert got[max(got)] == (1, 0, 1)  # monic
-        assert _pdivexact(f, got) is not None and _pdivexact(g, got) is not None
-        if h:
-            assert _pdivexact(got, h) is not None
-    else:
-        assert not f and not g
-
-
-def test_ugcd_edge_cases():
-    one = _triples({(0,): FQ(1)})
-    w1 = _triples({(1,): FQ(1), (0,): FQ(1)})  # omega + 1
-    assert _ugcd({}, {}, 0) == {}
-    assert _ugcd({}, _pmul(w1, _triples({(0,): FQ(3)})), 0) == w1
-    assert _ugcd(_triples({(0,): FQ(5)}), w1, 0) == one
-    assert _ugcd(w1, _triples({(1,): FQ(1), (0,): FQ(-1)}), 0) == one  # coprime
-    assert _ugcd(_pmul(w1, w1), _pmul(w1, _triples({(1,): FQ(0, 1)})), 0) == w1
-
-
-@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
-@settings(max_examples=40, deadline=None)
-def test_ugcd_matches_sympy(h, a, b):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("omega")
-    f, g = (_pmul(_upoly(CTX1, 0, h), _upoly(CTX1, 0, c)) for c in (a, b))
-
-    def poly(p):
-        expr = sum(
-            (sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)) * x ** _unpack(e, 1)[0]
-            for e, (a, b, d) in p.items()
-        )
-        return sympy.Poly(expr, x, domain=sympy.QQ_I)
-
-    got, want = poly(_ugcd(f, g, 0)), poly(f).gcd(poly(g))
-    if want.is_zero:
-        assert got.is_zero
-    else:
-        assert (got - want.monic()).is_zero
-
-
-# -- the modular gcd against sympy and the primitive PRS ----------------------
-
-from qe2 import modgcd, scalars  # noqa: E402
-from qe2.scalars import _gcd, _is_constant  # noqa: E402
 
 
 def _sym(p, nvars=3):
@@ -626,6 +577,90 @@ def _check_gcd(ctx, f, g, want=None):
     return got
 
 
+def _spy(monkeypatch, module, name, seen, budget=2000):
+    """Record the prime p, the fourth argument, of every call to a function;
+    fail past budget calls, where a wrong image would make the gcd retry
+    without end."""
+    f = getattr(module, name)
+
+    def spy(*args):
+        seen.append(args[3])
+        assert len(seen) <= budget, f"{name} called {budget} times"
+        return f(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("ctx, v", [(CTX1, 0), (CTX, 1)], ids=["omega", "k"])
+@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
+@settings(max_examples=120, deadline=None)
+def test_ugcd_matches_pgcd(ctx, v, h, a, b):
+    # _gcd of a pair in the one parameter v, with a planted common factor h
+    h, a, b = (_upoly(ctx, v, c) for c in (h, a, b))
+    f, g = _pmul(h, a), _pmul(h, b)
+    if f and g:
+        got = _check_gcd(ctx, f, g, want=_pgcd(f, g))
+        assert _pdivexact(got, h) is not None
+
+
+def test_ugcd_edge_cases():
+    one = _triples({(0,): FQ(1)})
+    w1 = _triples({(1,): FQ(1), (0,): FQ(1)})  # omega + 1
+    _check_gcd(CTX1, _triples({(0,): FQ(5)}), w1, want=one)
+    _check_gcd(CTX1, w1, _triples({(1,): FQ(1), (0,): FQ(-1)}), want=one)  # coprime
+    _check_gcd(CTX1, _pmul(w1, w1), _pmul(w1, _triples({(1,): FQ(0, 1)})), want=w1)
+
+
+@given(h=dense_coeffs, a=dense_coeffs, b=dense_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_ugcd_matches_sympy(h, a, b):
+    f, g = (_pmul(_upoly(CTX1, 0, h), _upoly(CTX1, 0, c)) for c in (a, b))
+    if f and g:
+        _check_gcd(CTX1, f, g)
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX], ids=["omega", "omega-k-q"])
+def test_a_linear_operand_settles_the_gcd_without_brown(monkeypatch, ctx):
+    w = ctx.param("omega")
+    if ctx.nvars == 1:
+        h, b = (1 + ctx.i) * w - 2, w**2 - 3 * w + ctx.i
+        # mod 5, omega + 6 is omega + 1, which divides a
+        a, lin = (w + 1) ** 2, w + 6
+    else:
+        k, q = ctx.param("k"), ctx.param("q")
+        h, b = w + k - 2 * q, w * k + q**2 + 1
+        # mod 5, omega + 5*k + 1 is omega + 1, which divides a
+        a, lin = (w + 1) * (k + q), w + 5 * k + 1
+    # 5 as the certificate's first prime: no pair below is proved coprime
+    monkeypatch.setattr(scalars, "_PRIMES", ((5, 2),) + scalars._PRIMES[1:])
+    certified, brown = [], []
+    coprime = scalars._coprime
+    monkeypatch.setattr(
+        scalars, "_coprime", lambda *args: certified.append(coprime(*args)) or certified[-1]
+    )
+    _spy(monkeypatch, modgcd, "_mgcd", brown)
+    c = 2 * ctx.i - 1
+    for f, g in [(h, h * b), (c * h, h * b), (h * b, c * h)]:
+        got = _check_gcd(ctx, f.num, g.num, want=h.num)
+        assert got is f.num or got is g.num  # the linear operand itself
+    f, g = a.num, lin.num
+    got, qf, qg = _gcd(f, g, ctx)
+    assert got is ctx._den_one and qf is f and qg is g
+    assert certified == [False] * 4 and brown == []
+
+
+def test_a_quadratic_common_factor_in_one_parameter_takes_brown(monkeypatch):
+    w = CTX1.param("omega")
+    h = w**2 + CTX1.i * w + 3
+    brown = []
+    _spy(monkeypatch, modgcd, "_mgcd", brown)
+    got = _check_gcd(CTX1, (h * (w + 2)).num, (h * (w**2 - CTX1.i)).num)
+    assert _same_up_to_unit(got, h.num) and brown
+
+
+# -- the modular gcd against sympy and the primitive PRS ----------------------
+
+
 # Factors up to degree 3 in omega (and 1 in k and q), so that the operands,
 # products of two, reach degree 6.
 _GCD_TERMS = {
@@ -652,20 +687,6 @@ def test_gcd_matches_sympy(ctx, data):
     # the primitive PRS takes seconds past small inputs
     if ctx.nvars == 1 or max(_unpack(max(f), 3)[0], _unpack(max(g), 3)[0]) <= 2:
         assert _same_up_to_unit(got, _pgcd(f, g))
-
-
-def _spy(monkeypatch, module, name, seen, budget=2000):
-    """Record the prime p, the fourth argument, of every call to a function;
-    fail past budget calls, where a wrong image would make the gcd retry
-    without end."""
-    f = getattr(module, name)
-
-    def spy(*args):
-        seen.append(args[3])
-        assert len(seen) <= budget, f"{name} called {budget} times"
-        return f(*args)
-
-    monkeypatch.setattr(module, name, spy)
 
 
 def test_prime_table_holds_primes_1_mod_4_with_square_roots_of_minus_1():
@@ -695,24 +716,42 @@ def test_certificate_passes_over_a_prime_that_drops_a_degree(monkeypatch):
     _check_gcd(CTX, (h * (W + 2)).num, (h * (W + 3)).num, want=h.num)
 
 
+_P1 = scalars._PRIMES[0][0]
+
+
 @pytest.mark.parametrize(
-    "table, entry, f, g, h",
+    "patches, pairs",
     [
         # mod 5, omega*k + 6 is omega*k + 1
-        ("_PRIMES", ((5, 2),), W * K + 6, W * K + 1, W + Q),
-        # at k = q = 1, omega + k is omega + 1 and omega*q + 1 is omega + 1
-        ("_POINTS", (1, 1, 1, 1), W + K, W * Q + 1, W + Q),
+        ([(scalars, "_PRIMES", ((5, 2),) + scalars._PRIMES[1:])], [(W * K + 6, W * K + 1)]),
+        # at k = q = 1, omega + k, omega*q + 1 and omega + k*q are all
+        # omega + 1, which divides (omega + 1)**2; Brown's points at the
+        # first prime, 1, 2, 3, ..., start there too
+        (
+            [(scalars, "_POINTS", (1, 1, 1, 1)), (modgcd, "_STEP", _P1 + 1)],
+            [(W + K, W * Q + 1), (W + K * Q, (W + 1) ** 2)],
+        ),
     ],
     ids=["prime", "point"],
 )
 def test_gcd_survives_images_with_a_common_factor_the_operands_lack(
-    monkeypatch, table, entry, f, g, h
+    monkeypatch, patches, pairs
 ):
-    # the certificate sees a common factor, so Brown's algorithm runs; at
-    # the unlucky prime its candidate fails the trial division
-    monkeypatch.setattr(scalars, table, entry + getattr(scalars, table)[len(entry) :])
-    _check_gcd(CTX, f.num, g.num, want=CTX._den_one)
-    _check_gcd(CTX, (f * h).num, (g * h).num, want=h.num)
+    # the certificate sees a common factor, so the gcd goes on to a linear
+    # operand or to Brown's algorithm, whose candidate from the unlucky
+    # images fails the trial division
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    divisions = []
+    divexact = modgcd._pdivexact
+    monkeypatch.setattr(
+        modgcd, "_pdivexact", lambda f, g: divisions.append(divexact(f, g)) or divisions[-1]
+    )
+    h = W + Q
+    for f, g in pairs:
+        _check_gcd(CTX, f.num, g.num, want=CTX._den_one)
+        _check_gcd(CTX, (f * h).num, (g * h).num, want=h.num)
+    assert None in divisions
 
 
 def test_gcd_combines_primes_past_the_table_and_drops_an_unlucky_one(monkeypatch):
@@ -758,12 +797,18 @@ def test_the_slow_inputs_of_the_primitive_prs_match_sympy_cancel():
     # the full reduce of the unreduced x + y
     x = (-c(2, 0, 3) * W * Q + c(1, 4, 2) * Q) / (W + 1) ** 3
     y = (c(1, 2, 2) * K * Q + c(0, 1, 2) * K) / (W**3 + W**2)
-    s = Scalar(CTX, *_unreduced(add, x, y))
+    s = full_reduce(CTX, *_unreduced(add, x, y))
     _assert_same(s, x + y)
     same(s, _sym(x.num) / _sym(x.den) + _sym(y.num) / _sym(y.den))
 
 
 # -- the unit --------------------------------------------------------------
+
+
+def test_a_scalar_is_built_only_canonical():
+    # no public constructor takes an unreduced fraction
+    with pytest.raises(TypeError):
+        Scalar(CTX, (W * W - 1).num, (W - 1).num)
 
 
 @pytest.mark.parametrize("ctx", [ScalarContext([]), CTX])
@@ -783,7 +828,7 @@ def test_mul_by_unit_returns_the_operand(x):
     assert one * x is x
     # a Scalar equal to 1 that is another object takes the general path and
     # gives an equal result: identity only skips work
-    other_one = Scalar(
+    other_one = full_reduce(
         CTX, _triples({(0, 0, 0): FQ(1)}), _triples({(0, 0, 0): FQ(1)})
     )
     assert other_one is not one and other_one == one
@@ -908,6 +953,7 @@ def _ref_canon(num, den):
 
 
 # Two parameters, exponents up to 2: terms of a product often share a key.
+CTX2 = ScalarContext([Parameter("omega", "negated"), Parameter("k")])
 _tri_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _tri_coeffs = st.one_of(
     st.sampled_from([1, -1, 2, Fraction(1, 2)]).flatmap(
@@ -949,12 +995,14 @@ def test_triple_kernel_matches_gauss_arithmetic(data):
     for got, want in cases:
         assert _is_canonical(got)
         assert G(got) == want
-    # _ugcd on the parts of p, q and h in the second parameter alone
+    # _gcd of the parts of p, q and h in the second parameter alone
     f, g, k = ({e: x for e, x in s.items() if _unpack(e, 2)[0] == 0} for s in (p, q, h))
     f, g = _pmul(f, k), _pmul(g, k)
-    got = _ugcd(f, g, 0)  # the second of two parameters is the low field
-    assert _is_canonical(got)
-    assert G(got) == _ref_ugcd(G(f), G(g), 1)
+    if f and g:
+        got, qf, qg = _gcd(f, g, CTX2)
+        assert _is_canonical(got) and _pmul(got, qf) == f and _pmul(got, qg) == g
+        lead = _gauss_coeff(got[max(got)])
+        assert {e: x / lead for e, x in G(got).items()} == _ref_ugcd(G(f), G(g), 1)
     if p and h:
         num, den = _canon(p, h)
         assert _is_canonical(num) and _is_canonical(den)
@@ -974,7 +1022,7 @@ def test_equal_scalars_share_hash_and_text(ctx, data):
         if op is not truediv or y:
             got = op(x, y)
             computed.append(got)
-            full = Scalar(ctx, *_unreduced(op, x, y))
+            full = full_reduce(ctx, *_unreduced(op, x, y))
             assert got == full
             assert hash(got) == hash(full) and got.text() == full.text()
     # x rebuilt by the field operations equals the constructed x
