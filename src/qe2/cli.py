@@ -12,10 +12,12 @@ Subcommands:
     presets                  list the shipped presets
 
 Exit codes: 0 all pass, 1 any fail or an internal error, 2 discrepancies
-but no fails, 3 usage error.  Errors while reading the command line, a
-``--file`` presentation, an expression or an ``--at`` value are usage
-errors, and so is a result with a coefficient too long to print; the same
-exception classes raised later, while computing, are internal errors.
+but no fails, 3 usage error or resource limit.  Errors while reading the
+command line, a ``--file`` presentation, an expression or an ``--at`` value
+are usage errors, and so is a result with a coefficient too long to print;
+the same exception classes raised later, while computing, are internal
+errors.  Rewriting past the step budget is a resource limit at any stage
+of an expression command.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 
 from . import __version__, catalog, exprio
 from .hopf import load_hopf
-from .ncalg import NCPoly, load_tower
+from .ncalg import NCPoly, RewriteBudgetExceeded, load_tower
 from .poisson import PoissonStructure, covariant_family_solve, poisson_matrix_rank
 from .report import CheckReport
 from .scalars import QI, DigitLimit, Scalar, ScalarError
@@ -120,6 +122,8 @@ def _load_bundle_or_file(preset, file_path):
             poisson = (
                 PoissonStructure.load(tower, raw["poisson"]) if "poisson" in raw else None
             )
+        except RewriteBudgetExceeded:
+            raise
         except (ValueError, KeyError) as e:
             raise UsageError(f"bad presentation {file_path!r}: {e}")
         class _B:  # minimal bundle view
@@ -139,6 +143,8 @@ def _load_bundle_or_file(preset, file_path):
 def _expr_in(tower, text) -> NCPoly:
     try:
         return tower.poly(text)
+    except RewriteBudgetExceeded:
+        raise
     except (ValueError, KeyError, ScalarError) as e:
         # ScalarError: a product of the literals passes the exponent bound
         raise UsageError(f"bad expression {text!r}: {e}")
@@ -207,6 +213,10 @@ def main(argv=None) -> int:
         return _dispatch(_parse_args(ap, argv))
     except (UsageError, DigitLimit) as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return 3
+    except RewriteBudgetExceeded as e:
+        # a valid input whose rewriting is too long: a limit, not a bad input
+        print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, ScalarError) as e:
         # every input stage raises UsageError, so this is the engine's fault

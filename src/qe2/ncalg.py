@@ -37,7 +37,9 @@ The engine is the leftmost fold: each tower keeps one, and
 push letters with it.  A product of normal forms is the bilinear kernel
 :func:`bilinear` over the tower's cached table of monomial-pair products;
 tensor products and Poisson brackets are the same kernel over their own
-tables.
+tables.  Products of polynomial coefficients with several terms are
+summed raw per output term, with the fused multiply-accumulate of
+``scalars``, and each sum is normalised once.
 
 Confluence is decided once per tower, at load, by
 :func:`decide_confluence`, and stored as ``tower.confluence``.  Bergman's
@@ -71,7 +73,7 @@ from typing import Optional, Sequence
 
 from . import exprio
 from .record import FrozenRecord, Record, setfield
-from .scalars import Parameter, Scalar, ScalarContext
+from .scalars import Parameter, Scalar, ScalarContext, _pmac, _pmul, _raw_scalar
 
 
 class TowerError(ValueError):
@@ -201,34 +203,63 @@ class TermVector:
 def bilinear(p: dict, q: dict, table: dict, build, one) -> dict:
     """The term map of the sum of ``c1*c2*s`` at key ``m`` over the terms
     ``(m1, c1)`` of ``p``, ``(m2, c2)`` of ``q`` and ``(m, s)`` of the
-    product of the monomial pair ``(m1, m2)``.
+    product of the monomial pair ``(m1, m2)``; every coefficient equal to 1
+    in it is ``one``.
 
     ``table`` caches each pair's product as a tuple of (key, Scalar) terms
     with no zero coefficient, every coefficient equal to 1 stored as
     ``one``; ``build(m1, m2)`` computes a missing entry.  The two data
-    coefficients of a pair are multiplied once, and a structure
-    coefficient that is ``one`` is not multiplied by.  ``OreTower.mul``,
-    ``TensorElement.__mul__`` and ``PoissonStructure.bracket`` are this
-    kernel over their own tables."""
-    acc = {}
+    coefficients of a pair are multiplied once.  When both are polynomials
+    (unit denominator), neither is ``one`` and one has several terms, their
+    numerators are multiplied, and each polynomial ``s`` is multiplied into
+    a raw sum per key (``scalars._pmac``), which is normalised once at the
+    end (Monagan and Pearce, ISSAC 2009).  Every other product is Scalar
+    arithmetic, which is cheaper for monomials and passes ``one`` through:
+    a structure coefficient that is ``one`` is not multiplied by.
+    ``OreTower.mul``, ``TensorElement.__mul__`` and
+    ``PoissonStructure.bracket`` are this kernel over their own tables."""
+    unit = one.den
+    acc = {}  # key -> Scalar sum, or a raw map (a dict) of polynomial products
+    raw = []  # the keys that took a raw map
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             key = (m1, m2)
             terms = table.get(key)
             if terms is None:
                 terms = table[key] = build(m1, m2)
-            c = c1 * c2
+            c = n = None
+            if c1 is one or c2 is one:
+                c = c2 if c1 is one else c1
+            elif c1.den == unit == c2.den and len(c1.num) + len(c2.num) > 2:
+                n = _pmul(c1.num, c2.num)
+            else:
+                c = c1 * c2
             for m, s in terms:
-                s = c if s is one else c * s
                 v = acc.get(m)
-                if v is None:
-                    acc[m] = s
-                else:
-                    v = v + s
-                    if v:
-                        acc[m] = v
-                    else:
+                if n is not None and s.den == unit:
+                    if v is None or v.__class__ is not dict and v.den == unit:
+                        v = acc[m] = {} if v is None else dict(v.num)
+                        raw.append(m)
+                    if v.__class__ is dict:
+                        _pmac(v, n, s.num)
+                        continue
+                elif v.__class__ is dict:  # a Scalar product joins
+                    v = _raw_scalar(one.ctx, v)
+                if c is None:
+                    c = c1 * c2
+                s = c if s is one else c * s
+                if v is not None:
+                    s = v + s
+                    if not s:
                         del acc[m]
+                        continue
+                acc[m] = one if s.num == unit == s.den else s
+    for m in raw:
+        v = acc.get(m)
+        if v.__class__ is dict:
+            v = acc[m] = _raw_scalar(one.ctx, v)
+            if not v:
+                del acc[m]
     return acc
 
 

@@ -25,7 +25,10 @@ The kernel works on the triples themselves: the ``_c*`` helpers do Q(i)
 arithmetic on one triple and the ``_p*`` helpers on polynomials, and each
 result coefficient takes at most one gcd, only when its denominator is not 1
 (the canonical-fraction discipline of Knuth, TAOCP vol. 2, 4.5.1, on bare
-integers).
+integers).  A product of polynomials sums its term products per key in a
+raw map (``_pmac``), whose triples are not normalised, and normalises each
+key once (``_praw``; Monagan and Pearce, ISSAC 2009); ``ncalg.bilinear``
+keeps such a map per output term and finishes it with ``_raw_scalar``.
 
 An exact constant of Q(i) is a Scalar of :data:`QI`, the one context
 without parameters, built straight from its triple: parser literals, the
@@ -355,10 +358,16 @@ def _pmul(p, q):
                 if e & _GUARD:
                     _overflow()
         return r
-    # sum raw products per key, then normalise each coefficient once
-    acc = {}
-    for e1, (a1, b1, d1) in p.items():
-        for e2, (a2, b2, d2) in q.items():
+    return _praw(_pmac({}, p, q))
+
+
+def _pmac(acc, p, q):
+    """Add p*q to the raw map acc and return acc.  A raw map {key -> (a, b,
+    d)} sums products per key without normalising: its triples may be zero
+    or share a factor, and its keys are checked against the guard bits only
+    by ``_praw``, so p and q must have valid keys."""
+    for e2, (a2, b2, d2) in q.items():
+        for e1, (a1, b1, d1) in p.items():
             e = e1 + e2
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
@@ -372,13 +381,27 @@ def _pmul(p, q):
                     acc[e] = (oa + a, ob + b, d)
                 else:
                     acc[e] = (oa * d + a * od, ob * d + b * od, od * d)
+    return acc
+
+
+def _praw(acc):
+    """The polynomial of a raw map: each coefficient normalised once, zeros
+    dropped; ScalarError when a key reached the exponent bound."""
     r = {}
     for e, (a, b, d) in acc.items():
         if e & _GUARD:
             _overflow()
         if a or b:
-            r[e] = _cnorm(a, b, d)
+            r[e] = (a, b, 1) if d == 1 else _cnorm(a, b, d)
     return r
+
+
+def _raw_scalar(ctx, acc):
+    """The polynomial Scalar of a raw map, ``ctx.one`` when it is 1."""
+    num = _praw(acc)
+    if num == ctx._den_one:
+        return ctx.one
+    return _scalar(ctx, num, ctx._den_one)
 
 
 def _pshift(p, m):

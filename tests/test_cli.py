@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qe2
-from qe2 import __version__, catalog
+from qe2 import __version__, catalog, ncalg
 from qe2.cli import main
 from qe2.hopf import HopfStructure
 from qe2.ncalg import TowerError
@@ -394,14 +394,18 @@ def _expression(draw, symbols, depth=3):
     terms; a tensor term is one or two terms joined by ' (x) '; a term is
     one or two factors; a factor is a symbol, i, an integer in [0, 9] or,
     ``depth`` levels deep at most, a parenthesized expression, with an
-    optional exponent in [-6, 6]."""
+    optional exponent in [-6, 6] on a symbol and in [0, 6] otherwise (the
+    grammar takes a negative exponent only on a symbol)."""
 
     def factor():
+        low = 0
         if depth and draw(st.booleans()):
             base = f"({_expression(draw, symbols, depth - 1)})"
         else:
             base = draw(st.sampled_from([*symbols, "i"]) | st.integers(0, 9).map(str))
-        e = draw(st.none() | st.integers(-6, 6))
+            if base in symbols:
+                low = -6
+        e = draw(st.none() | st.integers(low, 6))
         return base if e is None else f"{base}^{e}"
 
     def term():
@@ -416,10 +420,17 @@ def _expression(draw, symbols, depth=3):
     return text
 
 
+# the structure of a bundle that each expression command needs
+_NEEDS = {"normal-form": "tower", "delta": "hopf", "bracket": "poisson"}
+
+
 @st.composite
 def _invocations(draw):
     cmd, arity = draw(st.sampled_from([("normal-form", 1), ("delta", 1), ("bracket", 2)]))
-    pid = draw(st.sampled_from(catalog.PRESET_IDS))
+    pid = draw(st.sampled_from([
+        p for p in catalog.PRESET_IDS
+        if getattr(catalog.get_preset(p), _NEEDS[cmd], None) is not None
+    ]))
     symbols = _symbols(pid)
     return [cmd, pid, *(_expression(draw, symbols) for _ in range(arity))]
 
@@ -434,6 +445,40 @@ def test_generated_expressions_keep_the_exit_code_contract(argv):
         code = main(argv)
     assert code in (0, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "budget, argv",
+    [
+        # the overrun comes while parsing (normal-form, bracket) or while
+        # computing the coproduct or antipode of the parsed element
+        (5, ["normal-form", "qe2-nonstd", "n^2*v^-2"]),
+        (2, ["delta", "qe2-nonstd", "v^-1*n^2*nb^2"]),
+        (2, ["antipode", "qe2-nonstd", "v^-1*n^2*nb^2"]),
+        (0, ["bracket", "nonstd-poisson", "v^-1*n^2*nb^2", "n*v"]),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_a_rewrite_budget_overrun_is_a_resource_limit(monkeypatch, capsys, budget, argv):
+    # a fresh bundle, loaded under the full budget, with no cached product
+    # or push that would spare the rewriting
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    catalog.get_preset(argv[1])
+    monkeypatch.setattr(ncalg, "REWRITE_STEP_BUDGET", budget)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: rewriting took more than {budget} steps\n"
+
+
+def test_a_rewrite_budget_overrun_while_loading_a_file_is_a_resource_limit(
+    monkeypatch, capsys, tmp_path
+):
+    f = tmp_path / "nonstd.json"
+    f.write_text(json.dumps(preset_dict("qe2-nonstd")))
+    monkeypatch.setattr(ncalg, "REWRITE_STEP_BUDGET", 0)
+    code, out, err = run(capsys, "normal-form", "--file", str(f), "n*v")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ") and "bad presentation" not in err
 
 
 def _level_data_past_unset_rules():

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qe2 import catalog, ncalg, suites
 from qe2.exprio import format_canonical
@@ -25,7 +25,7 @@ from qe2.ncalg import (
     span_solve,
 )
 
-from qe2.scalars import GaussRational, Parameter, ScalarContext, _triple
+from qe2.scalars import GaussRational, Parameter, ScalarContext, ScalarError, _triple
 
 from conftest import preset_dict
 import stack_rewriter
@@ -535,6 +535,94 @@ def test_collect_matches_naive_sum(pairs):
     assert ncalg.collect(pairs) == {k: c for k, c in sums.items() if c}
     assert ncalg.collect(iter(pairs)) == ncalg.collect(pairs)
     assert all(ncalg.collect(pairs).values())
+
+
+# -- the bilinear kernel against Scalar arithmetic -------------------------------
+
+_OMEGA = _CTX.param("omega")
+# structure coefficients: the pinned one, constants, a monomial, multi-term
+# polynomials and a fraction (which takes Scalar arithmetic)
+_STRUCTURE = (
+    _CTX.one,
+    _CTX.from_int(-1),
+    _CTX.i * 2,
+    _OMEGA,
+    _CTX.one - _OMEGA,
+    _OMEGA ** 2 - _CTX.i * _OMEGA + _CTX.from_int(3),
+    _CTX.one / (_CTX.one + _OMEGA),
+)
+# data coefficients: polynomial, over the monomial omega or over 1+omega;
+# small parts, so that contributions to one key often cancel
+_kernel_scalars = st.builds(
+    lambda a, b, e, den: (_CTX.from_gauss(GaussRational(a, b)) + _OMEGA * e) / den,
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+    st.sampled_from([_CTX.one, _CTX.from_int(2), _OMEGA, _CTX.one + _OMEGA]),
+).filter(bool)
+_term_maps = st.dictionaries(st.integers(0, 2), _kernel_scalars, max_size=3)
+_tables = st.fixed_dictionaries({
+    (m1, m2): st.dictionaries(
+        st.integers(0, 3), st.integers(0, len(_STRUCTURE) - 1), min_size=1, max_size=3
+    )
+    for m1 in range(3) for m2 in range(3)
+})
+_HALF = _CTX.one / 2
+_PAIR_TO_KEY_0 = {(m1, m2): {0: 0} for m1 in range(3) for m2 in range(3)}
+
+
+_ONE_PLUS = _CTX.one + _OMEGA
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_maps, _term_maps, _tables)
+# sums equal to 1: raw (a pair with a two-term coefficient) and Scalar
+@example({0: _ONE_PLUS, 1: _CTX.one - _OMEGA}, {0: _HALF}, _PAIR_TO_KEY_0)
+@example({0: _CTX.from_int(2), 1: -_CTX.one}, {0: _CTX.one}, _PAIR_TO_KEY_0)
+# single products equal to 1: 1/2 * 2 and (1+omega)^-1 * (1+omega)
+@example({0: _HALF}, {0: _CTX.from_int(2)}, _PAIR_TO_KEY_0)
+@example({0: _STRUCTURE[-1]}, {0: _ONE_PLUS}, _PAIR_TO_KEY_0)
+# sums that cancel to zero, raw and Scalar
+@example({0: _ONE_PLUS, 1: -_ONE_PLUS}, {0: _CTX.from_int(2)}, _PAIR_TO_KEY_0)
+@example({0: _OMEGA, 1: -_OMEGA}, {2: _CTX.one}, _PAIR_TO_KEY_0)
+# a product with a fraction joins a raw sum
+@example({0: _ONE_PLUS, 1: _ONE_PLUS, 2: _STRUCTURE[-1]}, {0: _CTX.from_int(2)},
+         _PAIR_TO_KEY_0)
+def test_bilinear_matches_scalar_products(p, q, rows):
+    table = {
+        pair: tuple((m, _STRUCTURE[j]) for m, j in row.items())
+        for pair, row in rows.items()
+    }
+    cache = {}
+    got = ncalg.bilinear(p, q, cache, lambda m1, m2: table[m1, m2], _CTX.one)
+    want = ncalg.collect(
+        (m, c1 * c2 * s)
+        for m1, c1 in p.items() for m2, c2 in q.items() for m, s in table[m1, m2]
+    )
+    assert got == want
+    assert all(got.values())
+    # a coefficient equal to 1 is the unit object itself
+    assert all(c is _CTX.one for c in got.values() if c == _CTX.one)
+    assert set(cache) == {(m1, m2) for m1 in p for m2 in q}
+
+
+_BIG = _OMEGA ** 2 ** 30  # a square reaches the guard bit of omega's field
+
+
+@pytest.mark.parametrize(
+    "p, q, table",
+    [
+        ({0: _BIG}, {0: _BIG}, {(0, 0): ((0, _CTX.one),)}),
+        ({0: _CTX.one}, {0: _BIG}, {(0, 0): ((0, _BIG),)}),
+        # (1 + omega) * omega^(2^30), then a raw product by omega^(2^30)
+        ({0: _CTX.one + _OMEGA}, {0: _BIG}, {(0, 0): ((0, _BIG),)}),
+        ({0: _BIG / (_CTX.one + _OMEGA)}, {0: _BIG}, {(0, 0): ((0, _CTX.one),)}),
+    ],
+    ids=["data-product", "structure-coefficient", "raw-sum", "fraction"],
+)
+def test_bilinear_product_past_the_exponent_bound_raises(p, q, table):
+    with pytest.raises(ScalarError):
+        ncalg.bilinear(p, q, {}, lambda m1, m2: table[m1, m2], _CTX.one)
 
 
 def test_products_parsed_before_their_level_is_set():
