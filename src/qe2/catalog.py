@@ -17,21 +17,20 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from . import exprio
 
 # hopf and poisson stay eager: the benchmark's tracer wraps only modules
 # already imported when it installs
-from .hopf import AlgebraMorphism, HopfStructure, load_hopf
+from .hopf import AlgebraMorphism, load_hopf
 from .ncalg import OreTower, load_tower
 from .poisson import PoissonStructure
 from .record import Record
 from .scalars import Parameter, Scalar, ScalarContext
 
 if TYPE_CHECKING:
-    from .homspace import QuotientMap, Subalgebra
-    from .liebialg import Cocommutator, LieAlgebra
+    from .homspace import QuotientMap
 
 PRESET_IDS = (
     "fun-e2",
@@ -57,8 +56,9 @@ class UnknownPreset(KeyError):
 
 
 class PresetBundle(Record):
-    """One loaded preset.  Which of the optional parts are set depends on
-    ``kind``."""
+    """One loaded preset.  Which of the optional parts (the slots after
+    ``context``) are set depends on ``kind``; the others stay None, and
+    ``ansatz`` an empty list."""
 
     __slots__ = _fields = (
         "preset_id", "kind", "anchor", "description", "raw", "context",
@@ -82,23 +82,6 @@ class PresetBundle(Record):
         description: str,
         raw: dict,
         context: ScalarContext,
-        tower: Optional[OreTower] = None,
-        hopf: Optional[HopfStructure] = None,
-        poisson: Optional[PoissonStructure] = None,
-        source_id: Optional[str] = None,
-        quotient: Optional[QuotientMap] = None,
-        group_tower: Optional[OreTower] = None,
-        space_tower: Optional[OreTower] = None,
-        group_poisson: Optional[PoissonStructure] = None,
-        space_poisson: Optional[PoissonStructure] = None,
-        coaction: Optional[AlgebraMorphism] = None,
-        projection: Optional[AlgebraMorphism] = None,
-        ansatz: Optional[list] = None,
-        stabilizer: Optional[dict] = None,
-        lie: Optional[LieAlgebra] = None,
-        cocommutator: Optional[Cocommutator] = None,
-        embedded_subalgebra: Optional[Subalgebra] = None,
-        embedded_ambient: Optional["PresetBundle"] = None,
     ):
         self.preset_id = preset_id
         self.kind = kind
@@ -106,23 +89,9 @@ class PresetBundle(Record):
         self.description = description
         self.raw = raw
         self.context = context
-        self.tower = tower
-        self.hopf = hopf
-        self.poisson = poisson
-        self.source_id = source_id
-        self.quotient = quotient
-        self.group_tower = group_tower
-        self.space_tower = space_tower
-        self.group_poisson = group_poisson
-        self.space_poisson = space_poisson
-        self.coaction = coaction
-        self.projection = projection
-        self.ansatz = [] if ansatz is None else ansatz
-        self.stabilizer = stabilizer
-        self.lie = lie
-        self.cocommutator = cocommutator
-        self.embedded_subalgebra = embedded_subalgebra
-        self.embedded_ambient = embedded_ambient
+        for name in self._fields[6:]:
+            setattr(self, name, None)
+        self.ansatz = []
 
 
 _CACHE: dict = {}
@@ -162,6 +131,26 @@ def _matrix(ctx, rows):
     ]
 
 
+_ALGEBRA_KINDS = ("hopf-algebra", "algebra", "poisson")
+
+
+def load_bundle(preset_id: str, raw: dict, kind: str) -> PresetBundle:
+    """A bundle of the presentation ``raw``: the parts every kind has, and
+    for an algebra kind its tower, and its Hopf structure and Poisson
+    bracket when ``raw`` has them."""
+    bundle = PresetBundle(
+        preset_id, kind, raw.get("anchor", ""), raw.get("description", ""),
+        raw, _context_of(raw),
+    )
+    if kind in _ALGEBRA_KINDS:
+        tower = bundle.tower = load_tower(raw, context=bundle.context)
+        if "hopf" in raw:
+            bundle.hopf = load_hopf(tower, raw["hopf"])
+        if "poisson" in raw:
+            bundle.poisson = PoissonStructure.load(tower, raw["poisson"])
+    return bundle
+
+
 def get_preset(preset_id: str) -> PresetBundle:
     """Load (and cache) a preset bundle; unknown ids raise UnknownPreset."""
     if preset_id in _CACHE:
@@ -170,22 +159,9 @@ def get_preset(preset_id: str) -> PresetBundle:
         raise UnknownPreset(preset_id)
     raw = _read(preset_id)
     kind = raw.get("kind", "algebra")
-    ctx = _context_of(raw)
-    bundle = PresetBundle(
-        preset_id=preset_id,
-        kind=kind,
-        anchor=raw.get("anchor", ""),
-        description=raw.get("description", ""),
-        raw=raw,
-        context=ctx,
-    )
-    if kind in ("hopf-algebra", "algebra", "poisson"):
-        tower = load_tower(raw, context=ctx)
-        bundle.tower = tower
-        if "hopf" in raw:
-            bundle.hopf = load_hopf(tower, raw["hopf"])
-        if "poisson" in raw:
-            bundle.poisson = PoissonStructure.load(tower, raw["poisson"])
+    bundle = load_bundle(preset_id, raw, kind)
+    ctx = bundle.context
+    if kind in _ALGEBRA_KINDS:
         if "embedding" in raw:
             from .homspace import Subalgebra
 

@@ -27,9 +27,8 @@ import json
 import sys
 
 from . import __version__, catalog, exprio
-from .hopf import load_hopf
-from .ncalg import NCPoly, RewriteBudgetExceeded, load_tower
-from .poisson import PoissonStructure, covariant_family_solve, poisson_matrix_rank
+from .ncalg import NCPoly, RewriteBudgetExceeded
+from .poisson import covariant_family_solve, poisson_matrix_rank
 from .report import CheckReport
 from .scalars import QI, DigitLimit, Scalar, ScalarError
 
@@ -117,21 +116,11 @@ def _load_bundle_or_file(preset, file_path):
         if problem:
             raise UsageError(f"bad presentation {file_path!r}: {problem}")
         try:
-            tower = load_tower(raw)
-            hopf = load_hopf(tower, raw["hopf"]) if "hopf" in raw else None
-            poisson = (
-                PoissonStructure.load(tower, raw["poisson"]) if "poisson" in raw else None
-            )
+            return catalog.load_bundle(file_path, raw, "algebra")
         except RewriteBudgetExceeded:
             raise
         except (ValueError, KeyError) as e:
             raise UsageError(f"bad presentation {file_path!r}: {e}")
-        class _B:  # minimal bundle view
-            pass
-
-        b = _B()
-        b.tower, b.hopf, b.poisson = tower, hopf, poisson
-        return b
     if not preset:
         raise UsageError("a preset name (or --file) is required")
     try:

@@ -218,93 +218,82 @@ def _centered_leg(tower: OreTower, mono, order=2):
     return out
 
 
+def _unit_exponents(n: int) -> list:
+    """The degree-1 keys of a centered term map, one per coordinate."""
+    return [tuple(int(i == k) for i in range(n)) for k in range(n)]
+
+
 def lie_from_group(tower: OreTower, hopf, names: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Structure constants from the second-order term of the group law read
-    off the coproduct: [e_a, e_b] = B(a,b) - B(b,a)."""
+    off the coproduct: [e_a, e_b] = B(a,b) - B(b,a).
+
+    Each Delta(x_k) is collected once in centered coordinates, up to total
+    degree 2, as a term map {(left exponents, right exponents) -> Scalar};
+    its constant, linear and bilinear coefficients are read by key."""
     ctx = tower.context
     n = tower.nlevels
     names = tuple(names) if names else tuple(g.name for g in tower.generators)
-    B = [
-        [[ctx.zero] * n for _ in range(n)] for _ in range(n)
-    ]  # B[k][a][b]
+    origin = (0,) * n
+    unit = _unit_exponents(n)
+    constants = {(a, b): {} for a in range(n) for b in range(a + 1, n)}
     for k in range(n):
-        dval = hopf.coproduct_map.images[k]
-        const = ctx.zero
-        lin_left = [ctx.zero] * n
-        lin_right = [ctx.zero] * n
+        pairs = []
+        for (m1, m2), c in hopf.coproduct_map.images[k].terms.items():
+            right = _centered_leg(tower, m2).items()
+            pairs += [
+                ((e1, e2), c * c1 * c2)
+                for e1, c1 in _centered_leg(tower, m1).items()
+                for e2, c2 in right
+                if sum(e1) + sum(e2) <= 2
+            ]
+        centered = collect(pairs)
         center_k = ctx.one if tower.generators[k].invertible else ctx.zero
-        for (m1, m2), c in dval.terms.items():
-            left = _centered_leg(tower, m1)
-            right = _centered_leg(tower, m2)
-            for e1, c1 in left.items():
-                d1 = sum(e1)
-                for e2, c2 in right.items():
-                    d2 = sum(e2)
-                    if d1 + d2 > 2:
-                        continue
-                    coeff = c * c1 * c2
-                    if d1 == 0 and d2 == 0:
-                        const = const + coeff
-                    elif d1 == 1 and d2 == 0:
-                        lin_left[e1.index(1)] = lin_left[e1.index(1)] + coeff
-                    elif d1 == 0 and d2 == 1:
-                        lin_right[e2.index(1)] = lin_right[e2.index(1)] + coeff
-                    elif d1 == 1 and d2 == 1:
-                        a = e1.index(1)
-                        b = e2.index(1)
-                        B[k][a][b] = B[k][a][b] + coeff
-        if const != center_k:
+        if centered.get((origin, origin), ctx.zero) != center_k:
             raise LieError(
                 f"coproduct of {names[k]} is not group-like-compatible at the "
                 "identity (wrong constant term)"
             )
         for a in range(n):
             want = ctx.one if a == k else ctx.zero
-            if lin_left[a] != want or lin_right[a] != want:
+            if (centered.get((unit[a], origin), ctx.zero) != want
+                    or centered.get((origin, unit[a]), ctx.zero) != want):
                 raise LieError(
                     f"coproduct of {names[k]} is not group-like-compatible at "
                     "the identity (wrong linear term)"
                 )
-    constants = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = {}
-            for k in range(n):
-                c = B[k][a][b] - B[k][b][a]
-                if c:
-                    vec[k] = c
-            constants[(a, b)] = vec
+        for (a, b), vec in constants.items():
+            c = (centered.get((unit[a], unit[b]), ctx.zero)
+                 - centered.get((unit[b], unit[a]), ctx.zero))
+            if c:
+                vec[k] = c
     return LieAlgebra(ctx, names, constants)
 
 
 def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None) -> Cocommutator:
     """Differentiate the bracket table at the identity: the wedge
     coefficient of delta(e_k) on e_i^e_j is the linear coefficient of the
-    k-th centered coordinate in {x_i, x_j}."""
+    k-th centered coordinate in {x_i, x_j}, read by key from the term map
+    of {x_i, x_j} collected in centered coordinates up to degree 1."""
     tower = P.tower
     ctx = tower.context
     n = tower.nlevels
+    unit = _unit_exponents(n)
     pairs = {k: [] for k in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             val = P.bracket_gens(i, j)
-            for mono in val.terms:
-                if any(
-                    e < 0 for e in mono
-                ):
-                    raise LieError(
-                        "bracket value has a nonpolynomial residue after "
-                        "centering (negative exponent)"
-                    )
-            # expand in centered coordinates, keep the linear part
-            lin = [ctx.zero] * n
-            for mono, c in val.terms.items():
-                leg = _centered_leg(tower, mono, order=1)
-                for exps, cc in leg.items():
-                    if sum(exps) == 1:
-                        lin[exps.index(1)] = lin[exps.index(1)] + c * cc
+            if any(e < 0 for mono in val.terms for e in mono):
+                raise LieError(
+                    "bracket value has a nonpolynomial residue after "
+                    "centering (negative exponent)"
+                )
+            centered = collect(
+                (exps, c * cc)
+                for mono, c in val.terms.items()
+                for exps, cc in _centered_leg(tower, mono, order=1).items()
+            )
             for k in range(n):
-                pairs[k].append(((i, j), lin[k]))
+                pairs[k].append(((i, j), centered.get(unit[k], ctx.zero)))
     values = {k: WedgeBivector(ctx, n, pairs[k]) for k in range(n)}
     return Cocommutator(n, ctx, values)
 

@@ -450,22 +450,13 @@ class OreTower:
 
     # -- level data installation (used by load_tower) ----------------------
     def _set_level(self, L: int, sigma: dict, delta: dict):
+        # load_tower has rejected images that reference a forward level
         g = self.generators[L]
         for j, img in sigma.items():
-            if img.max_level() >= L:
+            if self.generators[j].invertible and not img.is_invertible_monomial():
                 raise TowerError(
-                    f"sigma image of level {L} must live strictly below it"
-                )
-            if self.generators[j].invertible:
-                if not img.is_invertible_monomial():
-                    raise TowerError(
-                        f"sigma({self.generators[j].name}) must be an invertible "
-                        f"monomial multiple at level {L}"
-                    )
-        for j, img in delta.items():
-            if img.max_level() > L:
-                raise TowerError(
-                    f"delta image of level {L} may not reference higher levels"
+                    f"sigma({self.generators[j].name}) must be an invertible "
+                    f"monomial multiple at level {L}"
                 )
         self.sigma[L] = dict(sigma)
         self.delta[L] = dict(delta)

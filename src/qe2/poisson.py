@@ -18,7 +18,11 @@ presets.  Morphisms into tensor squares carry the product structure
     {a (x) x, b (x) y} = {a,b} (x) xy + ab (x) {x,y}
 
 which is what multiplicativity of the coproduct and covariance of
-coactions mean at the function-algebra level.
+coactions mean at the function-algebra level.  The covariant-family solve
+uses the same rule: for a coaction alpha of a two-generator space it
+splits {alpha(x), alpha(y)} into the group-leg part G and the space-leg
+part J * (1 (x) {x, y}), both brackets of :func:`tensor_bracket`, and
+solves alpha({x, y}) = G + J * (1 (x) {x, y}) for {x, y} over an ansatz.
 """
 
 from __future__ import annotations
@@ -44,14 +48,6 @@ from .scalars import QI, Scalar
 
 class PoissonError(ValueError):
     pass
-
-
-def _partial(x: NCPoly, idx: int) -> NCPoly:
-    return NCPoly(x.tower, collect(
-        (mono[:idx] + (mono[idx] - 1,) + mono[idx + 1 :], c * mono[idx])
-        for mono, c in x.terms.items()
-        if mono[idx]
-    ))
 
 
 class PoissonStructure:
@@ -247,7 +243,14 @@ def covariant_family_solve(
 
     The homogeneous-space tower must have exactly two generators (Jacobi
     is then automatic); the unknown bracket is {x, y} = sum_t c_t * t over
-    the ansatz monomials.
+    the ansatz monomials.  The product structure splits as
+
+        {alpha(x), alpha(y)} = G + J * (1 (x) {x, y})
+
+    with G the group-leg part (the space bracket zero) and J the space-leg
+    part of the unit bracket {x, y} = 1 (the group bracket zero), so
+    covariance, alpha({x, y}) = {alpha(x), alpha(y)}, is the linear system
+    sum_t c_t (alpha(t) - J * (1 (x) t)) = G.
     """
     if not ansatz:
         raise PoissonError("empty ansatz")
@@ -256,36 +259,21 @@ def covariant_family_solve(
         raise PoissonError("covariant solving needs a two-generator space")
     if not coaction.tensor or len(coaction.target) != 2:
         raise PoissonError("coaction must land in group (x) space")
-    group = coaction.target[0]
     legs = coaction.target
-    ctx = space.context
+    group, right = legs
     ax = coaction.apply(NCPoly.generator(space, 0))
     ay = coaction.apply(NCPoly.generator(space, 1))
-
-    # G-part: left-leg brackets; and per ansatz monomial t the column
-    # alpha(t) - sum a_i b_j (x) Jac_ij * t
-    gpairs = []
-    jacobians = []
-    for (ma, mx), ca in ax.terms.items():
-        for (mb, my), cb in ay.terms.items():
-            xi = space.tower_mono(mx)
-            yj = space.tower_mono(my)
-            br = P_G.bracket(group.tower_mono(ma), group.tower_mono(mb))
-            if not br.is_zero():
-                gpairs += TensorElement.from_legs(
-                    legs, [br.scale(ca * cb), xi * yj]
-                ).terms.items()
-            jac = _partial(xi, 0) * _partial(yj, 1) - _partial(xi, 1) * _partial(yj, 0)
-            if not jac.is_zero():
-                ab = group.tower_mono(ma) * group.tower_mono(mb)
-                jacobians.append((ab.scale(-(ca * cb)), jac))
-    cols = []
-    for t in ansatz:
-        pairs = list(coaction.apply(t).terms.items())
-        for ab, jac in jacobians:
-            pairs += TensorElement.from_legs(legs, [ab, jac * t]).terms.items()
-        cols.append(collect(pairs))
-    sol = solve_terms(collect(gpairs), cols, ctx)
+    G = tensor_bracket(ax, ay, P_G, PoissonStructure(right, {}))
+    J = tensor_bracket(
+        ax, ay, PoissonStructure(group, {}),
+        PoissonStructure(right, {(0, 1): NCPoly.one(right)}),
+    )
+    one = NCPoly.one(group)
+    cols = [
+        (coaction.apply(t) - J * TensorElement.from_legs(legs, [one, t])).terms
+        for t in ansatz
+    ]
+    sol = solve_terms(G.terms, cols, space.context)
     return CovariantFamily(sol.particular, sol.nullspace, list(ansatz))
 
 

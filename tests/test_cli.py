@@ -182,6 +182,22 @@ def test_file_presentation(capsys, tmp_path):
     assert out.strip() == "q*a*b"
 
 
+@pytest.mark.parametrize("cmd, exprs", [
+    ("delta", ["v*n - nb^2"]),
+    ("delta", ["vb*nb + 2*n"]),
+    ("bracket", ["v", "n"]),
+    ("bracket", ["vb*n^2 + nb", "v*nb - n"]),
+])
+def test_file_structure_tables_match_the_preset(capsys, tmp_path, cmd, exprs):
+    # the coproduct and bracket tables load from a --file copy of a preset
+    # exactly as from the preset's name
+    f = tmp_path / "std-poisson.json"
+    f.write_text(json.dumps(preset_dict("std-poisson")))
+    want = run(capsys, cmd, "std-poisson", *exprs)
+    assert want[0] == 0 and want[1].strip() not in ("", "0")
+    assert run(capsys, cmd, "--file", str(f), *exprs) == want
+
+
 def test_a_huge_power_of_a_monomial_answers_at_once(capsys):
     t0 = time.perf_counter()
     assert run(capsys, "normal-form", "qe2-nonstd", "v^1000000") == (0, "v^1000000\n", "")

@@ -1,8 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from qe2.hopf import load_hopf
+from qe2.hopf import AlgebraMorphism, load_hopf
 from qe2.liebialg import (
     Cocommutator,
     LieAlgebra,
@@ -59,8 +60,8 @@ def test_lie_from_group_matches_preset(std):
     g = lie_from_group(tower, H, names=NAMES)
     desc = preset_dict("e2-lie")
     preset = LieAlgebra.load(ScalarContext([]), desc)
-    assert [g.bracket_basis(i, j) == preset.bracket_basis(i, j)
-            for i in range(3) for j in range(3)]
+    assert all(g.bracket_basis(i, j) == preset.bracket_basis(i, j)
+               for i in range(3) for j in range(3))
     assert g.names == preset.names
 
 
@@ -80,6 +81,20 @@ def test_abelian_coproduct_gives_zero_constants():
     H = load_hopf(tower, desc["hopf"])
     g = lie_from_group(tower, H)
     assert g.bracket_basis(0, 1) == {}
+
+
+@pytest.mark.parametrize("a_image, term", [
+    ("a (x) 1 + 1 (x) a + 1 (x) 1", "constant"),
+    ("a (x) 1 + 1 (x) a + a (x) 1", "linear"),
+    ("a (x) 1 + 1 (x) b", "linear"),
+])
+def test_lie_from_group_rejects_a_coproduct_off_the_identity(a_image, term):
+    # Delta(a) must read 0 + a (x) 1 + 1 (x) a to first order
+    tower = load_tower({"name": "ab", "tower": [{"gen": "a"}, {"gen": "b"}]})
+    images = {"a": a_image, "b": "b (x) 1 + 1 (x) b"}
+    hopf = SimpleNamespace(coproduct_map=AlgebraMorphism.load(tower, (tower, tower), images))
+    with pytest.raises(LieError, match=rf"coproduct of a .* \(wrong {term} term\)"):
+        lie_from_group(tower, hopf)
 
 
 def test_linearize_std(std):

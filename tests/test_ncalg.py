@@ -260,6 +260,17 @@ def test_forward_reference_rejected():
         load_tower(desc)
 
 
+@pytest.mark.parametrize("table, image", [
+    ("sigma", "n"),    # a sigma image must live strictly below its level
+    ("delta", "nb"),   # a delta image may reach its own level, not above
+])
+def test_forward_reference_message(table, image):
+    desc = preset_dict("qe2-nonstd")
+    desc["tower"][1][table]["v"] = image
+    with pytest.raises(TowerError, match="level 1 data for v references a forward level"):
+        load_tower(desc, validate=False)
+
+
 def test_noninvertible_sigma_image_rejected():
     desc = preset_dict("quantum-cylinder")
     desc["tower"][1]["sigma"]["v"] = "v + 1"

@@ -3,12 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qe2 import catalog
 from qe2.hopf import load_hopf
 from qe2.ncalg import NCPoly, collect, load_tower, normal_form
 from qe2.poisson import (
     AlgebraMorphism,
     PoissonStructure,
-    _partial,
     covariant_family_solve,
     field_relation,
     jacobi_report,
@@ -96,6 +96,15 @@ def test_bracket_leibniz_random(nonstd):
 
 
 # -- the bracket table against the Leibniz extension by partial derivatives ----
+
+
+def _partial(x, idx):
+    """d x / d x_idx, exponent by exponent (Laurent exponents included)."""
+    return NCPoly(x.tower, collect(
+        (mono[:idx] + (mono[idx] - 1,) + mono[idx + 1 :], c * mono[idx])
+        for mono, c in x.terms.items()
+        if mono[idx]
+    ))
 
 
 def _commutative_product(p, q):
@@ -325,6 +334,54 @@ def test_cylinder_family():
     P_bad = PoissonStructure(space, {(0, 1): space.poly(desc["printed_family"])})
     rep_bad = poisson_morphism_report(coact, P_bad, (P_G, P_bad))
     assert not rep_bad.clean
+
+
+@pytest.fixture(scope="module")
+def families():
+    """(coaction, P_G, space, family) of coaction-plane, coaction-cylinder
+    and the plane's mirrored coaction."""
+    plane = catalog.get_preset("coaction-plane")
+    cylinder = catalog.get_preset("coaction-cylinder")
+    mirrored = AlgebraMorphism.load(
+        plane.space_tower, (plane.group_tower, plane.space_tower),
+        plane.raw["mirrored_coaction"],
+    )
+    coactions = {
+        "plane": (plane, plane.coaction),
+        "cylinder": (cylinder, cylinder.coaction),
+        "mirrored": (plane, mirrored),
+    }
+    return {
+        which: (coact, b.group_poisson, b.space_tower,
+                covariant_family_solve(coact, b.group_poisson, b.ansatz))
+        for which, (b, coact) in coactions.items()
+    }
+
+
+@pytest.mark.parametrize("which", ["plane", "cylinder", "mirrored"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    from_family=st.booleans(),
+    ints=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+)
+def test_family_solver_agrees_with_morphism_check(families, which, from_family, ints):
+    # a candidate bracket b lies in the solved family exactly when the
+    # coaction is a Poisson morphism for {x, y} = b, checked pair by pair
+    coact, P_G, space, fam = families[which]
+    ctx = space.context
+    if from_family:  # particular + s * nullspace, always covariant
+        vec = list(fam.particular)
+        for s, null in zip(ints, fam.nullspace):
+            vec = [c + ctx.from_int(s) * n for c, n in zip(vec, null)]
+    else:  # a small integer combination of the ansatz
+        vec = [ctx.from_int(s) for s in ints]
+    b = NCPoly.zero(space)
+    for c, t in zip(vec, fam.ansatz):
+        b = b + t.scale(c)
+    P_b = PoissonStructure(space, {(0, 1): b})
+    clean = poisson_morphism_report(coact, P_b, (P_G, P_b)).clean
+    assert fam.contains_bracket(b) == clean
+    assert clean or not from_family
 
 
 # -- ranks --------------------------------------------------------------------------
