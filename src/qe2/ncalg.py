@@ -41,6 +41,10 @@ tables.  Products of polynomial coefficients with several terms are
 summed raw per output term, with the fused multiply-accumulate of
 ``scalars``, and each sum is normalised once.
 
+Linear systems over the scalar field have one solver, :func:`solve_terms`:
+Gauss-Jordan elimination on sparse rows.  The reduced row echelon form is
+unique, so the order of the rows does not change its result.
+
 Confluence is decided once per tower, at load, by
 :func:`decide_confluence`, and stored as ``tower.confluence``.  Bergman's
 diamond lemma (Adv. Math. 29, 1978, Thm. 1.2) makes normal forms unique
@@ -636,62 +640,6 @@ def graded_degree(x: NCPoly, gen) -> int:
     return x.max_exponent(idx)
 
 
-def solve_affine(rows, rhs, ctx, ncols=None):
-    """Gauss-Jordan solve of (rows) c = rhs over the scalar field.
-
-    Returns (particular, nullspace_basis) with free variables set to zero,
-    or None when the system is inconsistent.  ``ncols`` defaults to the
-    length of the first row; a system without rows needs it given.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    zero, one = ctx.zero, ctx.one
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for rr in range(r, len(mat)):
-            if mat[rr][c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row = mat[r]
-        pv = row[c]
-        # a zero entry of the pivot row leaves its column unchanged
-        # (0 / pv == 0 and a - f*0 == a), so only the nonzero ones are touched
-        nz = [k for k, v in enumerate(row) if v]
-        for k in nz:
-            row[k] = row[k] / pv
-        for rr in range(len(mat)):
-            other = mat[rr]
-            if rr != r and other[c]:
-                f = other[c]
-                for k in nz:
-                    other[k] = other[k] - f * row[k]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for rr in range(r, len(mat)):
-        if mat[rr][ncols]:
-            return None
-    coeffs = [zero] * ncols
-    for rr, c in enumerate(pivots):
-        coeffs[c] = mat[rr][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    null = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for rr, c in enumerate(pivots):
-            vec[c] = -mat[rr][fc]
-        null.append(vec)
-    return coeffs, null
-
-
 class AffineSolutions(Record):
     """The solution set ``particular + span(nullspace)`` of a linear
     system; ``particular`` is None when the system has no solution."""
@@ -725,16 +673,67 @@ class AffineSolutions(Record):
 def solve_terms(target: dict, columns: Sequence[dict], ctx) -> AffineSolutions:
     """Exact solution set of sum_i c_i columns[i] = target over the scalar
     field.  Target and columns are term maps {key -> Scalar} over sortable
-    keys, one equation per key that occurs in any of them."""
-    keys = set(target)
-    for col in columns:
-        keys.update(col)
-    zero = ctx.zero
-    ordered = sorted(keys, reverse=True)
-    rows = [[col.get(k, zero) for col in columns] for k in ordered]
-    rhs = [target.get(k, zero) for k in ordered]
-    sol = solve_affine(rows, rhs, ctx, len(columns))
-    return AffineSolutions(*sol) if sol is not None else AffineSolutions(None, [])
+    keys, one equation per key that occurs in any of them.
+
+    Gauss-Jordan elimination on sparse rows: the equation of a key is the
+    dict {column index: nonzero Scalar} of its coefficients, the target
+    being column ``n``, and the equations go in descending key order.  A
+    column's pivot is the first unreduced row that holds it, divided by its
+    pivot unless that is one; eliminating the column touches only the rows
+    that hold it, and only at the pivot row's entries, and deletes each
+    entry that cancels.  The reduced row echelon form is unique, so the
+    order of the equations changes only the work, never the result: the
+    particular solution has the free variables zero, and the nullspace has
+    one vector per free column, one at that column.
+    """
+    n = len(columns)
+    zero, one = ctx.zero, ctx.one
+    by_key = {}
+    for j, col in enumerate(chain(columns, (target,))):
+        for k, v in col.items():
+            if v:
+                by_key.setdefault(k, {})[j] = v
+    pending = [by_key[k] for k in sorted(by_key, reverse=True)]
+    pivots = {}  # column -> its reduced row, without the pivot entry
+    for c in range(n):
+        i = next((i for i, row in enumerate(pending) if c in row), None)
+        if i is None:
+            continue
+        row = pending.pop(i)
+        pv = row.pop(c)
+        if not pv.is_one():
+            for k, v in row.items():
+                row[k] = v / pv
+        entries = row.items()
+        for other in chain(pending, pivots.values()):
+            f = other.pop(c, None)
+            if f is None:
+                continue
+            f = -f
+            for k, v in entries:
+                if k in other:
+                    s = other[k] + f * v
+                    if s:
+                        other[k] = s
+                    else:
+                        del other[k]
+                else:
+                    other[k] = f * v
+        pivots[c] = row
+    # every column below n is pivoted or absent from the leftover rows
+    if any(pending):
+        return AffineSolutions(None, [])
+    particular = [pivots[c].get(n, zero) if c in pivots else zero for c in range(n)]
+    nullspace = []
+    for fc in range(n):
+        if fc not in pivots:
+            vec = [zero] * n
+            vec[fc] = one
+            for c, row in pivots.items():
+                if fc in row:
+                    vec[c] = -row[fc]
+            nullspace.append(vec)
+    return AffineSolutions(particular, nullspace)
 
 
 def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> AffineSolutions:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qe2 import catalog, ncalg, suites
 from qe2.exprio import format_canonical
 from qe2.ncalg import (
+    AffineSolutions,
     LetterPushFold,
     NCPoly,
     NonConfluentTower,
@@ -20,7 +21,6 @@ from qe2.ncalg import (
     load_tower,
     normal_form,
     order_certificate,
-    solve_affine,
     solve_terms,
     span_solve,
 )
@@ -326,6 +326,24 @@ def test_outside_span(qe2_tower):
     assert span_solve(t.gen("n"), basis).empty
 
 
+def test_span_solve_large_embedded_basis(qe2_tower):
+    # 66 columns v^r m^s (|r| <= 5, s <= 5) over about 277 equations
+    t = qe2_tower
+    ctx = t.context
+    m = t.poly("vb*nb - v*n")
+    m_pows = [m ** s for s in range(6)]
+    basis = [normal_form(t, [("v", r)]) * mk for r in range(-5, 6) for mk in m_pows]
+    W = ctx.param("omega")
+    planted = {3: ctx.from_int(2), 40: -W, 65: ctx.one + W * W}
+    x = NCPoly.zero(t)
+    for i, c in planted.items():
+        x = x + basis[i].scale(c)
+    sol = span_solve(x, basis)
+    assert sol.unique
+    assert sol.particular == [planted.get(i, ctx.zero) for i in range(len(basis))]
+    assert span_solve(x + t.gen("nb"), basis).empty
+
+
 def test_span_of_zero_vectors_is_not_independent(qe2_tower):
     # no monomial occurs, so the system has no equation; the column count
     # still comes from the basis
@@ -396,9 +414,113 @@ def test_solve_terms_matches_sympy(data):
     assert sol.dimension == ncols - rank
 
 
+# p + q*i + r*omega, never zero
+omega_entry = st.tuples(
+    st.integers(-2, 2), st.integers(-1, 1), st.integers(-2, 2)
+).filter(any)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_sparse_omega_systems_match_sympy_rank(data):
+    # systems over Q(i)(omega) up to 8 x 8 with at least 60% zero entries;
+    # the rank comes from sympy over the same field
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ctx = ScalarContext([Parameter("omega")])
+    omega = ctx.param("omega")
+    w = sympy.Symbol("omega")
+    nrows, ncols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    cells = [(k, j) for k in range(nrows) for j in range(ncols)]
+    dense = [[(0, 0, 0)] * ncols for _ in range(nrows)]
+    for k, j in data.draw(
+        st.lists(st.sampled_from(cells), unique=True, max_size=2 * len(cells) // 5)
+    ):
+        dense[k][j] = data.draw(omega_entry)
+    scale = data.draw(st.sampled_from([-2, -1, 1, 2]))
+
+    def nnz(vec):
+        return sum(any(t) for t in vec)
+
+    def densest_from_sparsest(vecs):
+        # overwrite the densest vector with a multiple of the sparsest other
+        # one (or zero it when there is no other): the zero share only grows
+        order = sorted(range(len(vecs)), key=lambda i: nnz(vecs[i]))
+        dst = order[-1]
+        src = order[0] if len(order) > 1 else None
+        vecs[dst] = [
+            (0, 0, 0) if src is None else tuple(scale * a for a in vecs[src][i])
+            for i in range(len(vecs[dst]))
+        ]
+        return dst
+
+    mode = data.draw(st.sampled_from(["consistent", "inconsistent", "rank-deficient"]))
+    if mode == "rank-deficient":
+        cols_t = [list(col) for col in zip(*dense)]
+        densest_from_sparsest(cols_t)
+        dense = [list(row) for row in zip(*cols_t)]
+    planted_row = densest_from_sparsest(dense) if mode == "inconsistent" else None
+    assert sum(not any(t) for row in dense for t in row) >= 0.6 * len(cells)
+
+    def scalar(t):
+        return ctx.from_gauss(GaussRational(t[0], t[1])) + ctx.from_int(t[2]) * omega
+
+    def to_sympy(t):
+        return t[0] + sympy.I * t[1] + t[2] * w
+
+    x = [data.draw(omega_entry) for _ in range(ncols)]
+    planted = [(0, 0, 0)] * nrows
+    if planted_row is not None:
+        # the planted row is a multiple of another one (or zero), and its
+        # right-hand side breaks that relation
+        planted[planted_row] = data.draw(omega_entry)
+    A = [[scalar(t) for t in row] for row in dense]
+    rhs = [
+        sum((a * scalar(t) for a, t in zip(row, x)), scalar(p))
+        for row, p in zip(A, planted)
+    ]
+
+    def system(keys):
+        target = {keys[k]: b for k, b in enumerate(rhs) if b}
+        cols = [{keys[k]: row[j] for k, row in enumerate(A) if row[j]} for j in range(ncols)]
+        return target, cols
+
+    sol = solve_terms(*system(list(range(nrows))), ctx)
+    # relabelling the keys reorders the equations and changes nothing
+    shuffled = data.draw(st.permutations(range(nrows)))
+    assert solve_terms(*system(shuffled), ctx) == sol
+
+    field = sympy.QQ_I.frac_field(w)
+    A_s = sympy.Matrix(nrows, ncols, [to_sympy(t) for row in dense for t in row])
+    rhs_s = A_s * sympy.Matrix([to_sympy(t) for t in x]) + sympy.Matrix(
+        [to_sympy(t) for t in planted]
+    )
+
+    def rank(m):
+        return DomainMatrix.from_Matrix(m).convert_to(field).rank()
+
+    rank_a = rank(A_s)
+    assert sol.empty == (rank(A_s.row_join(rhs_s)) > rank_a)
+    assert sol.empty == (mode == "inconsistent")
+    if mode == "rank-deficient":
+        assert rank_a < ncols
+    if sol.empty:
+        return
+
+    def image(vec):
+        return [sum((a * c for a, c in zip(row, vec)), ctx.zero) for row in A]
+
+    assert image(sol.particular) == rhs
+    assert len(sol.nullspace) == ncols - rank_a
+    for vec in sol.nullspace:
+        assert any(vec) and not any(image(vec))
+
+
 def _dense_solve_affine(rows, rhs, ctx):
-    """solve_affine as it was before it skipped the pivot row's zeros:
-    every row operation runs over every column."""
+    """Dense Gauss-Jordan on a rows x columns grid of Scalars: every row
+    operation runs over every column.  Returns (particular, nullspace), or
+    None when the system is inconsistent."""
     ncols = len(rows[0]) if rows else 0
     mat = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots = []
@@ -433,7 +555,9 @@ def _dense_solve_affine(rows, rhs, ctx):
     return coeffs, null
 
 
-def test_solve_affine_matches_dense_elimination(qe2_tower):
+def test_solve_terms_matches_dense_elimination(qe2_tower):
+    # the sparse solver against dense elimination, on random omega-systems
+    # given as column term maps
     ctx = qe2_tower.context
     omega = ctx.param("omega")
     rng = random.Random(11)
@@ -453,8 +577,11 @@ def test_solve_affine_matches_dense_elimination(qe2_tower):
         else:
             rhs = [entry() for _ in range(nrows)]
         want = _dense_solve_affine(rows, rhs, ctx)
-        assert solve_affine(rows, rhs, ctx) == want
-        solved += want is not None
+        want = AffineSolutions(*want) if want is not None else AffineSolutions(None, [])
+        target = {k: b for k, b in enumerate(rhs) if b}
+        cols = [{k: row[j] for k, row in enumerate(rows) if row[j]} for j in range(ncols)]
+        assert solve_terms(target, cols, ctx) == want
+        solved += not want.empty
     assert 20 < solved < 60
 
 
