@@ -10,9 +10,15 @@ inputs that the checks of one suite call share (``_Inputs``) and returns
 either a verdict, the tuple ``(ok, lhs, rhs[, witness[, bad]])`` of
 ``CheckReport.verdict`` with the engine value as ``lhs`` and the displayed
 one as ``rhs``, or a sub-report, which ``_summarize`` collapses into one
-record.  ``_record`` runs a suite's entries in order, each in its own
-``try``: a check that raises becomes the fail record
-``internal-error[<check id>]``, and the checks after it still run.
+record.  ``_record`` runs entries in order, each in its own ``try``: a
+check that raises becomes the fail record ``internal-error[<check id>]``,
+and the checks after it still run.
+
+The entries live in one table, ``CHECKS``: suite name -> its entries, in
+report run order.  ``SUITES`` and the ``suite_<name>`` functions derive from
+it, and each suite function reads its row when called.  ``run_check(id,
+inputs)`` runs one entry alone.  ``_Inputs`` is a dict keyed by preset id,
+so ``s[preset_id] = bundle`` runs checks on a substitute preset.
 
 Entries reach the engine through this module's globals when they run, never
 through a stored function object, so a wrapper bound in a function's place
@@ -141,13 +147,9 @@ def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport):
     )
 
 
-def _internal_error(rep: CheckReport, name, e: Exception):
-    rep.add(f"internal-error[{name}]", status=FAIL, witness=f"{type(e).__name__}: {e}")
-
-
-def _record(rep: CheckReport, degree_bound: int, checks):
-    """Run and record each entry of ``checks`` in order, each on its own."""
-    s = _Inputs(degree_bound)
+def _record(rep: CheckReport, s: _Inputs, checks):
+    """Run each entry of ``checks`` on ``s`` and record it, in order, each on
+    its own."""
     for check_id, anchor, run in checks:
         try:
             out = run(s)
@@ -156,7 +158,8 @@ def _record(rep: CheckReport, degree_bound: int, checks):
             else:
                 rep.verdict(check_id, *out, anchor=anchor)
         except Exception as e:  # confined to its own check
-            _internal_error(rep, check_id, e)
+            rep.add(f"internal-error[{check_id}]", status=FAIL,
+                    witness=f"{type(e).__name__}: {e}")
 
 
 def _equal(engine, expected, rhs, *displayed):
@@ -172,33 +175,8 @@ def _printed_bracket(b, f, g, printed, witness):
     return _equal(engine, t.poly(printed), printed, witness, DISCREPANCY)
 
 
-def suite_jacobi(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("jacobi-std-poisson", "Prop. 2.2", lambda s: jacobi_report(s["std-poisson"].poisson)),
-        ("jacobi-nonstd-poisson", "Sec. 3",
-         lambda s: jacobi_report(s["nonstd-poisson"].poisson)),
-        ("bracket-table-std-n-nb", "Sec. 2", lambda s: _printed_bracket(
-            s["std-poisson"], "n", "nb", "n*nb",
-            "multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
-            "with the displayed sign the coproduct is not a Poisson morphism")),
-        ("bracket-table-nonstd-n-nb", "Sec. 3", lambda s: _printed_bracket(
-            s["nonstd-poisson"], "n", "nb", "omega*n - omega*nb",
-            "the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
-            "leaves the cyclic sum 2*omega^2*(v-1)^2")),
-    ))
-
-
 def _coproduct_is_poisson(b):
     return poisson_morphism_report(b.hopf.coproduct_map, b.poisson, (b.poisson, b.poisson))
-
-
-def suite_multiplicativity(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("multiplicativity-std-poisson", "Prop. 2.2",
-         lambda s: _coproduct_is_poisson(s["std-poisson"])),
-        ("multiplicativity-nonstd-poisson", "Sec. 3",
-         lambda s: _coproduct_is_poisson(s["nonstd-poisson"])),
-    ))
 
 
 def _coaction_is_poisson(b, bracket=None):
@@ -249,28 +227,6 @@ def _stabilizer(b):
     )
 
 
-def suite_covariance(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("covariance-plane-coaction-k-symbolic", "Prop. 2.6",
-         lambda s: _coaction_is_poisson(s["coaction-plane"])),
-        ("covariance-plane-orientation", "Cor. 2.4 / Prop. 2.6", _plane_orientation),
-        ("covariance-plane-projection-k0", "Cor. 2.4", lambda s: poisson_morphism_report(
-            s["coaction-plane"].projection,
-            _space_bracket(s["coaction-plane"], "z*zb"),
-            s["coaction-plane"].group_poisson,
-        )),
-        ("covariance-plane-projection-k-obstruction", "Cor. 2.4", _projection_obstructed),
-        ("covariance-cylinder-engine-member", "Prop. 3.2", lambda s: _coaction_is_poisson(
-            s["coaction-cylinder"], s["coaction-cylinder"].raw["engine_family_member"])),
-        ("prop32-bracket-printed", "Prop. 3.2", lambda s: _printed_bracket(
-            s["nonstd-poisson"], "v", "vb*nb - v*n", "-omega*(v^2 - 1)",
-            "Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
-            "displayed value is not even covariant (see the families suite)")),
-        ("stabilizer-plane", "Sec. 2", lambda s: _stabilizer(s["coaction-plane"])),
-        ("stabilizer-cylinder", "Rem. 3.4", lambda s: _stabilizer(s["coaction-cylinder"])),
-    ))
-
-
 def _one_parameter(fam, tower, *members):
     """Whether the family is one affine line through the given brackets."""
     return (
@@ -317,14 +273,6 @@ def _cylinder_printed_member(s):
     )
 
 
-def suite_families(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("family-plane-dimension", "Prop. 2.6", _plane_family),
-        ("family-cylinder-dimension", "Prop. 3.5", _cylinder_family),
-        ("family-cylinder-printed-member", "Prop. 3.5", _cylinder_printed_member),
-    ))
-
-
 def _at(text):
     """The point ``"v=i, n=0"``: each name mapped to its value in Q(i)."""
     pairs = (pair.split("=") for pair in text.split(",") if pair)
@@ -356,72 +304,6 @@ def _poisson_ideal(b, gens, quotient):
     )
 
 
-def suite_foliation(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("rank-std-circle-points", "Rem. 2.3", lambda s: _ranks(
-            s["std-poisson"], "",
-            ["v=1, n=0, nb=0", "v=i, n=0, nb=0", "v=3/5 + 4/5*i, n=0, nb=0"], [0, 0, 0],
-            "ranks {ranks} at v0 in (1, i, (3+4i)/5), n = nb = 0",
-            "0-dimensional leaves along the circle subgroup")),
-        ("rank-std-generic", "Rem. 2.3", lambda s: _ranks(
-            s["std-poisson"], "", ["v=1, n=1, nb=2"], [2],
-            "rank 2 at a generic point", "generic leaves are 2-dimensional")),
-        ("rank-nonstd-line", "Rem. 3.1", lambda s: _ranks(
-            s["nonstd-poisson"], "omega=1", ["v=1, n=0, nb=0", "v=1, n=1, nb=1"], [0, 0],
-            "ranks {ranks} at v = 1, n = nb",
-            "0-dimensional leaves along the real line subgroup")),
-        ("rank-nonstd-circle-point", "Rem. 3.1", lambda s: _ranks(
-            s["nonstd-poisson"], "omega=1", ["v=i, n=0, nb=0"], [2],
-            "rank 2 at (i, 0, 0), omega = 1",
-            "the circle is not a union of 0-dimensional leaves")),
-        ("rank-cylinder-degenerate", "Rem. 3.6", lambda s: _ranks(
-            s["cylinder-poisson"], "omega=1, k=-2", ["v=i, m=0", "v=-i, m=0"], [0, 0],
-            "ranks {ranks} at v = +/- i (omega = 1, k = -2)",
-            "omega*v^2 + omega + k = 0 locus has 0-dimensional leaves")),
-        ("rank-cylinder-regular", "Rem. 3.6", lambda s: _ranks(
-            s["cylinder-poisson"], "omega=1, k=-2", ["v=1, m=0"], [2],
-            "rank 2 at v = 1",
-            "points off the degenerate locus lie in 2-dimensional leaves")),
-        ("rank-plane-hyperbolic", "Rem. 2.7", lambda s: _ranks(
-            s["plane-poisson"], "k=-2", ["z=1 + i, zb=1 - i", "z=1, zb=1"], [0, 2],
-            "rank 0 on z*zb = -k, rank 2 off it (k = -2)",
-            "degenerate locus z*zb = -k")),
-        # Hamiltonian field relations
-        ("field-relation-std-engine", "Rem. 2.3", lambda s: _field_relation(
-            s["std-poisson"], {"v": "v^-1*n*nb", "n": "nb", "nb": "-n"},
-            "v^-1*n*nb X_v + nb X_n - n X_nb = 0",
-            "a pointwise linear relation bounds the leaves by dimension 2")),
-        ("field-relation-std-printed", "Rem. 2.3", lambda s: _field_relation(
-            s["std-poisson"], {"v": "v*n*nb", "n": "nb", "nb": "n"},
-            "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
-            "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
-            "displayed combination does not vanish ({where}); the geometric "
-            "conclusion (generic rank 2) verifies via the engine relation",
-            DISCREPANCY)),
-        ("field-relation-nonstd-engine", "Rem. 3.1", lambda s: _field_relation(
-            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "n - nb"},
-            "(v - v^2) X_n + (v - 1) X_nb + (n - nb) X_v = 0",
-            "distribution at most 2-dimensional everywhere")),
-        ("field-relation-nonstd-printed", "Rem. 3.1", lambda s: _field_relation(
-            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "nb - n"},
-            "vanishing combination carries (n - nb) on X_v",
-            "displayed combination carries (nb - n) on X_v",
-            "displayed combination does not vanish under the corrected bracket "
-            "table ({where})",
-            DISCREPANCY)),
-        # Poisson subgroup loci
-        ("poisson-subgroup-circle-std", "Rem. 2.3", lambda s: _poisson_ideal(
-            s["std-poisson"], ["n", "nb"], s["quotient-circle"])),
-        ("poisson-subgroup-line-nonstd", "Rem. 3.1", lambda s: _poisson_ideal(
-            s["nonstd-poisson"], ["v - 1", "n - nb"], s["quotient-I"])),
-        ("circle-not-poisson-subgroup-nonstd", "Rem. 3.1", lambda s: (
-            not _poisson_ideal(s["nonstd-poisson"], ["n", "nb"], s["quotient-circle"]).clean,
-            "restriction of {v,n} to the circle is omega*(1-u) != 0",
-            "the circle is not a Poisson subgroup of the nonstandard structure",
-            "circle unexpectedly closed under the nonstandard bracket")),
-    ))
-
-
 def _delta_p2(s):
     # delta(P2) = delta(X) - delta(Y) = -2 omega X^Y = -omega P2^P1
     dp2 = s.d_ns.of(1) - s.d_ns.of(2)
@@ -448,42 +330,6 @@ def _rmatrix(s):
         "displayed r-matrix omega J^P2 lies in the solution set",
         "displayed r-matrix not recovered",
     )
-
-
-def suite_bialgebra(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("bialg-lie-constants", "Sec. 2", lambda s: (
-            all(
-                s.g_std.bracket_basis(i, j) == s["e2-lie"].lie.bracket_basis(i, j)
-                for i in range(3)
-                for j in range(3)
-            ),
-            "[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
-            "tangent algebra of the displayed group law")),
-        ("bialg-linearize-std", "Sec. 2", lambda s: (
-            s.d_std == s["std-bialg"].cocommutator,
-            "delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
-            "displayed standard cocommutator")),
-        ("bialg-linearize-nonstd-p1", "Sec. 3", lambda s: (
-            (s.d_ns.of(1) + s.d_ns.of(2)).is_zero(),
-            "delta(P1) = 0 with P1 = X + Y",
-            "displayed delta(P1) = 0")),
-        ("bialg-delta-p2-printed", "Sec. 3", _delta_p2),
-        ("bialg-delta-j-printed", "Sec. 3", lambda s: (
-            s.d_ns.of(0) == s.printed_r,
-            f"delta(J) = {s.d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
-            "delta(J) = omega J^P2",
-            "the linearized delta(J) is proportional to J^P1, not J^P2, under "
-            "every natural identification tried",
-            DISCREPANCY)),
-        ("bialg-cocycle-std", "Sec. 2", lambda s: cocycle_cojacobi_report(s.g_std, s.d_std)),
-        ("bialg-cocycle-nonstd", "Sec. 3", lambda s: cocycle_cojacobi_report(s.g_ns, s.d_ns)),
-        ("bialg-coboundary-std-empty", "Sec. 2", lambda s: (
-            coboundary_solve(s.g_std, s.d_std).empty,
-            "coboundary equation has no solution",
-            "the standard cocommutator is non-coboundary")),
-        ("bialg-coboundary-nonstd-rmatrix", "Sec. 3", _rmatrix),
-    ))
 
 
 def _confluent(b):
@@ -516,23 +362,6 @@ def _printed_tower(s):
         f"witness overlap: {res.describe()}",
         DISCREPANCY,
     )
-
-
-def suite_diamond(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("diamond-qe2-nonstd", "Sec. 4", lambda s: _confluent(s["qe2-nonstd"])),
-        ("diamond-quantum-cylinder", "Def. 4.1", lambda s: _confluent(s["quantum-cylinder"])),
-        ("diamond-quantum-plane", "Rem. 2.5", lambda s: _confluent(s["quantum-plane"])),
-        ("tower-printed-nonstd-sign", "Sec. 3 / Sec. 4", _printed_tower),
-    ))
-
-
-def suite_hopf_axioms(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("hopf-axioms-fun-e2", "Sec. 2", lambda s: hopf_axioms_report(s["fun-e2"].hopf)),
-        ("hopf-axioms-qe2-nonstd", "Sec. 4",
-         lambda s: hopf_axioms_report(s["qe2-nonstd"].hopf)),
-    ))
 
 
 def _cylinder_star(s):
@@ -582,20 +411,6 @@ def _first_relation(s):
         "generator satisfies the covariant one (omega*(v-1)^2)",
         DISCREPANCY,
     )
-
-
-def suite_relations(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("relations-fun-e2", "Sec. 2",
-         lambda s: respects_relations_report(s["fun-e2"].tower, s["fun-e2"].hopf)),
-        ("relations-qe2-nonstd", "Sec. 4",
-         lambda s: respects_relations_report(s["qe2-nonstd"].tower, s["qe2-nonstd"].hopf)),
-        ("relations-quantum-plane-star", "Rem. 2.5",
-         lambda s: respects_relations_report(s["quantum-plane"].tower, None)),
-        ("relations-quantum-cylinder-star", "Def. 4.1", _cylinder_star),
-        ("def41-second-relation-printed", "Def. 4.1", _second_relation),
-        ("def41-first-relation-vs-embedded", "Def. 4.1 / Prop. 3.2", _first_relation),
-    ))
 
 
 def _delta_m(s):
@@ -651,25 +466,6 @@ def _random_cyl(t, rng, degree_bound):
         s = rng.randint(0, max(1, degree_bound // 2))
         terms.append(((r, s), t.context.from_int(rng.randint(-4, 4))))
     return NCPoly.from_terms(t, terms)
-
-
-def suite_coideal(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("coideal-cylinder", "Prop. 4.2", lambda s: coideal_report(
-            s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf)),
-        ("coideal-delta-m-exact", "Prop. 4.2", _delta_m),
-        ("basis-v-r-m-s-independent", "Prop. 4.2", _pbw_basis),
-        ("degm-additivity", "Prop. 4.2", _degm_additivity),
-    ))
-
-
-def suite_hopf_ideal(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
-        ("quotient-I-well-defined", "Prop. 4.4",
-         lambda s: quotient_check(s["quotient-I"].quotient)),
-        ("hopf-star-ideal-I", "Prop. 4.4", lambda s: hopf_star_ideal_report(
-            [s.qe2("v - 1"), s.qe2("n - nb")], s["quotient-I"].quotient, s["qe2-nonstd"].hopf)),
-    ))
 
 
 def _coinvariant(s, x, side="right"):
@@ -734,8 +530,182 @@ def _generators_recovered(s):
     )
 
 
-def suite_closure(rep: CheckReport, degree_bound: int):
-    _record(rep, degree_bound, (
+CHECKS = {
+    "jacobi": (
+        ("jacobi-std-poisson", "Prop. 2.2", lambda s: jacobi_report(s["std-poisson"].poisson)),
+        ("jacobi-nonstd-poisson", "Sec. 3",
+         lambda s: jacobi_report(s["nonstd-poisson"].poisson)),
+        ("bracket-table-std-n-nb", "Sec. 2", lambda s: _printed_bracket(
+            s["std-poisson"], "n", "nb", "n*nb",
+            "multiplicativity of the coproduct (Prop. 2.2) forces {n,nb} = -n*nb; "
+            "with the displayed sign the coproduct is not a Poisson morphism")),
+        ("bracket-table-nonstd-n-nb", "Sec. 3", lambda s: _printed_bracket(
+            s["nonstd-poisson"], "n", "nb", "omega*n - omega*nb",
+            "the Jacobi identity forces {n,nb} = omega*(nb-n); the displayed sign "
+            "leaves the cyclic sum 2*omega^2*(v-1)^2")),
+    ),
+    "multiplicativity": (
+        ("multiplicativity-std-poisson", "Prop. 2.2",
+         lambda s: _coproduct_is_poisson(s["std-poisson"])),
+        ("multiplicativity-nonstd-poisson", "Sec. 3",
+         lambda s: _coproduct_is_poisson(s["nonstd-poisson"])),
+    ),
+    "covariance": (
+        ("covariance-plane-coaction-k-symbolic", "Prop. 2.6",
+         lambda s: _coaction_is_poisson(s["coaction-plane"])),
+        ("covariance-plane-orientation", "Cor. 2.4 / Prop. 2.6", _plane_orientation),
+        ("covariance-plane-projection-k0", "Cor. 2.4", lambda s: poisson_morphism_report(
+            s["coaction-plane"].projection,
+            _space_bracket(s["coaction-plane"], "z*zb"),
+            s["coaction-plane"].group_poisson,
+        )),
+        ("covariance-plane-projection-k-obstruction", "Cor. 2.4", _projection_obstructed),
+        ("covariance-cylinder-engine-member", "Prop. 3.2", lambda s: _coaction_is_poisson(
+            s["coaction-cylinder"], s["coaction-cylinder"].raw["engine_family_member"])),
+        ("prop32-bracket-printed", "Prop. 3.2", lambda s: _printed_bracket(
+            s["nonstd-poisson"], "v", "vb*nb - v*n", "-omega*(v^2 - 1)",
+            "Leibniz expansion of {v, vb*nb - v*n} gives omega*(v-1)^2; the "
+            "displayed value is not even covariant (see the families suite)")),
+        ("stabilizer-plane", "Sec. 2", lambda s: _stabilizer(s["coaction-plane"])),
+        ("stabilizer-cylinder", "Rem. 3.4", lambda s: _stabilizer(s["coaction-cylinder"])),
+    ),
+    "families": (
+        ("family-plane-dimension", "Prop. 2.6", _plane_family),
+        ("family-cylinder-dimension", "Prop. 3.5", _cylinder_family),
+        ("family-cylinder-printed-member", "Prop. 3.5", _cylinder_printed_member),
+    ),
+    "foliation": (
+        ("rank-std-circle-points", "Rem. 2.3", lambda s: _ranks(
+            s["std-poisson"], "",
+            ["v=1, n=0, nb=0", "v=i, n=0, nb=0", "v=3/5 + 4/5*i, n=0, nb=0"], [0, 0, 0],
+            "ranks {ranks} at v0 in (1, i, (3+4i)/5), n = nb = 0",
+            "0-dimensional leaves along the circle subgroup")),
+        ("rank-std-generic", "Rem. 2.3", lambda s: _ranks(
+            s["std-poisson"], "", ["v=1, n=1, nb=2"], [2],
+            "rank 2 at a generic point", "generic leaves are 2-dimensional")),
+        ("rank-nonstd-line", "Rem. 3.1", lambda s: _ranks(
+            s["nonstd-poisson"], "omega=1", ["v=1, n=0, nb=0", "v=1, n=1, nb=1"], [0, 0],
+            "ranks {ranks} at v = 1, n = nb",
+            "0-dimensional leaves along the real line subgroup")),
+        ("rank-nonstd-circle-point", "Rem. 3.1", lambda s: _ranks(
+            s["nonstd-poisson"], "omega=1", ["v=i, n=0, nb=0"], [2],
+            "rank 2 at (i, 0, 0), omega = 1",
+            "the circle is not a union of 0-dimensional leaves")),
+        ("rank-cylinder-degenerate", "Rem. 3.6", lambda s: _ranks(
+            s["cylinder-poisson"], "omega=1, k=-2", ["v=i, m=0", "v=-i, m=0"], [0, 0],
+            "ranks {ranks} at v = +/- i (omega = 1, k = -2)",
+            "omega*v^2 + omega + k = 0 locus has 0-dimensional leaves")),
+        ("rank-cylinder-regular", "Rem. 3.6", lambda s: _ranks(
+            s["cylinder-poisson"], "omega=1, k=-2", ["v=1, m=0"], [2],
+            "rank 2 at v = 1",
+            "points off the degenerate locus lie in 2-dimensional leaves")),
+        ("rank-plane-hyperbolic", "Rem. 2.7", lambda s: _ranks(
+            s["plane-poisson"], "k=-2", ["z=1 + i, zb=1 - i", "z=1, zb=1"], [0, 2],
+            "rank 0 on z*zb = -k, rank 2 off it (k = -2)",
+            "degenerate locus z*zb = -k")),
+        # Hamiltonian field relations
+        ("field-relation-std-engine", "Rem. 2.3", lambda s: _field_relation(
+            s["std-poisson"], {"v": "v^-1*n*nb", "n": "nb", "nb": "-n"},
+            "v^-1*n*nb X_v + nb X_n - n X_nb = 0",
+            "a pointwise linear relation bounds the leaves by dimension 2")),
+        ("field-relation-std-printed", "Rem. 2.3", lambda s: _field_relation(
+            s["std-poisson"], {"v": "v*n*nb", "n": "nb", "nb": "n"},
+            "vanishing combination: v^-1*n*nb X_v + nb X_n - n X_nb",
+            "displayed combination: v*n*nb X_v + nb X_n + n X_nb",
+            "displayed combination does not vanish ({where}); the geometric "
+            "conclusion (generic rank 2) verifies via the engine relation",
+            DISCREPANCY)),
+        ("field-relation-nonstd-engine", "Rem. 3.1", lambda s: _field_relation(
+            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "n - nb"},
+            "(v - v^2) X_n + (v - 1) X_nb + (n - nb) X_v = 0",
+            "distribution at most 2-dimensional everywhere")),
+        ("field-relation-nonstd-printed", "Rem. 3.1", lambda s: _field_relation(
+            s["nonstd-poisson"], {"n": "v - v^2", "nb": "v - 1", "v": "nb - n"},
+            "vanishing combination carries (n - nb) on X_v",
+            "displayed combination carries (nb - n) on X_v",
+            "displayed combination does not vanish under the corrected bracket "
+            "table ({where})",
+            DISCREPANCY)),
+        # Poisson subgroup loci
+        ("poisson-subgroup-circle-std", "Rem. 2.3", lambda s: _poisson_ideal(
+            s["std-poisson"], ["n", "nb"], s["quotient-circle"])),
+        ("poisson-subgroup-line-nonstd", "Rem. 3.1", lambda s: _poisson_ideal(
+            s["nonstd-poisson"], ["v - 1", "n - nb"], s["quotient-I"])),
+        ("circle-not-poisson-subgroup-nonstd", "Rem. 3.1", lambda s: (
+            not _poisson_ideal(s["nonstd-poisson"], ["n", "nb"], s["quotient-circle"]).clean,
+            "restriction of {v,n} to the circle is omega*(1-u) != 0",
+            "the circle is not a Poisson subgroup of the nonstandard structure",
+            "circle unexpectedly closed under the nonstandard bracket")),
+    ),
+    "bialgebra": (
+        ("bialg-lie-constants", "Sec. 2", lambda s: (
+            all(
+                s.g_std.bracket_basis(i, j) == s["e2-lie"].lie.bracket_basis(i, j)
+                for i in range(3)
+                for j in range(3)
+            ),
+            "[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
+            "tangent algebra of the displayed group law")),
+        ("bialg-linearize-std", "Sec. 2", lambda s: (
+            s.d_std == s["std-bialg"].cocommutator,
+            "delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
+            "displayed standard cocommutator")),
+        ("bialg-linearize-nonstd-p1", "Sec. 3", lambda s: (
+            (s.d_ns.of(1) + s.d_ns.of(2)).is_zero(),
+            "delta(P1) = 0 with P1 = X + Y",
+            "displayed delta(P1) = 0")),
+        ("bialg-delta-p2-printed", "Sec. 3", _delta_p2),
+        ("bialg-delta-j-printed", "Sec. 3", lambda s: (
+            s.d_ns.of(0) == s.printed_r,
+            f"delta(J) = {s.d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
+            "delta(J) = omega J^P2",
+            "the linearized delta(J) is proportional to J^P1, not J^P2, under "
+            "every natural identification tried",
+            DISCREPANCY)),
+        ("bialg-cocycle-std", "Sec. 2", lambda s: cocycle_cojacobi_report(s.g_std, s.d_std)),
+        ("bialg-cocycle-nonstd", "Sec. 3", lambda s: cocycle_cojacobi_report(s.g_ns, s.d_ns)),
+        ("bialg-coboundary-std-empty", "Sec. 2", lambda s: (
+            coboundary_solve(s.g_std, s.d_std).empty,
+            "coboundary equation has no solution",
+            "the standard cocommutator is non-coboundary")),
+        ("bialg-coboundary-nonstd-rmatrix", "Sec. 3", _rmatrix),
+    ),
+    "diamond": (
+        ("diamond-qe2-nonstd", "Sec. 4", lambda s: _confluent(s["qe2-nonstd"])),
+        ("diamond-quantum-cylinder", "Def. 4.1", lambda s: _confluent(s["quantum-cylinder"])),
+        ("diamond-quantum-plane", "Rem. 2.5", lambda s: _confluent(s["quantum-plane"])),
+        ("tower-printed-nonstd-sign", "Sec. 3 / Sec. 4", _printed_tower),
+    ),
+    "hopf-axioms": (
+        ("hopf-axioms-fun-e2", "Sec. 2", lambda s: hopf_axioms_report(s["fun-e2"].hopf)),
+        ("hopf-axioms-qe2-nonstd", "Sec. 4",
+         lambda s: hopf_axioms_report(s["qe2-nonstd"].hopf)),
+    ),
+    "relations": (
+        ("relations-fun-e2", "Sec. 2",
+         lambda s: respects_relations_report(s["fun-e2"].tower, s["fun-e2"].hopf)),
+        ("relations-qe2-nonstd", "Sec. 4",
+         lambda s: respects_relations_report(s["qe2-nonstd"].tower, s["qe2-nonstd"].hopf)),
+        ("relations-quantum-plane-star", "Rem. 2.5",
+         lambda s: respects_relations_report(s["quantum-plane"].tower, None)),
+        ("relations-quantum-cylinder-star", "Def. 4.1", _cylinder_star),
+        ("def41-second-relation-printed", "Def. 4.1", _second_relation),
+        ("def41-first-relation-vs-embedded", "Def. 4.1 / Prop. 3.2", _first_relation),
+    ),
+    "coideal": (
+        ("coideal-cylinder", "Prop. 4.2", lambda s: coideal_report(
+            s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf)),
+        ("coideal-delta-m-exact", "Prop. 4.2", _delta_m),
+        ("basis-v-r-m-s-independent", "Prop. 4.2", _pbw_basis),
+        ("degm-additivity", "Prop. 4.2", _degm_additivity),
+    ),
+    "hopf-ideal": (
+        ("quotient-I-well-defined", "Prop. 4.4",
+         lambda s: quotient_check(s["quotient-I"].quotient)),
+        ("hopf-star-ideal-I", "Prop. 4.4", lambda s: hopf_star_ideal_report(
+            [s.qe2("v - 1"), s.qe2("n - nb")], s["quotient-I"].quotient, s["qe2-nonstd"].hopf)),
+    ),
+    "closure": (
         ("closure-coinvariance-v", "Prop. 4.4", lambda s: _in_closure(s, s.qe2("v"))),
         ("closure-coinvariance-vb", "Prop. 4.4", lambda s: _in_closure(s, s.qe2("v^-1"))),
         ("closure-coinvariance-m", "Prop. 4.4", lambda s: _in_closure(s, s.m)),
@@ -761,24 +731,22 @@ def suite_closure(rep: CheckReport, degree_bound: int):
             "overall sign differs from the display; immaterial to ideal membership",
             DISCREPANCY)),
         ("closure-ideal-generators-recovered", "Prop. 4.4", _generators_recovered),
-    ))
-
-
-SUITES = {
-    "jacobi": (suite_jacobi,),
-    "multiplicativity": (suite_multiplicativity,),
-    "covariance": (suite_covariance,),
-    "families": (suite_families,),
-    "foliation": (suite_foliation,),
-    "bialgebra": (suite_bialgebra,),
-    "diamond": (suite_diamond,),
-    "hopf-axioms": (suite_hopf_axioms,),
-    "relations": (suite_relations,),
-    "coideal": (suite_coideal,),
-    "hopf-ideal": (suite_hopf_ideal,),
-    "closure": (suite_closure,),
+    ),
 }
+
+
+def _suite(name):
+    """The suite function of ``name``; it reads ``CHECKS[name]`` when called."""
+    def suite(rep: CheckReport, degree_bound: int):
+        _record(rep, _Inputs(degree_bound), CHECKS[name])
+    suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
+    return suite
+
+
+# suite name -> its suite functions, each also bound here as suite_<name>
+SUITES = {name: (_suite(name),) for name in CHECKS}
 SUITES["all"] = tuple(fn for fns in SUITES.values() for fn in fns)
+globals().update((fn.__name__, fn) for fn in SUITES["all"])
 
 
 def run_suite(suite: str, degree_bound: int = 4) -> CheckReport:
@@ -791,8 +759,16 @@ def run_suite(suite: str, degree_bound: int = 4) -> CheckReport:
         raise ValueError("degree bound must be >= 2")
     rep = CheckReport(suite)
     for fn in SUITES[suite]:
-        try:
-            fn(rep, degree_bound)
-        except Exception as e:  # a suite function that raises outside its checks
-            _internal_error(rep, fn.__name__, e)
+        fn(rep, degree_bound)
     return rep
+
+
+def run_check(check_id: str, inputs: _Inputs | None = None):
+    """Run the one entry ``check_id`` on ``inputs``, or on fresh inputs at
+    degree bound 4, and return its record."""
+    entry = next((e for es in CHECKS.values() for e in es if e[0] == check_id), None)
+    if entry is None:
+        raise KeyError(f"unknown check {check_id!r}")
+    rep = CheckReport(check_id)
+    _record(rep, _Inputs(4) if inputs is None else inputs, (entry,))
+    return rep.records[0]

@@ -124,6 +124,16 @@ def test_quotient_check_passes(quotient_i):
     assert rep.clean, rep.to_text()
 
 
+def test_quotient_negative_control(qe2, quotient_i):
+    # n is no kernel generator of I: its image t is not 0
+    tower, _ = qe2
+    images = {g.name: quotient_i.images[j] for j, g in enumerate(tower.generators)}
+    wider = QuotientMap(tower, quotient_i.target, images, [*quotient_i.kernel_gens, tower.gen("n")])
+    status = {r.check_id: r.status for r in quotient_check(wider).records}
+    assert {c for c, st in status.items() if st != PASS} == {"kernel-gen-2"}
+    assert status["kernel-gen-2"] == FAIL
+
+
 def test_quotient_circle():
     desc = preset_dict("quotient-circle")
     src_desc = preset_dict("fun-e2")

@@ -221,6 +221,15 @@ def test_hopf_axioms_negative_control():
     assert any("antipode" in r.check_id and "-n" in r.check_id for r in failing)
 
 
+def test_morphism_negative_control(qe2):
+    # n -> n + 1 keeps the four v-rules of qe2-nonstd and breaks nb*n by omega
+    tower, _ = qe2
+    shifted = AlgebraMorphism.load(tower, tower, {"v": "v", "n": "n + 1", "nb": "nb"})
+    status = {r.check_id: r.status for r in shifted.validate().records}
+    assert len(status) == 5
+    assert {c for c, st in status.items() if st == FAIL} == {"respects[nb*n]"}
+
+
 def test_respects_relations_pass(fun_e2, qe2):
     for tower, H in (fun_e2, qe2):
         rep = respects_relations_report(tower, H)

@@ -129,14 +129,12 @@ def test_an_unsupported_value_is_refused_when_the_verdict_is_recorded(monkeypatc
             rep.verdict("c", True, lhs=value)
     assert rep.records == []
 
-    # inside a suite, the suite's own try records it; emission never raises
-    def suite_bad_value(rep, degree_bound):
-        rep.verdict("bad-value", True, rhs=None)
-
-    monkeypatch.setitem(suites.SUITES, "jacobi", (suite_bad_value,))
+    # inside a suite, the check's own try records it; emission never raises
+    bad_value = ("bad-value", "", lambda s: (True, "", None))
+    monkeypatch.setitem(suites.CHECKS, "jacobi", (bad_value,))
     out = suites.run_suite("jacobi")
     (rec,) = out.records
-    assert (rec.check_id, rec.status) == ("internal-error[suite_bad_value]", FAIL)
+    assert (rec.check_id, rec.status) == ("internal-error[bad-value]", FAIL)
     assert rec.witness.startswith("TypeError: ")
     assert json.loads(out.to_json())["counts"][FAIL] == 1
 
@@ -271,3 +269,24 @@ def test_a_suite_alone_records_what_the_full_run_records(all_records, suite, cou
     records = [r.as_dict() for r in suites.run_suite(suite).records]
     assert len(records) == count
     assert records == [all_records[r["id"]] for r in records]
+
+
+def test_check_ids_are_unique():
+    from qe2 import suites
+
+    ids = [check_id for entries in suites.CHECKS.values() for check_id, _, _ in entries]
+    assert len(ids) == len(set(ids)) == 70
+
+
+def test_a_check_alone_records_what_the_full_run_records(all_records):
+    from qe2 import suites
+
+    alone = {check_id: suites.run_check(check_id).as_dict() for check_id in all_records}
+    assert alone == all_records
+
+
+def test_an_unknown_check_id_is_a_key_error():
+    from qe2 import suites
+
+    with pytest.raises(KeyError, match="no-such-id"):
+        suites.run_check("no-such-id")
