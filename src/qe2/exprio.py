@@ -423,26 +423,18 @@ def _join_terms(pairs) -> str:
     for coeff, mono_text in pairs:
         neg = coeff.lead_is_negative()
         c = -coeff if neg else coeff
-        if mono_text == "1":
-            body = c.text() if _is_atomic_scalar_text(c) else f"({c.text()})"
-        elif c.is_one():
+        if c.is_one() and mono_text != "1":
             body = mono_text
         else:
+            # one numerator term over a monomial is one factor as printed
+            # (a Gaussian constant in it comes parenthesised already)
             ct = c.text()
-            if not _is_atomic_scalar_text(c):
+            if len(c.num) > 1 or len(c.den) > 1:
                 ct = f"({ct})"
-            body = f"{ct}*{mono_text}"
+            body = ct if mono_text == "1" else f"{ct}*{mono_text}"
         chunks.append(("-" if neg else "+", body))
     sign0, body0 = chunks[0]
     out = body0 if sign0 == "+" else f"-{body0}"
     for sign, body in chunks[1:]:
         out += f" {sign} {body}"
     return out
-
-
-def _is_atomic_scalar_text(s) -> bool:
-    """True when s.text() can be used as a product factor without parens."""
-    if len(s.num) > 1:
-        return False
-    t = s.text()
-    return "+" not in t and " - " not in t and "(" not in t

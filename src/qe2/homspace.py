@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import exprio
-from .hopf import AlgebraMorphism, HopfStructure, TensorElement, star_apply
+from .hopf import AlgebraMorphism, HopfStructure, TensorElement, star_map
 from .ncalg import NCPoly, OreTower, TowerError, span_solve
 from .report import FAIL, CheckReport
 
@@ -163,7 +163,7 @@ def coideal_report(B: Subalgebra, H: HopfStructure) -> CheckReport:
                 rhs="<element of the subalgebra>",
                 witness=f"right leg of Delta({name}) grouped at {label} is outside B",
             )
-        bstar = star_apply(b, amb)
+        bstar = star_map(amb).apply(b)
         rep.verdict(
             f"coideal-{name}-star",
             subalgebra_membership(bstar, B) is not None,
@@ -189,14 +189,12 @@ def hopf_star_ideal_report(
     for g in ideal_gens:
         gname = exprio.format_canonical(g)
         dg = H.coproduct(g)
-        both = dg.map_leg(0, pi.apply, new_tower=pi.target).map_leg(
-            1, pi.apply, new_tower=pi.target
-        )
+        both = dg.map_leg(0, pi).map_leg(1, pi)
         for check_id, residual in (
             (f"coideal[(pi x pi) delta({gname})]", both),
             (f"counit[eps({gname})]", NCPoly.constant(pi.source, H.counit(g))),
             (f"antipode[pi(S({gname}))]", pi.apply(H.antipode(g))),
-            (f"star[pi(({gname})*)]", pi.apply(star_apply(g, pi.source))),
+            (f"star[pi(({gname})*)]", pi.apply(star_map(pi.source).apply(g))),
         ):
             rep.verdict(
                 check_id,
@@ -221,12 +219,12 @@ def coinvariance_residual(x: NCPoly, pi: QuotientMap, H: HopfStructure, side: st
     amb = pi.source
     dx = H.coproduct(x)
     if side == "left":
-        mapped = dx.map_leg(0, pi.apply, new_tower=pi.target)
+        mapped = dx.map_leg(0, pi)
         expected = TensorElement.from_legs(
             (pi.target, amb), [NCPoly.one(pi.target), x]
         )
     elif side == "right":
-        mapped = dx.map_leg(1, pi.apply, new_tower=pi.target)
+        mapped = dx.map_leg(1, pi)
         expected = TensorElement.from_legs(
             (amb, pi.target), [x, NCPoly.one(pi.target)]
         )

@@ -12,14 +12,16 @@ since non-Hopf presets also carry one) and the coactions, projections and
 quotient maps of the presets are all such maps.
 
 :class:`TensorElement` implements A (x) B (and triple) tensors whose legs
-may live in different towers; this is what the quotient and coinvariance
-machinery needs for maps like (pi (x) id) o Delta.
+may live in different towers.  A structure map acts on one leg as the
+morphism itself (:meth:`TensorElement.map_leg`): its target's legs replace
+that leg, which gives (Delta (x) id) o Delta, (eps (x) id) o Delta,
+(pi (x) pi) o Delta and the coactions (pi (x) id) o Delta alike.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exprio
 from .ncalg import (
@@ -103,50 +105,27 @@ class TensorElement(TermVector):
         return out
 
     # -- leg surgery -------------------------------------------------------
-    def _splice(self, j, new_legs, image, conjugate_coeff=False):
-        """Replace leg j by the legs ``new_legs``: a term whose leg j holds
-        the monomial m becomes the (monomial tuple, Scalar) pairs of
-        ``image(m)``, each tuple spliced in at position j and each
-        coefficient multiplied by the term's (conjugated, if asked).
-        One-leg images map the leg, empty ones contract it and longer ones
-        expand it."""
-        legs = self.legs[:j] + new_legs + self.legs[j + 1 :]
+    def map_leg(self, j: int, phi: "AlgebraMorphism",
+                conjugate_coeff: bool = False) -> "TensorElement":
+        """Apply the structure map phi to leg j: the legs of phi's target
+        (one tower or a tuple of towers) replace leg j, and a term whose
+        leg j holds the monomial m takes phi's image of m there, each
+        coefficient times the term's (conjugated, if asked: the star of a
+        tensor conjugates each coefficient once, not once per leg).  The
+        counit's target, the tower without generators, stays as a leg that
+        holds only its unit monomial."""
+        tower = self.legs[j]
+        wrap = phi.tensor
         pairs = []
         for monos, c in self.terms.items():
             if conjugate_coeff:
                 c = c.conjugate()
             head, tail = monos[:j], monos[j + 1 :]
-            pairs += [(head + m + tail, c * c2) for m, c2 in image(monos[j])]
-        return TensorElement(legs, collect(pairs))
-
-    def map_leg(self, j: int, f: Callable[[NCPoly], NCPoly],
-                new_tower: Optional[OreTower] = None,
-                conjugate_coeff: bool = False) -> "TensorElement":
-        """Apply an NCPoly -> NCPoly map to leg j, keeping the other legs."""
-        tower = self.legs[j]
-        return self._splice(
-            j,
-            (new_tower or tower,),
-            lambda m: [((m2,), c) for m2, c in f(tower.tower_mono(m)).terms.items()],
-            conjugate_coeff,
-        )
-
-    def expand_leg(self, j: int, f: Callable[[NCPoly], "TensorElement"]) -> "TensorElement":
-        """Replace leg j by the tensor image of its monomials under a linear
-        map; the image of zero names the new legs."""
-        tower = self.legs[j]
-        return self._splice(
-            j,
-            f(NCPoly.zero(tower)).legs,
-            lambda m: f(tower.tower_mono(m)).terms.items(),
-        )
-
-    def contract_leg(self, j: int, f: Callable[[NCPoly], Scalar]) -> "TensorElement":
-        """Apply a scalar-valued map (like the counit) to leg j."""
-        if len(self.legs) == 1:
-            raise ValueError("cannot contract the last leg")
-        tower = self.legs[j]
-        return self._splice(j, (), lambda m: [((), f(tower.tower_mono(m)))])
+            img = phi.apply(tower.tower_mono(monos[j]))
+            pairs += [(head + (m if wrap else (m,)) + tail, c * c2)
+                      for m, c2 in img.terms.items()]
+        new = phi.target if wrap else (phi.target,)
+        return TensorElement(self.legs[:j] + new + self.legs[j + 1 :], collect(pairs))
 
     def multiply_out(self) -> NCPoly:
         """mu: multiply all legs together inside one tower."""
@@ -332,11 +311,6 @@ def star_map(tower: OreTower) -> AlgebraMorphism:
     return tower._star_map
 
 
-def star_apply(x: NCPoly, tower: Optional[OreTower] = None) -> NCPoly:
-    """(c * g1^a ... gk^b)* = conj(c) * star(gk)^b ... star(g1)^a."""
-    return star_map(tower or x.tower).apply(x)
-
-
 class HopfStructure:
     """Coproduct, counit and antipode as structure maps (the counit's target
     is the tower without generators, the antipode reverses products); the
@@ -373,16 +347,6 @@ class HopfStructure:
     def antipode(self, x: NCPoly) -> NCPoly:
         return self.antipode_map.apply(x)
 
-    def star(self, x: NCPoly) -> NCPoly:
-        return star_apply(x, self.tower)
-
-    # -- tensor-level helpers --------------------------------------------------
-    def coproduct_leg(self, t: TensorElement, j: int) -> TensorElement:
-        return t.expand_leg(j, self.coproduct)
-
-    def counit_leg(self, t: TensorElement, j: int) -> TensorElement:
-        return t.contract_leg(j, self.counit)
-
 
 def load_hopf(tower: OreTower, spec: dict) -> HopfStructure:
     """Attach the Hopf tables given as grammar expressions (the counit's
@@ -410,25 +374,25 @@ def hopf_axioms_report(H: HopfStructure) -> CheckReport:
     given that the tower relations are respected; see
     respects_relations_report)."""
     tower = H.tower
+    delta, eps, S = H.coproduct_map, H.counit_map, H.antipode_map
+    star = star_map(tower) if tower.star_table is not None else None
     sides = []  # (check id, left side, right side)
     for j, g in enumerate(tower.generators):
         x = NCPoly.generator(tower, j)
         dx = H.coproduct(x)
         eta_eps = NCPoly.constant(tower, H.counit(x))
         sides += [
-            (f"coassoc-{g.name}", H.coproduct_leg(dx, 0), H.coproduct_leg(dx, 1)),
-            (f"counit-left-{g.name}", H.counit_leg(dx, 0).as_poly_times_unit(0), x),
-            (f"counit-right-{g.name}", H.counit_leg(dx, 1).as_poly_times_unit(0), x),
-            (f"antipode-left-{g.name}", dx.map_leg(0, H.antipode).multiply_out(),
-             eta_eps),
-            (f"antipode-right-{g.name}", dx.map_leg(1, H.antipode).multiply_out(),
-             eta_eps),
+            (f"coassoc-{g.name}", dx.map_leg(0, delta), dx.map_leg(1, delta)),
+            (f"counit-left-{g.name}", dx.map_leg(0, eps).as_poly_times_unit(1), x),
+            (f"counit-right-{g.name}", dx.map_leg(1, eps).as_poly_times_unit(0), x),
+            (f"antipode-left-{g.name}", dx.map_leg(0, S).multiply_out(), eta_eps),
+            (f"antipode-right-{g.name}", dx.map_leg(1, S).multiply_out(), eta_eps),
         ]
-        if tower.star_table is not None:
-            dx_star = dx.map_leg(0, H.star, conjugate_coeff=True).map_leg(1, H.star)
+        if star is not None:
+            dx_star = dx.map_leg(0, star, conjugate_coeff=True).map_leg(1, star)
             sides += [
-                (f"star-coproduct-{g.name}", H.coproduct(H.star(x)), dx_star),
-                (f"star-involution-{g.name}", H.star(H.star(x)), x),
+                (f"star-coproduct-{g.name}", H.coproduct(star.apply(x)), dx_star),
+                (f"star-involution-{g.name}", star.apply(star.apply(x)), x),
             ]
     rep = CheckReport("hopf-axioms")
     for check_id, lhs, rhs in sides:

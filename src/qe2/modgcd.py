@@ -7,8 +7,10 @@ images prove coprime nor an operand of total degree 1 settles, so this
 module loads only then.  It works with the images of ``scalars``: i maps to a square root r
 of -1 mod a prime p = 1 (mod 4).  Over F_p a sparse polynomial is {key:
 residue} and a dense one, in one parameter, a list of residues from degree
-0 with no trailing zero.  The evaluation points are fixed: the j-th is
-j*_STEP mod p, so each prime takes other residues.
+0 with no trailing zero.  The evaluation points are fixed: at a recursion
+level with n parameters left the j-th is (j*_STEP + n) mod p, so each prime
+and each level takes other residues (with the same points at every level, a
+factor such as k - q would vanish at all of them).
 """
 
 from math import isqrt
@@ -108,7 +110,7 @@ def _mgcd(a, b, ss, p):
     need = len(g) + min(max(map(len, A.values())), max(map(len, B.values()))) - 1
     lead = None
     for j in range(1, p):
-        x = j * _STEP % p
+        x = (j * _STEP + len(ss)) % p
         gx = _ueval(g, x, p)
         if not gx:
             continue

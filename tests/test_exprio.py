@@ -131,6 +131,26 @@ def test_round_trip_random(qe2_tower):
         assert t.poly(text) == out, text
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("(1-2*i)*v", "(1-2*i)*v"),
+        ("(-1+2*i)*v", "-(1-2*i)*v"),
+        ("(1+2*i)", "(1+2*i)"),
+        ("(1/2-3/2*i)*n", "(1/2-3/2*i)*n"),
+        ("(2-i)*omega*n + (1+i)*v^-1", "(1+i)*v^-1 + (2-i)*omega*n"),
+        ("(1+i)*omega^-1*v - i", "-i + (1+i)*omega^-1*v"),
+        ("(omega + i)*v", "(omega + i)*v"),
+    ],
+)
+def test_gaussian_coefficients_print_with_one_pair_of_parentheses(
+    qe2_tower, text, printed
+):
+    x = qe2_tower.poly(text)
+    assert format_canonical(x) == printed
+    assert qe2_tower.poly(printed) == x
+
+
 def test_round_trip_tensor(fun_e2_tower):
     t = fun_e2_tower
     legs = (t, t)

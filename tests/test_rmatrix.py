@@ -1,5 +1,5 @@
-"""The nonstandard Poisson structure on E(2) from its r-matrix, derived
-without the engine.
+"""The Poisson structures on E(2) and the plane, derived without the
+engine.
 
 The paper's Sec. 3 bracket is the Sklyanin bracket of the coboundary
 r = omega (J (x) P2 - P2 (x) J), P2 = X - Y:
@@ -10,6 +10,11 @@ with L_a, R_a the left- and right-invariant vector fields.  Here the group
 law is read off the coproduct in the preset JSON, the invariant fields are
 derivatives of that law along the one-parameter subgroups, and everything
 is computed with sympy; nothing is imported from ``qe2``.
+
+The standard bracket is checked against the same group law: the coproduct
+is a Poisson map E(2) x E(2) -> E(2) for the product bracket, and the
+projection of the plane coaction carries it to the plane bracket
+{z, zb} = z*zb of Cor. 2.4.
 """
 
 import json
@@ -45,10 +50,10 @@ def _expr(text, at):
     return sp.sympify(text.replace("^", "**"), locals=names)
 
 
-def _product(g, h):
-    """g*h in coordinates: x(g*h) is Delta(x) with the left leg at g and the
-    right leg at h."""
-    delta = _preset("nonstd-poisson")["hopf"]["delta"]
+def _product(g, h, name="nonstd-poisson"):
+    """g*h in coordinates: x(g*h) is Delta(x) of the preset ``name`` with
+    the left leg at g and the right leg at h."""
+    delta = _preset(name)["hopf"]["delta"]
     out = {}
     for x, text in delta.items():
         legs = (term.split(" (x) ") for term in text.split(" + "))
@@ -72,15 +77,27 @@ def _sklyanin(f, g):
     return sum(c * (L[a](f) * L[b](g) - R[a](f) * R[b](g)) for (a, b), c in R_MATRIX.items())
 
 
-def _table(entries):
-    """Every ordered pair of generators -> its bracket, from the antisymmetric
-    table ``{"x,y": text}``."""
-    out = {(x, x): 0 for x in GENS}
+def _table(entries, at=POINT):
+    """Every ordered pair of generators -> its bracket at the point ``at``,
+    from the antisymmetric table ``{"x,y": text}``."""
+    out = {(x, x): 0 for x in at}
     for pair, text in entries.items():
         x, y = pair.split(",")
-        out[x, y] = _expr(text, POINT)
+        out[x, y] = _expr(text, at)
         out[y, x] = -out[x, y]
     return out
+
+
+def _bracket(entries, *points):
+    """The bracket of the table ``entries`` on one factor per point
+    (generator -> coordinate symbol): the product bracket when there are
+    several."""
+    tables = [(_table(entries, at), at) for at in points]
+    return lambda f, g: sum(
+        value * sp.diff(f, at[x]) * sp.diff(g, at[y])
+        for table, at in tables
+        for (x, y), value in table.items()
+    )
 
 
 def _agrees(bracket, table):
@@ -133,3 +150,45 @@ def test_the_linearization_of_the_bracket_is_the_nonstandard_cocommutator():
         assert delta(c) == expected, c
     # the displayed delta(J) = omega J^P2 is not it
     assert delta("J") != {"J,X": omega, "J,Y": -omega}
+
+
+def _std_with_printed_sign():
+    # the Sec. 2 display prints {n, nb} = +n*nb
+    return {**_preset("std-poisson")["poisson"], "n,nb": "n*nb"}
+
+
+def test_the_standard_coproduct_is_a_poisson_map():
+    # {Delta x, Delta y} for the product bracket on E(2) x E(2) is
+    # Delta {x, y}: the bracket at the product g*h
+    g, h = ({x: sp.Symbol(f"{x}{j}") for x in GENS} for j in (1, 2))
+    product = _product(g, h, "std-poisson")
+
+    def multiplicative(entries):
+        bracket, at_gh = _bracket(entries, g, h), _table(entries, product)
+        return all(sp.simplify(bracket(product[x], product[y]) - at_gh[x, y]) == 0
+                   for x in GENS for y in GENS)
+
+    assert multiplicative(_preset("std-poisson")["poisson"])
+    assert not multiplicative(_std_with_printed_sign())
+
+
+def test_the_projection_carries_the_standard_bracket_to_the_plane():
+    # z and zb pull back to the coordinates that coaction-plane's projection
+    # names (z <-> nb, zb <-> n); their standard bracket is the pull-back of
+    # plane-poisson's {z, zb} at k = 0, which is Cor. 2.4's z*zb
+    projection = _preset("coaction-plane")["projection"]
+    plane = _preset("plane-poisson")["poisson"]
+    assert list(plane) == ["z,zb"]
+
+    def pushed(entries, pairing):
+        bracket = _bracket(entries, POINT)
+        at = {z: _expr(text, POINT) for z, text in pairing.items()}
+        value = sp.sympify(plane["z,zb"], locals={**at, "k": 0})
+        return sp.simplify(bracket(at["z"], at["zb"]) - value) == 0
+
+    std = _preset("std-poisson")["poisson"]
+    assert pushed(std, projection)
+    # the literal Cor. 2.4 reading z <-> n gives -z*zb, and so does the
+    # printed sign of {n, nb}
+    assert not pushed(std, {"z": "n", "zb": "nb"})
+    assert not pushed(_std_with_printed_sign(), projection)

@@ -678,6 +678,10 @@ _GCD_TERMS = {
 @settings(max_examples=40, deadline=None)
 def test_gcd_matches_sympy(ctx, data):
     h, a, b = (_poly(ctx, data.draw(_GCD_TERMS[ctx.nvars])) for _ in range(3))
+    if ctx.nvars == 3:
+        # a cofactor that vanishes where k = q (+ 1): were k and q evaluated
+        # at the same points, every image gcd would be too large
+        b = _pmul(b, data.draw(st.sampled_from([CTX.one, K - Q, K - Q - 1])).num)
     f, g = _pmul(h, a), _pmul(h, b)  # planted common factor h
     if not (f and g):
         return
@@ -724,12 +728,13 @@ _P1 = scalars._PRIMES[0][0]
     [
         # mod 5, omega*k + 6 is omega*k + 1
         ([(scalars, "_PRIMES", ((5, 2),) + scalars._PRIMES[1:])], [(W * K + 6, W * K + 1)]),
-        # at k = q = 1, omega + k, omega*q + 1 and omega + k*q are all
-        # omega + 1, which divides (omega + 1)**2; Brown's points at the
-        # first prime, 1, 2, 3, ..., start there too
+        # at k = 1 and q = 2, omega + k, omega*q + 2 and omega + k*q - 1 are
+        # all omega + 1 up to a constant, which divides (omega + 1)**2; the
+        # certificate takes k and q there, and so do Brown's first points at
+        # the first prime, n - j at the level with n parameters
         (
-            [(scalars, "_POINTS", (1, 1, 1, 1)), (modgcd, "_STEP", _P1 + 1)],
-            [(W + K, W * Q + 1), (W + K * Q, (W + 1) ** 2)],
+            [(scalars, "_POINTS", (1, 1, 2, 1)), (modgcd, "_STEP", _P1 - 1)],
+            [(W + K, W * Q + 2), (W + K * Q - 1, (W + 1) ** 2)],
         ),
     ],
     ids=["prime", "point"],
@@ -769,12 +774,34 @@ def test_gcd_combines_primes_past_the_table_and_drops_an_unlucky_one(monkeypatch
 
 
 def test_brown_drops_an_unlucky_point_after_a_lucky_one(monkeypatch):
-    # with the points q = 1, 2, 3, ..., the images at q = 2 share the factor
-    # omega + 2 that the cofactors lack, after q = 1 gave the true degree
+    # with the points q = 3, 4, 5, ... (j + 2 at the level of omega and q),
+    # the images at q = 4 share the factor omega + 4 that the cofactors
+    # lack, after q = 3 gave the true degree
     monkeypatch.setattr(modgcd, "_STEP", 1)
     _spy(monkeypatch, modgcd, "_mgcd", [])
     h = W * Q + 3
-    _check_gcd(CTX, (h * (W + Q)).num, (h * (W + 2)).num, want=h.num)
+    _check_gcd(CTX, (h * (W + Q)).num, (h * (W + 4)).num, want=h.num)
+
+
+def test_brown_evaluates_each_level_at_its_own_points(monkeypatch):
+    # g has the factor k - q; with the same points for k and q it vanished
+    # at every point, each prime gave the candidate omega^2 (omega + 1), and
+    # the trial division refused it at every prime below 2**30
+    c = 3 - 3 * CTX.i
+    f = (2 * c * W**2 * Q**2 * (W + 1)).num
+    g = (c * W**2 * K * (K - Q) * (W * K**2 + Q**2)).num
+    primes, gen = [], modgcd._primes
+
+    def spy():
+        for pr in gen():
+            primes.append(pr)
+            assert len(primes) <= 3, "brown took more than 3 primes"
+            yield pr
+
+    monkeypatch.setattr(modgcd, "_primes", spy)
+    got, qf, qg = modgcd.brown(f, g, [64, 32, 0])
+    assert _same_up_to_unit(got, (W**2).num) and primes
+    assert _pmul(got, qf) == f and _pmul(got, qg) == g
 
 
 def test_the_slow_inputs_of_the_primitive_prs_match_sympy_cancel():
