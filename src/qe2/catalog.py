@@ -214,11 +214,11 @@ def get_preset(preset_id: str) -> PresetBundle:
                 "rho": exprio.parse_scalar(ctx, st["rho"]),
             }
     elif kind in ("lie", "bialgebra"):
-        from .liebialg import Cocommutator, LieAlgebra
+        from .liebialg import LieAlgebra, load_cocommutator
 
         bundle.lie = LieAlgebra.load(ctx, raw)
         if kind == "bialgebra":
-            bundle.cocommutator = Cocommutator.load(ctx, raw["basis"], raw["cocommutator"])
+            bundle.cocommutator = load_cocommutator(ctx, raw["basis"], raw["cocommutator"])
     else:
         raise UnknownPreset(f"{preset_id}: unknown kind {kind!r}")
     _CACHE[preset_id] = bundle

@@ -271,14 +271,18 @@ def _dispatch(args) -> int:
         if b.kind != "coaction":
             raise UsageError("solve-family needs a coaction preset")
         fam = covariant_family_solve(b.coaction, b.group_poisson, b.ansatz)
-        labels = [exprio.format_canonical(t) for t in fam.ansatz]
+        labels = [exprio.format_canonical(t) for t in b.ansatz]
+
+        def coords(vec):  # in ansatz order, each monomial its own label
+            return [vec.get(next(iter(t.terms)), b.context.zero) for t in b.ansatz]
+
         if args.format == "json":
             payload = {
                 "ansatz": labels,
                 "empty": fam.empty,
                 "dimension": fam.dimension,
-                "particular": [str(c) for c in (fam.particular or [])],
-                "nullspace": [[str(c) for c in v] for v in fam.nullspace],
+                "particular": [] if fam.empty else [str(c) for c in coords(fam.particular)],
+                "nullspace": [[str(c) for c in coords(v)] for v in fam.nullspace.values()],
             }
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
@@ -286,13 +290,13 @@ def _dispatch(args) -> int:
                 print("no covariant bracket over the given ansatz")
             else:
                 terms = " + ".join(
-                    f"({c})*{l}" for c, l in zip(fam.particular, labels) if c
+                    f"({c})*{l}" for c, l in zip(coords(fam.particular), labels) if c
                 ) or "0"
                 print(f"dimension: {fam.dimension}")
                 print(f"particular: {terms}")
-                for vec in fam.nullspace:
+                for vec in fam.nullspace.values():
                     free = " + ".join(
-                        f"({c})*{l}" for c, l in zip(vec, labels) if c
+                        f"({c})*{l}" for c, l in zip(coords(vec), labels) if c
                     )
                     print(f"free direction: {free}")
         return 0

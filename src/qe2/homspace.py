@@ -60,22 +60,18 @@ class Subalgebra:
         mpow = [NCPoly.one(self.ambient)]
         for _ in range(smax):
             mpow.append(mpow[-1] * m)
-        return [
-            (f"{self.laurent}^{r}*{self.poly}^{s}",
-             NCPoly.generator(self.ambient, vidx, r) * mpow[s])
+        return {
+            f"{self.laurent}^{r}*{self.poly}^{s}":
+                NCPoly.generator(self.ambient, vidx, r) * mpow[s]
             for r in range(-rmax, rmax + 1)
             for s in range(smax + 1)
-        ]
+        }
 
 
 def subalgebra_membership(x: NCPoly, B: Subalgebra) -> Optional[dict]:
     """{label: coefficient} of x over the candidate monomials v^r m^s,
     nonzero coefficients only, or None when x lies outside their span."""
-    cands = B._candidates(x)
-    sol = span_solve(x, [p for _, p in cands])
-    if sol.empty:
-        return None
-    return {label: c for (label, _), c in zip(cands, sol.particular) if c}
+    return span_solve(x, B._candidates(x)).particular
 
 
 # ---------------------------------------------------------------------------

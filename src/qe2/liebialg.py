@@ -137,38 +137,17 @@ class WedgeBivector(TermVector):
         return str(self.terms)
 
 
-class Cocommutator:
-    """Map from basis elements to wedge-square values."""
-
-    def __init__(self, algebra_dim: int, ctx: ScalarContext, values: dict):
-        self.dim = algebra_dim
-        self.ctx = ctx
-        self.values = values  # {basis index -> WedgeBivector}
-
-    @classmethod
-    def load(cls, ctx: ScalarContext, names: Sequence[str], spec: dict) -> "Cocommutator":
-        idx = {n: i for i, n in enumerate(names)}
-        values = {}
-        for gname, vec in spec.items():
-            coeffs = {}
-            for key, expr in vec.items():
-                a, b = (s.strip() for s in key.split(","))
-                coeffs[(idx[a], idx[b])] = _scalar_expr(ctx, expr)
-            values[idx[gname]] = WedgeBivector(ctx, len(names), coeffs)
-        for i in range(len(names)):
-            values.setdefault(i, WedgeBivector(ctx, len(names)))
-        return cls(len(names), ctx, values)
-
-    def of(self, k: int) -> WedgeBivector:
-        w = self.values.get(k)
-        return WedgeBivector(self.ctx, self.dim) if w is None else w
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cocommutator)
-            and self.dim == other.dim
-            and all(self.of(k) == other.of(k) for k in range(self.dim))
-        )
+def load_cocommutator(ctx: ScalarContext, names: Sequence[str], spec: dict) -> tuple:
+    """The cocommutator table {basis name: {"a,b": scalar}} as the tuple of
+    its values delta(e_k), zero where the table has no entry."""
+    idx = {n: i for i, n in enumerate(names)}
+    values = [WedgeBivector(ctx, len(names))] * len(names)
+    for gname, vec in spec.items():
+        values[idx[gname]] = WedgeBivector(ctx, len(names), {
+            tuple(idx[s.strip()] for s in key.split(",")): _scalar_expr(ctx, expr)
+            for key, expr in vec.items()
+        })
+    return tuple(values)
 
 
 def ad_wedge(g: LieAlgebra, k: int, w: WedgeBivector) -> WedgeBivector:
@@ -269,7 +248,7 @@ def lie_from_group(tower: OreTower, hopf, names: Optional[Sequence[str]] = None)
     return LieAlgebra(ctx, names, constants)
 
 
-def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None) -> Cocommutator:
+def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None) -> tuple:
     """Differentiate the bracket table at the identity: the wedge
     coefficient of delta(e_k) on e_i^e_j is the linear coefficient of the
     k-th centered coordinate in {x_i, x_j}, read by key from the term map
@@ -294,8 +273,7 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
             )
             for k in range(n):
                 pairs[k].append(((i, j), centered.get(unit[k], ctx.zero)))
-    values = {k: WedgeBivector(ctx, n, pairs[k]) for k in range(n)}
-    return Cocommutator(n, ctx, values)
+    return tuple(WedgeBivector(ctx, n, pairs[k]) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +281,7 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
 # ---------------------------------------------------------------------------
 
 
-def cocycle_cojacobi_report(g: LieAlgebra, delta: Cocommutator) -> CheckReport:
+def cocycle_cojacobi_report(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> CheckReport:
     """delta([a,b]) = ad_a delta(b) - ad_b delta(a) on all basis pairs, and
     the co-Jacobi identity (cyclic sum of (delta x id) delta = 0)."""
     rep = CheckReport("bialgebra")
@@ -314,9 +292,9 @@ def cocycle_cojacobi_report(g: LieAlgebra, delta: Cocommutator) -> CheckReport:
             lhs = WedgeBivector(ctx, n, [
                 (key, c * cw)
                 for k, c in g.bracket_basis(a, b).items()
-                for key, cw in delta.of(k).terms.items()
+                for key, cw in delta[k].terms.items()
             ])
-            rhs = ad_wedge(g, a, delta.of(b)) - ad_wedge(g, b, delta.of(a))
+            rhs = ad_wedge(g, a, delta[b]) - ad_wedge(g, b, delta[a])
             rep.verdict(
                 f"cocycle-({g.names[a]},{g.names[b]})",
                 lhs == rhs,
@@ -329,7 +307,7 @@ def cocycle_cojacobi_report(g: LieAlgebra, delta: Cocommutator) -> CheckReport:
     D = []
     for k in range(n):
         Dk = [[None] * n for _ in range(n)]
-        for (i, j), c in delta.of(k).terms.items():
+        for (i, j), c in delta[k].terms.items():
             Dk[i][j], Dk[j][i] = c, -c
         D.append(Dk)
     for k in range(n):
@@ -356,30 +334,10 @@ def cocycle_cojacobi_report(g: LieAlgebra, delta: Cocommutator) -> CheckReport:
     return rep
 
 
-class CoboundarySolution(AffineSolutions):
-    __slots__ = ("pairs",)
-    _fields = AffineSolutions._fields + __slots__
-
-    def __init__(self, particular: Optional[list], nullspace: list, pairs: list):
-        super().__init__(particular, nullspace)
-        self.pairs = pairs  # wedge index pairs (i, j), i < j, one per column
-
-    def witness(self, ctx, dim) -> Optional[WedgeBivector]:
-        if self.particular is None:
-            return None
-        return WedgeBivector(
-            ctx, dim, {p: c for p, c in zip(self.pairs, self.particular)}
-        )
-
-    def contains(self, ctx, candidate: WedgeBivector) -> bool:
-        vec = [candidate.terms.get(p, ctx.zero) for p in self.pairs]
-        return self.contains_solution(vec, ctx)
-
-
-def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
+def coboundary_solve(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> AffineSolutions:
     """Exact affine solution set of delta(e_k) = ad_{e_k} r over unknown
-    r in the wedge square, one equation per (k, (i, j)); empty means
-    non-coboundary."""
+    r in the wedge square, one equation per (k, (i, j)) and one column per
+    wedge pair (i, j), i < j, labelled by it; empty means non-coboundary."""
     ctx = g.ctx
     n = g.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -387,22 +345,21 @@ def coboundary_solve(g: LieAlgebra, delta: Cocommutator) -> CoboundarySolution:
     def terms(wedges):
         return {(k, p): c for k, w in enumerate(wedges) for p, c in w.terms.items()}
 
-    cols = [
-        terms(ad_wedge(g, k, WedgeBivector(ctx, n, {p: ctx.one})) for k in range(n))
+    cols = {
+        p: terms(ad_wedge(g, k, WedgeBivector(ctx, n, {p: ctx.one})) for k in range(n))
         for p in pairs
-    ]
-    sol = solve_terms(terms(delta.of(k) for k in range(n)), cols, ctx)
-    out = CoboundarySolution(sol.particular, sol.nullspace, pairs)
-    # self-consistency: the witness reproduces delta
-    w = out.witness(ctx, n)
-    if w is not None and any(ad_wedge(g, k, w) != delta.of(k) for k in range(n)):
+    }
+    sol = solve_terms(terms(delta), cols, ctx)
+    # self-consistency: the particular solution reproduces delta
+    w = WedgeBivector(ctx, n, sol.particular)
+    if not sol.empty and any(ad_wedge(g, k, w) != delta[k] for k in range(n)):
         raise LieError("coboundary witness fails to reproduce delta")
-    return out
+    return sol
 
 
-def coboundary_cocommutator(g: LieAlgebra, r: WedgeBivector) -> Cocommutator:
-    values = {k: ad_wedge(g, k, r) for k in range(g.dim)}
-    return Cocommutator(g.dim, g.ctx, values)
+def coboundary_cocommutator(g: LieAlgebra, r: WedgeBivector) -> tuple:
+    """The cocommutator delta(e_k) = ad_{e_k} r of the coboundary of r."""
+    return tuple(ad_wedge(g, k, r) for k in range(g.dim))
 
 
 # ---------------------------------------------------------------------------

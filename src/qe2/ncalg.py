@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 from operator import add as _add, mul as _mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import exprio
 from .record import FrozenRecord, Record, setfield
@@ -641,14 +641,17 @@ def graded_degree(x: NCPoly, gen) -> int:
 
 
 class AffineSolutions(Record):
-    """The solution set ``particular + span(nullspace)`` of a linear
-    system; ``particular`` is None when the system has no solution."""
+    """The solution set ``particular + span(nullspace)`` of a linear system
+    with labelled columns, as term maps {label -> Scalar}: ``particular``
+    has the free labels at zero, or is None when the system has no
+    solution, and ``nullspace`` maps each free label to the homogeneous
+    solution that is one at that label."""
 
     __slots__ = _fields = ("particular", "nullspace")
 
-    def __init__(self, particular: Optional[list], nullspace: list):
-        self.particular = particular  # one Scalar per column, free variables zero
-        self.nullspace = nullspace    # basis of the homogeneous solutions
+    def __init__(self, particular: Optional[dict], nullspace: dict):
+        self.particular = particular
+        self.nullspace = nullspace
 
     @property
     def empty(self):
@@ -662,18 +665,25 @@ class AffineSolutions(Record):
     def dimension(self):
         return len(self.nullspace) if self.particular is not None else -1
 
-    def contains_solution(self, vec, ctx) -> bool:
+    def contains(self, x: dict) -> bool:
+        """Whether the term map x over the labels is a solution: x minus
+        ``particular``, minus the nullspace combination that the free
+        entries of x fix, vanishes."""
         if self.particular is None:
             return False
-        diff = {i: a - b for i, (a, b) in enumerate(zip(vec, self.particular))}
-        cols = [dict(enumerate(nv)) for nv in self.nullspace]
-        return not solve_terms(diff, cols, ctx).empty
+        return not collect(chain(
+            x.items(),
+            ((k, -c) for k, c in self.particular.items()),
+            ((k, -x[f] * c) for f, vec in self.nullspace.items() if f in x
+             for k, c in vec.items()),
+        ))
 
 
-def solve_terms(target: dict, columns: Sequence[dict], ctx) -> AffineSolutions:
-    """Exact solution set of sum_i c_i columns[i] = target over the scalar
-    field.  Target and columns are term maps {key -> Scalar} over sortable
-    keys, one equation per key that occurs in any of them.
+def solve_terms(target: dict, columns: dict, ctx) -> AffineSolutions:
+    """Exact solution set of sum_l c_l columns[l] = target over the scalar
+    field.  ``columns`` maps each label to its column, in column order;
+    target and columns are term maps {key -> Scalar} over sortable keys,
+    one equation per key that occurs in any of them.
 
     Gauss-Jordan elimination on sparse rows: the equation of a key is the
     dict {column index: nonzero Scalar} of its coefficients, the target
@@ -686,10 +696,10 @@ def solve_terms(target: dict, columns: Sequence[dict], ctx) -> AffineSolutions:
     particular solution has the free variables zero, and the nullspace has
     one vector per free column, one at that column.
     """
-    n = len(columns)
-    zero, one = ctx.zero, ctx.one
+    labels = list(columns)
+    n = len(labels)
     by_key = {}
-    for j, col in enumerate(chain(columns, (target,))):
+    for j, col in enumerate(chain(columns.values(), (target,))):
         for k, v in col.items():
             if v:
                 by_key.setdefault(k, {})[j] = v
@@ -722,25 +732,23 @@ def solve_terms(target: dict, columns: Sequence[dict], ctx) -> AffineSolutions:
         pivots[c] = row
     # every column below n is pivoted or absent from the leftover rows
     if any(pending):
-        return AffineSolutions(None, [])
-    particular = [pivots[c].get(n, zero) if c in pivots else zero for c in range(n)]
-    nullspace = []
+        return AffineSolutions(None, {})
+    particular = {labels[c]: row[n] for c, row in pivots.items() if n in row}
+    nullspace = {}
     for fc in range(n):
         if fc not in pivots:
-            vec = [zero] * n
-            vec[fc] = one
+            vec = nullspace[labels[fc]] = {labels[fc]: ctx.one}
             for c, row in pivots.items():
                 if fc in row:
-                    vec[c] = -row[fc]
-            nullspace.append(vec)
+                    vec[labels[c]] = -row[fc]
     return AffineSolutions(particular, nullspace)
 
 
-def span_solve(x: NCPoly, basis: Sequence[NCPoly]) -> AffineSolutions:
-    """Exact solution set of sum_i c_i basis_i = x; ``empty`` when x is
-    outside the span, ``unique`` when the basis is linearly independent."""
-    ctx = x.tower.context
-    return solve_terms(x.terms, [b.terms for b in basis], ctx)
+def span_solve(x: NCPoly, basis: dict) -> AffineSolutions:
+    """Exact solution set of sum_l c_l basis[l] = x over the labelled basis
+    {label -> NCPoly}; ``empty`` when x is outside the span, ``unique``
+    when the basis is linearly independent."""
+    return solve_terms(x.terms, {l: b.terms for l, b in basis.items()}, x.tower.context)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ solves alpha({x, y}) = G + J * (1 (x) {x, y}) for {x, y} over an ansatz.
 from __future__ import annotations
 
 from operator import add
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import exprio
 from .hopf import AlgebraMorphism, TensorElement
@@ -40,7 +40,6 @@ from .ncalg import (
     collect,
     pin_unit,
     solve_terms,
-    span_solve,
 )
 from .report import PASS, CheckReport
 from .scalars import QI, Scalar
@@ -215,35 +214,18 @@ def poisson_morphism_report(
 # ---------------------------------------------------------------------------
 
 
-class CovariantFamily(AffineSolutions):
-    __slots__ = ("ansatz",)
-    _fields = AffineSolutions._fields + __slots__
-
-    def __init__(self, particular: Optional[list], nullspace: list, ansatz: list):
-        super().__init__(particular, nullspace)
-        self.ansatz = ansatz  # candidate bracket monomials (NCPoly), one per column
-
-    def contains_vector(self, vec) -> bool:
-        return self.contains_solution(vec, self.ansatz[0].tower.context)
-
-    def contains_bracket(self, value: NCPoly) -> bool:
-        """Decompose a candidate bracket over the ansatz monomials and test
-        the affine system."""
-        sol = span_solve(value, self.ansatz)
-        return not sol.empty and self.contains_vector(sol.particular)
-
-
 def covariant_family_solve(
     coaction: AlgebraMorphism,
     P_G: PoissonStructure,
     ansatz: Sequence[NCPoly],
-) -> CovariantFamily:
+) -> AffineSolutions:
     """Exact affine set of bracket coefficients making the coaction a
-    Poisson morphism.
+    Poisson morphism, labelled by the ansatz monomials, so that a bracket
+    b is covariant exactly when ``contains(b.terms)``.
 
     The homogeneous-space tower must have exactly two generators (Jacobi
     is then automatic); the unknown bracket is {x, y} = sum_t c_t * t over
-    the ansatz monomials.  The product structure splits as
+    the ansatz monomials (coefficient 1).  The product structure splits as
 
         {alpha(x), alpha(y)} = G + J * (1 (x) {x, y})
 
@@ -269,12 +251,14 @@ def covariant_family_solve(
         PoissonStructure(right, {(0, 1): NCPoly.one(right)}),
     )
     one = NCPoly.one(group)
-    cols = [
-        (coaction.apply(t) - J * TensorElement.from_legs(legs, [one, t])).terms
-        for t in ansatz
-    ]
-    sol = solve_terms(G.terms, cols, space.context)
-    return CovariantFamily(sol.particular, sol.nullspace, list(ansatz))
+    cols = {}
+    for t in ansatz:
+        mono = next(iter(t.terms), None)
+        if len(t.terms) != 1 or not t.terms[mono].is_one() or mono in cols:
+            raise PoissonError(f"ansatz entry {exprio.format_canonical(t)} is not "
+                               "a new monomial with coefficient 1")
+        cols[mono] = (coaction.apply(t) - J * TensorElement.from_legs(legs, [one, t])).terms
+    return solve_terms(G.terms, cols, space.context)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +303,7 @@ def poisson_matrix_rank(P: PoissonStructure, gen_values, param_values) -> int:
     """Exact rank of the evaluated bracket matrix (= the symplectic leaf
     dimension at the point): n minus the dimension of its kernel."""
     mat = poisson_matrix_at(P, gen_values, param_values)
-    cols = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))]
+    cols = {j: {i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))}
     return len(mat) - solve_terms({}, cols, QI).dimension
 
 

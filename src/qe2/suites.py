@@ -200,7 +200,7 @@ def _plane_orientation(s):
     )
     literal_fam = covariant_family_solve(literal, cp.group_poisson, cp.ansatz)
     return (
-        literal_fam.contains_bracket(space.poly("z*zb + k")),
+        literal_fam.contains(space.poly("z*zb + k").terms),
         "alpha(z) = v (x) z + nb (x) 1 (z paired with nb)",
         "alpha(z) = v (x) z + n (x) 1 (z paired with n)",
         "the displayed pairing admits no covariant bracket at all "
@@ -232,7 +232,7 @@ def _one_parameter(fam, tower, *members):
     return (
         not fam.empty
         and fam.dimension == 1
-        and all(fam.contains_bracket(tower.poly(x)) for x in members)
+        and all(fam.contains(tower.poly(x).terms) for x in members)
     )
 
 
@@ -263,7 +263,7 @@ def _cylinder_printed_member(s):
     cc = s["coaction-cylinder"]
     printed = cc.raw["printed_family"]
     return (
-        s.cylinder_family.contains_bracket(cc.space_tower.poly(printed)),
+        s.cylinder_family.contains(cc.space_tower.poly(printed).terms),
         "solved family: omega*v^2 + beta*v + omega (beta free); equivalently "
         "omega*(v-1)^2 + k*v",
         printed,
@@ -285,7 +285,7 @@ def _ranks(b, params, points, expected, lhs, rhs):
     shows the ranks found."""
     params = _at(params)
     ranks = [poisson_matrix_rank(b.poisson, _at(pt), params) for pt in points]
-    return ranks == expected, lhs.format(ranks=ranks), rhs
+    return ranks == expected, lhs.format(ranks=ranks), rhs, f"ranks {ranks}"
 
 
 def _field_relation(b, coeffs, lhs, rhs, witness="", bad=FAIL):
@@ -306,9 +306,9 @@ def _poisson_ideal(b, gens, quotient):
 
 def _delta_p2(s):
     # delta(P2) = delta(X) - delta(Y) = -2 omega X^Y = -omega P2^P1
-    dp2 = s.d_ns.of(1) - s.d_ns.of(2)
+    dp2 = s.d_ns[1] - s.d_ns[2]
     ref = s["nonstd-bialg"].cocommutator
-    if not dp2 == ref.of(1) - ref.of(2):
+    if not dp2 == ref[1] - ref[2]:
         return False, dp2.text(LIE_NAMES), "-omega P2^P1"
     ctx = s["nonstd-poisson"].tower.context
     w = ctx.param("omega")
@@ -322,10 +322,19 @@ def _delta_p2(s):
     )
 
 
-def _rmatrix(s):
-    sol = coboundary_solve(s.g_ns, s.d_ns)
+def _std_coboundary(s):
+    sol = coboundary_solve(s.g_std, s.d_std)
     return (
-        (not sol.empty) and sol.contains(s.printed_r.ctx, s.printed_r),
+        sol.empty,
+        "coboundary equation has no solution",
+        "the standard cocommutator is non-coboundary",
+        f"delta = ad r for r = {WedgeBivector(s.g_std.ctx, 3, sol.particular).text(LIE_NAMES)}",
+    )
+
+
+def _rmatrix(s):
+    return (
+        coboundary_solve(s.g_ns, s.d_ns).contains(s.printed_r.terms),
         "solution set omega*J^(X-Y) + c*X^Y",
         "displayed r-matrix omega J^P2 lies in the solution set",
         "displayed r-matrix not recovered",
@@ -426,16 +435,20 @@ def _delta_m(s):
 def _pbw_basis(s):
     # v^r m^s independent, standalone and embedded
     t, amb = s["quantum-cylinder"].tower, s["qe2-nonstd"].tower
-    basis = [normal_form(t, [("v", r), ("m", k)]) for r in range(-3, 4) for k in range(4)]
-    sol = span_solve(NCPoly.zero(t), basis)
+    powers = [(r, k) for r in range(-3, 4) for k in range(4)]
     m_pows = [s.m ** k for k in range(4)]
-    emb = [normal_form(amb, [("v", r)]) * mk for r in range(-3, 4) for mk in m_pows]
+    sols = (
+        span_solve(NCPoly.zero(t), {
+            (r, k): normal_form(t, [("v", r), ("m", k)]) for r, k in powers}),
+        span_solve(NCPoly.zero(amb), {
+            (r, k): normal_form(amb, [("v", r)]) * m_pows[k] for r, k in powers}),
+    )
+    dependency = next((sorted(v) for sol in sols for v in sol.nullspace.values()), None)
     return (
-        sol.unique
-        and all(not c for c in sol.particular)
-        and span_solve(NCPoly.zero(amb), emb).unique,
+        dependency is None,
         "28 elements (|r| <= 3, s <= 3), standalone and embedded",
         "v^r m^s is a vector-space basis",
+        f"v^r m^s are dependent at (r, s) in {dependency}",
     )
 
 
@@ -651,23 +664,20 @@ CHECKS = {
             "delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
             "displayed standard cocommutator")),
         ("bialg-linearize-nonstd-p1", "Sec. 3", lambda s: (
-            (s.d_ns.of(1) + s.d_ns.of(2)).is_zero(),
+            (s.d_ns[1] + s.d_ns[2]).is_zero(),
             "delta(P1) = 0 with P1 = X + Y",
             "displayed delta(P1) = 0")),
         ("bialg-delta-p2-printed", "Sec. 3", _delta_p2),
         ("bialg-delta-j-printed", "Sec. 3", lambda s: (
-            s.d_ns.of(0) == s.printed_r,
-            f"delta(J) = {s.d_ns.of(0).text(LIE_NAMES)}  (= omega P1^J)",
+            s.d_ns[0] == s.printed_r,
+            f"delta(J) = {s.d_ns[0].text(LIE_NAMES)}  (= omega P1^J)",
             "delta(J) = omega J^P2",
             "the linearized delta(J) is proportional to J^P1, not J^P2, under "
             "every natural identification tried",
             DISCREPANCY)),
         ("bialg-cocycle-std", "Sec. 2", lambda s: cocycle_cojacobi_report(s.g_std, s.d_std)),
         ("bialg-cocycle-nonstd", "Sec. 3", lambda s: cocycle_cojacobi_report(s.g_ns, s.d_ns)),
-        ("bialg-coboundary-std-empty", "Sec. 2", lambda s: (
-            coboundary_solve(s.g_std, s.d_std).empty,
-            "coboundary equation has no solution",
-            "the standard cocommutator is non-coboundary")),
+        ("bialg-coboundary-std-empty", "Sec. 2", _std_coboundary),
         ("bialg-coboundary-nonstd-rmatrix", "Sec. 3", _rmatrix),
     ),
     "diamond": (

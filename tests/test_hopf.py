@@ -222,6 +222,42 @@ def test_hopf_axioms_negative_control():
     assert any("antipode" in r.check_id and "-n" in r.check_id for r in failing)
 
 
+def _axiom_statuses(desc):
+    tower = load_tower(desc)
+    rep = hopf_axioms_report(load_hopf(tower, desc["hopf"]))
+    return {r.check_id: r.status for r in rep.records}
+
+
+def test_a_one_sided_counit_fails_on_its_side_only():
+    # with Delta(n) + 1 (x) n, (eps (x) id) Delta(n) = 2n while
+    # (id (x) eps) Delta(n) = n: a counit map applied on the wrong leg swaps
+    # the two verdicts
+    desc = preset_dict("fun-e2")
+    desc["hopf"]["delta"]["n"] += " + 1 (x) n"
+    status = _axiom_statuses(desc)
+    assert status["counit-left-n"] == FAIL
+    assert status["counit-right-n"] == "pass"
+
+
+def test_star_coproduct_conjugates_gaussian_coefficients():
+    # fun-e2 in the coordinate w = i*v: Delta(w) = -i w (x) w and
+    # Delta(n) = i wb (x) n + n (x) 1, with w* = wb.  The star of a tensor
+    # conjugates these coefficients; without it every star-coproduct check
+    # of w, n and nb fails
+    desc = preset_dict("fun-e2")
+    desc["tower"][0]["gen"] = "w"
+    desc["star"] = {"w": "wb", "n": "nb", "nb": "n"}
+    desc["hopf"] = {
+        "delta": {"w": "-i*w (x) w", "n": "i*wb (x) n + n (x) 1",
+                  "nb": "-i*w (x) nb + nb (x) 1"},
+        "counit": {"w": "i", "n": "0", "nb": "0"},
+        "antipode": {"w": "-wb", "n": "i*w*n", "nb": "-i*wb*nb"},
+    }
+    status = _axiom_statuses(desc)
+    assert set(status.values()) == {"pass"}
+    assert {"star-coproduct-w", "star-coproduct-n", "star-coproduct-nb"} <= set(status)
+
+
 def test_morphism_negative_control(qe2):
     # n -> n + 1 keeps the four v-rules of qe2-nonstd and breaks nb*n by omega
     tower, _ = qe2

@@ -5,7 +5,6 @@ import pytest
 
 from qe2.hopf import AlgebraMorphism, load_hopf
 from qe2.liebialg import (
-    Cocommutator,
     LieAlgebra,
     LieError,
     WedgeBivector,
@@ -14,6 +13,7 @@ from qe2.liebialg import (
     cocycle_cojacobi_report,
     lie_from_group,
     linearize_poisson,
+    load_cocommutator,
     stabilizer_invariance_check,
 )
 from qe2.ncalg import load_tower
@@ -101,9 +101,9 @@ def test_linearize_std(std):
     tower, _, P = std
     ctx = tower.context
     d = linearize_poisson(P, names=NAMES)
-    assert d.of(0).is_zero()                                   # delta(J) = 0
-    assert d.of(1) == WedgeBivector(ctx, 3, {(0, 1): ctx.one})  # J^X
-    assert d.of(2) == WedgeBivector(ctx, 3, {(0, 2): ctx.one})  # J^Y
+    assert d[0].is_zero()                                   # delta(J) = 0
+    assert d[1] == WedgeBivector(ctx, 3, {(0, 1): ctx.one})  # J^X
+    assert d[2] == WedgeBivector(ctx, 3, {(0, 2): ctx.one})  # J^Y
 
 
 def test_linearize_nonstd(nonstd):
@@ -111,13 +111,13 @@ def test_linearize_nonstd(nonstd):
     ctx = tower.context
     w = ctx.param("omega")
     d = linearize_poisson(P, names=NAMES)
-    assert d.of(0) == WedgeBivector(ctx, 3, {(0, 1): -w, (0, 2): -w})
-    assert d.of(1) == WedgeBivector(ctx, 3, {(1, 2): -w})
-    assert d.of(2) == WedgeBivector(ctx, 3, {(1, 2): w})
+    assert d[0] == WedgeBivector(ctx, 3, {(0, 1): -w, (0, 2): -w})
+    assert d[1] == WedgeBivector(ctx, 3, {(1, 2): -w})
+    assert d[2] == WedgeBivector(ctx, 3, {(1, 2): w})
     # in the P1 = X+Y, P2 = X-Y basis: delta(P1) = 0 and
     # delta(P2) = -2 omega X^Y = -omega P2^P1 (the display has +omega P2^P1)
-    assert (d.of(1) + d.of(2)).is_zero()
-    assert d.of(1) - d.of(2) == WedgeBivector(ctx, 3, {(1, 2): -(w + w)})
+    assert (d[1] + d[2]).is_zero()
+    assert d[1] - d[2] == WedgeBivector(ctx, 3, {(1, 2): -(w + w)})
 
 
 def test_linearize_rejects_laurent():
@@ -135,7 +135,19 @@ def test_bad_scalar_in_lie_preset_is_a_lie_error():
     with pytest.raises(LieError):
         LieAlgebra.load(ctx, spec)
     with pytest.raises(LieError):
-        Cocommutator.load(ctx, ["J", "X"], {"J": {"J,X": "1 (x) 1"}})
+        load_cocommutator(ctx, ["J", "X"], {"J": {"J,X": "1 (x) 1"}})
+
+
+def test_load_cocommutator_fills_the_basis_elements_without_an_entry():
+    ctx = ScalarContext([])
+    d = load_cocommutator(ctx, ["J", "X", "Y"], {"X": {"J,X": "1", "Y,J": "2"}})
+    assert d == (
+        WedgeBivector(ctx, 3),
+        WedgeBivector(ctx, 3, {(0, 1): ctx.one, (0, 2): -ctx.from_int(2)}),
+        WedgeBivector(ctx, 3),
+    )
+    with pytest.raises(KeyError):
+        load_cocommutator(ctx, ["J", "X"], {"Z": {}})
 
 
 def test_wedge_pairs_are_oriented_and_summed():
@@ -152,7 +164,7 @@ def test_zero_bracket_zero_cocommutator(std):
     tower, _, _ = std
     P = PoissonStructure(tower, {})
     d = linearize_poisson(P)
-    assert all(d.of(k).is_zero() for k in range(3))
+    assert all(d[k].is_zero() for k in range(3))
 
 
 def test_cocycle_cojacobi(std, nonstd):
@@ -168,14 +180,10 @@ def test_cocycle_fails_for_printed_nonstd_sign(nonstd):
     ctx = tower.context
     w = ctx.param("omega")
     g = lie_from_group(tower, H, names=NAMES)
-    printed = Cocommutator(
-        3,
-        ctx,
-        {
-            0: WedgeBivector(ctx, 3, {(0, 1): -w, (0, 2): -w}),
-            1: WedgeBivector(ctx, 3, {(1, 2): w}),   # displayed sign
-            2: WedgeBivector(ctx, 3, {(1, 2): -w}),
-        },
+    printed = (
+        WedgeBivector(ctx, 3, {(0, 1): -w, (0, 2): -w}),
+        WedgeBivector(ctx, 3, {(1, 2): w}),   # displayed sign
+        WedgeBivector(ctx, 3, {(1, 2): -w}),
     )
     rep = cocycle_cojacobi_report(g, printed)
     assert not rep.clean
@@ -184,7 +192,7 @@ def test_cocycle_fails_for_printed_nonstd_sign(nonstd):
 def test_trivial_cocommutator_abelian():
     ctx = ScalarContext([])
     g = LieAlgebra(ctx, ("a", "b"), {(0, 1): {}})
-    d = Cocommutator(2, ctx, {0: WedgeBivector(ctx, 2, {(0, 1): ctx.one})})
+    d = (WedgeBivector(ctx, 2, {(0, 1): ctx.one}), WedgeBivector(ctx, 2))
     rep = cocycle_cojacobi_report(g, d)
     assert rep.clean
 
@@ -208,16 +216,21 @@ def test_coboundary_nonstd_contains_printed_r(nonstd):
     assert sol.dimension == 1
     # r = omega J^P2 = omega (J^X - J^Y): the displayed r-matrix, exactly
     printed_r = WedgeBivector(ctx, 3, {(0, 1): w, (0, 2): -w})
-    assert sol.contains(ctx, printed_r)
+    assert sol.contains(printed_r.terms)
+    # the solution set is printed_r + c X^Y, labelled by wedge pairs
+    assert sol.particular == printed_r.terms
+    assert sol.nullspace == {(1, 2): {(1, 2): ctx.one}}
+    assert sol.contains((printed_r + WedgeBivector(ctx, 3, {(1, 2): w})).terms)
+    assert not sol.contains((printed_r + printed_r).terms)
     # self-consistency: the witness reproduces delta
-    r = sol.witness(ctx, 3)
+    r = WedgeBivector(ctx, 3, sol.particular)
     assert coboundary_cocommutator(g, r) == d
 
 
 def test_coboundary_abelian_everything():
     ctx = ScalarContext([])
     g = LieAlgebra(ctx, ("a", "b", "c"), {})
-    d = Cocommutator(3, ctx, {})
+    d = (WedgeBivector(ctx, 3),) * 3
     sol = coboundary_solve(g, d)
     assert not sol.empty
     assert sol.dimension == 3  # all of wedge^2

@@ -282,11 +282,11 @@ def test_noninvertible_sigma_image_rejected():
 
 
 def _cyl_basis(tower, rmax, smax):
-    out = []
-    for r in range(-rmax, rmax + 1):
-        for s in range(smax + 1):
-            out.append(normal_form(tower, [("v", r), ("m", s)]))
-    return out
+    return {
+        (r, s): normal_form(tower, [("v", r), ("m", s)])
+        for r in range(-rmax, rmax + 1)
+        for s in range(smax + 1)
+    }
 
 
 def test_span_solve_swap_relation(cylinder_tower):
@@ -295,15 +295,8 @@ def test_span_solve_swap_relation(cylinder_tower):
     basis = _cyl_basis(t, 2, 1)
     sol = span_solve(x, basis)
     assert not sol.empty and sol.unique
-    named = {}
-    idx = 0
-    for r in range(-2, 3):
-        for s in range(2):
-            if sol.particular[idx]:
-                named[(r, s)] = sol.particular[idx]
-            idx += 1
     W = t.context.param("omega")
-    assert named == {(1, 1): t.context.one, (2, 0): W, (0, 0): -W}
+    assert sol.particular == {(1, 1): t.context.one, (2, 0): W, (0, 0): -W}
 
 
 def test_basis_independence(cylinder_tower):
@@ -311,7 +304,7 @@ def test_basis_independence(cylinder_tower):
     zero = NCPoly.zero(cylinder_tower)
     sol = span_solve(zero, basis)
     assert not sol.empty
-    assert all(not c for c in sol.particular)
+    assert sol.particular == {}
     assert sol.unique
 
 
@@ -319,10 +312,7 @@ def test_outside_span(qe2_tower):
     # v^r m^s expansions never reach n: the (n, nb)-imbalance is off
     t = qe2_tower
     m = t.poly("vb*nb - v*n")
-    basis = []
-    for r in range(-2, 3):
-        for s in range(3):
-            basis.append(normal_form(t, [("v", r)]) * m ** s)
+    basis = {(r, s): normal_form(t, [("v", r)]) * m ** s for r in range(-2, 3) for s in range(3)}
     assert span_solve(t.gen("n"), basis).empty
 
 
@@ -332,15 +322,15 @@ def test_span_solve_large_embedded_basis(qe2_tower):
     ctx = t.context
     m = t.poly("vb*nb - v*n")
     m_pows = [m ** s for s in range(6)]
-    basis = [normal_form(t, [("v", r)]) * mk for r in range(-5, 6) for mk in m_pows]
+    basis = {(r, s): normal_form(t, [("v", r)]) * m_pows[s] for r in range(-5, 6) for s in range(6)}
     W = ctx.param("omega")
-    planted = {3: ctx.from_int(2), 40: -W, 65: ctx.one + W * W}
+    planted = {(-5, 3): ctx.from_int(2), (1, 4): -W, (5, 5): ctx.one + W * W}
     x = NCPoly.zero(t)
-    for i, c in planted.items():
-        x = x + basis[i].scale(c)
+    for label, c in planted.items():
+        x = x + basis[label].scale(c)
     sol = span_solve(x, basis)
     assert sol.unique
-    assert sol.particular == [planted.get(i, ctx.zero) for i in range(len(basis))]
+    assert sol.particular == planted
     assert span_solve(x + t.gen("nb"), basis).empty
 
 
@@ -348,10 +338,11 @@ def test_span_of_zero_vectors_is_not_independent(qe2_tower):
     # no monomial occurs, so the system has no equation; the column count
     # still comes from the basis
     zero = NCPoly.zero(qe2_tower)
-    sol = span_solve(zero, [zero, zero])
+    sol = span_solve(zero, {"a": zero, "b": zero})
     assert sol.dimension == 2
     assert not sol.unique
-    assert len(sol.particular) == 2
+    assert sol.particular == {}
+    assert sol.nullspace == {"a": {"a": qe2_tower.context.one}, "b": {"b": qe2_tower.context.one}}
 
 
 small_gauss = st.builds(
@@ -377,10 +368,10 @@ def test_solve_terms_matches_sympy(data):
 
     def system(keys):
         target = {keys[k]: ctx.from_gauss(b) for k, b in enumerate(rhs) if b}
-        cols = [
-            {keys[k]: ctx.from_gauss(row[j]) for k, row in enumerate(dense) if row[j]}
+        cols = {
+            j: {keys[k]: ctx.from_gauss(row[j]) for k, row in enumerate(dense) if row[j]}
             for j in range(ncols)
-        ]
+        }
         return target, cols
 
     target, cols = system(list(range(nrows)))
@@ -402,14 +393,14 @@ def test_solve_terms_matches_sympy(data):
 
     def image(vec):
         return [
-            sum((ctx.from_gauss(a) * c for a, c in zip(row, vec)), ctx.zero)
+            sum((ctx.from_gauss(row[j]) * c for j, c in vec.items()), ctx.zero)
             for row in dense
         ]
 
-    assert len(sol.particular) == ncols
+    assert set(sol.particular) <= set(range(ncols))
     assert image(sol.particular) == [ctx.from_gauss(b) for b in rhs]
-    for vec in sol.nullspace:
-        assert not all(not c for c in vec)
+    for free, vec in sol.nullspace.items():
+        assert vec[free] == ctx.one and set(vec) <= set(range(ncols))
         assert all(not c for c in image(vec))
     assert sol.dimension == ncols - rank
 
@@ -483,7 +474,7 @@ def test_sparse_omega_systems_match_sympy_rank(data):
 
     def system(keys):
         target = {keys[k]: b for k, b in enumerate(rhs) if b}
-        cols = [{keys[k]: row[j] for k, row in enumerate(A) if row[j]} for j in range(ncols)]
+        cols = {j: {keys[k]: row[j] for k, row in enumerate(A) if row[j]} for j in range(ncols)}
         return target, cols
 
     sol = solve_terms(*system(list(range(nrows))), ctx)
@@ -509,18 +500,19 @@ def test_sparse_omega_systems_match_sympy_rank(data):
         return
 
     def image(vec):
-        return [sum((a * c for a, c in zip(row, vec)), ctx.zero) for row in A]
+        return [sum((row[j] * c for j, c in vec.items()), ctx.zero) for row in A]
 
     assert image(sol.particular) == rhs
     assert len(sol.nullspace) == ncols - rank_a
-    for vec in sol.nullspace:
-        assert any(vec) and not any(image(vec))
+    for free, vec in sol.nullspace.items():
+        assert vec[free] == ctx.one and not any(image(vec))
 
 
 def _dense_solve_affine(rows, rhs, ctx):
     """Dense Gauss-Jordan on a rows x columns grid of Scalars: every row
-    operation runs over every column.  Returns (particular, nullspace), or
-    None when the system is inconsistent."""
+    operation runs over every column.  Returns (particular, nullspace) as
+    term maps over the column indices, or None when the system is
+    inconsistent."""
     ncols = len(rows[0]) if rows else 0
     mat = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots = []
@@ -542,16 +534,13 @@ def _dense_solve_affine(rows, rhs, ctx):
             break
     if any(mat[rr][ncols] for rr in range(r, len(mat))):
         return None
-    coeffs = [ctx.zero] * ncols
-    for rr, c in enumerate(pivots):
-        coeffs[c] = mat[rr][ncols]
-    null = []
+    coeffs = {c: mat[rr][ncols] for rr, c in enumerate(pivots) if mat[rr][ncols]}
+    null = {}
     for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [ctx.zero] * ncols
-        vec[fc] = ctx.one
+        vec = null[fc] = {fc: ctx.one}
         for rr, c in enumerate(pivots):
-            vec[c] = -mat[rr][fc]
-        null.append(vec)
+            if mat[rr][fc]:
+                vec[c] = -mat[rr][fc]
     return coeffs, null
 
 
@@ -577,12 +566,57 @@ def test_solve_terms_matches_dense_elimination(qe2_tower):
         else:
             rhs = [entry() for _ in range(nrows)]
         want = _dense_solve_affine(rows, rhs, ctx)
-        want = AffineSolutions(*want) if want is not None else AffineSolutions(None, [])
+        want = AffineSolutions(*want) if want is not None else AffineSolutions(None, {})
         target = {k: b for k, b in enumerate(rhs) if b}
-        cols = [{k: row[j] for k, row in enumerate(rows) if row[j]} for j in range(ncols)]
+        cols = {j: {k: row[j] for k, row in enumerate(rows) if row[j]} for j in range(ncols)}
         assert solve_terms(target, cols, ctx) == want
         solved += not want.empty
     assert 20 < solved < 60
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_contains_decides_membership_of_a_term_map(data):
+    # random sparse consistent systems over Q(i)(omega) with string labels;
+    # membership is checked against the sum of the columns, by collect
+    ctx = ScalarContext([Parameter("omega")])
+    omega = ctx.param("omega")
+
+    def scalar(t):
+        return ctx.from_gauss(GaussRational(t[0], t[1])) + ctx.from_int(t[2]) * omega
+
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    labels = data.draw(st.permutations([f"c{j}" for j in range(ncols)]))
+    cells = data.draw(st.lists(
+        st.tuples(st.integers(0, nrows - 1), st.sampled_from(labels)),
+        unique=True, max_size=2 * nrows * ncols // 3,
+    ))
+    columns = {l: {} for l in labels}
+    for k, l in cells:
+        columns[l][k] = scalar(data.draw(omega_entry))
+    x0 = {l: scalar(data.draw(omega_entry)) for l in labels}
+
+    def combination(x):
+        return ncalg.collect((k, c * v) for l, c in x.items() for k, v in columns[l].items())
+
+    target = combination(x0)
+    sol = solve_terms(target, columns, ctx)
+    assert not sol.empty
+
+    def solves(x):
+        return set(x) <= set(labels) and combination(x) == target
+
+    free = {f: scalar(data.draw(omega_entry)) for f in sol.nullspace}
+    member = ncalg.collect(itertools.chain(
+        sol.particular.items(),
+        ((k, free[f] * c) for f, vec in sol.nullspace.items() for k, c in vec.items()),
+    ))
+    assert solves(member) and sol.contains(member)
+    moved = ncalg.collect([*member.items(), (data.draw(st.sampled_from(labels)), ctx.one)])
+    assert sol.contains(moved) == solves(moved)
+    assert not sol.contains({**member, "not a column": ctx.one})
+    # a system with no solution contains nothing
+    assert not solve_terms({nrows: ctx.one}, columns, ctx).contains(member)
 
 
 def test_graded_degree(cylinder_tower):

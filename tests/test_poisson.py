@@ -8,6 +8,7 @@ from qe2.hopf import load_hopf
 from qe2.ncalg import NCPoly, collect, load_tower, normal_form
 from qe2.poisson import (
     AlgebraMorphism,
+    PoissonError,
     PoissonStructure,
     covariant_family_solve,
     field_relation,
@@ -252,14 +253,26 @@ def test_plane_family(plane_coaction):
     assert not fam.empty
     assert fam.dimension == 1
     ctx = space.context
-    zero = ctx.zero
     k = ctx.param("k")
-    # contains z*zb (k=0) and z*zb + k
-    assert fam.contains_vector([ctx.one, zero, zero, zero])
-    assert fam.contains_vector([ctx.one, zero, zero, k])
-    assert fam.contains_bracket(space.poly("z*zb"))
-    assert fam.contains_bracket(space.poly("z*zb + k"))
-    assert not fam.contains_bracket(space.poly("z"))
+    # labelled by the ansatz monomials (exponents of z, zb): contains
+    # z*zb (k=0) and z*zb + k
+    assert fam.contains({(1, 1): ctx.one})
+    assert fam.contains({(1, 1): ctx.one, (0, 0): k})
+    assert fam.particular == {(1, 1): ctx.one}
+    assert fam.nullspace == {(0, 0): {(0, 0): ctx.one}}
+    assert fam.contains(space.poly("z*zb").terms)
+    assert fam.contains(space.poly("z*zb + k").terms)
+    assert not fam.contains(space.poly("z").terms)
+    # a monomial outside the ansatz is never a member
+    assert not fam.contains(space.poly("z*zb + z^2").terms)
+
+
+@pytest.mark.parametrize("entry", ["2*z*zb", "z + zb", "0", "z"])
+def test_family_ansatz_entries_are_new_monomials_with_coefficient_one(plane_coaction, entry):
+    desc, group, space, P_G, P_M, coact = plane_coaction
+    ansatz = [space.poly(t) for t in desc["ansatz"] + [entry]]
+    with pytest.raises(PoissonError, match="not a new monomial with coefficient 1"):
+        covariant_family_solve(coact, P_G, ansatz)
 
 
 def test_plane_family_symbolic_morphism(plane_coaction):
@@ -276,9 +289,9 @@ def test_plane_mirrored_orientation_misses_displayed_family(plane_coaction):
     mirrored = AlgebraMorphism.load(space, (group, space), desc["mirrored_coaction"])
     fam = covariant_family_solve(mirrored, P_G, [space.poly(t) for t in desc["ansatz"]])
     assert not fam.empty and fam.dimension == 1
-    assert fam.contains_bracket(space.poly("-z*zb"))
-    assert not fam.contains_bracket(space.poly("z*zb"))
-    assert not fam.contains_bracket(space.poly("z*zb + k"))
+    assert fam.contains(space.poly("-z*zb").terms)
+    assert not fam.contains(space.poly("z*zb").terms)
+    assert not fam.contains(space.poly("z*zb + k").terms)
 
 
 def test_plane_literal_pairing_with_n_fails(plane_coaction):
@@ -323,10 +336,10 @@ def test_cylinder_family():
     assert not fam.empty
     assert fam.dimension == 1
     # engine family: omega*v^2 + beta*v + omega; contains omega*(v-1)^2
-    assert fam.contains_bracket(space.poly(desc["engine_family_member"]))
-    assert fam.contains_bracket(space.poly("omega*(v - 1)^2"))
+    assert fam.contains(space.poly(desc["engine_family_member"]).terms)
+    assert fam.contains(space.poly("omega*(v - 1)^2").terms)
     # the displayed family member is NOT covariant (discrepancy material)
-    assert not fam.contains_bracket(space.poly(desc["printed_family"]))
+    assert not fam.contains(space.poly(desc["printed_family"]).terms)
     # double route: the engine member makes the coaction an honest morphism
     P_M = PoissonStructure(space, {(0, 1): space.poly(desc["engine_family_member"])})
     rep = poisson_morphism_report(coact, P_M, (P_G, P_M))
@@ -338,8 +351,8 @@ def test_cylinder_family():
 
 @pytest.fixture(scope="module")
 def families():
-    """(coaction, P_G, space, family) of coaction-plane, coaction-cylinder
-    and the plane's mirrored coaction."""
+    """(coaction, P_G, space, ansatz, family) of coaction-plane,
+    coaction-cylinder and the plane's mirrored coaction."""
     plane = catalog.get_preset("coaction-plane")
     cylinder = catalog.get_preset("coaction-cylinder")
     mirrored = AlgebraMorphism.load(
@@ -352,7 +365,7 @@ def families():
         "mirrored": (plane, mirrored),
     }
     return {
-        which: (coact, b.group_poisson, b.space_tower,
+        which: (coact, b.group_poisson, b.space_tower, b.ansatz,
                 covariant_family_solve(coact, b.group_poisson, b.ansatz))
         for which, (b, coact) in coactions.items()
     }
@@ -367,20 +380,19 @@ def families():
 def test_family_solver_agrees_with_morphism_check(families, which, from_family, ints):
     # a candidate bracket b lies in the solved family exactly when the
     # coaction is a Poisson morphism for {x, y} = b, checked pair by pair
-    coact, P_G, space, fam = families[which]
+    coact, P_G, space, ansatz, fam = families[which]
     ctx = space.context
     if from_family:  # particular + s * nullspace, always covariant
-        vec = list(fam.particular)
-        for s, null in zip(ints, fam.nullspace):
-            vec = [c + ctx.from_int(s) * n for c, n in zip(vec, null)]
+        b = NCPoly.from_terms(space, fam.particular.items())
+        for s, null in zip(ints, fam.nullspace.values()):
+            b = b + NCPoly.from_terms(space, null.items()).scale(ctx.from_int(s))
     else:  # a small integer combination of the ansatz
-        vec = [ctx.from_int(s) for s in ints]
-    b = NCPoly.zero(space)
-    for c, t in zip(vec, fam.ansatz):
-        b = b + t.scale(c)
+        b = NCPoly.zero(space)
+        for s, t in zip(ints, ansatz):
+            b = b + t.scale(ctx.from_int(s))
     P_b = PoissonStructure(space, {(0, 1): b})
     clean = poisson_morphism_report(coact, P_b, (P_G, P_b)).clean
-    assert fam.contains_bracket(b) == clean
+    assert fam.contains(b.terms) == clean
     assert clean or not from_family
 
 
