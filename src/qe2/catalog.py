@@ -24,10 +24,10 @@ from . import exprio
 # hopf and poisson stay eager: the benchmark's tracer wraps only modules
 # already imported when it installs
 from .hopf import AlgebraMorphism, load_hopf
-from .ncalg import OreTower, load_tower
+from .ncalg import OreTower, context_of, load_tower
 from .poisson import PoissonStructure
 from .record import Record
-from .scalars import Parameter, Scalar, ScalarContext
+from .scalars import Scalar, ScalarContext
 
 if TYPE_CHECKING:
     from .homspace import QuotientMap
@@ -106,22 +106,13 @@ def _read(preset_id: str) -> dict:
     return json.loads(text)
 
 
-def _context_of(raw: dict) -> ScalarContext:
-    return ScalarContext(
-        [Parameter(p["name"], p.get("star", "fixed")) for p in raw.get("parameters", ())]
-    )
-
-
 def quotient_on(source: OreTower, raw: dict) -> QuotientMap:
     """The quotient preset ``raw`` as a map on the tower ``source``: the
     target tower is built over the source's scalar context, the images are
     parsed in the target and the kernel generators in ``source``."""
     from .homspace import QuotientMap
 
-    target = load_tower(
-        {**raw["target"], "parameters": raw.get("parameters", [])},
-        context=source.context,
-    )
+    target = load_tower(raw["target"], context=source.context)
     return QuotientMap.load_quotient(source, target, raw)
 
 
@@ -140,7 +131,7 @@ def load_bundle(preset_id: str, raw: dict, kind: str) -> PresetBundle:
     bracket when ``raw`` has them."""
     bundle = PresetBundle(
         preset_id, kind, raw.get("anchor", ""), raw.get("description", ""),
-        raw, _context_of(raw),
+        raw, context_of(raw),
     )
     if kind in _ALGEBRA_KINDS:
         tower = bundle.tower = load_tower(raw, context=bundle.context)
@@ -178,12 +169,8 @@ def get_preset(preset_id: str) -> PresetBundle:
         bundle.quotient = quotient_on(get_preset(raw["source"]).tower, raw)
         bundle.tower = bundle.quotient.target
     elif kind == "coaction":
-        group = load_tower(
-            {**raw["group"], "parameters": raw["parameters"]}, context=ctx
-        )
-        space = load_tower(
-            {**raw["space"], "parameters": raw["parameters"]}, context=ctx
-        )
+        group = load_tower(raw["group"], context=ctx)
+        space = load_tower(raw["space"], context=ctx)
         bundle.group_tower = group
         bundle.space_tower = space
         bundle.group_poisson = PoissonStructure.load(group, raw["group"]["poisson"])

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Union
 
 from .record import FrozenRecord, setfield
-from .scalars import _EBOUND, QI, Scalar
+from .scalars import _EBOUND, QI, Scalar, _power_text, _signed_sum
 
 
 class GrammarError(ValueError):
@@ -407,15 +407,7 @@ def _mono_key(mono):
 
 
 def _mono_text(mono, names) -> str:
-    parts = []
-    for j, e in enumerate(mono):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(names[j])
-        else:
-            parts.append(f"{names[j]}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(_power_text(names[j], e) for j, e in enumerate(mono) if e) or "1"
 
 
 def _join_terms(pairs) -> str:
@@ -432,9 +424,5 @@ def _join_terms(pairs) -> str:
             if len(c.num) > 1 or len(c.den) > 1:
                 ct = f"({ct})"
             body = ct if mono_text == "1" else f"{ct}*{mono_text}"
-        chunks.append(("-" if neg else "+", body))
-    sign0, body0 = chunks[0]
-    out = body0 if sign0 == "+" else f"-{body0}"
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+        chunks.append((neg, body))
+    return _signed_sum(chunks)

@@ -29,7 +29,7 @@ from .ncalg import (
     pin_unit,
 )
 from .report import FAIL, CheckReport
-from .scalars import Scalar
+from .scalars import Scalar, _power_text
 
 
 class TensorElement(TermVector):
@@ -275,24 +275,7 @@ class AlgebraMorphism:
 
     def validate(self) -> CheckReport:
         """Images must satisfy every derived relation of the source."""
-        rep = CheckReport("morphism")
-        for word, rhs in self.source.derived_rules():
-            check_id = f"respects[{_word_name(self.source, word)}]"
-            try:
-                lhs_img = self.word_image(word)
-                rhs_img = self.apply(rhs)
-            except TowerError as e:
-                rep.add(check_id, status=FAIL, witness=str(e))
-                continue
-            rep.verdict(check_id, lhs_img == rhs_img, lhs=lhs_img, rhs=rhs_img)
-        return rep
-
-
-def _word_name(tower: OreTower, word) -> str:
-    return "*".join(
-        f"{tower.generators[j].name}^{e}" if e != 1 else tower.generators[j].name
-        for j, e in word
-    )
+        return _relations_report("morphism", self.source, [("respects", self, FAIL)])
 
 
 def star_map(tower: OreTower) -> AlgebraMorphism:
@@ -419,17 +402,30 @@ def respects_relations_report(
     maps = []  # (check id prefix, structure map, status on mismatch)
     if H is not None:
         maps += [
-            ("delta", H.coproduct_map, FAIL),
-            ("counit", H.counit_map, FAIL),
-            ("antipode", H.antipode_map, FAIL),
+            ("delta-on", H.coproduct_map, FAIL),
+            ("counit-on", H.counit_map, FAIL),
+            ("antipode-on", H.antipode_map, FAIL),
         ]
     if tower.star_table is not None:
-        maps.append(("star", star_map(tower), star_status_on_fail))
-    rep = CheckReport("respects-relations")
+        maps.append(("star-on", star_map(tower), star_status_on_fail))
+    return _relations_report("respects-relations", tower, maps)
+
+
+def _relations_report(name: str, tower: OreTower, maps) -> CheckReport:
+    """For every derived rewrite rule word = rhs of ``tower`` and each
+    (prefix, map, status on mismatch) of ``maps``, the record
+    ``<prefix>[<word>]`` of map(word) = map(rhs).  A TowerError while
+    imaging fails that record alone, with the error as its witness."""
+    rep = CheckReport(name)
     for word, rhs in tower.derived_rules():
-        wname = _word_name(tower, word)
-        for name, f, bad in maps:
-            left, right = f.word_image(word), f.apply(rhs)
-            rep.verdict(f"{name}-on[{wname}]", left == right, lhs=left, rhs=right,
+        wname = "*".join(_power_text(tower.generators[j].name, e) for j, e in word)
+        for prefix, f, bad in maps:
+            check_id = f"{prefix}[{wname}]"
+            try:
+                left, right = f.word_image(word), f.apply(rhs)
+            except TowerError as e:
+                rep.add(check_id, status=FAIL, witness=str(e))
+                continue
+            rep.verdict(check_id, left == right, lhs=left, rhs=right,
                         witness=_DIFFER, bad=bad)
     return rep

@@ -19,7 +19,7 @@ which is a theorem, and then frozen):
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import exprio
@@ -34,61 +34,78 @@ class LieError(ValueError):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over a scalar context."""
+    """Finite-dimensional Lie algebra over a scalar context, checked for
+    Jacobi when built."""
 
     def __init__(self, ctx: ScalarContext, names: Sequence[str], constants: dict):
         self.ctx = ctx
         self.names = tuple(names)
         self.dim = len(self.names)
-        self._c = {}
-        for (i, j), vec in constants.items():
-            vec = {k: c for k, c in vec.items() if c}
-            if i == j and vec:
-                raise LieError("[x,x] must vanish")
-            if i < j:
-                self._c[(i, j)] = vec
-            elif vec:
-                self._c[(j, i)] = {k: -c for k, c in vec.items()}
-        self.check_jacobi()
+        self._c = _bracket_table(
+            (p, k, c) for p, vec in constants.items() for k, c in vec.items()
+        )
+        bad = next(iter(_jacobiator(self._c, self.dim)), None)
+        if bad:
+            raise LieError("Jacobi fails on basis triple "
+                           f"({','.join(self.names[i] for i in bad)})")
 
     @classmethod
     def load(cls, ctx: ScalarContext, spec: dict) -> "LieAlgebra":
         names = list(spec["basis"])
         idx = {n: i for i, n in enumerate(names)}
-        constants = {}
-        for key, vec in spec["brackets"].items():
-            a, b = (s.strip() for s in key.split(","))
-            constants[(idx[a], idx[b])] = {
-                idx[t]: _scalar_expr(ctx, expr) for t, expr in vec.items()
-            }
-        return cls(ctx, names, constants)
+        return cls(ctx, names, {
+            p: {idx[t]: _scalar_expr(ctx, expr) for t, expr in vec.items()}
+            for p, vec in _pairs(idx, spec["brackets"]).items()
+        })
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self._c.get((i, j), {})
-        return {k: -c for k, c in self._c.get((j, i), {}).items()}
-
-    def check_jacobi(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = collect(
-                        (t, cm * ct)
-                        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
-                        for m, cm in self.bracket_basis(b, c).items()
-                        for t, ct in self.bracket_basis(a, m).items()
-                    )
-                    if total:
-                        raise LieError(
-                            f"Jacobi fails on basis triple "
-                            f"({self.names[i]},{self.names[j]},{self.names[k]})"
-                        )
+        return self._c.get((i, j), {})
 
     def __repr__(self):
         return f"LieAlgebra({', '.join(self.names)})"
+
+
+def _bracket_table(entries) -> dict:
+    """The table {(i, j): {k: c}} of the antisymmetric bracket whose
+    entries ((i, j), k, c) read [e_i, e_j] has c e_k: both orientations of
+    each pair, and no zero value."""
+    table = {}
+    for (i, j), k, c in entries:
+        if c:
+            if i == j:
+                raise LieError("[x,x] must vanish")
+            table.setdefault((i, j), {})[k] = c
+            table.setdefault((j, i), {})[k] = -c
+    return table
+
+
+def _jacobiator(table: dict, n: int) -> dict:
+    """{(i, j, k): sum_cyc [[e_i, e_j], e_k]} over the basis triples
+    i < j < k where the bracket of ``table`` fails Jacobi, in order.  The
+    Jacobiator is alternating, so these triples decide every triple."""
+    out = {}
+    for i, j, k in combinations(range(n), 3):
+        total = collect(
+            (t, cm * ct)
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+            for m, cm in table.get((x, y), {}).items()
+            for t, ct in table.get((m, z), {}).items()
+        )
+        if total:
+            out[(i, j, k)] = total
+    return out
+
+
+def _pairs(idx: dict, table: dict) -> dict:
+    """{(i, j): value} from a table keyed "a,b" by basis names; a pair may
+    be named once, in either orientation."""
+    out = {}
+    for key, value in table.items():
+        i, j = (idx[s.strip()] for s in key.split(","))
+        if (i, j) in out or (j, i) in out:
+            raise LieError(f"the pair {key!r} is named twice")
+        out[(i, j)] = value
+    return out
 
 
 def _scalar_expr(ctx: ScalarContext, text: str) -> Scalar:
@@ -144,8 +161,7 @@ def load_cocommutator(ctx: ScalarContext, names: Sequence[str], spec: dict) -> t
     values = [WedgeBivector(ctx, len(names))] * len(names)
     for gname, vec in spec.items():
         values[idx[gname]] = WedgeBivector(ctx, len(names), {
-            tuple(idx[s.strip()] for s in key.split(",")): _scalar_expr(ctx, expr)
-            for key, expr in vec.items()
+            p: _scalar_expr(ctx, expr) for p, expr in _pairs(idx, vec).items()
         })
     return tuple(values)
 
@@ -283,7 +299,9 @@ def linearize_poisson(P: PoissonStructure, names: Optional[Sequence[str]] = None
 
 def cocycle_cojacobi_report(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> CheckReport:
     """delta([a,b]) = ad_a delta(b) - ad_b delta(a) on all basis pairs, and
-    the co-Jacobi identity (cyclic sum of (delta x id) delta = 0)."""
+    co-Jacobi: the Jacobi identity of the dual bracket on g*, whose
+    record ``cojacobi-<e_k>`` reads component k of its Jacobiator at the
+    first failing basis triple."""
     rep = CheckReport("bialgebra")
     ctx = g.ctx
     n = g.dim
@@ -302,34 +320,18 @@ def cocycle_cojacobi_report(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> Ch
                 rhs=rhs.text(g.names),
                 witness="cocycle condition violated",
             )
-    # co-Jacobi via the antisymmetric matrices D_k of delta(e_k), built
-    # once; a product with a zero entry adds nothing and is skipped
-    D = []
+    # co-Jacobi is Jacobi of the dual bracket [e^i, e^j] = sum_k delta(e_k)^{ij} e^k
+    dual = _jacobiator(_bracket_table(
+        (p, k, c) for k, w in enumerate(delta) for p, c in w.terms.items()
+    ), n)
     for k in range(n):
-        Dk = [[None] * n for _ in range(n)]
-        for (i, j), c in delta[k].terms.items():
-            Dk[i][j], Dk[j][i] = c, -c
-        D.append(Dk)
-    for k in range(n):
-        Dk = D[k]
-        bad = None
-        for a, b, c in product(range(n), repeat=3):
-            total = ctx.zero
-            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                for i in range(n):
-                    u, w = Dk[i][z], D[i][x][y]
-                    if u is not None and w is not None:
-                        total = total + u * w
-            if total:
-                bad = (a, b, c, total)
-                break
-        a, b, c, total = bad or (0, 0, 0, ctx.zero)
+        slot = next((t for t, total in dual.items() if k in total), None)
         rep.verdict(
             f"cojacobi-{g.names[k]}",
-            bad is None,
-            lhs=str(total),
+            slot is None,
+            lhs=str(dual[slot][k] if slot else ctx.zero),
             rhs="0",
-            witness=f"slot ({g.names[a]},{g.names[b]},{g.names[c]})",
+            witness=f"slot ({','.join(g.names[i] for i in slot or ())})",
         )
     return rep
 

@@ -77,7 +77,7 @@ from typing import Optional
 
 from . import exprio
 from .record import FrozenRecord, Record, setfield
-from .scalars import Parameter, Scalar, ScalarContext, _pmac, _pmul, _raw_scalar
+from .scalars import Parameter, Scalar, ScalarContext, _pmac, _pmul, _power_text, _raw_scalar
 
 
 class TowerError(ValueError):
@@ -778,9 +778,7 @@ class DiamondResult(Record):
                     "order was found (uncertified)")
         if self.ok:
             return "all overlap words reduce consistently"
-        w = "*".join(
-            f"{name}^{e}" if e != 1 else name for name, e in self.witness_word
-        )
+        w = "*".join(_power_text(name, e) for name, e in self.witness_word)
         return f"overlap {w}: {self.left_form} != {self.right_form}"
 
 
@@ -1017,7 +1015,7 @@ class LetterPushFold:
         if j not in tower.sigma[i]:
             # only while load_tower parses level i's own data
             g = tower.generators
-            word = "*".join(g[k].name + ("^-1" if s < 0 else "") for k, s in (a, b))
+            word = "*".join(_power_text(g[k].name, s) for k, s in (a, b))
             raise TowerError(
                 f"the product {word} needs the rules of level {i} "
                 f"({g[i].name}), which are not set yet"
@@ -1055,6 +1053,13 @@ def _mono_to_word(mono):
 # ---------------------------------------------------------------------------
 
 
+def context_of(description: dict) -> ScalarContext:
+    """The scalar context of the ``"parameters"`` of a description."""
+    return ScalarContext([
+        Parameter(p["name"], p.get("star", "fixed")) for p in description.get("parameters", ())
+    ])
+
+
 def load_tower(description: dict, context: Optional[ScalarContext] = None,
                validate: bool = True) -> OreTower:
     """Build a tower from its JSON-style description.
@@ -1073,11 +1078,7 @@ def load_tower(description: dict, context: Optional[ScalarContext] = None,
     failing its diamond check are rejected with :class:`NonConfluentTower`.
     """
     if context is None:
-        params = [
-            Parameter(p["name"], p.get("star", "fixed"))
-            for p in description.get("parameters", ())
-        ]
-        context = ScalarContext(params)
+        context = context_of(description)
     gens = []
     for j, spec in enumerate(description["tower"]):
         gens.append(Generator(spec["gen"], j, bool(spec.get("invertible", False))))

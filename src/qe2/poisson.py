@@ -1,8 +1,9 @@
 """Poisson brackets on commutative presets and the covariance machinery.
 
-The bracket is stored on generator pairs P_ij = {x_i, x_j} and extended by
-bilinearity and the Leibniz rule.  On a commutative tower the Leibniz rule
-gives the bracket of two monomials in closed form,
+The bracket is stored on generator pairs P_ij = {x_i, x_j}, in both
+orientations, and extended by bilinearity and the Leibniz rule.  On a
+commutative tower the Leibniz rule gives the bracket of two monomials in
+closed form,
 
     {x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) * x^(a+b-e_i-e_j) * P_ij
 
@@ -57,15 +58,14 @@ class PoissonStructure:
         if not tower.commutative:
             raise PoissonError("Poisson structures need a commutative tower")
         self.tower = tower
-        self._table = {}
+        self._zero = NCPoly.zero(tower)
+        self._table = {}  # (i, j) -> {x_i, x_j}, both orientations, no zero value
         self._mono_brackets = {}  # (a, b) -> terms of {x^a, x^b}
         for (i, j), val in table.items():
-            if i == j and not val.is_zero():
-                raise PoissonError("{g,g} must vanish")
-            if i < j:
-                self._table[(i, j)] = val
-            else:
-                self._table[(j, i)] = -val
+            if not val.is_zero():
+                if i == j:
+                    raise PoissonError("{g,g} must vanish")
+                self._table[(i, j)], self._table[(j, i)] = val, -val
 
     @classmethod
     def load(cls, tower: OreTower, spec: dict) -> "PoissonStructure":
@@ -75,15 +75,13 @@ class PoissonStructure:
             ia, ib = tower.gen_index(a), tower.gen_index(b)
             if ia is None or ib is None:
                 raise PoissonError(f"bracket table names unknown generator in {key!r}")
+            if (ia, ib) in table or (ib, ia) in table:
+                raise PoissonError(f"bracket table names the pair {key!r} twice")
             table[(ia, ib)] = tower.poly(expr)
         return cls(tower, table)
 
     def bracket_gens(self, i: int, j: int) -> NCPoly:
-        if i == j:
-            return NCPoly.zero(self.tower)
-        if i < j:
-            return self._table.get((i, j), NCPoly.zero(self.tower))
-        return -self._table.get((j, i), NCPoly.zero(self.tower))
+        return self._table.get((i, j), self._zero)
 
     def bracket(self, f: NCPoly, g: NCPoly) -> NCPoly:
         """{f, g} by bilinearity over the bracket table of monomial pairs."""
@@ -97,7 +95,7 @@ class PoissonStructure:
         ctx = self.tower.context
         pairs = []
         for (i, j), pij in self._table.items():
-            k = a[i] * b[j] - a[j] * b[i]
+            k = a[i] * b[j] - a[j] * b[i] if i < j else 0
             if k:
                 shift = list(map(add, a, b))
                 shift[i] -= 1

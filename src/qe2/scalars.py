@@ -994,7 +994,7 @@ class Scalar:
         if len(self.den) == 1:
             names = self.ctx.names
             e = next(iter(self.den))
-            inv = [f"{n}^-{x}" for n, x in zip(names, _unpack(e, len(names))) if x]
+            inv = [_power_text(n, -x) for n, x in zip(names, _unpack(e, len(names))) if x]
             numt = num if len(self.num) == 1 and not num.startswith("-") else f"({num})"
             return "*".join([numt] + inv)
         dent = _poly_text(self.den, self.ctx.names)
@@ -1095,9 +1095,7 @@ def _poly_text(p, names) -> str:
     terms = []
     for e in sorted(p, reverse=True):
         a, b, d = p[e]
-        factors = [
-            f"{n}^{x}" if x > 1 else n for n, x in zip(names, _unpack(e, len(names))) if x
-        ]
+        factors = [_power_text(n, x) for n, x in zip(names, _unpack(e, len(names))) if x]
         neg = a < 0 or (a == 0 and b < 0)
         if neg:
             a, b = -a, -b
@@ -1111,9 +1109,16 @@ def _poly_text(p, names) -> str:
             if b != 0 and a != 0:
                 ct = f"({ct})"
             body = "*".join([ct] + factors)
-        terms.append(("-" if neg else "+", body))
-    sign0, body0 = terms[0]
-    out = body0 if sign0 == "+" else f"-{body0}"
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+        terms.append((neg, body))
+    return _signed_sum(terms)
+
+
+def _power_text(name: str, e: int) -> str:
+    """``name^e``, or ``name`` for e = 1."""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _signed_sum(terms) -> str:
+    """The text of a sum of (negative, body) terms: ``a - b + c``, ``-a + b``."""
+    text = "".join(f" {'-' if neg else '+'} {body}" for neg, body in terms)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

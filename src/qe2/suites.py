@@ -652,21 +652,24 @@ CHECKS = {
     ),
     "bialgebra": (
         ("bialg-lie-constants", "Sec. 2", lambda s: (
-            all(
-                s.g_std.bracket_basis(i, j) == s["e2-lie"].lie.bracket_basis(i, j)
-                for i in range(3)
-                for j in range(3)
-            ),
+            (pair := next((
+                f"[{LIE_NAMES[i]},{LIE_NAMES[j]}]" for i in range(3) for j in range(i + 1, 3)
+                if s.g_std.bracket_basis(i, j) != s["e2-lie"].lie.bracket_basis(i, j)
+            ), None)) is None,
             "[J,X] = -X, [J,Y] = Y, [X,Y] = 0",
-            "tangent algebra of the displayed group law")),
+            "tangent algebra of the displayed group law",
+            f"the brackets first differ at {pair}")),
         ("bialg-linearize-std", "Sec. 2", lambda s: (
             s.d_std == s["std-bialg"].cocommutator,
             "delta(J) = 0, delta(X) = J^X, delta(Y) = J^Y",
-            "displayed standard cocommutator")),
+            "displayed standard cocommutator",
+            "linearized " + ", ".join(
+                f"delta({x}) = {d.text(LIE_NAMES)}" for x, d in zip(LIE_NAMES, s.d_std)))),
         ("bialg-linearize-nonstd-p1", "Sec. 3", lambda s: (
-            (s.d_ns[1] + s.d_ns[2]).is_zero(),
+            (p1 := s.d_ns[1] + s.d_ns[2]).is_zero(),
             "delta(P1) = 0 with P1 = X + Y",
-            "displayed delta(P1) = 0")),
+            "displayed delta(P1) = 0",
+            f"delta(P1) = {p1.text(LIE_NAMES)}")),
         ("bialg-delta-p2-printed", "Sec. 3", _delta_p2),
         ("bialg-delta-j-printed", "Sec. 3", lambda s: (
             s.d_ns[0] == s.printed_r,

@@ -198,6 +198,16 @@ def test_file_structure_tables_match_the_preset(capsys, tmp_path, cmd, exprs):
     assert run(capsys, cmd, "--file", str(f), *exprs) == want
 
 
+def test_a_bracket_table_that_names_a_pair_twice_is_a_usage_error(capsys, tmp_path):
+    desc = preset_dict("std-poisson")
+    desc["poisson"]["n,v"] = "-v*n"
+    f = tmp_path / "twice.json"
+    f.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "bracket", "--file", str(f), "v", "n")
+    assert (code, out) == (3, "")
+    assert "names the pair 'n,v' twice" in err
+
+
 def test_a_huge_power_of_a_monomial_answers_at_once(capsys):
     t0 = time.perf_counter()
     assert run(capsys, "normal-form", "qe2-nonstd", "v^1000000") == (0, "v^1000000\n", "")

@@ -262,9 +262,32 @@ def test_morphism_negative_control(qe2):
     # n -> n + 1 keeps the four v-rules of qe2-nonstd and breaks nb*n by omega
     tower, _ = qe2
     shifted = AlgebraMorphism.load(tower, tower, {"v": "v", "n": "n + 1", "nb": "nb"})
-    status = {r.check_id: r.status for r in shifted.validate().records}
+    records = shifted.validate().records
+    status = {r.check_id: r.status for r in records}
     assert len(status) == 5
     assert {c for c, st in status.items() if st == FAIL} == {"respects[nb*n]"}
+    assert {r.witness for r in records if r.status == FAIL} == {
+        "left and right canonical forms differ"}
+
+
+def test_a_map_that_cannot_image_a_word_fails_only_those_records():
+    # v* = n: the star of v^-1 needs the inverse of n, which does not exist
+    desc = preset_dict("fun-e2")
+    desc["star"]["v"] = "n"
+    tower = load_tower(desc)
+    rep = respects_relations_report(tower, load_hopf(tower, desc["hopf"]))
+    assert len(rep.records) == 20  # 5 derived rules, 4 maps each
+    failed = {r.check_id: r.witness for r in rep.records if r.status != "pass"}
+    assert failed == {
+        "star-on[n*v^-1]": "cannot invert monomial containing n",
+        "star-on[nb*v^-1]": "cannot invert monomial containing n",
+    }
+    failed = {r.check_id: r.witness for r in star_map(tower).validate().records
+              if r.status != "pass"}
+    assert failed == {
+        "respects[n*v^-1]": "cannot invert monomial containing n",
+        "respects[nb*v^-1]": "cannot invert monomial containing n",
+    }
 
 
 def test_respects_relations_pass(fun_e2, qe2):

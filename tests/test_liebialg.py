@@ -138,6 +138,23 @@ def test_bad_scalar_in_lie_preset_is_a_lie_error():
         load_cocommutator(ctx, ["J", "X"], {"J": {"J,X": "1 (x) 1"}})
 
 
+def test_a_pair_named_twice_is_refused():
+    ctx = ScalarContext([])
+    spec = {"basis": ["J", "X"], "brackets": {"J,X": {"X": "-1"}, "X,J": {"X": "-1"}}}
+    with pytest.raises(LieError, match="the pair 'X,J' is named twice"):
+        LieAlgebra.load(ctx, spec)
+    with pytest.raises(LieError, match="the pair 'X,J' is named twice"):
+        load_cocommutator(ctx, ["J", "X"], {"X": {"J,X": "1", "X,J": "1"}})
+
+
+def test_a_lie_algebra_that_fails_jacobi_is_refused():
+    # [a,b] = b, [b,c] = a, [a,c] = 0: sum_cyc [[e_a, e_b], e_c] = a
+    ctx = ScalarContext([])
+    constants = {(0, 1): {1: ctx.one}, (1, 2): {0: ctx.one}}
+    with pytest.raises(LieError, match=r"Jacobi fails on basis triple \(a,b,c\)"):
+        LieAlgebra(ctx, ("a", "b", "c"), constants)
+
+
 def test_load_cocommutator_fills_the_basis_elements_without_an_entry():
     ctx = ScalarContext([])
     d = load_cocommutator(ctx, ["J", "X", "Y"], {"X": {"J,X": "1", "Y,J": "2"}})
@@ -195,6 +212,25 @@ def test_trivial_cocommutator_abelian():
     d = (WedgeBivector(ctx, 2, {(0, 1): ctx.one}), WedgeBivector(ctx, 2))
     rep = cocycle_cojacobi_report(g, d)
     assert rep.clean
+
+
+def test_cojacobi_fails_alone_on_a_cocycle():
+    # abelian g, so every cocycle record passes; the dual bracket
+    # [e^a, e^b] = e^a, [e^b, e^c] = e^b, [e^a, e^c] = -e^c has the
+    # Jacobiator sum_cyc [[e^a, e^b], e^c] = -e^a - e^b - e^c
+    ctx = ScalarContext([])
+    g = LieAlgebra(ctx, ("a", "b", "c"), {})
+    one = ctx.one
+    d = (
+        WedgeBivector(ctx, 3, {(0, 1): one}),
+        WedgeBivector(ctx, 3, {(1, 2): one}),
+        WedgeBivector(ctx, 3, {(0, 2): -one}),
+    )
+    records = {r.check_id: r for r in cocycle_cojacobi_report(g, d).records}
+    assert all(r.status == "pass" for cid, r in records.items() if cid.startswith("cocycle-"))
+    for x in "abc":
+        r = records[f"cojacobi-{x}"]
+        assert (r.status, r.lhs, r.rhs, r.witness) == ("fail", "-1", "0", "slot (a,b,c)")
 
 
 def test_coboundary_std_empty(std):

@@ -58,6 +58,15 @@ BROKEN_PRESETS = {
         "cylinder-poisson", _set(("poisson", "v,m"), "-omega*(v^2 - 1) + k + 1")),
     "rank-cylinder-regular": ("cylinder-poisson", _set(("poisson", "v,m"), "-omega*(v^2 - 1)")),
     "rank-plane-hyperbolic": ("plane-poisson", _set(("poisson", "z,zb"), "z*zb - k")),
+    # v* = n leaves the star of v^-1 without an image
+    "relations-fun-e2": ("fun-e2", _set(("star", "v"), "n")),
+    "bialg-lie-constants": ("e2-lie", _set(("brackets", "J,X"), {"X": "1"})),
+    "bialg-linearize-std": ("std-bialg", _set(("cocommutator", "X"), {"J,X": "-1"})),
+    "bialg-linearize-nonstd-p1": (
+        "nonstd-poisson", _set(("poisson", "n,nb"), "-omega*n - omega*nb")),
+    "bialg-cocycle-std": ("std-poisson", _set(("poisson", "v,n"), "v*n + n")),
+    "bialg-cocycle-nonstd": (
+        "nonstd-poisson", _set(("poisson", "v,n"), "omega*(v - 1) + omega*n")),
 }
 
 
@@ -116,3 +125,20 @@ def test_the_coboundary_witness_is_the_r_found():
         record = _assert_fails("bialg-coboundary-std-empty", s)
     # the nonstandard cocommutator is the coboundary of omega J^P2, P2 = X - Y
     assert record.witness == "delta = ad r for r = (omega) J^X + (-omega) J^Y"
+
+
+# the witness of each bialgebra control: where its check fails
+BIALGEBRA_WITNESSES = {
+    "bialg-lie-constants": "the brackets first differ at [J,X]",
+    "bialg-linearize-std": "linearized delta(J) = 0, delta(X) = (1) J^X, delta(Y) = (1) J^Y",
+    "bialg-linearize-nonstd-p1": "delta(P1) = (-2*omega) X^Y",
+    "bialg-cocycle-std": "cocycle-(X,Y): cocycle condition violated",
+    "bialg-cocycle-nonstd": "cocycle-(J,Y): cocycle condition violated",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(BIALGEBRA_WITNESSES))
+def test_the_bialgebra_controls_say_where_they_fail(check_id):
+    with pytest.MonkeyPatch.context() as mp:
+        s = _inputs_with(mp, *BROKEN_PRESETS[check_id])
+        assert _assert_fails(check_id, s).witness == BIALGEBRA_WITNESSES[check_id]

@@ -167,6 +167,23 @@ def test_bracket_table_matches_leibniz(std, nonstd, preset, f_data, g_data):
     assert P.bracket(g, f) == -want
 
 
+@pytest.mark.parametrize("table", [
+    {"v,n": "v*n", "n,v": "v*n"},
+    {"v,n": "v*n", "v, n": "n"},
+])
+def test_a_pair_named_twice_is_refused(std, table):
+    tower, _, _ = std
+    with pytest.raises(PoissonError, match="names the pair .* twice"):
+        PoissonStructure.load(tower, table)
+
+
+def test_both_orientations_read_from_one_entry(std):
+    tower, P, _ = std
+    assert P.bracket_gens(0, 1) == tower.poly("v*n")
+    assert P.bracket_gens(1, 0) == tower.poly("-v*n")
+    assert P.bracket_gens(1, 1).is_zero()
+
+
 # -- Jacobi ---------------------------------------------------------------------
 
 
