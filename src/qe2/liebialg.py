@@ -41,6 +41,9 @@ class LieAlgebra:
         self.ctx = ctx
         self.names = tuple(names)
         self.dim = len(self.names)
+        for i, j in constants:
+            if i < j and (j, i) in constants:
+                raise LieError(f"the pair {names[i]},{names[j]} is named in both orders")
         self._c = _bracket_table(
             (p, k, c) for p, vec in constants.items() for k, c in vec.items()
         )
@@ -303,37 +306,35 @@ def cocycle_cojacobi_report(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> Ch
     record ``cojacobi-<e_k>`` reads component k of its Jacobiator at the
     first failing basis triple."""
     rep = CheckReport("bialgebra")
-    ctx = g.ctx
-    n = g.dim
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = WedgeBivector(ctx, n, [
-                (key, c * cw)
-                for k, c in g.bracket_basis(a, b).items()
-                for key, cw in delta[k].terms.items()
-            ])
-            rhs = ad_wedge(g, a, delta[b]) - ad_wedge(g, b, delta[a])
-            rep.verdict(
-                f"cocycle-({g.names[a]},{g.names[b]})",
-                lhs == rhs,
-                lhs=lhs.text(g.names),
-                rhs=rhs.text(g.names),
-                witness="cocycle condition violated",
-            )
-    # co-Jacobi is Jacobi of the dual bracket [e^i, e^j] = sum_k delta(e_k)^{ij} e^k
-    dual = _jacobiator(_bracket_table(
-        (p, k, c) for k, w in enumerate(delta) for p, c in w.terms.items()
-    ), n)
-    for k in range(n):
-        slot = next((t for t, total in dual.items() if k in total), None)
-        rep.verdict(
-            f"cojacobi-{g.names[k]}",
-            slot is None,
-            lhs=str(dual[slot][k] if slot else ctx.zero),
-            rhs="0",
-            witness=f"slot ({','.join(g.names[i] for i in slot or ())})",
-        )
+    names = g.names
+    for a, b in combinations(range(g.dim), 2):
+        rep.check(f"cocycle-({names[a]},{names[b]})", lambda: _cocycle(g, delta, a, b))
+    for k in range(g.dim):
+        rep.check(f"cojacobi-{names[k]}", lambda: _cojacobi(g, delta, k))
     return rep
+
+
+def _cocycle(g: LieAlgebra, delta, a: int, b: int):
+    """The verdict delta([e_a, e_b]) = ad_a delta(e_b) - ad_b delta(e_a)."""
+    lhs = WedgeBivector(g.ctx, g.dim, [
+        (key, c * cw)
+        for k, c in g.bracket_basis(a, b).items()
+        for key, cw in delta[k].terms.items()
+    ])
+    rhs = ad_wedge(g, a, delta[b]) - ad_wedge(g, b, delta[a])
+    return (lhs == rhs, lhs.text(g.names), rhs.text(g.names),
+            "cocycle condition violated")
+
+
+def _cojacobi(g: LieAlgebra, delta, k: int):
+    """The verdict that component k of the Jacobiator of the dual bracket
+    [e^i, e^j] = sum_k delta(e_k)^{ij} e^k vanishes on every basis triple."""
+    dual = _jacobiator(_bracket_table(
+        (p, m, c) for m, w in enumerate(delta) for p, c in w.terms.items()
+    ), g.dim)
+    slot = next((t for t, total in dual.items() if k in total), None)
+    return (slot is None, str(dual[slot][k] if slot else g.ctx.zero), "0",
+            f"slot ({','.join(g.names[i] for i in slot or ())})")
 
 
 def coboundary_solve(g: LieAlgebra, delta: Sequence[WedgeBivector]) -> AffineSolutions:
@@ -379,26 +380,22 @@ def stabilizer_invariance_check(
     """Evaluates (phi_0)_* delta(X) + X . rho = 0 exactly, the action of a
     generator on a bivector being the derivation extension
     (A.rho)^{ij} = A^i_k rho^{kj} + A^j_k rho^{ik}."""
+
+    def invariance():
+        if any(len(row) != 2 for row in pushforward) or len(stab_action) != 2:
+            raise LieError("tangent space dimension must be 2")
+        # Lambda^2 of the pushforward applied to delta_stab
+        pushed = ctx.zero
+        for (i, j), c in delta_stab.terms.items():
+            minor = (
+                pushforward[i][0] * pushforward[j][1]
+                - pushforward[i][1] * pushforward[j][0]
+            )
+            pushed = pushed + c * minor
+        # trace part of the action on rho (2-dim top wedge)
+        total = pushed + (stab_action[0][0] + stab_action[1][1]) * rho
+        return not total, str(total), "0", "invariance condition violated"
+
     rep = CheckReport("stabilizer")
-    dim = len(pushforward)
-    if any(len(row) != 2 for row in pushforward) or len(stab_action) != 2:
-        raise LieError("tangent space dimension must be 2")
-    # Lambda^2 of the pushforward applied to delta_stab
-    pushed = ctx.zero
-    for (i, j), c in delta_stab.terms.items():
-        minor = (
-            pushforward[i][0] * pushforward[j][1]
-            - pushforward[i][1] * pushforward[j][0]
-        )
-        pushed = pushed + c * minor
-    # trace part of the action on rho (2-dim top wedge)
-    act = (stab_action[0][0] + stab_action[1][1]) * rho
-    total = pushed + act
-    rep.verdict(
-        "stabilizer-invariance",
-        not total,
-        lhs=str(total),
-        rhs="0",
-        witness="invariance condition violated",
-    )
+    rep.check("stabilizer-invariance", invariance)
     return rep

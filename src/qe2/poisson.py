@@ -28,6 +28,7 @@ solves alpha({x, y}) = G + J * (1 (x) {x, y}) for {x, y} over an ansatz.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add
 from typing import Sequence
 
@@ -42,7 +43,7 @@ from .ncalg import (
     pin_unit,
     solve_terms,
 )
-from .report import PASS, CheckReport
+from .report import PASS, CheckReport, vanishes
 from .scalars import QI, Scalar
 
 
@@ -62,6 +63,9 @@ class PoissonStructure:
         self._table = {}  # (i, j) -> {x_i, x_j}, both orientations, no zero value
         self._mono_brackets = {}  # (a, b) -> terms of {x^a, x^b}
         for (i, j), val in table.items():
+            if i < j and (j, i) in table:
+                a, b = (tower.generators[x].name for x in (i, j))
+                raise PoissonError(f"bracket table names the pair {a},{b} in both orders")
             if not val.is_zero():
                 if i == j:
                     raise PoissonError("{g,g} must vanish")
@@ -116,22 +120,12 @@ def jacobi_report(P: PoissonStructure) -> CheckReport:
     n = tower.nlevels
     gens = [NCPoly.generator(tower, i) for i in range(n)]
     names = [g.name for g in tower.generators]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                f, g, h = gens[i], gens[j], gens[k]
-                s = (
-                    P.bracket(f, P.bracket(g, h))
-                    + P.bracket(g, P.bracket(h, f))
-                    + P.bracket(h, P.bracket(f, g))
-                )
-                rep.verdict(
-                    f"jacobi-({names[i]},{names[j]},{names[k]})",
-                    s.is_zero(),
-                    lhs=s,
-                    rhs="0",
-                    witness=f"cyclic sum on ({names[i]},{names[j]},{names[k]})",
-                )
+    for i, j, k in combinations(range(n), 3):
+        f, g, h = gens[i], gens[j], gens[k]
+        triple = f"({names[i]},{names[j]},{names[k]})"
+        rep.check(f"jacobi-{triple}", lambda: vanishes(
+            P.bracket(f, P.bracket(g, h)) + P.bracket(g, P.bracket(h, f))
+            + P.bracket(h, P.bracket(f, g)), f"cyclic sum on {triple}"))
     if n < 3:
         rep.add("jacobi-(trivial: fewer than 3 generators)", rhs="0")
     return rep
@@ -187,24 +181,18 @@ def poisson_morphism_report(
     if bad:
         rep.records.extend(bad)
         return rep
-    for i in range(src.nlevels):
-        for j in range(i + 1, src.nlevels):
-            lhs = phi.apply(P_src.bracket_gens(i, j))
-            fi = phi.apply(NCPoly.generator(src, i))
-            fj = phi.apply(NCPoly.generator(src, j))
-            if phi.tensor:
-                P_left, P_right = P_tgt
-                rhs = tensor_bracket(fi, fj, P_left, P_right)
-            else:
-                rhs = P_tgt.bracket(fi, fj)
-            rep.verdict(
-                f"poisson-morphism-({names[i]},{names[j]})",
-                lhs == rhs,
-                lhs=lhs,
-                rhs=rhs,
-                witness="bracket images differ",
-            )
+    for i, j in combinations(range(src.nlevels), 2):
+        rep.check(f"poisson-morphism-({names[i]},{names[j]})",
+                  lambda: _bracket_images(phi, P_src, P_tgt, i, j))
     return rep
+
+
+def _bracket_images(phi: AlgebraMorphism, P_src, P_tgt, i: int, j: int):
+    """The verdict phi({x_i, x_j}) = {phi x_i, phi x_j}."""
+    lhs = phi.apply(P_src.bracket_gens(i, j))
+    fi, fj = (phi.apply(NCPoly.generator(phi.source, x)) for x in (i, j))
+    rhs = tensor_bracket(fi, fj, *P_tgt) if phi.tensor else P_tgt.bracket(fi, fj)
+    return lhs == rhs, lhs, rhs, "bracket images differ"
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +326,7 @@ def poisson_ideal_check(
     names = [g.name for g in tower.generators]
     for gi, g in enumerate(ideal_gens):
         for j in range(tower.nlevels):
-            br = P.bracket(g, NCPoly.generator(tower, j))
-            img = vanish.apply(br)
-            rep.verdict(
-                f"poisson-ideal-gen{gi}-vs-{names[j]}",
-                img.is_zero(),
-                lhs=img,
-                rhs="0",
-                witness=f"{{gen{gi}, {names[j]}}} restricts to a nonzero value",
-            )
+            rep.check(f"poisson-ideal-gen{gi}-vs-{names[j]}", lambda: vanishes(
+                vanish.apply(P.bracket(g, NCPoly.generator(tower, j))),
+                f"{{gen{gi}, {names[j]}}} restricts to a nonzero value"))
     return rep

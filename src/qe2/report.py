@@ -13,6 +13,10 @@ then kept.  Most records are sub-checks that a suite summarizes into one
 record of the body, so most values are never printed, and formatting them
 would be wasted work.  A value of any other type is refused when the
 verdict is recorded, inside the check that made it.
+
+A report records each sub-check from a thunk (:meth:`CheckReport.check`),
+so a domain error of its input fails that sub-check alone and its siblings
+keep their records.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import json
 from typing import Optional
 
 from . import exprio
-from .ncalg import NCPoly
+from .ncalg import NCPoly, TowerError
 from .record import Record
+from .scalars import ScalarError
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,6 +47,22 @@ def _compared(x):
     if isinstance(x, TensorElement):
         return x
     raise TypeError(f"a check compares texts or algebra elements, not {type(x).__name__}")
+
+
+def _domain_errors():
+    """The errors that a sub-check's input raises when it lies outside what
+    the engine defines.  ``poisson`` and ``liebialg`` import this module, so
+    their errors are imported here, by the handler of ``CheckReport.check``,
+    which calls this only once an error is raised."""
+    from .liebialg import LieError
+    from .poisson import PoissonError
+
+    return TowerError, ScalarError, PoissonError, LieError
+
+
+def vanishes(x, witness):
+    """The verdict that the algebra element ``x`` is zero."""
+    return x.is_zero(), x, "0", witness
 
 
 class CheckRecord(Record):
@@ -112,6 +133,17 @@ class CheckReport(Record):
         (FAIL, or DISCREPANCY for a printed value) with the witness."""
         return self.add(check_id, anchor=anchor, status=PASS if ok else bad,
                         lhs=lhs, rhs=rhs, witness="" if ok else witness)
+
+    def check(self, check_id, thunk):
+        """Record the verdict ``thunk()`` returns, the arguments ``(ok, lhs,
+        rhs[, witness[, bad]])`` of :meth:`verdict`.  A domain error raised
+        inside the thunk fails this record alone, with its text as witness;
+        any other exception propagates."""
+        try:
+            out = thunk()
+        except _domain_errors() as e:
+            return self.add(check_id, status=FAIL, witness=str(e))
+        return self.verdict(check_id, *out)
 
     # -- summaries -----------------------------------------------------------
     @property

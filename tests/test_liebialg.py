@@ -147,6 +147,14 @@ def test_a_pair_named_twice_is_refused():
         load_cocommutator(ctx, ["J", "X"], {"X": {"J,X": "1", "X,J": "1"}})
 
 
+def test_constants_that_name_both_orders_of_a_pair_are_refused():
+    # before, the later entry won: [J, X] read X
+    ctx = ScalarContext([])
+    constants = {(0, 1): {1: -ctx.one}, (1, 0): {1: -ctx.one}}
+    with pytest.raises(LieError, match="the pair J,X is named in both orders"):
+        LieAlgebra(ctx, ("J", "X"), constants)
+
+
 def test_a_lie_algebra_that_fails_jacobi_is_refused():
     # [a,b] = b, [b,c] = a, [a,c] = 0: sum_cyc [[e_a, e_b], e_c] = a
     ctx = ScalarContext([])

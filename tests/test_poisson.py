@@ -177,6 +177,13 @@ def test_a_pair_named_twice_is_refused(std, table):
         PoissonStructure.load(tower, table)
 
 
+def test_a_table_that_names_both_orders_of_a_pair_is_refused(std):
+    # before, the later entry won: {v, n} read -v*n
+    tower, _, _ = std
+    with pytest.raises(PoissonError, match="names the pair v,n in both orders"):
+        PoissonStructure(tower, {(0, 1): tower.poly("v*n"), (1, 0): tower.poly("v*n")})
+
+
 def test_both_orientations_read_from_one_entry(std):
     tower, P, _ = std
     assert P.bracket_gens(0, 1) == tower.poly("v*n")
