@@ -64,14 +64,14 @@ class PresetBundle(Record):
         "preset_id", "kind", "anchor", "description", "raw", "context",
         "tower", "hopf", "poisson",
         # quotient bundles
-        "source_id", "quotient",
+        "quotient",
         # coaction bundles
         "group_tower", "space_tower", "group_poisson", "space_poisson",
         "coaction", "projection", "ansatz", "stabilizer",
         # lie / bialgebra bundles
         "lie", "cocommutator",
         # embedded realization (quantum cylinder inside qe2-nonstd)
-        "embedded_subalgebra", "embedded_ambient",
+        "embedded_subalgebra",
     )
 
     def __init__(
@@ -160,12 +160,10 @@ def get_preset(preset_id: str) -> PresetBundle:
             images = raw["embedding"]["images"]
             gens = {name: amb.tower.poly(expr) for name, expr in images.items()}
             gens["vb"] = amb.tower.poly("v^-1")
-            bundle.embedded_ambient = amb
             bundle.embedded_subalgebra = Subalgebra(
                 amb.tower, gens, laurent="v", poly="m", counters=("n", "nb")
             )
     elif kind == "quotient":
-        bundle.source_id = raw["source"]
         bundle.quotient = quotient_on(get_preset(raw["source"]).tower, raw)
         bundle.tower = bundle.quotient.target
     elif kind == "coaction":

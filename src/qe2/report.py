@@ -145,6 +145,13 @@ class CheckReport(Record):
             return self.add(check_id, status=FAIL, witness=str(e))
         return self.verdict(check_id, *out)
 
+    def guard(self, check_id, thunk):
+        """:meth:`check` for what later sub-checks presume, kept only if it fails."""
+        rec = self.check(check_id, thunk)
+        if rec.status == PASS:
+            self.records.pop()
+        return rec
+
     # -- summaries -----------------------------------------------------------
     @property
     def counts(self):

@@ -60,7 +60,7 @@ def test_quantum_plane_relation():
 def test_quantum_cylinder_embedding():
     b = catalog.get_preset("quantum-cylinder")
     assert b.embedded_subalgebra is not None
-    amb = b.embedded_ambient.tower
+    amb = b.embedded_subalgebra.ambient
     m = b.embedded_subalgebra.generators["m"]
     assert m == amb.poly("vb*nb - v*n")
 

@@ -10,6 +10,13 @@ Each report builder gets an input that raises a domain error in some of its
 sub-checks, made by one edit of an input on which the same sub-checks run
 without error.  The edited report must keep every sub-record id of the
 intact one, in order, and fail the raising ones with the error text.
+
+A guard (``CheckReport.guard``) is what the sub-checks after it take for
+granted, such as an ideal generator that the quotient map kills.  It is
+recorded only when it fails, so an intact input keeps its sub-record ids; a
+failing guard adds one record and the sub-checks still run, except those
+that need what the guard could not give (the left legs of a coproduct that
+cannot be computed).
 """
 
 import pytest
@@ -118,17 +125,32 @@ def _quotient(broken):
     return quotient_check(catalog.quotient_on(tower, raw))
 
 
-def _coideal(broken):
-    b = _bundle("qe2-nonstd", _star_v_is_n if broken else None)
+def _delta_v_is_v_n(raw):
+    # v (x) n has no inverse, so neither has the coproduct of v^-1
+    raw["hopf"]["delta"]["v"] = "v (x) n"
+
+
+def _coideal_on(b):
     t = b.tower
     B = Subalgebra(t, {"v": t.poly("v"), "m": t.poly("vb*nb - v*n"), "vb": t.poly("vb")},
                    laurent="v", poly="m", counters=("n", "nb"))
     return coideal_report(B, b.hopf)
 
 
-def _hopf_star_ideal(broken):
-    b = _bundle("qe2-nonstd", _star_v_is_n if broken else None)
-    pi = catalog.quotient_on(b.tower, preset_dict("quotient-I"))
+def _coideal(broken):
+    return _coideal_on(_bundle("qe2-nonstd", _star_v_is_n if broken else None))
+
+
+def _coideal_coproduct(broken):
+    return _coideal_on(_bundle("qe2-nonstd", _delta_v_is_v_n if broken else None))
+
+
+def _hopf_star_ideal(broken, unkilled=False):
+    b = _bundle("qe2-nonstd", _star_v_is_n if broken and not unkilled else None)
+    raw = preset_dict("quotient-I")
+    if broken and unkilled:
+        raw["images"]["nb"] = "t + 1"  # pi(n - nb) = -1
+    pi = catalog.quotient_on(b.tower, raw)
     return hopf_star_ideal_report([b.tower.poly("vb - 1"), b.tower.poly("n - nb")], pi, b.hopf)
 
 
@@ -157,10 +179,11 @@ def _poisson_morphism(broken):
     return poisson_morphism_report(phi, PoissonStructure(t, {}), _bracket(t, broken))
 
 
-def _poisson_ideal(broken):
+def _poisson_ideal(broken, unkilled=False):
     t = _four_generators()
-    vanish = AlgebraMorphism.load(t, t, {"a": "a", "b": "0", "c": "c", "d": "d"})
-    return poisson_ideal_check(_bracket(t, broken), [t.poly("omega*b")], vanish)
+    b = "a" if broken and unkilled else "0"
+    vanish = AlgebraMorphism.load(t, t, {"a": "a", "b": b, "c": "c", "d": "d"})
+    return poisson_ideal_check(_bracket(t, broken and not unkilled), [t.poly("omega*b")], vanish)
 
 
 def _cocycle(broken):
@@ -183,7 +206,9 @@ def _stabilizer(broken):
                                        st["rho"])
 
 
-# builder -> the sub-records that its broken input fails with an error text
+# report function (and what its broken input breaks) -> (the report on the intact or
+# broken input, the sub-records that the broken input fails with their
+# witness[, the guards among them, the intact sub-records that they stand in for])
 CASES = {
     "hopf_axioms_report": (_hopf_axioms, {
         "star-coproduct-v": NO_INVERSE_N, "coassoc-n": NO_INVERSE_N}),
@@ -195,28 +220,59 @@ CASES = {
         "respects[nb*v^-1]": "cannot invert monomial containing t"}),
     "coideal_report": (_coideal, {
         "coideal-m-star": NO_INVERSE_N, "coideal-vb-star": NO_INVERSE_N}),
+    "coideal_report, coproduct": (_coideal_coproduct, {
+        "coideal-m-coproduct": NO_INVERSE_N, "coideal-vb-coproduct": NO_INVERSE_N},
+        {"coideal-m-coproduct", "coideal-vb-coproduct"}, {
+        "coideal-m-leftleg[1]", "coideal-m-leftleg[v*n]", "coideal-m-leftleg[v^-1*nb]",
+        "coideal-vb-leftleg[v^-1]"}),
     "hopf_star_ideal_report": (_hopf_star_ideal, {
         "star[pi((v^-1 - 1)*)]": NO_INVERSE_N}),
+    "hopf_star_ideal_report, unkilled generator": (
+        lambda broken: _hopf_star_ideal(broken, unkilled=True),
+        {"generator[pi(-nb + n)]": "pi does not kill the stated ideal generator -nb + n"},
+        {"generator[pi(-nb + n)]"}, set()),
     "jacobi_report": (_jacobi, {"jacobi-(a,b,d)": OVERFLOW}),
     "poisson_morphism_report": (_poisson_morphism, {"poisson-morphism-(a,b)": OVERFLOW}),
     "poisson_ideal_check": (_poisson_ideal, {"poisson-ideal-gen0-vs-a": OVERFLOW}),
+    "poisson_ideal_check, unkilled generator": (
+        lambda broken: _poisson_ideal(broken, unkilled=True),
+        {"poisson-ideal-gen0-killed":
+         "the vanish morphism does not kill the stated ideal generator omega*b"},
+        {"poisson-ideal-gen0-killed"}, set()),
     "cocycle_cojacobi_report": (_cocycle, {"cocycle-(J,Y)": OVERFLOW}),
     "stabilizer_invariance_check": (_stabilizer, {
         "stabilizer-invariance": "tangent space dimension must be 2"}),
 }
 
 
-@pytest.mark.parametrize("builder", sorted(CASES))
-def test_a_domain_error_fails_only_its_sub_record(builder):
-    make, raising = CASES[builder]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_domain_error_fails_only_its_sub_record(case):
+    make, raising, *extra = CASES[case]
+    guards, replaced = extra or (set(), set())
     intact, broken = make(False), make(True)
     ids = [r.check_id for r in intact.records]
-    assert [r.check_id for r in broken.records] == ids
-    assert set(raising) <= set(ids)
+    # a guard that holds leaves no record
+    assert guards <= set(raising) and not guards & set(ids)
+    assert set(raising) - guards <= set(ids)
+    assert replaced <= set(ids)
+    assert [r.check_id for r in broken.records if r.check_id not in guards] == [
+        i for i in ids if i not in replaced]
     by_id = {r.check_id: r for r in broken.records}
     assert {r.check_id for r in broken.records if r.witness in raising.values()} == set(raising)
     for check_id, witness in raising.items():
         rec = by_id[check_id]
-        assert (rec.status, rec.witness, rec.lhs, rec.rhs) == (FAIL, witness, "", "")
+        assert (rec.status, rec.witness) == (FAIL, witness)
+        if check_id not in guards:
+            assert (rec.lhs, rec.rhs) == ("", "")
     # the same sub-checks run without an error on the intact input
     assert not any(r.witness in raising.values() for r in intact.records)
+
+
+def test_an_unkilled_generator_is_one_failing_record():
+    rep = _hopf_star_ideal(True, unkilled=True)
+    rec = next(r for r in rep.records if r.check_id == "generator[pi(-nb + n)]")
+    assert (rec.lhs_canonical, rec.rhs_canonical) == ("-1", "0")
+    # it stands before the sub-checks of its generator, which still run
+    ids = [r.check_id for r in rep.records]
+    assert ids[ids.index(rec.check_id) + 1] == "coideal[(pi x pi) delta(-nb + n)]"
+    assert len(ids) == 9

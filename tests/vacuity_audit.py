@@ -52,7 +52,7 @@ def force_pass(check_id):
     for suite, entries in suites.CHECKS.items():
         for i, (cid, anchor, run) in enumerate(entries):
             if cid == check_id:
-                forced = (cid, anchor, lambda s: (True, *run(s)[1:]))
+                forced = (cid, anchor, lambda s, *shown: (True, *run(s, *shown)[1:]))
                 suites.CHECKS[suite] = (*entries[:i], forced, *entries[i + 1:])
                 return
     raise KeyError(f"unknown check {check_id!r}")
@@ -68,7 +68,7 @@ def targets():
         cid
         for entries in suites.CHECKS.values()
         for cid, _, run in entries
-        if not isinstance(out := run(s), CheckReport) and out[0]
+        if not isinstance(out := suites._run(s, cid, run), CheckReport) and out[0]
     ]
 
 
