@@ -1,16 +1,19 @@
 """Preset catalog: every structure ships as a canonical JSON file under
 ``qe2/presets/`` and loads into a typed bundle.
 
-Bundles are cached, so repeated ``get_preset`` calls return the identical
-object graph.  ``preset_digests`` gives the sha256 of each canonicalized
+``load_bundle`` builds a bundle of any kind from its presentation alone;
+``get_preset`` reads a shipped file, calls it and caches the bundle, so
+repeated calls return the identical object graph.  What joins two presets
+is built from both by its caller: ``quotient_on`` (a quotient map on a
+source tower) and ``subalgebra_on`` (quantum-cylinder's embedding in an
+ambient tower).  ``preset_digests`` gives the sha256 of each canonicalized
 file, which the report emitter embeds for reproducibility.
 
 Importing the catalog loads the tower, Hopf and Poisson layers, which
 every algebra, Hopf-algebra, Poisson and coaction preset builds.  The
-analysis layers load with the first preset that needs them: ``homspace``
-with a quotient preset and with quantum-cylinder's embedding,
-``liebialg`` with a coaction stabilizer and with the lie and bialgebra
-presets.
+analysis layers load with the first use that needs them: ``liebialg``
+with a coaction stabilizer and with the lie and bialgebra presets,
+``homspace`` with a join.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .record import Record
 from .scalars import Scalar, ScalarContext
 
 if TYPE_CHECKING:
-    from .homspace import QuotientMap
+    from .homspace import QuotientMap, Subalgebra
 
 PRESET_IDS = (
     "fun-e2",
@@ -63,15 +66,11 @@ class PresetBundle(Record):
     __slots__ = _fields = (
         "preset_id", "kind", "anchor", "description", "raw", "context",
         "tower", "hopf", "poisson",
-        # quotient bundles
-        "quotient",
         # coaction bundles
         "group_tower", "space_tower", "group_poisson", "space_poisson",
         "coaction", "projection", "ansatz", "stabilizer",
         # lie / bialgebra bundles
         "lie", "cocommutator",
-        # embedded realization (quantum cylinder inside qe2-nonstd)
-        "embedded_subalgebra",
     )
 
     def __init__(
@@ -113,7 +112,19 @@ def quotient_on(source: OreTower, raw: dict) -> QuotientMap:
     from .homspace import QuotientMap
 
     target = load_tower(raw["target"], context=source.context)
-    return QuotientMap.load_quotient(source, target, raw)
+    images = {name: target.poly(expr) for name, expr in raw["images"].items()}
+    return QuotientMap(source, target, images, [source.poly(g) for g in raw["kernel"]])
+
+
+def subalgebra_on(ambient: OreTower, raw: dict) -> Subalgebra:
+    """The embedding of the preset ``raw`` as a subalgebra of the tower
+    ``ambient``: its generators are the embedding's images, parsed in
+    ``ambient``, and the inverse ``vb`` of ``v``."""
+    from .homspace import Subalgebra
+
+    gens = {name: ambient.poly(expr) for name, expr in raw["embedding"]["images"].items()}
+    gens["vb"] = ambient.poly("v^-1")
+    return Subalgebra(ambient, gens, laurent="v", poly="m", counters=("n", "nb"))
 
 
 def _matrix(ctx, rows):
@@ -122,50 +133,24 @@ def _matrix(ctx, rows):
     ]
 
 
-_ALGEBRA_KINDS = ("hopf-algebra", "algebra", "poisson")
-
-
 def load_bundle(preset_id: str, raw: dict, kind: str) -> PresetBundle:
-    """A bundle of the presentation ``raw``: the parts every kind has, and
-    for an algebra kind its tower, and its Hopf structure and Poisson
-    bracket when ``raw`` has them."""
+    """A bundle of the presentation ``raw``, read as a preset of ``kind``, built
+    from ``raw`` alone: a quotient bundle holds its target tower.  What joins
+    two presets is built by the caller that holds both (``quotient_on``,
+    ``subalgebra_on``)."""
     bundle = PresetBundle(
         preset_id, kind, raw.get("anchor", ""), raw.get("description", ""),
         raw, context_of(raw),
     )
-    if kind in _ALGEBRA_KINDS:
-        tower = bundle.tower = load_tower(raw, context=bundle.context)
+    ctx = bundle.context
+    if kind in ("hopf-algebra", "algebra", "poisson"):
+        tower = bundle.tower = load_tower(raw, context=ctx)
         if "hopf" in raw:
             bundle.hopf = load_hopf(tower, raw["hopf"])
         if "poisson" in raw:
             bundle.poisson = PoissonStructure.load(tower, raw["poisson"])
-    return bundle
-
-
-def get_preset(preset_id: str) -> PresetBundle:
-    """Load (and cache) a preset bundle; unknown ids raise UnknownPreset."""
-    if preset_id in _CACHE:
-        return _CACHE[preset_id]
-    if preset_id not in PRESET_IDS:
-        raise UnknownPreset(preset_id)
-    raw = _read(preset_id)
-    kind = raw.get("kind", "algebra")
-    bundle = load_bundle(preset_id, raw, kind)
-    ctx = bundle.context
-    if kind in _ALGEBRA_KINDS:
-        if "embedding" in raw:
-            from .homspace import Subalgebra
-
-            amb = get_preset(raw["embedding"]["ambient"])
-            images = raw["embedding"]["images"]
-            gens = {name: amb.tower.poly(expr) for name, expr in images.items()}
-            gens["vb"] = amb.tower.poly("v^-1")
-            bundle.embedded_subalgebra = Subalgebra(
-                amb.tower, gens, laurent="v", poly="m", counters=("n", "nb")
-            )
     elif kind == "quotient":
-        bundle.quotient = quotient_on(get_preset(raw["source"]).tower, raw)
-        bundle.tower = bundle.quotient.target
+        bundle.tower = load_tower(raw["target"], context=ctx)
     elif kind == "coaction":
         group = load_tower(raw["group"], context=ctx)
         space = load_tower(raw["space"], context=ctx)
@@ -206,7 +191,17 @@ def get_preset(preset_id: str) -> PresetBundle:
             bundle.cocommutator = load_cocommutator(ctx, raw["basis"], raw["cocommutator"])
     else:
         raise UnknownPreset(f"{preset_id}: unknown kind {kind!r}")
-    _CACHE[preset_id] = bundle
+    return bundle
+
+
+def get_preset(preset_id: str) -> PresetBundle:
+    """Load (and cache) a preset bundle; unknown ids raise UnknownPreset."""
+    if preset_id in _CACHE:
+        return _CACHE[preset_id]
+    if preset_id not in PRESET_IDS:
+        raise UnknownPreset(preset_id)
+    raw = _read(preset_id)
+    bundle = _CACHE[preset_id] = load_bundle(preset_id, raw, raw.get("kind", "algebra"))
     return bundle
 
 

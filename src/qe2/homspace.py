@@ -87,14 +87,6 @@ class QuotientMap(AlgebraMorphism):
         super().__init__(source, target, images)
         self.kernel_gens = list(kernel_gens)
 
-    @classmethod
-    def load_quotient(cls, source: OreTower, target: OreTower, spec: dict) -> "QuotientMap":
-        images = {}
-        for gname, expr in spec["images"].items():
-            images[gname] = target.poly(expr)
-        kernel = [source.poly(t) for t in spec.get("kernel", ())]
-        return cls(source, target, images, kernel)
-
 
 _NONZERO = "nonzero residual"
 

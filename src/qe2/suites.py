@@ -13,13 +13,14 @@ relation.  A ledger entry's run gets its display as a second argument
 it.
 
 A check is one entry ``(check id, paper anchor, run)``.  ``run`` takes the
-inputs that the checks of one suite call share (``_Inputs``) and returns
-either a verdict, the tuple ``(ok, lhs, rhs[, witness[, bad]])`` of
+inputs that the checks of one run share (``_Inputs``) and returns either a
+verdict, the tuple ``(ok, lhs, rhs[, witness[, bad]])`` of
 ``CheckReport.verdict`` with the engine value as ``lhs`` and the displayed
 one as ``rhs``, or a sub-report, which ``_summarize`` collapses into one
-record.  ``_record`` runs entries in order, each in its own ``try``: a
-check that raises becomes the fail record ``internal-error[<check id>]``,
-and the checks after it still run.
+record.  ``_record`` runs entries in order, each in its own ``try``: as a
+sub-check does, a check that raises a domain error fails under its own id;
+one that raises anything else becomes the fail record
+``internal-error[<check id>]``; and the checks after it still run.
 
 The entries live in one table, ``CHECKS``: suite name -> its entries, in
 report run order.  ``SUITES`` and the ``suite_<name>`` functions derive from
@@ -73,7 +74,7 @@ from .poisson import (
     poisson_matrix_rank,
     poisson_morphism_report,
 )
-from .report import DISCREPANCY, FAIL, PASS, CheckReport
+from .report import DISCREPANCY, FAIL, PASS, CheckReport, _domain_errors
 from .scalars import QI
 
 LIE_NAMES = ("J", "X", "Y")
@@ -100,10 +101,11 @@ DISPLAYED = {
 
 
 class _Inputs(dict):
-    """What the checks of one suite call share, each made at most once:
+    """What the checks of one run share, each made at most once:
     ``s[preset_id]`` is a preset, ``s.displayed`` a copy of the ledger, and
-    the properties are values that several checks use.  Each call makes a
-    new one, so nothing carries over from one run to the next."""
+    the properties are values that several checks use, among them the joins
+    ``pi`` and ``cylinder``, built from the presets ``s`` holds.
+    ``run_suite`` makes one per run, so nothing carries over between runs."""
 
     def __init__(self, degree_bound: int):
         self.degree_bound = degree_bound
@@ -118,9 +120,19 @@ class _Inputs(dict):
         return self["qe2-nonstd"].tower.poly(text)
 
     @cached_property
+    def pi(self):
+        """The quotient by I: quotient-I as a map on qe2-nonstd."""
+        return catalog.quotient_on(self["qe2-nonstd"].tower, self["quotient-I"].raw)
+
+    @cached_property
+    def cylinder(self):
+        """The quantum cylinder embedded in qe2-nonstd."""
+        return catalog.subalgebra_on(self["qe2-nonstd"].tower, self["quantum-cylinder"].raw)
+
+    @cached_property
     def m(self):
         """The generator of the embedded quantum cylinder."""
-        return self.qe2("vb*nb - v*n")
+        return self.cylinder.generators["m"]
 
     @cached_property
     def g_std(self):
@@ -148,8 +160,7 @@ class _Inputs(dict):
     @cached_property
     def sigma1(self):
         """(S - eps)(b) for b in {v, vb, m}, by label."""
-        B = self["quantum-cylinder"].embedded_subalgebra
-        return dict(sigma_generators(B, self["qe2-nonstd"].hopf, max_power=1))
+        return dict(sigma_generators(self.cylinder, self["qe2-nonstd"].hopf, max_power=1))
 
 
 def _summarize(rep_out: CheckReport, check_id, anchor, source: CheckReport):
@@ -183,6 +194,8 @@ def _record(rep: CheckReport, s: _Inputs, checks):
                 _summarize(rep, check_id, anchor, out)
             else:
                 rep.verdict(check_id, *out, anchor=anchor)
+        except _domain_errors() as e:  # an input outside what the engine defines
+            rep.add(check_id, anchor=anchor, status=FAIL, witness=str(e))
         except Exception as e:  # confined to its own check
             rep.add(f"internal-error[{check_id}]", status=FAIL,
                     witness=f"{type(e).__name__}: {e}")
@@ -319,13 +332,11 @@ def _field_relation(b, coeffs, lhs, rhs, witness="", bad=FAIL):
     return ok, lhs, rhs, witness.format(where=where), bad
 
 
-def _poisson_ideal(b, gens, quotient):
-    """Whether the ideal of ``gens`` is closed under the bracket of ``b``,
-    i.e. the locus of the quotient preset is a Poisson subgroup."""
-    t = b.tower
-    return poisson_ideal_check(
-        b.poisson, [t.poly(g) for g in gens], catalog.quotient_on(t, quotient.raw)
-    )
+def _poisson_ideal(b, quotient):
+    """Whether the kernel of the quotient preset, as a map on ``b``, is closed
+    under the bracket of ``b``, i.e. its locus is a Poisson subgroup."""
+    pi = catalog.quotient_on(b.tower, quotient.raw)
+    return poisson_ideal_check(b.poisson, pi.kernel_gens, pi)
 
 
 # the vectors that the displayed wedges name, in the basis (J, X, Y)
@@ -514,7 +525,7 @@ def _random_cyl(t, rng, degree_bound):
 def _coinvariant(s, x, side="right"):
     """Whether x in qe2-nonstd is coinvariant, on that side, for the
     quotient by I."""
-    return coinvariance_check(x, s["quotient-I"].quotient, s["qe2-nonstd"].hopf, side)
+    return coinvariance_check(x, s.pi, s["qe2-nonstd"].hopf, side)
 
 
 def _in_closure(s, x):
@@ -522,13 +533,12 @@ def _in_closure(s, x):
         _coinvariant(s, x),
         "(id (x) pi) Delta(b) = b (x) 1",
         "b lies in the coinvariant subalgebra",
+        "b is not right coinvariant",
     )
 
 
 def _displayed_side(s, side):
-    residual = coinvariance_residual(
-        s.m, s["quotient-I"].quotient, s["qe2-nonstd"].hopf, side
-    )
+    residual = coinvariance_residual(s.m, s.pi, s["qe2-nonstd"].hopf, side)
     maps, value = ("pi (x) id", "1 (x) m") if side == "left" else ("id (x) pi", "m (x) 1")
     return (
         residual.is_zero(),
@@ -544,31 +554,33 @@ def _bounded_coinvariants(s):
     amb = s["qe2-nonstd"].tower
     m_pows = [s.m ** k for k in range(3)]
     balanced = [normal_form(amb, [("v", r)]) * mk for r in range(-2, 3) for mk in m_pows]
+    bad = next((exprio.format_canonical(x) for x in balanced if not _coinvariant(s, x)),
+               None) or next((x for x in ("v*n", "nb") if _coinvariant(s, s.qe2(x))), None)
     return (
-        all(_coinvariant(s, x) for x in balanced)
-        and not any(_coinvariant(s, s.qe2(x)) for x in ("v*n", "nb")),
+        bad is None,
         "every v^r m^s (|r| <= 2, s <= 2) is right coinvariant; unbalanced "
         "monomials are not",
         "the cylinder matches the coinvariant subalgebra at desk scale",
+        f"the first monomial misclassified: {bad}",
     )
 
 
 def _sigma_in_ideal(s):
-    sig = sigma_generators(
-        s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf, max_power=2
-    )
+    sig = sigma_generators(s.cylinder, s["qe2-nonstd"].hopf, max_power=2)
+    bad = next((label for label, val in sig if not ideal_member(val, s.pi)), None)
     return (
-        all(ideal_member(val, s["quotient-I"].quotient) for _, val in sig),
+        bad is None,
         "(S^p - eps)(b) in I for b in {v, vb, m}, p <= 2",
         "Sigma(C) is contained in I",
+        f"{bad} lies outside I",
     )
 
 
 def _generators_recovered(s):
-    pi, sig1 = s["quotient-I"].quotient, s.sigma1
+    # I = <v - 1, n - nb>, against (S - eps)(vb) and (S - eps)(m)
+    outputs = (s.sigma1["(S^1 - eps)(vb)"], s.sigma1["(S^1 - eps)(m)"])
     return (
-        ideal_member(s.qe2("v - 1") - sig1["(S^1 - eps)(vb)"], pi)
-        and ideal_member(s.qe2("n - nb") - sig1["(S^1 - eps)(m)"], pi),
+        all(ideal_member(g - out, s.pi) for g, out in zip(s.pi.kernel_gens, outputs)),
         "each generator of I differs from a Sigma output by a kernel element",
         "I is contained in the Sigma-generated ideal",
     )
@@ -672,11 +684,11 @@ CHECKS = {
             DISCREPANCY)),
         # Poisson subgroup loci
         ("poisson-subgroup-circle-std", "Rem. 2.3", lambda s: _poisson_ideal(
-            s["std-poisson"], ["n", "nb"], s["quotient-circle"])),
+            s["std-poisson"], s["quotient-circle"])),
         ("poisson-subgroup-line-nonstd", "Rem. 3.1", lambda s: _poisson_ideal(
-            s["nonstd-poisson"], ["v - 1", "n - nb"], s["quotient-I"])),
+            s["nonstd-poisson"], s["quotient-I"])),
         ("circle-not-poisson-subgroup-nonstd", "Rem. 3.1", lambda s: (
-            not _poisson_ideal(s["nonstd-poisson"], ["n", "nb"], s["quotient-circle"]).clean,
+            not _poisson_ideal(s["nonstd-poisson"], s["quotient-circle"]).clean,
             "restriction of {v,n} to the circle is omega*(1-u) != 0",
             "the circle is not a Poisson subgroup of the nonstandard structure",
             "circle unexpectedly closed under the nonstandard bracket")),
@@ -737,17 +749,16 @@ CHECKS = {
         ("def41-first-relation-vs-embedded", "Def. 4.1 / Prop. 3.2", _first_relation),
     ),
     "coideal": (
-        ("coideal-cylinder", "Prop. 4.2", lambda s: coideal_report(
-            s["quantum-cylinder"].embedded_subalgebra, s["qe2-nonstd"].hopf)),
+        ("coideal-cylinder", "Prop. 4.2",
+         lambda s: coideal_report(s.cylinder, s["qe2-nonstd"].hopf)),
         ("coideal-delta-m-exact", "Prop. 4.2", _delta_m),
         ("basis-v-r-m-s-independent", "Prop. 4.2", _pbw_basis),
         ("degm-additivity", "Prop. 4.2", _degm_additivity),
     ),
     "hopf-ideal": (
-        ("quotient-I-well-defined", "Prop. 4.4",
-         lambda s: quotient_check(s["quotient-I"].quotient)),
+        ("quotient-I-well-defined", "Prop. 4.4", lambda s: quotient_check(s.pi)),
         ("hopf-star-ideal-I", "Prop. 4.4", lambda s: hopf_star_ideal_report(
-            [s.qe2("v - 1"), s.qe2("n - nb")], s["quotient-I"].quotient, s["qe2-nonstd"].hopf)),
+            s.pi.kernel_gens, s.pi, s["qe2-nonstd"].hopf)),
     ),
     "closure": (
         ("closure-coinvariance-v", "Prop. 4.4", lambda s: _in_closure(s, s.qe2("v"))),
@@ -781,8 +792,8 @@ CHECKS = {
 
 def _suite(name):
     """The suite function of ``name``; it reads ``CHECKS[name]`` when called."""
-    def suite(rep: CheckReport, degree_bound: int):
-        _record(rep, _Inputs(degree_bound), CHECKS[name])
+    def suite(rep: CheckReport, s: _Inputs):
+        _record(rep, s, CHECKS[name])
     suite.__name__ = suite.__qualname__ = "suite_" + name.replace("-", "_")
     return suite
 
@@ -802,8 +813,9 @@ def run_suite(suite: str, degree_bound: int = 4) -> CheckReport:
     if degree_bound < 2:
         raise ValueError("degree bound must be >= 2")
     rep = CheckReport(suite)
+    s = _Inputs(degree_bound)  # one per run: each join is built once
     for fn in SUITES[suite]:
-        fn(rep, degree_bound)
+        fn(rep, s)
     return rep
 
 

@@ -275,7 +275,7 @@ def test_criterion_10_prop42_suite():
             p, q = rand_elt(), rand_elt()
             assert graded_degree(p * q, "m") == graded_degree(p, "m") + graded_degree(q, "m")
         # coideal with the exact displayed coproduct of m
-        rep = coideal_report(qc.embedded_subalgebra, qe2.hopf)
+        rep = coideal_report(catalog.subalgebra_on(amb, qc.raw), qe2.hopf)
         assert rep.clean, rep.to_text()
         dm = qe2.hopf.coproduct(m)
         expected = exprio.elaborate_expr(
@@ -318,7 +318,8 @@ def test_criterion_11_prop44_suite():
         qe2 = catalog.get_preset("qe2-nonstd")
         qi = catalog.get_preset("quotient-I")
         qc = catalog.get_preset("quantum-cylinder")
-        amb, H, pi = qe2.tower, qe2.hopf, qi.quotient
+        amb, H = qe2.tower, qe2.hopf
+        pi = catalog.quotient_on(amb, qi.raw)
         gens = [amb.poly("v - 1"), amb.poly("n - nb")]
         assert hopf_star_ideal_report(gens, pi, H).clean
         m = amb.poly("vb*nb - v*n")
@@ -333,7 +334,7 @@ def test_criterion_11_prop44_suite():
         statuses = {r.check_id: r.status for r in rep.records}
         assert statuses["closure-coinvariance-side-printed"] == DISCREPANCY
         assert rep.counts[FAIL] == 0
-        sig = dict(sigma_generators(qc.embedded_subalgebra, H, max_power=2))
+        sig = dict(sigma_generators(catalog.subalgebra_on(amb, qc.raw), H, max_power=2))
         assert all(ideal_member(val, pi) for val in sig.values())
         assert sig["(S^1 - eps)(vb)"] == amb.poly("v - 1")
     _line(11, "Hopf-*-ideal checks pass for I; coinvariance true for v, vb, m "

@@ -58,11 +58,43 @@ def test_quantum_plane_relation():
 
 
 def test_quantum_cylinder_embedding():
-    b = catalog.get_preset("quantum-cylinder")
-    assert b.embedded_subalgebra is not None
-    amb = b.embedded_subalgebra.ambient
-    m = b.embedded_subalgebra.generators["m"]
-    assert m == amb.poly("vb*nb - v*n")
+    amb = catalog.get_preset("qe2-nonstd").tower
+    B = catalog.subalgebra_on(amb, catalog.get_preset("quantum-cylinder").raw)
+    assert B.ambient is amb
+    assert list(B.generators) == ["v", "m", "vb"]
+    assert B.generators["m"] == amb.poly("vb*nb - v*n")
+    assert B.generators["vb"] == amb.poly("v^-1")
+
+
+def test_a_preset_loads_from_its_own_file_alone(monkeypatch):
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    qc = catalog.get_preset("quantum-cylinder")
+    qi = catalog.get_preset("quotient-I")
+    assert list(catalog._CACHE) == ["quantum-cylinder", "quotient-I"]
+    # each holds the tower of its own file: the standalone cylinder, and
+    # the quotient's target
+    assert [g.name for g in qc.tower.generators] == ["v", "m"]
+    assert [g.name for g in qi.tower.generators] == ["t"]
+    assert not {"quotient", "embedded_subalgebra"} & set(catalog.PresetBundle._fields)
+
+
+# the part of a bundle that each kind of preset builds
+KIND_PARTS = {
+    "hopf-algebra": "hopf", "algebra": "tower", "poisson": "poisson", "quotient": "tower",
+    "coaction": "coaction", "lie": "lie", "bialgebra": "cocommutator",
+}
+
+
+def test_load_bundle_builds_every_kind():
+    kinds = set()
+    for pid in catalog.PRESET_IDS:
+        raw = catalog._read(pid)
+        b = catalog.load_bundle(pid, raw, raw["kind"])
+        assert getattr(b, KIND_PARTS[b.kind]) is not None, pid
+        kinds.add(b.kind)
+    assert kinds == set(KIND_PARTS)
+    with pytest.raises(catalog.UnknownPreset, match="unknown kind 'group'"):
+        catalog.load_bundle("x", {"tower": []}, "group")
 
 
 def test_digests_stable():

@@ -23,7 +23,7 @@ import pytest
 
 from qe2 import catalog
 from qe2.hopf import AlgebraMorphism, hopf_axioms_report, respects_relations_report
-from qe2.homspace import Subalgebra, coideal_report, hopf_star_ideal_report, quotient_check
+from qe2.homspace import coideal_report, hopf_star_ideal_report, quotient_check
 from qe2.liebialg import (
     LieAlgebra,
     LieError,
@@ -131,10 +131,7 @@ def _delta_v_is_v_n(raw):
 
 
 def _coideal_on(b):
-    t = b.tower
-    B = Subalgebra(t, {"v": t.poly("v"), "m": t.poly("vb*nb - v*n"), "vb": t.poly("vb")},
-                   laurent="v", poly="m", counters=("n", "nb"))
-    return coideal_report(B, b.hopf)
+    return coideal_report(catalog.subalgebra_on(b.tower, preset_dict("quantum-cylinder")), b.hopf)
 
 
 def _coideal(broken):

@@ -8,12 +8,9 @@ display must turn that record into a pass and leave every other record as
 it was, except where two records read the same display.
 """
 
-import copy
-
 import pytest
 
 from qe2 import catalog, suites
-from qe2.ncalg import load_tower
 from qe2.report import DISCREPANCY, PASS
 
 # check id -> the engine's value, written as the ledger writes the display
@@ -77,28 +74,22 @@ def test_the_engine_value_as_display_passes(shipped, check_id):
     assert suites._Inputs(4).displayed == suites.DISPLAYED
 
 
-def _cylinder(raw):
-    """quantum-cylinder with the presentation ``raw``; its embedding stays."""
-    qc = catalog.get_preset("quantum-cylinder")
-    b = copy.copy(qc)
-    b.raw = raw
-    b.tower = load_tower(raw, context=qc.context)
-    return b
+def _inputs_with(preset_id, raw):
+    """Fresh inputs whose preset ``preset_id`` has the presentation ``raw``."""
+    s = suites._Inputs(4)
+    s[preset_id] = catalog.load_bundle(preset_id, raw, raw["kind"])
+    return s
 
 
 def test_the_engine_family_member_as_printed_family_passes(shipped):
-    cc = catalog.get_preset("coaction-cylinder")
-    b = copy.copy(cc)
-    b.raw = {**cc.raw, "printed_family": cc.raw["engine_family_member"]}
-    s = suites._Inputs(4)
-    s["coaction-cylinder"] = b
+    raw = catalog._read("coaction-cylinder")
+    s = _inputs_with("coaction-cylinder", {**raw, "printed_family": raw["engine_family_member"]})
     assert _moved(s, shipped) == {"family-cylinder-printed-member": PASS}
 
 
 def test_a_star_table_that_agrees_passes(shipped):
     raw = catalog._read("quantum-cylinder")
-    s = suites._Inputs(4)
-    s["quantum-cylinder"] = _cylinder({**raw, "star": {**raw["star"], "m": "m"}})
+    s = _inputs_with("quantum-cylinder", {**raw, "star": {**raw["star"], "m": "m"}})
     assert _moved(s, shipped) == {"relations-quantum-cylinder-star": PASS}
 
 
@@ -106,8 +97,7 @@ def test_the_covariant_first_relation_passes(shipped):
     # v*m = m*v + omega*(v - 1)^2, the bracket of the embedded m
     raw = catalog._read("quantum-cylinder")
     level = {**raw["tower"][1], "delta": {"v": "-omega*v^2 + 2*omega*v - omega"}}
-    s = suites._Inputs(4)
-    s["quantum-cylinder"] = _cylinder({**raw, "tower": [raw["tower"][0], level]})
+    s = _inputs_with("quantum-cylinder", {**raw, "tower": [raw["tower"][0], level]})
     # the star table and the second relation are read against the same
     # relation: the star now agrees, and the second display still does not
     assert _moved(s, shipped) == {

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qe2 import catalog
 from qe2.homspace import (
     QuotientMap,
     Subalgebra,
@@ -135,13 +136,9 @@ def test_quotient_negative_control(qe2, quotient_i):
 
 
 def test_quotient_circle():
-    desc = preset_dict("quotient-circle")
-    src_desc = preset_dict("fun-e2")
-    source = load_tower(src_desc)
-    target = load_tower(
-        {**desc["target"], "parameters": []}, context=source.context
-    )
-    pi = QuotientMap.load_quotient(source, target, desc)
+    source = load_tower(preset_dict("fun-e2"))
+    pi = catalog.quotient_on(source, preset_dict("quotient-circle"))
+    assert pi.source is source and pi.target.context is source.context
     assert quotient_check(pi).clean
 
 

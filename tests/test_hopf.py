@@ -353,7 +353,7 @@ def _leg_polys(t, monos):
 def test_leg_surgery_matches_term_by_term(seed, arity):
     b = catalog.get_preset("qe2-nonstd")
     tower, H = b.tower, b.hopf
-    pi = catalog.get_preset("quotient-I").quotient
+    pi = catalog.quotient_on(tower, catalog.get_preset("quotient-I").raw)
     rng = random.Random(1000 * arity + seed)
     t = _random_tensor(tower, rng, arity)
     assert not t.is_zero()
@@ -450,7 +450,8 @@ def test_tensor_mul_matches_term_by_term(data):
 def _shipped_morphisms():
     """(id, morphism) for every structure map the shipped presets build:
     coproducts, counits and antipodes, the star of every tower, the
-    coactions and projections, and the quotient maps."""
+    coactions and projections, and the quotient maps, each on the tower of
+    its source preset."""
     out, towers = [], {}
     for pid in catalog.PRESET_IDS:
         b = catalog.get_preset(pid)
@@ -460,9 +461,12 @@ def _shipped_morphisms():
                 (f"{pid}.counit", b.hopf.counit_map),
                 (f"{pid}.antipode", b.hopf.antipode_map),
             ]
-        for name in ("coaction", "projection", "quotient"):
+        for name in ("coaction", "projection"):
             if getattr(b, name) is not None:
                 out.append((f"{pid}.{name}", getattr(b, name)))
+        if b.kind == "quotient":
+            source = catalog.get_preset(b.raw["source"]).tower
+            out.append((f"{pid}.quotient", catalog.quotient_on(source, b.raw)))
         for t in (b.tower, b.group_tower, b.space_tower):
             if t is not None and t.star_table is not None:
                 towers.setdefault(id(t), (f"{pid}.star[{t.name}]", t))

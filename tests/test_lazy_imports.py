@@ -1,9 +1,10 @@
 """Which layers a fresh process loads.  Loading a preset imports the
-analysis layers (``homspace``, ``liebialg``) only when that preset builds
-objects from them, printing or diamond-checking a tower never imports
-the tensor layer, only ``qe2 check`` imports the suites, no qe2 run
-imports ``fractions``, and a gcd loads Brown's algorithm (``modgcd``) only
-when neither the images nor a linear operand settle it.  Each check runs in
+analysis layer ``liebialg`` only when that preset builds objects from it,
+``homspace`` loads with the first join of two presets, printing or
+diamond-checking a tower never imports the tensor layer, only ``qe2
+check`` imports the suites, no qe2 run imports ``fractions``, and a gcd
+loads Brown's algorithm (``modgcd``) only when neither the images nor a
+linear operand settle it.  Each check runs in
 a subprocess, because the test session itself has imported every module."""
 
 import json
@@ -20,7 +21,8 @@ SRC = Path(qe2.__file__).resolve().parents[1]
 
 LIGHT_PRESETS = (
     "fun-e2", "std-poisson", "nonstd-poisson", "plane-poisson",
-    "cylinder-poisson", "qe2-nonstd", "quantum-plane",
+    "cylinder-poisson", "qe2-nonstd", "quantum-plane", "quantum-cylinder",
+    "quotient-I",
 )
 WATCHED = ("qe2.homspace", "qe2.liebialg", "qe2.suites", "qe2.cli", "_hashlib")
 
@@ -34,16 +36,9 @@ def _run(code: str, *flags):
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize(
-    "preset,brings",
-    [
-        ("quotient-I", "qe2.homspace"),
-        ("quantum-cylinder", "qe2.homspace"),
-        ("e2-lie", "qe2.liebialg"),
-        ("coaction-plane", "qe2.liebialg"),
-    ],
-)
-def test_preset_loads_import_only_the_layers_they_use(preset, brings):
+def _after_the_light_presets(step):
+    """The watched modules loaded after the light presets, and after
+    ``step`` too."""
     code = (
         "import json, sys\n"
         "from qe2 import catalog\n"
@@ -52,12 +47,38 @@ def test_preset_loads_import_only_the_layers_they_use(preset, brings):
         f"for pid in {LIGHT_PRESETS!r}:\n"
         "    catalog.get_preset(pid)\n"
         "light = loaded()\n"
-        f"catalog.get_preset({preset!r})\n"
+        f"{step}\n"
         "print(json.dumps([light, loaded()]))\n"
     )
-    light, heavy = _run(code)
+    return _run(code)
+
+
+@pytest.mark.parametrize(
+    "preset,brings",
+    [
+        ("e2-lie", "qe2.liebialg"),
+        ("coaction-plane", "qe2.liebialg"),
+    ],
+)
+def test_preset_loads_import_only_the_layers_they_use(preset, brings):
+    light, heavy = _after_the_light_presets(f"catalog.get_preset({preset!r})")
     assert light == []
     assert heavy == [brings]
+
+
+@pytest.mark.parametrize(
+    "preset,join",
+    [("quotient-I", "quotient_on"), ("quantum-cylinder", "subalgebra_on")],
+)
+def test_a_join_imports_homspace(preset, join):
+    # the preset itself loaded with the light ones; only its join on the
+    # tower of qe2-nonstd brings the homogeneous-space layer
+    light, heavy = _after_the_light_presets(
+        f"catalog.{join}(catalog.get_preset('qe2-nonstd').tower, "
+        f"catalog.get_preset({preset!r}).raw)"
+    )
+    assert light == []
+    assert heavy == ["qe2.homspace"]
 
 
 def test_printing_and_a_failing_diamond_check_leave_the_tensor_layer_unloaded():

@@ -4,8 +4,10 @@ A passing record looks the same whether its check is sound or has gone
 vacuous, so each case breaks one input of one check and asserts a fail
 record under the check's own id, with a witness, and never an
 ``internal-error[...]`` record.  A broken preset is a copy of its JSON
-with one edit, loaded through ``catalog.get_preset`` in place of the
-shipped file; nothing under ``qe2/presets/`` changes.
+with one edit, loaded by ``catalog.load_bundle`` and put under its id in
+the check inputs (``s[preset_id] = bundle``); the joins of two presets
+(``s.pi``, ``s.cylinder``) are built from what the inputs hold, so they see
+it too.  Nothing under ``qe2/presets/`` changes.
 """
 
 import pytest
@@ -38,6 +40,11 @@ def _nonstd_table(raw):
 def _double_table(raw):
     raw["poisson"] = {pair: f"2*({value})" for pair, value in raw["poisson"].items()}
 
+
+# v (x) n has no inverse, so the coproduct of vb cannot be imaged
+_DELTA_V_IS_V_N = _set(("hopf", "delta", "v"), "v (x) n")
+# pi(n - nb) = -1
+_NB_IS_T_PLUS_1 = _set(("images", "nb"), "t + 1")
 
 # check id -> (preset id, the edit of its JSON that must fail the check)
 BROKEN_PRESETS = {
@@ -73,27 +80,39 @@ BROKEN_PRESETS = {
     "multiplicativity-std-poisson": ("std-poisson", _set(("poisson", "n,nb"), "n*nb")),
     "multiplicativity-nonstd-poisson": (
         "nonstd-poisson", _set(("poisson", "v,n"), "omega*(1 - v) + n")),
-    # v (x) n has no inverse, so the coproduct of vb cannot be imaged: the
-    # sub-checks that need it fail on their own, and the others still run
-    "hopf-axioms-qe2-nonstd": ("qe2-nonstd", _set(("hopf", "delta", "v"), "v (x) n")),
+    # the sub-checks that need the coproduct of vb fail on their own, and
+    # the others still run
+    "hopf-axioms-qe2-nonstd": ("qe2-nonstd", _DELTA_V_IS_V_N),
     # v -> t leaves the image of v^-1 without an inverse
     "quotient-I-well-defined": ("quotient-I", _set(("images", "v"), "t")),
     # pi(n - nb) = -1: the stated generator n - nb is not killed
-    "hopf-star-ideal-I": ("quotient-I", _set(("images", "nb"), "t + 1")),
+    "hopf-star-ideal-I": ("quotient-I", _NB_IS_T_PLUS_1),
+    # the shipped delta image is zero and tr(action) = 0, so the shipped
+    # check holds for every rho; a nonzero trace leaves tr(action)*rho = k
+    "stabilizer-plane": ("coaction-plane", _set(("stabilizer", "action"), [[1, -1], [1, 0]])),
+    "stabilizer-cylinder": ("coaction-cylinder", _set(("stabilizer", "action"), [[1, 0], [0, 0]])),
+    # {v, n} = u on the circle v -> u, n = nb = 0
+    "poisson-subgroup-circle-std": ("std-poisson", _set(("poisson", "v,n"), "v*n + v")),
+    # {v - 1, n} = omega on the line v = 1, n = nb
+    "poisson-subgroup-line-nonstd": (
+        "nonstd-poisson", _set(("poisson", "v,n"), "omega*(1 - v) + omega")),
+    # Delta(v) = v (x) n: (id (x) pi) Delta(v) = v (x) t
+    "closure-coinvariance-v": ("qe2-nonstd", _DELTA_V_IS_V_N),
+    # pi(m) = (t + 1) - t = 1: (id (x) pi) Delta(m) = m (x) 1 + 1 (x) 1, and
+    # pi((S - eps)(m)) = -1
+    "closure-coinvariance-m": ("quotient-I", _NB_IS_T_PLUS_1),
+    "closure-coinvariants-bounded": ("quotient-I", _NB_IS_T_PLUS_1),
+    "closure-sigma-outputs-in-ideal": ("quotient-I", _NB_IS_T_PLUS_1),
 }
 
 
-def _inputs_with(monkeypatch, preset_id, edit):
+def _inputs_with(preset_id, edit):
     """Fresh check inputs whose preset ``preset_id`` is its JSON after
-    ``edit``; the shipped bundle is back in the cache after the test."""
+    ``edit``."""
     raw = catalog._read(preset_id)
     edit(raw)
-    read = catalog._read
-    monkeypatch.setattr(catalog, "_read", lambda pid: raw if pid == preset_id else read(pid))
-    catalog.get_preset(preset_id)  # so that teardown restores the shipped bundle
-    monkeypatch.delitem(catalog._CACHE, preset_id)
     s = suites._Inputs(4)
-    s[preset_id] = catalog.get_preset(preset_id)
+    s[preset_id] = catalog.load_bundle(preset_id, raw, raw.get("kind", "algebra"))
     return s
 
 
@@ -108,10 +127,32 @@ def _assert_fails(check_id, s):
 
 
 @pytest.mark.parametrize("check_id", sorted(BROKEN_PRESETS))
-def test_a_broken_preset_fails_its_check(monkeypatch, check_id):
+def test_a_broken_preset_fails_its_check(check_id):
     assert suites.run_check(check_id).status == "pass"
-    preset_id, edit = BROKEN_PRESETS[check_id]
-    _assert_fails(check_id, _inputs_with(monkeypatch, preset_id, edit))
+    _assert_fails(check_id, _inputs_with(*BROKEN_PRESETS[check_id]))
+
+
+def test_a_substituted_qe2_reaches_both_joins():
+    s = _inputs_with("qe2-nonstd", _DELTA_V_IS_V_N)
+    assert s.pi.source is s.cylinder.ambient is s["qe2-nonstd"].tower
+    coideal = _assert_fails("coideal-cylinder", s)
+    assert coideal.witness == (
+        "coideal-v-leftleg[v]: right leg of Delta(v) grouped at v is outside B")
+    ideal = _assert_fails("hopf-star-ideal-I", s)
+    assert ideal.witness == "coideal[(pi x pi) delta(-1 + v)]: nonzero residual"
+
+
+# the checks whose own run, not a sub-check, needs the coproduct of vb
+@pytest.mark.parametrize("check_id", [
+    "coideal-delta-m-exact",
+    "closure-coinvariance-vb",
+    "closure-coinvariance-m",
+    "closure-coinvariance-side-printed",
+    "closure-coinvariants-bounded",
+])
+def test_a_domain_error_of_a_check_fails_it_under_its_own_id(check_id):
+    s = _inputs_with("qe2-nonstd", _DELTA_V_IS_V_N)
+    assert _assert_fails(check_id, s).witness == "cannot invert monomial containing n"
 
 
 def test_a_dependent_basis_fails_independence():
@@ -123,19 +164,15 @@ def test_a_dependent_basis_fails_independence():
 
 
 def test_the_rank_controls_move_the_circle_points():
-    preset_id, edit = BROKEN_PRESETS["rank-std-circle-points"]
-    with pytest.MonkeyPatch.context() as mp:
-        s = _inputs_with(mp, preset_id, edit)
-        record = suites.run_check("rank-std-circle-points", s)
+    s = _inputs_with(*BROKEN_PRESETS["rank-std-circle-points"])
+    record = suites.run_check("rank-std-circle-points", s)
     assert record.lhs.startswith("ranks [2, 2, 2]")
     assert record.witness == "ranks [2, 2, 2]"
 
 
 def test_the_coboundary_witness_is_the_r_found():
-    preset_id, edit = BROKEN_PRESETS["bialg-coboundary-std-empty"]
-    with pytest.MonkeyPatch.context() as mp:
-        s = _inputs_with(mp, preset_id, edit)
-        record = _assert_fails("bialg-coboundary-std-empty", s)
+    s = _inputs_with(*BROKEN_PRESETS["bialg-coboundary-std-empty"])
+    record = _assert_fails("bialg-coboundary-std-empty", s)
     # the nonstandard cocommutator is the coboundary of omega J^P2, P2 = X - Y
     assert record.witness == "delta = ad r for r = (omega) J^X + (-omega) J^Y"
 
@@ -152,6 +189,5 @@ BIALGEBRA_WITNESSES = {
 
 @pytest.mark.parametrize("check_id", sorted(BIALGEBRA_WITNESSES))
 def test_the_bialgebra_controls_say_where_they_fail(check_id):
-    with pytest.MonkeyPatch.context() as mp:
-        s = _inputs_with(mp, *BROKEN_PRESETS[check_id])
-        assert _assert_fails(check_id, s).witness == BIALGEBRA_WITNESSES[check_id]
+    s = _inputs_with(*BROKEN_PRESETS[check_id])
+    assert _assert_fails(check_id, s).witness == BIALGEBRA_WITNESSES[check_id]

@@ -62,7 +62,7 @@ def test_hopf_axioms_extend_to_degree_three_elements():
 def test_coideal_report_order_independent():
     qe2 = catalog.get_preset("qe2-nonstd")
     qc = catalog.get_preset("quantum-cylinder")
-    B = qc.embedded_subalgebra
+    B = catalog.subalgebra_on(qe2.tower, qc.raw)
     # same generators inserted in reversed order
     rev = Subalgebra(
         B.ambient,

@@ -271,6 +271,30 @@ def test_a_suite_alone_records_what_the_full_run_records(all_records, suite, cou
     assert records == [all_records[r["id"]] for r in records]
 
 
+def test_a_run_makes_one_set_of_inputs_and_each_join_once(monkeypatch):
+    from qe2 import catalog, suites
+
+    made, joins = [], []
+
+    class Counted(suites._Inputs):
+        def __init__(self, degree_bound):
+            super().__init__(degree_bound)
+            made.append(self)
+
+    def counted(join):
+        return lambda *args: joins.append(join.__name__) or join(*args)
+
+    monkeypatch.setattr(suites, "_Inputs", Counted)
+    for join in (catalog.quotient_on, catalog.subalgebra_on):
+        monkeypatch.setattr(catalog, join.__name__, counted(join))
+    suites.run_suite("all")
+    (s,) = made
+    # quotient-I on qe2-nonstd and the cylinder once; quotient_on also makes
+    # the three Poisson-subgroup maps, on std-poisson and nonstd-poisson
+    assert sorted(joins) == ["quotient_on"] * 4 + ["subalgebra_on"]
+    assert s.pi.source is s.cylinder.ambient is s["qe2-nonstd"].tower
+
+
 def test_check_ids_are_unique():
     from qe2 import suites
 
